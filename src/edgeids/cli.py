@@ -217,7 +217,7 @@ def cmd_evaluate(args):
     logger.info("System State: EVALUATION (frozen policy, seed %d)", cfg.seed)
 
     pipe = load_trained_pipeline(ckpt, cfg)
-    outcome = pipe.evaluate(seed=cfg.seed)
+    outcome = pl.rollout(pipe, seed=cfg.seed)
 
     pl.write_trace_csv(out / "trace.csv", outcome.trace_rows)
     outcome.ledger.to_csv(out / "ledger.csv")
@@ -535,7 +535,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (neural.CheckpointError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (neural.CheckpointError, OSError, KeyError, ValueError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 
 from .agent import AgentHyperparams, EpsilonSchedule
@@ -29,6 +30,10 @@ class ConfigError(Exception):
 AGENT_KINDS = ("deepedge", "autodrl", "tabular")
 
 
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class NeuralConfig:
     ae_hidden: int = 16
@@ -46,8 +51,9 @@ class NeuralConfig:
             raise ConfigError("network dimensions must be positive")
         if self.ae_lr <= 0 or self.lstm_lr <= 0 or self.ae_epochs < 1:
             raise ConfigError("learning rates and epochs must be positive")
-        if not self.q_hidden or min(self.q_hidden) < 1:
-            raise ConfigError("q_hidden must list positive layer widths")
+        if not self.q_hidden or not all(_is_integer(w) and w >= 1
+                                        for w in self.q_hidden):
+            raise ConfigError("q_hidden must list positive integer layer widths")
 
 
 @dataclass
@@ -212,6 +218,14 @@ def to_dict(cfg):
     return normalize(out)
 
 
+def _check_integers(cls, values, path):
+    """Integer fields take integers only; a bool is not one."""
+    for f in dataclasses.fields(cls):
+        value = values.get(f.name, 0)
+        if f.type in ("int", int) and not _is_integer(value):
+            raise ConfigError(f"{path}{f.name} must be an integer, got {value!r}")
+
+
 def _build(cls, data, path):
     field_types = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
@@ -219,6 +233,7 @@ def _build(cls, data, path):
         if key not in field_types:
             raise ConfigError(f"unknown key {path}{key}")
         kwargs[key] = value
+    _check_integers(cls, kwargs, path)
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -248,6 +263,7 @@ def from_dict(data):
         if key not in ("agent", "seed", "episodes", "pretrain_episodes"):
             raise ConfigError(f"unknown config key {key!r}")
         kwargs[key] = value
+    _check_integers(ExperimentConfig, kwargs, "")
     try:
         return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -278,16 +278,6 @@ class IngestResult:
     rows_skipped: int
 
 
-def load_column_mapping(path):
-    """JSON file mapping canonical feature names to CSV headers."""
-    with open(path) as f:
-        mapping = json.load(f)
-    missing = [c for c in REQUIRED_COLUMNS if c not in mapping]
-    if missing:
-        raise ValueError(f"column mapping lacks required entries: {missing}")
-    return mapping
-
-
 def ingest_flow_csv(path, mapping):
     """Parse flows from a CSV; malformed rows are counted and skipped."""
     missing = [c for c in REQUIRED_COLUMNS if c not in mapping]

@@ -146,13 +146,6 @@ class GatewayState:
     anomaly_score: float
     latent: np.ndarray
 
-    def vector(self):
-        """Fixed concatenation order: [p_rate, syn, ack, score, latent...]."""
-        return np.concatenate(
-            [[self.p_rate, self.syn_count, self.ack_count, self.anomaly_score],
-             np.asarray(self.latent, dtype=float)]
-        )
-
 
 # ---------------------------------------------------------------------------
 # resource proxy model

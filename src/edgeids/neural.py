@@ -97,16 +97,6 @@ def dense_init(n_in, n_out, activation, rng):
     return DenseParams(w, b, activation)
 
 
-def dense_forward(params, x):
-    """activation(w @ x + b) for a single 1-D input vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != params.n_in:
-        raise ValueError(
-            f"input length {x.shape} does not match layer input {params.n_in}"
-        )
-    return _activate(params.activation, params.w @ x + params.b)
-
-
 def stack_forward(layers, x):
     """Run a batch [B, d_in] (or a single vector) through a dense stack.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,10 +31,6 @@ RATE_SCALE = 5000.0     # state scaling so Q-net inputs sit near [0, 1]
 SCORE_SCALE = 10.0      # anomaly score enters as min(a_s / tau, SCORE_SCALE)
 BASE_LATENCY_S = 0.2
 LATENCY_PER_CPU = 0.002  # seconds of inference latency per CPU percent
-
-
-def _unsupported(kind):
-    raise ValueError(f"unsupported agent kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +215,7 @@ def train_detector(cfg, rng_seed):
     all_flows = [f for flows in step_flows for f in flows]
     raw = ft.features_matrix(all_flows)
     normalizer = ft.Normalizer("minmax").fit(raw)
-    data = np.stack([normalizer.transform(row) for row in raw])
+    data = normalizer.transform(raw)
 
     model = neural.autoencoder_init(
         rng, input_dim=len(ft.FEATURE_NAMES),
@@ -231,13 +227,13 @@ def train_detector(cfg, rng_seed):
     flow_errors = ((data - recon) ** 2).sum(axis=1)
     tau_flow = float(np.percentile(flow_errors, cfg.warmup.tau_percentile))
 
+    # each step's rows of the normalized matrix, in generation order
     step_scores = []
+    end = 0
     for flows in step_flows:
-        if not flows:
-            continue
-        x = np.stack([normalizer.transform(ft.extract_features(f))
-                      for f in flows]).mean(axis=0)
-        step_scores.append(model.anomaly_score(x))
+        start, end = end, end + len(flows)
+        if flows:
+            step_scores.append(model.anomaly_score(data[start:end].mean(axis=0)))
     if not step_scores:
         raise ValueError("warm-up produced no traffic; raise benign_rate")
     tau_step = float(np.percentile(step_scores, cfg.warmup.tau_percentile))
@@ -273,20 +269,32 @@ def pretrain_step_classifier(cfg, detector, seed):
 
     order = clf_rng.permutation(len(windows))
     k = 0
-    losses = []
-    for epoch in range(2):
+    for _ in range(2):
         for i in order:
             k += 1
             eta = cfg.neural.lstm_lr * k ** -0.55
-            loss, grads = neural.backward(clf, windows[i], labels[i])
+            _, grads = neural.backward(clf, windows[i], labels[i])
             neural.apply_gradients(clf, grads, eta)
-            losses.append(loss)
-    return clf, k, float(np.mean(losses[-len(order):])) if losses else 0.0
+    return clf, k
 
 
 # ---------------------------------------------------------------------------
 # results
 # ---------------------------------------------------------------------------
+
+@dataclass
+class PacketCounts:
+    attack_offered: int = 0
+    attack_passed: int = 0
+    benign_offered: int = 0
+    benign_passed: int = 0
+
+    def add(self, result):
+        self.attack_offered += result.offered_pkts["attack"]
+        self.attack_passed += result.passed_pkts["attack"]
+        self.benign_offered += result.offered_pkts["benign"]
+        self.benign_passed += result.passed_pkts["benign"]
+
 
 @dataclass
 class EpisodeStats:
@@ -305,10 +313,8 @@ class EpisodeStats:
     updates: int
 
 
-EPISODE_COLUMNS = ["episode", "reward_total", "detection_rate", "false_rate",
-                   "attack_offered", "attack_passed", "benign_offered",
-                   "benign_passed", "energy_j", "carbon_g", "cpu_mean",
-                   "epsilon_end", "updates"]
+EPISODE_COLUMNS = [f.name for f in fields(EpisodeStats)]
+_FLOAT_COLUMNS = {f.name for f in fields(EpisodeStats) if f.type == "float"}
 
 
 def write_episode_csv(path, stats):
@@ -316,14 +322,8 @@ def write_episode_csv(path, stats):
         writer = csv.writer(f)
         writer.writerow(EPISODE_COLUMNS)
         for s in stats:
-            writer.writerow([
-                s.episode, repr(float(s.reward_total)),
-                repr(float(s.detection_rate)), repr(float(s.false_rate)),
-                s.attack_offered, s.attack_passed, s.benign_offered,
-                s.benign_passed, repr(float(s.energy_j)),
-                repr(float(s.carbon_g)), repr(float(s.cpu_mean)),
-                repr(float(s.epsilon_end)), s.updates,
-            ])
+            writer.writerow([repr(float(getattr(s, c))) if c in _FLOAT_COLUMNS
+                             else getattr(s, c) for c in EPISODE_COLUMNS])
 
 
 @dataclass
@@ -366,15 +366,52 @@ class EvalOutcome:
 
 
 # ---------------------------------------------------------------------------
+# episode steps, as DrlPipeline.run_episode yields them
+# ---------------------------------------------------------------------------
+
+@dataclass
+class EpisodeStep:
+    """One observed step of an episode; reward, alert and trace stay unset
+    at step 0."""
+
+    pipeline: DrlPipeline
+    t: int
+    action: object          # the action taken into this step; None = monitor
+    result: object          # the gateway's StepResult
+    x_step: np.ndarray      # normalized mean feature vector
+    a_s: float              # step anomaly score
+    window: np.ndarray      # stacked LSTM window (autodrl), else None
+    classified: object      # the classifier's verdict (autodrl), else None
+    reward: object = None   # RewardBreakdown
+    alert: bool = False     # the alert the trace row records
+    trace: list = None
+    _state: np.ndarray = None
+
+    @property
+    def alarm(self):
+        return self.a_s > self.pipeline.detector.tau_step
+
+    def state(self):
+        """The DRL state, built once.  A transition's s_next at step t is
+        the decision state at t + 1, and both requests come after the
+        step's classifier update."""
+        if self._state is None:
+            self._state = self.pipeline.state_vector(
+                self.result, self.x_step, self.a_s, self.window)
+        return self._state
+
+
+# ---------------------------------------------------------------------------
 # the DRL pipeline (both agents)
 # ---------------------------------------------------------------------------
 
 class DrlPipeline:
-    """Shared train/evaluate loop for the two detection agents."""
+    """Warm-up, training and the shared episode runner for the two
+    detection agents."""
 
     def __init__(self, cfg: ExperimentConfig):
         if cfg.agent not in ("deepedge", "autodrl"):
-            _unsupported(cfg.agent)
+            raise ValueError(f"unsupported agent kind {cfg.agent!r}")
         self.cfg = cfg
         self.detector = None
         self.classifier = None
@@ -413,13 +450,13 @@ class DrlPipeline:
 
     # -- state assembly ----------------------------------------------------
 
-    def _latent(self, x_step, history):
+    def _latent(self, x_step, window):
         if self.cfg.agent == "autodrl":
-            return self.classifier.hidden(np.stack(history))
+            return self.classifier.hidden(window)
         return self.detector.autoencoder.encode(x_step)
 
-    def state_vector(self, result, x_step, a_s, history):
-        latent = self._latent(x_step, history)
+    def state_vector(self, result, x_step, a_s, window):
+        latent = self._latent(x_step, window)
         state = ft.build_state(result.offered, self.cfg.env.dt, a_s, latent)
         return np.concatenate([
             [state.p_rate / RATE_SCALE,
@@ -431,12 +468,11 @@ class DrlPipeline:
 
     # -- training ----------------------------------------------------------
 
-    def warmup(self, seed_offset=0):
-        self.detector = train_detector(self.cfg, self.cfg.seed + 7919 + seed_offset)
+    def warmup(self):
+        self.detector = train_detector(self.cfg, self.cfg.seed + 7919)
         if self.cfg.agent == "autodrl":
-            self.classifier, self._classifier_updates, _ = \
-                pretrain_step_classifier(self.cfg, self.detector,
-                                         self.cfg.seed + 104729)
+            self.classifier, self._classifier_updates = pretrain_step_classifier(
+                self.cfg, self.detector, self.cfg.seed + 104729)
 
     def train(self):
         cfg = self.cfg
@@ -450,6 +486,14 @@ class DrlPipeline:
         action_rng = np.random.default_rng(cfg.seed + 15485863)
         epsilon = cfg.hyper.epsilon.start_probability()
 
+        def decide(prev, history):
+            """epsilon-greedy above the alarm threshold"""
+            fill = len(buffer) / buffer.capacity
+            if not prev.alarm:
+                return None, False, fill
+            action = ag.select_action(self.q_net, prev.state(), epsilon, action_rng)
+            return action, len(buffer) >= cfg.hyper.batch_size, fill
+
         episode_stats = []
         ledgers = []
         trace_rows = []
@@ -458,57 +502,33 @@ class DrlPipeline:
 
         for episode in range(cfg.episodes):
             env = self._make_env(cfg.seed + 1000 * (episode + 1))
-            tracker = RewardTracker(cfg.sustain.reward_window,
-                                    cfg.sustain.weights.variant)
-            history = deque(maxlen=cfg.neural.lstm_window)
-
-            result = env.step(None)
-            x_step, a_s = self.detector.step_profile(result.offered)
-            history.extend([x_step] * cfg.neural.lstm_window)
-            tracker.push(result, self._classify(history))
+            tracker = self.reward_tracker()
+            steps = self.run_episode(env, decide, tracker, episode)
+            prev = next(steps)
+            # training counts step 0's packets and CPU
+            counts = PacketCounts()
+            counts.add(prev.result)
+            cpu_sum = prev.result.resource.cpu_pct
             reward_sum = 0.0
-            cpu_sum = result.resource.cpu_pct
             episode_updates = 0
-            counts = dict(attack_offered=result.offered_pkts["attack"],
-                          attack_passed=result.passed_pkts["attack"],
-                          benign_offered=result.offered_pkts["benign"],
-                          benign_passed=result.passed_pkts["benign"])
 
-            for t in range(1, cfg.env.episode_len):
-                alert = a_s > self.detector.tau_step
-                if alert:
-                    s_vec = self.state_vector(result, x_step, a_s, history)
-                    action = ag.select_action(self.q_net, s_vec, epsilon, action_rng)
-                else:
-                    s_vec = None
-                    action = None
-
-                learning = alert and len(buffer) >= cfg.hyper.batch_size
-                result2 = env.step(action, learning=learning,
-                                   buffer_fill=len(buffer) / buffer.capacity)
-                x_step2, a_s2 = self.detector.step_profile(result2.offered)
-                history.append(x_step2)
-                classified = self._classify(history)
-                tracker.push(result2, classified)
-                if classified is not None and self.cfg.agent == "autodrl":
+            for step in steps:
+                if step.classified is not None:
                     clf_updates += 1
                     eta_s = cfg.neural.lstm_lr * clf_updates ** -0.55
                     _, grads = neural.backward(
-                        self.classifier, np.stack(history),
-                        1 if result2.attack_active else 0)
+                        self.classifier, step.window,
+                        1 if step.result.attack_active else 0)
                     neural.apply_gradients(self.classifier, grads, eta_s)
+                reward_sum += step.reward.total
+                cpu_sum += step.result.resource.cpu_pct
 
-                breakdown = compute_reward(cfg.sustain.weights,
-                                           tracker.components(result2))
-                reward_sum += breakdown.total
-                cpu_sum += result2.resource.cpu_pct
-
-                if action is not None:
-                    s_vec2 = self.state_vector(result2, x_step2, a_s2, history)
+                if step.action is not None:
                     buffer.store(Transition(
-                        s=s_vec, a=action, r=breakdown.total, s_next=s_vec2,
-                        step_index=t, r_breakdown=breakdown,
-                        terminal=t == cfg.env.episode_len - 1))
+                        s=prev.state(), a=step.action, r=step.reward.total,
+                        s_next=step.state(), step_index=step.t,
+                        r_breakdown=step.reward,
+                        terminal=step.t == cfg.env.episode_len - 1))
                     if len(buffer) >= cfg.hyper.batch_size:
                         q_updates += 1
                         episode_updates += 1
@@ -521,24 +541,16 @@ class DrlPipeline:
                         if q_updates % cfg.hyper.target_sync_every == 0:
                             target_net.sync_from(self.q_net)
 
-                trace_rows.append(trace_row(episode, result2, a_s2,
-                                            a_s2 > self.detector.tau_step,
-                                            breakdown.total))
-                counts["attack_offered"] += result2.offered_pkts["attack"]
-                counts["attack_passed"] += result2.passed_pkts["attack"]
-                counts["benign_offered"] += result2.offered_pkts["benign"]
-                counts["benign_passed"] += result2.passed_pkts["benign"]
-                result, x_step, a_s = result2, x_step2, a_s2
+                trace_rows.append(step.trace)
+                counts.add(step.result)
+                prev = step
 
             episode_stats.append(EpisodeStats(
                 episode=episode,
                 reward_total=reward_sum,
                 detection_rate=tracker.detection_rate(),
                 false_rate=tracker.false_rate(),
-                attack_offered=counts["attack_offered"],
-                attack_passed=counts["attack_passed"],
-                benign_offered=counts["benign_offered"],
-                benign_passed=counts["benign_passed"],
+                **vars(counts),
                 energy_j=env.ledger.cumulative_energy_j,
                 carbon_g=env.ledger.cumulative_carbon_g,
                 cpu_mean=cpu_sum / cfg.env.episode_len,
@@ -558,19 +570,53 @@ class DrlPipeline:
             return self.cfg.hyper.lr * k ** -0.8
         return self.cfg.hyper.lr * k ** -0.6
 
-    def _classify(self, history):
-        if self.cfg.agent != "autodrl" or self.classifier is None:
-            return None
-        return self.classifier.classify(np.stack(history)) > 0.5
+    def run_episode(self, env, decide, tracker, episode=0, rollout=False):
+        """The step loop that training and rollout share.
 
-    def _make_env(self, seed):
-        env = EdgeGatewayEnv(self.cfg.env.traffic_config(), seed=seed,
-                             params=self.cfg.env.env_params(),
-                             resources=self.cfg.resources,
-                             limits=self.cfg.sustain.ledger_limits(),
-                             kappa=self._kappa())
-        env.flow_flagger = self.detector.flow_flag
-        return env
+        Yields one EpisodeStep per simulator step, step 0 first.  Each step
+        is scored, its LSTM window classified (autodrl), pushed to
+        ``tracker``, paid its reward and traced.  ``decide(prev, history)``
+        returns ``(action, learning, buffer_fill)`` for ``env.step``; the
+        caller learns from a step before it asks for the next one.  A
+        rollout records an active mitigation as an alert too."""
+        cfg = self.cfg
+        history = deque(maxlen=cfg.neural.lstm_window)
+
+        def observe(t, action, result):
+            x_step, a_s = self.detector.step_profile(result.offered)
+            history.extend([x_step] * (history.maxlen if t == 0 else 1))
+            window = classified = None
+            if cfg.agent == "autodrl" and self.classifier is not None:
+                window = np.stack(history)
+                classified = self.classifier.classify(window) > 0.5
+            tracker.push(result, classified)
+            return EpisodeStep(self, t, action, result, x_step, a_s, window,
+                               classified)
+
+        step = observe(0, None, env.step(None))
+        yield step
+        for t in range(1, env.traffic.episode_len):
+            action, learning, buffer_fill = decide(step, history)
+            result = env.step(action, learning=learning, buffer_fill=buffer_fill)
+            step = observe(t, action, result)
+            step.reward = compute_reward(cfg.sustain.weights,
+                                         tracker.components(result))
+            step.alert = step.alarm or (rollout and result.mitigation.any_active())
+            step.trace = trace_row(episode, result, step.a_s, step.alert,
+                                   step.reward.total)
+            yield step
+
+    def reward_tracker(self):
+        return RewardTracker(self.cfg.sustain.reward_window,
+                             self.cfg.sustain.weights.variant)
+
+    def _make_env(self, seed, traffic=None):
+        return EdgeGatewayEnv(traffic or self.cfg.env.traffic_config(), seed=seed,
+                              params=self.cfg.env.env_params(),
+                              resources=self.cfg.resources,
+                              limits=self.cfg.sustain.ledger_limits(),
+                              kappa=self._kappa(),
+                              flow_flagger=self.detector.flow_flag)
 
     def _kappa(self):
         from .sustain import load_kappa_schedule
@@ -579,90 +625,62 @@ class DrlPipeline:
             schedule = load_kappa_schedule(self.cfg.sustain.kappa_schedule_file)
         return KappaProvider(self.cfg.sustain.kappa_g_per_j(), schedule)
 
-    # -- evaluation ----------------------------------------------------------
-
-    def policy_action(self, result, x_step, a_s, history):
-        """Frozen greedy policy: act only above the alarm threshold."""
-        if a_s <= self.detector.tau_step:
-            return None
-        vec = self.state_vector(result, x_step, a_s, history)
-        return ag.select_action(self.q_net, vec, 0.0,
-                                np.random.default_rng(0))
-
-    def evaluate(self, seed, traffic=None, policy=None):
-        return rollout(self, seed, traffic=traffic, policy=policy)
-
 
 def rollout(pipeline, seed, traffic=None, policy=None):
-    """Frozen-policy episode; returns alert metrics, counts, and the ledger."""
-    cfg = pipeline.cfg
-    env = EdgeGatewayEnv(traffic or cfg.env.traffic_config(), seed=seed,
-                         params=cfg.env.env_params(), resources=cfg.resources,
-                         limits=cfg.sustain.ledger_limits(),
-                         kappa=pipeline._kappa())
-    env.flow_flagger = pipeline.detector.flow_flag
-    tracker = RewardTracker(cfg.sustain.reward_window, cfg.sustain.weights.variant)
-    history = deque(maxlen=cfg.neural.lstm_window)
+    """Frozen-policy episode; returns alert metrics, counts, and the ledger.
 
-    result = env.step(None)
-    x_step, a_s = pipeline.detector.step_profile(result.offered)
-    history.extend([x_step] * cfg.neural.lstm_window)
-    tracker.push(result, pipeline._classify(history))
+    Without a ``policy(result, x_step, a_s, history)`` the learned Q-network
+    acts greedily above the alarm threshold."""
+    def decide(prev, history):
+        if policy is not None:
+            action = policy(prev.result, prev.x_step, prev.a_s, history)
+        elif prev.alarm:
+            action = ag.select_action(pipeline.q_net, prev.state(), 0.0,
+                                      np.random.default_rng(0))
+        else:
+            action = None
+        return action, False, 0.0
+
+    env = pipeline._make_env(seed, traffic)
+    steps = pipeline.run_episode(env, decide, pipeline.reward_tracker(),
+                                 rollout=True)
+    next(steps)  # the rollout's outputs start at step 1
 
     confusion = ConfusionCounts()
     scores, labels, trace_rows, responses = [], [], [], []
-    counts = dict(attack_offered=0, attack_passed=0,
-                  benign_offered=0, benign_passed=0)
+    counts = PacketCounts()
     clf_correct = clf_total = 0
     reward_total = 0.0
     onset = None
     responded = True
-    episode_len = (traffic or cfg.env.traffic_config()).episode_len
 
-    for t in range(1, episode_len):
-        if policy is not None:
-            action = policy(result, x_step, a_s, history)
-        else:
-            action = pipeline.policy_action(result, x_step, a_s, history)
-        result = env.step(action)
-        x_step, a_s = pipeline.detector.step_profile(result.offered)
-        history.append(x_step)
-        classified = pipeline._classify(history)
-        tracker.push(result, classified)
-        breakdown = compute_reward(cfg.sustain.weights, tracker.components(result))
-        reward_total += breakdown.total
-
-        alert = a_s > pipeline.detector.tau_step or result.mitigation.any_active()
-        scores.append(a_s)
+    for step in steps:
+        result, t = step.result, step.t
+        reward_total += step.reward.total
+        scores.append(step.a_s)
         labels.append(1 if result.attack_active else 0)
-        if result.attack_active and alert:
+        if result.attack_active and step.alert:
             confusion.tp += 1
         elif result.attack_active:
             confusion.fn += 1
-        elif alert:
+        elif step.alert:
             confusion.fp += 1
         else:
             confusion.tn += 1
-        if classified is not None:
+        if step.classified is not None:
             clf_total += 1
-            clf_correct += int(classified == result.attack_active)
+            clf_correct += int(step.classified == result.attack_active)
+        counts.add(result)
 
-        counts["attack_offered"] += result.offered_pkts["attack"]
-        counts["attack_passed"] += result.passed_pkts["attack"]
-        counts["benign_offered"] += result.offered_pkts["benign"]
-        counts["benign_passed"] += result.passed_pkts["benign"]
-
-        if result.attack_active and onset is None:
-            onset = t
-            responded = False
         if not result.attack_active:
-            onset = None
-            responded = True
-        if not responded and action is not None:
-            responses.append((t - onset) * cfg.env.dt)
+            onset, responded = None, True
+        elif onset is None:
+            onset, responded = t, False
+        if not responded and step.action is not None:
+            responses.append((t - onset) * pipeline.cfg.env.dt)
             responded = True
 
-        trace_rows.append(trace_row(0, result, a_s, alert, breakdown.total))
+        trace_rows.append(step.trace)
 
     attack_steps = confusion.tp + confusion.fn
     detection = (confusion.tp / attack_steps) if attack_steps else None
@@ -670,10 +688,7 @@ def rollout(pipeline, seed, traffic=None, policy=None):
         confusion=confusion, detection_prob=detection,
         response_times=responses, scores=scores, attack_labels=labels,
         classifier_correct=clf_correct, classifier_total=clf_total,
-        attack_offered=counts["attack_offered"],
-        attack_passed=counts["attack_passed"],
-        benign_offered=counts["benign_offered"],
-        benign_passed=counts["benign_passed"],
+        **vars(counts),
         reward_total=reward_total, ledger=env.ledger, trace_rows=trace_rows)
 
 
@@ -728,8 +743,3 @@ class TabularPipeline:
                                    self.cfg.hyper.epsilon.floor)
         return rewards
 
-
-def make_pipeline(cfg):
-    if cfg.agent == "tabular":
-        return TabularPipeline(cfg)
-    return DrlPipeline(cfg)

@@ -129,8 +129,11 @@ def test_criterion_04_sustainability_bounds():
 
 def _brute_force_front(points):
     arr = np.asarray(points, dtype=float)
-    le = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
-    strict = (arr[:, None, :] < arr[None, :, :]).any(axis=2)
+    # per-coordinate [n, n] comparisons: the [n, n, 2] form is ~15x slower
+    # and alone came close to the 5 s budget
+    x, y = arr[:, 0], arr[:, 1]
+    le = (x[:, None] <= x[None, :]) & (y[:, None] <= y[None, :])
+    strict = (x[:, None] < x[None, :]) | (y[:, None] < y[None, :])
     dominates = le & strict  # [i, j]: i dominates j
     dominated = dominates.any(axis=0)
     return [points[i] for i in range(len(points)) if not dominated[i]]

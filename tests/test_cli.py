@@ -173,6 +173,40 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("assignment", [
+    "seed=1.5",
+    "episodes=true",
+    "pretrain_episodes=2.0",
+    "env.episode_len=2.5",
+    'env.attacks=[{"kind":"syn_flood","intensity":5000,'
+    '"start_step":50.5,"end_step":250}]',
+    "warmup.steps=1e2",
+    "neural.ae_epochs=false",
+    "neural.q_hidden=[32.5]",
+    'hyper.batch_size="64"',
+    "sustain.reward_window=null",
+    "tabular.n_updates=5000.0",
+    "resources.mem_total=1e9",
+])
+def test_integer_fields_reject_non_integers(tmp_path, capsys, assignment):
+    code = cli.main(["train", "--episodes", "0", "--quiet",
+                     "--out", str(tmp_path / "x"), "--set", assignment])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error:") and "integer" in err[0]
+
+
+def test_unwritable_out_dir_is_a_runtime_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    code = cli.main(["train", "--episodes", "0", "--quiet",
+                     "--out", str(blocker / "run")])
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error:")
+
+
 def test_selftest_passes(capsys):
     assert cli.main(["selftest"]) == cli.EXIT_OK
     out = capsys.readouterr().out

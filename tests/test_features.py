@@ -82,13 +82,12 @@ def test_extract_features_total_on_degenerate_flows():
 
 def test_build_state_scalar_only():
     s = build_state([flow()], dt=1.0, anomaly_score=0.2, latent=np.zeros(0))
-    assert s.vector().shape == (4,)
     assert s.p_rate == 10.0
 
 
 def test_build_state_with_latent():
     s = build_state([flow()], dt=1.0, anomaly_score=0.2, latent=np.ones(8))
-    assert s.vector().shape == (12,)
+    assert np.array_equal(s.latent, np.ones(8))
     with pytest.raises(ValueError):
         build_state([flow()], 1.0, 0.2, None)
 

@@ -11,7 +11,6 @@ from edgeids.neural import (
     autoencoder_init,
     backward,
     bce_loss,
-    dense_forward,
     grad_check,
     iter_params,
     load_checkpoint,
@@ -19,6 +18,7 @@ from edgeids.neural import (
     lstm_classifier_init,
     mse_loss,
     save_checkpoint,
+    stack_forward,
 )
 
 
@@ -28,23 +28,23 @@ from edgeids.neural import (
 
 def test_dense_identity_case():
     layer = DenseParams(np.eye(2), np.zeros(2), "identity")
-    assert np.array_equal(dense_forward(layer, [3.0, -1.0]), [3.0, -1.0])
+    assert np.array_equal(stack_forward([layer], [3.0, -1.0])[0], [3.0, -1.0])
 
 
 def test_dense_zero_weights_returns_bias():
     layer = DenseParams(np.zeros((2, 3)), np.array([0.5, 0.5]), "identity")
-    assert np.array_equal(dense_forward(layer, [7.0, -2.0, 9.0]), [0.5, 0.5])
+    assert np.array_equal(stack_forward([layer], [7.0, -2.0, 9.0])[0], [0.5, 0.5])
 
 
 def test_dense_hand_matrix_multiply():
     layer = DenseParams(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2), "identity")
-    assert np.array_equal(dense_forward(layer, [1.0, 1.0]), [3.0, 7.0])
+    assert np.array_equal(stack_forward([layer], [1.0, 1.0])[0], [3.0, 7.0])
 
 
 def test_dense_dimension_mismatch():
     layer = DenseParams(np.eye(2), np.zeros(2), "relu")
     with pytest.raises(ValueError):
-        dense_forward(layer, [1.0, 2.0, 3.0])
+        stack_forward([layer], [1.0, 2.0, 3.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from edgeids import neural
 from edgeids import pipeline as pl
 from edgeids.agent import ActionId
 from edgeids.config import default_config
@@ -168,6 +169,22 @@ def test_tabular_pipeline_episode_rewards_deterministic():
     assert len(a) == 10
 
 
-def test_make_pipeline_dispatch():
-    assert isinstance(pl.make_pipeline(default_config("tabular")), pl.TabularPipeline)
-    assert isinstance(pl.make_pipeline(default_config("deepedge")), pl.DrlPipeline)
+@pytest.mark.parametrize("agent, owner, method", [
+    ("deepedge", neural.AutoencoderModel, "encode"),
+    ("autodrl", neural.LstmClassifier, "hidden"),
+])
+def test_drl_state_built_at_most_once_per_step(monkeypatch, agent, owner, method):
+    cfg = quick_config(agent, episodes=1, episode_len=200)
+    pipe = pl.DrlPipeline(cfg)
+    pipe.warmup()
+    calls = []
+    original = getattr(owner, method)
+
+    def counted(self, *args):
+        calls.append(1)
+        return original(self, *args)
+
+    monkeypatch.setattr(owner, method, counted)
+    out = pipe.train()
+    assert out.q_updates > 0
+    assert 0 < len(calls) <= cfg.episodes * cfg.env.episode_len
