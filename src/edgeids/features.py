@@ -61,10 +61,10 @@ def features_matrix(flows):
 
 
 def build_state(flows, dt, anomaly_score, latent):
-    """Assemble the MDP state from one step's passed flows.
+    """Assemble the MDP state from one step's offered flows.
 
-    p_rate is total packets over dt; SYN/ACK counts are summed over the
-    window.  The latent vector may be empty (tabular mode)."""
+    p_rate is their total packets over dt; SYN/ACK counts are summed over
+    the same flows.  The latent vector may be empty (tabular mode)."""
     if latent is None:
         raise ValueError("missing latent vector (use an empty array for none)")
     latent = np.asarray(latent, dtype=float)

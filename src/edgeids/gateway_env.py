@@ -327,7 +327,7 @@ def apply_mitigation(flows, mitigation, rng, flags=None, dt=1.0):
         flags = [False] * len(flows)
     passed, dropped = [], []
     stage = []
-    for flow, flagged in zip(flows, flags):
+    for flow, flagged in zip(flows, flags, strict=True):
         if flow.src_id in mitigation.blacklist:
             dropped.append(flow)
         elif mitigation.drop_filter_active and flagged:
@@ -401,10 +401,10 @@ def blacklist_update(probabilities, tau_p, expiry_steps, now, blacklist):
 
 
 def rate_threshold_flagger(threshold_pps=200.0):
-    """Fallback per-flow anomaly flag: packet rate above a fixed threshold."""
-    def flag(flow):
-        duration = max(flow.duration, 1e-3)
-        return flow.pkts_total / duration > threshold_pps
+    """Fallback flagger: one flag per flow, set above a fixed packet rate."""
+    def flag(flows):
+        return [f.pkts_total / max(f.duration, 1e-3) > threshold_pps
+                for f in flows]
     return flag
 
 
@@ -429,9 +429,6 @@ class StepResult:
     passed: list
     dropped: list
     flags: list
-    p_rate: float
-    syn_count: int
-    ack_count: int
     offered_pkts: dict
     passed_pkts: dict
     dropped_pkts: dict
@@ -446,9 +443,9 @@ class EdgeGatewayEnv:
     """Seeded, deterministic gateway simulation.
 
     One instance per run; (seed, config, action sequence) fully determines
-    every observation and ledger entry.  The per-flow anomaly flagger is
-    injectable so the detection pipeline can drive the drop filter and the
-    source blacklist with model-based flags.
+    every observation and ledger entry.  The injectable flagger takes a
+    step's offered flows and returns one flag each, so the detection
+    pipeline can drive the drop filter and the blacklist with model flags.
     """
 
     def __init__(self, traffic, seed, params=None, resources=None,
@@ -529,7 +526,7 @@ class EdgeGatewayEnv:
         self._apply_action(action)
 
         offered = generate_step_traffic(self.traffic, now, self.rng)
-        flags = [bool(self.flow_flagger(f)) for f in offered]
+        flags = self.flow_flagger(offered)
         passed, dropped = apply_mitigation(offered, self.mitigation, self.rng,
                                            flags, self.traffic.dt)
         self._update_source_windows(offered, flags)
@@ -559,9 +556,6 @@ class EdgeGatewayEnv:
             passed=passed,
             dropped=dropped,
             flags=flags,
-            p_rate=passed_pps,
-            syn_count=sum(f.syn_packets for f in passed),
-            ack_count=sum(f.ack_packets for f in passed),
             offered_pkts=offered_pkts,
             passed_pkts=passed_pkts,
             dropped_pkts=dropped_pkts,

@@ -156,22 +156,31 @@ class AnomalyDetector:
     tau_flow: float   # per-flow flag threshold (p99 of benign flow errors)
     tau_step: float   # step-score alarm threshold (p99 of benign step scores)
 
-    def flow_error(self, flow):
-        z = self.normalizer.transform(ft.extract_features(flow))
-        return self.autoencoder.anomaly_score(z)
+    def _rows(self, flows):
+        return self.normalizer.transform(ft.features_matrix(flows))
 
-    def flow_flag(self, flow):
-        return self.flow_error(flow) > self.tau_flow
+    def flow_flag(self, flows):
+        """One flag per flow: its reconstruction error exceeds tau_flow."""
+        return (_row_errors(self.autoencoder, self._rows(flows))
+                > self.tau_flow).tolist()
 
     def step_profile(self, flows):
         """(normalized mean feature vector, anomaly score) for one step."""
         if not flows:
-            zeros = np.zeros(len(ft.FEATURE_NAMES))
-            return zeros, 0.0
-        feats = np.stack([self.normalizer.transform(ft.extract_features(f))
-                          for f in flows])
-        x = feats.mean(axis=0)
-        return x, self.autoencoder.anomaly_score(x)
+            return np.zeros(len(ft.FEATURE_NAMES)), 0.0
+        return _step_score(self.autoencoder, self._rows(flows))
+
+
+def _row_errors(autoencoder, rows):
+    """Summed squared reconstruction error of each normalized flow row."""
+    _, recon = autoencoder.reconstruct(rows)
+    return ((rows - recon) ** 2).sum(axis=1)
+
+
+def _step_score(autoencoder, rows):
+    """(mean row, its anomaly score) for one step's normalized flow rows."""
+    x = rows.mean(axis=0)
+    return x, autoencoder.anomaly_score(x)
 
 
 def detector_to_dict(detector):
@@ -209,11 +218,8 @@ def train_detector(cfg, rng_seed):
     env = EdgeGatewayEnv(benign_traffic, seed=rng_seed,
                          params=cfg.env.env_params(),
                          resources=cfg.resources)
-    step_flows = []
-    for _ in range(cfg.warmup.steps):
-        step_flows.append(env.step(None).passed)
-    all_flows = [f for flows in step_flows for f in flows]
-    raw = ft.features_matrix(all_flows)
+    step_flows = [env.step(None).passed for _ in range(cfg.warmup.steps)]
+    raw = ft.features_matrix([f for flows in step_flows for f in flows])
     normalizer = ft.Normalizer("minmax").fit(raw)
     data = normalizer.transform(raw)
 
@@ -223,20 +229,19 @@ def train_detector(cfg, rng_seed):
     for _ in range(cfg.neural.ae_epochs):
         neural.autoencoder_train_step(model, data, cfg.neural.ae_lr)
 
-    _, recon = model.reconstruct(data)
-    flow_errors = ((data - recon) ** 2).sum(axis=1)
-    tau_flow = float(np.percentile(flow_errors, cfg.warmup.tau_percentile))
+    tau_flow = float(np.percentile(_row_errors(model, data),
+                                   cfg.warmup.tau_percentile))
 
     # each step's rows of the normalized matrix, in generation order
-    step_scores = []
-    end = 0
-    for flows in step_flows:
-        start, end = end, end + len(flows)
-        if flows:
-            step_scores.append(model.anomaly_score(data[start:end].mean(axis=0)))
+    bounds = np.cumsum([len(flows) for flows in step_flows])[:-1]
+    step_scores = [_step_score(model, rows)[1]
+                   for rows in np.split(data, bounds) if len(rows)]
     if not step_scores:
         raise ValueError("warm-up produced no traffic; raise benign_rate")
     tau_step = float(np.percentile(step_scores, cfg.warmup.tau_percentile))
+    if not np.isfinite([tau_flow, tau_step]).all():
+        raise ValueError(f"warm-up autoencoder diverged (tau_flow={tau_flow}, "
+                         f"tau_step={tau_step}); lower neural.ae_lr")
     return AnomalyDetector(normalizer, model, tau_flow, tau_step)
 
 

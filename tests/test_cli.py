@@ -207,6 +207,18 @@ def test_unwritable_out_dir_is_a_runtime_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("runtime error:")
 
 
+def test_diverged_warmup_is_a_runtime_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = cli.main(["train", "--quiet", "--out", str(out),
+                     "--set", "neural.ae_lr=1e6", "--set", "neural.ae_epochs=5",
+                     "--set", "env.episode_len=100", "--set", "episodes=1"])
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("runtime error:")
+    assert not (out / "detector.json").exists()
+    assert not (out / "checkpoint.txt").exists()
+
+
 def test_selftest_passes(capsys):
     assert cli.main(["selftest"]) == cli.EXIT_OK
     out = capsys.readouterr().out

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from edgeids.agent import ActionId
 from edgeids import gateway_env as env
@@ -149,6 +151,54 @@ def test_conservation_under_all_mitigations():
             assert f.pkts_in + f.pkts_out == f.pkts_total
 
 
+SOURCES = ("a000", "a001", "b000", "b001", "b002")
+
+
+@st.composite
+def flow_records(draw):
+    pkts_in = draw(st.integers(0, 300))
+    pkts_out = draw(st.integers(0, 300))
+    pkts = pkts_in + pkts_out
+    return FlowRecord(draw(st.sampled_from(SOURCES)), pkts,
+                      draw(st.integers(pkts, 1500 * pkts + 1500)),
+                      draw(st.floats(0.0, 5.0)), pkts_in, pkts_out,
+                      draw(st.integers(0, 15)),
+                      draw(st.sampled_from(("benign", "attack"))),
+                      draw(st.sampled_from(("tcp", "udp"))))
+
+
+@st.composite
+def mitigation_cases(draw):
+    flows = draw(st.lists(flow_records(), max_size=30))
+    caps = st.none() | st.floats(0.5, 3000.0)
+    m = MitigationState(
+        rate_cap=draw(caps), syn_cap=draw(caps),
+        drop_filter_active=draw(st.booleans()),
+        blacklist={s: 100 for s in draw(st.sets(st.sampled_from(SOURCES)))})
+    flags = draw(st.lists(st.booleans(), min_size=len(flows), max_size=len(flows)))
+    return flows, m, flags, draw(st.floats(0.1, 2.0)), draw(st.integers(0, 2**32 - 1))
+
+
+# timing checks off: example generation slows with the machine's load
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mitigation_cases())
+def test_mitigation_conserves_and_caps_on_generated_inputs(case):
+    flows, m, flags, dt, seed = case
+    passed, dropped = apply_mitigation(flows, m, np.random.default_rng(seed),
+                                       flags, dt)
+    for label in ("benign", "attack"):
+        for attr in ("pkts_total", "bytes_total"):
+            offered = sum(getattr(f, attr) for f in flows if f.label == label)
+            kept = sum(getattr(f, attr) for f in passed + dropped
+                       if f.label == label)
+            assert kept == offered, (label, attr)
+    if m.rate_cap is not None:
+        assert total_pkts(passed) <= int(m.rate_cap * dt)
+    if m.syn_cap is not None:
+        assert sum(f.syn_packets for f in passed) <= int(m.syn_cap * dt)
+
+
 def test_mitigation_monotone_attack_packets():
     # activating any single mitigation never raises passed attack packets
     rng_master = np.random.default_rng(6)
@@ -239,7 +289,8 @@ def test_idle_operating_point_calibration():
 def test_severe_attack_cpu_band_unmitigated():
     cfg = TrafficConfig(attacks=[severe_syn_flood()], episode_len=400)
     e = EdgeGatewayEnv(cfg, seed=12)
-    e.flow_flagger = lambda f: False  # keep a3/a4 inert even if called
+    # keep a3/a4 inert even if called
+    e.flow_flagger = lambda flows: [False] * len(flows)
     cpus = []
     for step in range(400):
         res = e.step(None)
@@ -271,6 +322,13 @@ def test_env_episode_end_error():
         e.step(None)
 
 
+def test_flagger_must_return_one_flag_per_flow():
+    e = EdgeGatewayEnv(TrafficConfig(attacks=[]), seed=0,
+                       flow_flagger=lambda flows: [])
+    with pytest.raises(ValueError):
+        e.step(None)
+
+
 def test_env_deterministic_trajectory():
     cfg = TrafficConfig(attacks=[default_syn_flood(start=5, end=40)], episode_len=60)
     actions = [None] * 10 + [ActionId.SOURCE_FILTER, ActionId.SYN_THROTTLE] * 25
@@ -280,9 +338,8 @@ def test_env_deterministic_trajectory():
         out = []
         for a in actions[:60]:
             r = e.step(a)
-            out.append((r.p_rate, r.syn_count, r.ack_count,
-                        r.passed_pkts["attack"], r.resource.cpu_pct,
-                        r.ledger_entry.carbon_g))
+            out.append((r.offered_pkts, r.passed_pkts, r.dropped_pkts,
+                        r.resource.cpu_pct, r.ledger_entry.carbon_g))
         return out
 
     assert run() == run()

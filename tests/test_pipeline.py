@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from edgeids import features as ft
 from edgeids import neural
 from edgeids import pipeline as pl
 from edgeids.agent import ActionId
 from edgeids.config import default_config
-from edgeids.gateway_env import AttackScenario
+from edgeids.gateway_env import AttackScenario, EdgeGatewayEnv
 
 
 def quick_config(agent="deepedge", **kw):
@@ -188,3 +189,49 @@ def test_drl_state_built_at_most_once_per_step(monkeypatch, agent, owner, method
     out = pipe.train()
     assert out.q_updates > 0
     assert 0 < len(calls) <= cfg.episodes * cfg.env.episode_len
+
+
+def per_flow_reference(detector, flows):
+    """Flags and (x, score) of one step, one flow at a time."""
+    rows = [detector.normalizer.transform(ft.extract_features(f)) for f in flows]
+    flags = [detector.autoencoder.anomaly_score(z) > detector.tau_flow
+             for z in rows]
+    if not rows:
+        return flags, np.zeros(len(ft.FEATURE_NAMES)), 0.0
+    x = np.stack(rows).mean(axis=0)
+    return flags, x, detector.autoencoder.anomaly_score(x)
+
+
+def test_batch_detector_matches_per_flow_reference(trained_quick):
+    pipe, _ = trained_quick
+    detector = pipe.detector
+    env = EdgeGatewayEnv(pipe.cfg.env.traffic_config(), seed=4242,
+                         params=pipe.cfg.env.env_params())
+    steps = [[]] + [env.step(None).offered
+                    for _ in range(pipe.cfg.env.episode_len)]
+    flagged = 0
+    for flows in steps:
+        ref_flags, ref_x, ref_score = per_flow_reference(detector, flows)
+        flags = detector.flow_flag(flows)
+        x, score = detector.step_profile(flows)
+        assert flags == ref_flags
+        assert np.array_equal(x, ref_x)
+        assert score == ref_score
+        flagged += sum(flags)
+    assert 0 < flagged < sum(len(flows) for flows in steps)
+
+
+def test_flow_flag_runs_once_per_env_step(monkeypatch):
+    cfg = quick_config(episodes=1, episode_len=200)
+    pipe = pl.DrlPipeline(cfg)
+    pipe.warmup()
+    calls = []
+    original = pl.AnomalyDetector.flow_flag
+
+    def counted(self, flows):
+        calls.append(1)
+        return original(self, flows)
+
+    monkeypatch.setattr(pl.AnomalyDetector, "flow_flag", counted)
+    pipe.train()
+    assert len(calls) == cfg.episodes * cfg.env.episode_len
