@@ -87,6 +87,15 @@ def prepare_out_dir(args, default_name):
     return out
 
 
+def warm_up(pipe, logger):
+    """DrlPipeline.warmup, with a failed warm-up logged as CRITICAL."""
+    try:
+        pipe.warmup()
+    except ValueError as exc:
+        logger.critical("Warm-up failed: %s", exc)
+        raise
+
+
 def write_json(path, payload):
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -130,7 +139,7 @@ def cmd_train(args):
 
     pipe = pl.DrlPipeline(cfg)
     logger.info("Benign warm-up: fitting normalizer and anomaly thresholds")
-    pipe.warmup()
+    warm_up(pipe, logger)
     logger.info("Alarm thresholds: tau_flow=%.6g tau_step=%.6g",
                 pipe.detector.tau_flow, pipe.detector.tau_step)
     outcome = pipe.train()
@@ -139,7 +148,8 @@ def cmd_train(args):
     write_json(out / "detector.json", pl.detector_to_dict(pipe.detector))
     pl.write_episode_csv(out / "episodes.csv", outcome.episode_stats)
     pl.write_trace_csv(out / "trace.csv", outcome.trace_rows)
-    _write_combined_ledger(out / "ledger.csv", outcome.ledgers, cfg.env.episode_len)
+    sustain.write_ledger_csv(out / "ledger.csv", outcome.ledgers,
+                             cfg.env.episode_len)
 
     violations = [v for ledger in outcome.ledgers for v in ledger.check_bounds()]
     for stats in outcome.episode_stats:
@@ -163,18 +173,6 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _write_combined_ledger(path, ledgers, episode_len):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "P_w", "dt_s", "E_j", "M_ratio", "C_g"])
-        for episode, ledger in enumerate(ledgers):
-            offset = episode * episode_len
-            for e in ledger.entries:
-                writer.writerow([offset + e.step, repr(float(e.power_w)),
-                                 repr(float(e.dt_s)), repr(float(e.energy_j)),
-                                 repr(float(e.m_util)), repr(float(e.carbon_g))])
-
-
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -188,11 +186,7 @@ def load_trained_pipeline(checkpoint_dir, cfg=None):
     with open(ckpt / "detector.json") as f:
         detector_data = json.load(f)
     pipe = pl.DrlPipeline(cfg)
-    pipe.detector = pl.detector_from_dict(detector_data, models["autoencoder"])
-    if cfg.agent == "autodrl":
-        if "classifier" not in models:
-            raise ValueError("autodrl checkpoint lacks the step classifier")
-        pipe.classifier = models["classifier"]
+    pipe.detector = pl.detector_from_dict(detector_data)
     pipe.load_models(models)
     return pipe
 
@@ -346,7 +340,7 @@ def cmd_sweep(args):
                                                         initial=eps)
             run_cfg.seed = seed
             pipe = pl.DrlPipeline(run_cfg)
-            pipe.warmup()
+            warm_up(pipe, logger)
             outcome = pipe.train()
             return [s.reward_total for s in outcome.episode_stats]
 

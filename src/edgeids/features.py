@@ -1,4 +1,4 @@
-"""Flow features, windowed state assembly, and the selection pipeline.
+"""Flow features, their normalization, and the selection pipeline.
 
 Eight flow-level metrics are extracted per flow (counts, sizes, rates, and
 an encoded flag set).  A selection pipeline mirrors the usual reduction
@@ -16,8 +16,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .gateway_env import FlowRecord, GatewayState
 
 FEATURE_NAMES = (
     "pkts_total",
@@ -55,27 +53,10 @@ def extract_features(flow):
 
 
 def features_matrix(flows):
+    """One extract_features row per flow, in order; (0, 8) for none."""
     if not flows:
         return np.zeros((0, len(FEATURE_NAMES)))
     return np.stack([extract_features(f) for f in flows])
-
-
-def build_state(flows, dt, anomaly_score, latent):
-    """Assemble the MDP state from one step's offered flows.
-
-    p_rate is their total packets over dt; SYN/ACK counts are summed over
-    the same flows.  The latent vector may be empty (tabular mode)."""
-    if latent is None:
-        raise ValueError("missing latent vector (use an empty array for none)")
-    latent = np.asarray(latent, dtype=float)
-    total_pkts = sum(f.pkts_total for f in flows)
-    return GatewayState(
-        p_rate=total_pkts / dt,
-        syn_count=float(sum(f.syn_packets for f in flows)),
-        ack_count=float(sum(f.ack_packets for f in flows)),
-        anomaly_score=float(anomaly_score),
-        latent=latent,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +261,7 @@ class IngestResult:
 
 def ingest_flow_csv(path, mapping):
     """Parse flows from a CSV; malformed rows are counted and skipped."""
+    from .gateway_env import FlowRecord
     missing = [c for c in REQUIRED_COLUMNS if c not in mapping]
     if missing:
         raise ValueError(f"column mapping lacks required entries: {missing}")

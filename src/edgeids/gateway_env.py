@@ -13,12 +13,12 @@ gateway hardware: ~12% CPU and ~0.96 J/step idle, ~35% under attack,
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .agent import ActionId
+from .features import FEATURE_NAMES, features_matrix
 from .sustain import KappaProvider, SustainabilityLedger, \
     g_per_kwh_to_g_per_joule
 
@@ -134,17 +134,6 @@ class ResourceProxy:
     cpu_pct: float
     mem_active: int
     power_w: float
-
-
-@dataclass
-class GatewayState:
-    """The MDP state: rates, SYN/ACK counts, anomaly score, latent vector."""
-
-    p_rate: float
-    syn_count: float
-    ack_count: float
-    anomaly_score: float
-    latent: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +390,12 @@ def blacklist_update(probabilities, tau_p, expiry_steps, now, blacklist):
 
 
 def rate_threshold_flagger(threshold_pps=200.0):
-    """Fallback flagger: one flag per flow, set above a fixed packet rate."""
-    def flag(flows):
-        return [f.pkts_total / max(f.duration, 1e-3) > threshold_pps
-                for f in flows]
+    """Fallback flagger: one flag per feature row, set above a fixed packet
+    rate."""
+    column = FEATURE_NAMES.index("pkt_rate")
+
+    def flag(features):
+        return (features[:, column] > threshold_pps).tolist()
     return flag
 
 
@@ -428,6 +419,7 @@ class StepResult:
     offered: list
     passed: list
     dropped: list
+    features: np.ndarray    # one features_matrix row per offered flow
     flags: list
     offered_pkts: dict
     passed_pkts: dict
@@ -443,8 +435,9 @@ class EdgeGatewayEnv:
     """Seeded, deterministic gateway simulation.
 
     One instance per run; (seed, config, action sequence) fully determines
-    every observation and ledger entry.  The injectable flagger takes a
-    step's offered flows and returns one flag each, so the detection
+    every observation and ledger entry.  Each step's offered flows are
+    featurized once, into ``StepResult.features``; the injectable flagger
+    takes that matrix and returns one flag per row, so the detection
     pipeline can drive the drop filter and the blacklist with model flags.
     """
 
@@ -526,7 +519,8 @@ class EdgeGatewayEnv:
         self._apply_action(action)
 
         offered = generate_step_traffic(self.traffic, now, self.rng)
-        flags = self.flow_flagger(offered)
+        features = features_matrix(offered)
+        flags = self.flow_flagger(features)
         passed, dropped = apply_mitigation(offered, self.mitigation, self.rng,
                                            flags, self.traffic.dt)
         self._update_source_windows(offered, flags)
@@ -542,8 +536,8 @@ class EdgeGatewayEnv:
         dropped_pkts = pkt_counts(dropped)
 
         dt = self.traffic.dt
-        passed_pps = sum(f.pkts_total for f in passed) / dt
-        dropped_pps = sum(f.pkts_total for f in dropped) / dt
+        passed_pps = sum(passed_pkts.values()) / dt
+        dropped_pps = sum(dropped_pkts.values()) / dt
         resource = resource_model(passed_pps, dropped_pps, learning,
                                   buffer_fill, self.resources)
         entry = self.ledger.record(now, resource.power_w, dt,
@@ -555,13 +549,15 @@ class EdgeGatewayEnv:
             offered=offered,
             passed=passed,
             dropped=dropped,
+            features=features,
             flags=flags,
             offered_pkts=offered_pkts,
             passed_pkts=passed_pkts,
             dropped_pkts=dropped_pkts,
             resource=resource,
             ledger_entry=entry,
-            mitigation=copy.deepcopy(self.mitigation),
+            mitigation=replace(self.mitigation,
+                               blacklist=dict(self.mitigation.blacklist)),
             attack_active=offered_pkts["attack"] > 0,
             action=action,
         )

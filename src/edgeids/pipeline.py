@@ -156,19 +156,18 @@ class AnomalyDetector:
     tau_flow: float   # per-flow flag threshold (p99 of benign flow errors)
     tau_step: float   # step-score alarm threshold (p99 of benign step scores)
 
-    def _rows(self, flows):
-        return self.normalizer.transform(ft.features_matrix(flows))
-
-    def flow_flag(self, flows):
-        """One flag per flow: its reconstruction error exceeds tau_flow."""
-        return (_row_errors(self.autoencoder, self._rows(flows))
+    def flow_flag(self, features):
+        """One flag per feature row: its reconstruction error exceeds
+        tau_flow."""
+        return (_row_errors(self.autoencoder, self.normalizer.transform(features))
                 > self.tau_flow).tolist()
 
-    def step_profile(self, flows):
-        """(normalized mean feature vector, anomaly score) for one step."""
-        if not flows:
+    def step_profile(self, features):
+        """(normalized mean feature vector, anomaly score) of one step's
+        feature matrix."""
+        if not len(features):
             return np.zeros(len(ft.FEATURE_NAMES)), 0.0
-        return _step_score(self.autoencoder, self._rows(flows))
+        return _step_score(self.autoencoder, self.normalizer.transform(features))
 
 
 def _row_errors(autoencoder, rows):
@@ -195,7 +194,9 @@ def detector_to_dict(detector):
     }
 
 
-def detector_from_dict(data, autoencoder):
+def detector_from_dict(data, autoencoder=None):
+    """The inverse of detector_to_dict; DrlPipeline.load_models wires the
+    checkpoint's autoencoder in when none is given."""
     normalizer = ft.Normalizer(data["kind"])
     normalizer.low = np.asarray(data["low"], dtype=float)
     normalizer.scale = np.asarray(data["scale"], dtype=float)
@@ -218,27 +219,28 @@ def train_detector(cfg, rng_seed):
     env = EdgeGatewayEnv(benign_traffic, seed=rng_seed,
                          params=cfg.env.env_params(),
                          resources=cfg.resources)
-    step_flows = [env.step(None).passed for _ in range(cfg.warmup.steps)]
-    raw = ft.features_matrix([f for flows in step_flows for f in flows])
+    # no mitigation acts during warm-up, so every offered flow passes
+    step_rows = [env.step(None).features for _ in range(cfg.warmup.steps)]
+    raw = np.concatenate(step_rows)
     normalizer = ft.Normalizer("minmax").fit(raw)
     data = normalizer.transform(raw)
 
     model = neural.autoencoder_init(
         rng, input_dim=len(ft.FEATURE_NAMES),
         hidden_dim=cfg.neural.ae_hidden, latent_dim=cfg.neural.latent_dim)
-    for _ in range(cfg.neural.ae_epochs):
-        neural.autoencoder_train_step(model, data, cfg.neural.ae_lr)
-
-    tau_flow = float(np.percentile(_row_errors(model, data),
-                                   cfg.warmup.tau_percentile))
-
-    # each step's rows of the normalized matrix, in generation order
-    bounds = np.cumsum([len(flows) for flows in step_flows])[:-1]
-    step_scores = [_step_score(model, rows)[1]
-                   for rows in np.split(data, bounds) if len(rows)]
-    if not step_scores:
-        raise ValueError("warm-up produced no traffic; raise benign_rate")
-    tau_step = float(np.percentile(step_scores, cfg.warmup.tau_percentile))
+    # a diverging autoencoder overflows here; the finite check below fails it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.neural.ae_epochs):
+            neural.autoencoder_train_step(model, data, cfg.neural.ae_lr)
+        tau_flow = float(np.percentile(_row_errors(model, data),
+                                       cfg.warmup.tau_percentile))
+        # each step's rows of the normalized matrix, in generation order
+        bounds = np.cumsum([len(rows) for rows in step_rows])[:-1]
+        step_scores = [_step_score(model, rows)[1]
+                       for rows in np.split(data, bounds) if len(rows)]
+        if not step_scores:
+            raise ValueError("warm-up produced no traffic; raise benign_rate")
+        tau_step = float(np.percentile(step_scores, cfg.warmup.tau_percentile))
     if not np.isfinite([tau_flow, tau_step]).all():
         raise ValueError(f"warm-up autoencoder diverged (tau_flow={tau_flow}, "
                          f"tau_step={tau_step}); lower neural.ae_lr")
@@ -266,7 +268,7 @@ def pretrain_step_classifier(cfg, detector, seed):
         history = deque(maxlen=cfg.neural.lstm_window)
         for _ in range(cfg.env.episode_len):
             result = env.step(None)
-            x, _ = detector.step_profile(result.offered)
+            x, _ = detector.step_profile(result.features)
             history.append(x)
             if len(history) == cfg.neural.lstm_window:
                 windows.append(np.stack(history))
@@ -438,20 +440,24 @@ class DrlPipeline:
         return out
 
     def load_models(self, models):
-        for name in ("autoencoder", "q_network"):
+        """Wire checkpointed models into the pipeline; every check runs
+        before anything is wired."""
+        needed = ["autoencoder", "q_network"]
+        if self.cfg.agent == "autodrl":
+            needed.append("classifier")
+        for name in needed:
             if name not in models:
                 raise ValueError(f"checkpoint lacks model {name!r}")
-        self.q_net = ag.QNetwork(list(models["q_network"]))
-        if self.q_net.input_dim != self.state_dim():
-            raise ValueError(
-                f"q_network layer 0 expects input {self.q_net.input_dim}, "
-                f"config needs {self.state_dim()}")
-        if self.classifier is None and "classifier" in models:
-            self.classifier = models["classifier"]
-        ae = models["autoencoder"]
         if self.detector is None:
             raise ValueError("detector thresholds missing; run warm-up first")
-        self.detector.autoencoder = ae
+        q_net = ag.QNetwork(list(models["q_network"]))
+        if q_net.input_dim != self.state_dim():
+            raise ValueError(
+                f"q_network layer 0 expects input {q_net.input_dim}, "
+                f"config needs {self.state_dim()}")
+        self.q_net = q_net
+        self.classifier = models.get("classifier")
+        self.detector.autoencoder = models["autoencoder"]
 
     # -- state assembly ----------------------------------------------------
 
@@ -461,14 +467,15 @@ class DrlPipeline:
         return self.detector.autoencoder.encode(x_step)
 
     def state_vector(self, result, x_step, a_s, window):
-        latent = self._latent(x_step, window)
-        state = ft.build_state(result.offered, self.cfg.env.dt, a_s, latent)
+        """[offered packet rate, SYN and ACK counts, clipped a_s / tau_step,
+        latent], the first three over RATE_SCALE."""
+        p_rate = sum(result.offered_pkts.values()) / self.cfg.env.dt
+        syn = float(sum(f.syn_packets for f in result.offered))
+        ack = float(sum(f.ack_packets for f in result.offered))
         return np.concatenate([
-            [state.p_rate / RATE_SCALE,
-             state.syn_count / RATE_SCALE,
-             state.ack_count / RATE_SCALE,
+            [p_rate / RATE_SCALE, syn / RATE_SCALE, ack / RATE_SCALE,
              min(a_s / max(self.detector.tau_step, 1e-9), SCORE_SCALE) / SCORE_SCALE],
-            latent,
+            self._latent(x_step, window),
         ])
 
     # -- training ----------------------------------------------------------
@@ -588,7 +595,7 @@ class DrlPipeline:
         history = deque(maxlen=cfg.neural.lstm_window)
 
         def observe(t, action, result):
-            x_step, a_s = self.detector.step_profile(result.offered)
+            x_step, a_s = self.detector.step_profile(result.features)
             history.extend([x_step] * (history.maxlen if t == 0 else 1))
             window = classified = None
             if cfg.agent == "autodrl" and self.classifier is not None:

@@ -236,11 +236,19 @@ class SustainabilityLedger:
         return violations
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["step", "P_w", "dt_s", "E_j", "M_ratio", "C_g"])
-            for e in self.entries:
-                writer.writerow([e.step, repr(float(e.power_w)), repr(float(e.dt_s)),
+        write_ledger_csv(path, [self])
+
+
+def write_ledger_csv(path, ledgers, episode_len=0):
+    """Every ledger's entries as CSV rows; episode k's steps are offset by
+    k * episode_len."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["step", "P_w", "dt_s", "E_j", "M_ratio", "C_g"])
+        for episode, ledger in enumerate(ledgers):
+            for e in ledger.entries:
+                writer.writerow([episode * episode_len + e.step,
+                                 repr(float(e.power_w)), repr(float(e.dt_s)),
                                  repr(float(e.energy_j)), repr(float(e.m_util)),
                                  repr(float(e.carbon_g))])
 

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -217,6 +220,48 @@ def test_diverged_warmup_is_a_runtime_error(tmp_path, capsys):
     assert err[-1].startswith("runtime error:")
     assert not (out / "detector.json").exists()
     assert not (out / "checkpoint.txt").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["train"],
+    ["sweep", "--epsilon", "1.0,2.0", "--seeds", "0,1,2"],
+])
+def test_diverged_warmup_prints_one_line_and_logs_critical(tmp_path, command):
+    # a subprocess, because pytest captures numpy's RuntimeWarnings away
+    # from capsys
+    out = tmp_path / "run"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "edgeids.cli", *command, "--quiet", "--out", str(out),
+         "--set", "neural.ae_lr=1e6", "--set", "neural.ae_epochs=5",
+         "--set", "env.episode_len=100", "--set", "episodes=1"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        timeout=120)
+    assert proc.returncode == cli.EXIT_RUNTIME
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error:"), proc.stderr
+    log = (out / "run.log").read_text()
+    assert re.search(r"- CRITICAL: .*diverged", log)
+
+
+def test_checkpoint_without_autoencoder_names_the_model(train_artifact, tmp_path,
+                                                        capsys):
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    for name in ("config.json", "detector.json"):
+        (broken / name).write_bytes((train_artifact / name).read_bytes())
+    lines = (train_artifact / "checkpoint.txt").read_text().splitlines(True)
+    start = lines.index("model autoencoder autoencoder\n")
+    end = next(i for i in range(start + 1, len(lines))
+               if lines[i].startswith("model "))
+    (broken / "checkpoint.txt").write_text("".join(lines[:start] + lines[end:]))
+    code = cli.main(["evaluate", "--checkpoint", str(broken),
+                     "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["runtime error: checkpoint lacks model 'autoencoder'"]
 
 
 def test_selftest_passes(capsys):

@@ -8,7 +8,6 @@ from edgeids.features import (
     FEATURE_NAMES,
     IDENTITY_MAPPING,
     Normalizer,
-    build_state,
     export_flow_csv,
     extract_features,
     ingest_flow_csv,
@@ -74,33 +73,6 @@ def test_extract_features_total_on_degenerate_flows():
     v = extract_features(degenerate)
     assert v.shape == (8,)
     assert np.all(np.isfinite(v))
-
-
-# ---------------------------------------------------------------------------
-# state assembly
-# ---------------------------------------------------------------------------
-
-def test_build_state_scalar_only():
-    s = build_state([flow()], dt=1.0, anomaly_score=0.2, latent=np.zeros(0))
-    assert s.p_rate == 10.0
-
-
-def test_build_state_with_latent():
-    s = build_state([flow()], dt=1.0, anomaly_score=0.2, latent=np.ones(8))
-    assert np.array_equal(s.latent, np.ones(8))
-    with pytest.raises(ValueError):
-        build_state([flow()], 1.0, 0.2, None)
-
-
-def test_build_state_hand_counts():
-    flows = [flow(pkts_total=4, pkts_in=2, pkts_out=2),
-             FlowRecord("a000", 6, 600, 1.0, 6, 0, FLAG_SYN, "attack", "tcp"),
-             FlowRecord("b001", 5, 500, 1.0, 3, 2, FLAG_ACK, "benign", "tcp")]
-    s = build_state(flows, dt=2.0, anomaly_score=1.0, latent=np.zeros(0))
-    assert s.p_rate == pytest.approx((4 + 6 + 5) / 2.0)
-    # SYN: handshake=1, syn-only=6, ack-only=0 -> 7; ACK: 3 + 0 + 5
-    assert s.syn_count == 7
-    assert s.ack_count == 3 + 5
 
 
 # ---------------------------------------------------------------------------

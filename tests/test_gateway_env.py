@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from edgeids.agent import ActionId
+from edgeids.features import features_matrix
 from edgeids import gateway_env as env
 from edgeids.gateway_env import (
     AttackScenario,
@@ -15,6 +16,7 @@ from edgeids.gateway_env import (
     blacklist_update,
     default_syn_flood,
     generate_step_traffic,
+    rate_threshold_flagger,
     resource_model,
     severe_syn_flood,
     source_attack_probability,
@@ -290,7 +292,7 @@ def test_severe_attack_cpu_band_unmitigated():
     cfg = TrafficConfig(attacks=[severe_syn_flood()], episode_len=400)
     e = EdgeGatewayEnv(cfg, seed=12)
     # keep a3/a4 inert even if called
-    e.flow_flagger = lambda flows: [False] * len(flows)
+    e.flow_flagger = lambda features: [False] * len(features)
     cpus = []
     for step in range(400):
         res = e.step(None)
@@ -324,9 +326,26 @@ def test_env_episode_end_error():
 
 def test_flagger_must_return_one_flag_per_flow():
     e = EdgeGatewayEnv(TrafficConfig(attacks=[]), seed=0,
-                       flow_flagger=lambda flows: [])
+                       flow_flagger=lambda features: [])
     with pytest.raises(ValueError):
         e.step(None)
+
+
+def test_step_features_are_the_offered_flows_matrix():
+    e = EdgeGatewayEnv(TrafficConfig(attacks=[default_syn_flood(start=0, end=5)],
+                                     episode_len=5), seed=3)
+    for _ in range(5):
+        res = e.step(None)
+        assert np.array_equal(res.features, features_matrix(res.offered))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(flow_records(), max_size=30), st.floats(0.0, 5000.0))
+def test_rate_flagger_matches_per_flow_rule(flows, threshold):
+    flags = rate_threshold_flagger(threshold)(features_matrix(flows))
+    assert flags == [f.pkts_total / max(f.duration, 1e-3) > threshold
+                     for f in flows]
 
 
 def test_env_deterministic_trajectory():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from edgeids import neural
 from edgeids import pipeline as pl
 from edgeids.agent import ActionId
 from edgeids.config import default_config
-from edgeids.gateway_env import AttackScenario, EdgeGatewayEnv
+from edgeids import gateway_env as genv
+from edgeids.gateway_env import AttackScenario, EdgeGatewayEnv, FlowRecord
 
 
 def quick_config(agent="deepedge", **kw):
@@ -212,8 +215,9 @@ def test_batch_detector_matches_per_flow_reference(trained_quick):
     flagged = 0
     for flows in steps:
         ref_flags, ref_x, ref_score = per_flow_reference(detector, flows)
-        flags = detector.flow_flag(flows)
-        x, score = detector.step_profile(flows)
+        features = ft.features_matrix(flows)
+        flags = detector.flow_flag(features)
+        x, score = detector.step_profile(features)
         assert flags == ref_flags
         assert np.array_equal(x, ref_x)
         assert score == ref_score
@@ -235,3 +239,47 @@ def test_flow_flag_runs_once_per_env_step(monkeypatch):
     monkeypatch.setattr(pl.AnomalyDetector, "flow_flag", counted)
     pipe.train()
     assert len(calls) == cfg.episodes * cfg.env.episode_len
+
+
+def test_each_offered_flow_is_featurized_once(monkeypatch):
+    cfg = quick_config(episodes=1, episode_len=200)
+    calls, offered = [], []
+    extract, step = ft.extract_features, EdgeGatewayEnv.step
+
+    def counted_extract(flow):
+        calls.append(1)
+        return extract(flow)
+
+    def counted_step(self, *args, **kwargs):
+        result = step(self, *args, **kwargs)
+        offered.append(len(result.offered))
+        return result
+
+    monkeypatch.setattr(ft, "extract_features", counted_extract)
+    monkeypatch.setattr(EdgeGatewayEnv, "step", counted_step)
+    pipe = pl.DrlPipeline(cfg)
+    pipe.warmup()
+    pipe.train()
+    assert len(offered) == cfg.warmup.steps + cfg.env.episode_len
+    assert len(calls) == sum(offered) > 0
+
+
+def test_state_vector_hand_counts():
+    cfg = quick_config()
+    cfg.env.dt = 2.0
+    pipe = pl.DrlPipeline(cfg)
+    ae = neural.autoencoder_init(np.random.default_rng(0),
+                                 latent_dim=cfg.neural.latent_dim)
+    pipe.detector = pl.AnomalyDetector(ft.Normalizer(), ae, 1.0, 0.5)
+    flows = [FlowRecord("b000", 4, 400, 2.0, 2, 2, genv.FLAG_SYN | genv.FLAG_ACK),
+             FlowRecord("a000", 6, 600, 1.0, 6, 0, genv.FLAG_SYN, "attack"),
+             FlowRecord("b001", 5, 500, 1.0, 3, 2, genv.FLAG_ACK)]
+    result = SimpleNamespace(offered=flows,
+                             offered_pkts={"benign": 9, "attack": 6})
+    x = np.full(len(ft.FEATURE_NAMES), 0.5)
+    v = pipe.state_vector(result, x, a_s=2.0, window=None)
+    # SYN: handshake=1, syn-only=6, ack-only=0 -> 7; ACK: 3 + 0 + 5
+    assert np.array_equal(v[:3], np.array([15 / 2, 7, 8]) / pl.RATE_SCALE)
+    assert v[3] == min(2.0 / 0.5, pl.SCORE_SCALE) / pl.SCORE_SCALE
+    assert np.array_equal(v[4:], ae.encode(x))
+    assert v.shape == (pipe.state_dim(),)
