@@ -1,9 +1,13 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from edgeids import features as ft
+from edgeids import neural
+from edgeids import pipeline as pl
+from edgeids.config import default_config
 from edgeids.features import (
     FEATURE_NAMES,
     IDENTITY_MAPPING,
@@ -73,6 +77,53 @@ def test_extract_features_total_on_degenerate_flows():
     v = extract_features(degenerate)
     assert v.shape == (8,)
     assert np.all(np.isfinite(v))
+
+
+# ---------------------------------------------------------------------------
+# state assembly (DrlPipeline.state_vector)
+# ---------------------------------------------------------------------------
+
+def state_pipeline(agent):
+    cfg = default_config(agent)
+    cfg.env.dt = 2.0
+    pipe = pl.DrlPipeline(cfg)
+    rng = np.random.default_rng(0)
+    ae = neural.autoencoder_init(rng, latent_dim=cfg.neural.latent_dim)
+    pipe.detector = pl.AnomalyDetector(ft.Normalizer(), ae, 1.0, 0.5)
+    if agent == "autodrl":
+        pipe.classifier = neural.lstm_classifier_init(
+            len(FEATURE_NAMES), cfg.neural.lstm_hidden,
+            cfg.neural.lstm_window, rng)
+    return pipe
+
+
+def hand_step():
+    flows = [flow(pkts_total=4, pkts_in=2, pkts_out=2),
+             FlowRecord("a000", 6, 600, 1.0, 6, 0, FLAG_SYN, "attack", "tcp"),
+             FlowRecord("b001", 5, 500, 1.0, 3, 2, FLAG_ACK, "benign", "tcp")]
+    return SimpleNamespace(offered=flows, offered_pkts={"benign": 9, "attack": 6})
+
+
+def test_build_state_hand_counts():
+    pipe = state_pipeline("deepedge")
+    x = np.full(len(FEATURE_NAMES), 0.5)
+    v = pipe.state_vector(hand_step(), x, a_s=2.0, window=None)
+    # SYN: handshake=1, syn-only=6, ack-only=0 -> 7; ACK: 3 + 0 + 5
+    assert np.array_equal(v[:3], np.array([15 / 2, 7, 8]) / pl.RATE_SCALE)
+    assert v[3] == min(2.0 / 0.5, pl.SCORE_SCALE) / pl.SCORE_SCALE
+    assert v.shape == (pipe.state_dim(),)
+
+
+def test_build_state_with_latent():
+    x = np.full(len(FEATURE_NAMES), 0.5)
+    window = np.tile(x, (4, 1))
+    deepedge = state_pipeline("deepedge")
+    v = deepedge.state_vector(hand_step(), x, a_s=2.0, window=None)
+    assert np.array_equal(v[4:], deepedge.detector.autoencoder.encode(x))
+    autodrl = state_pipeline("autodrl")
+    v = autodrl.state_vector(hand_step(), x, a_s=2.0, window=window)
+    assert np.array_equal(v[4:], autodrl.classifier.hidden(window))
+    assert v.shape == (autodrl.state_dim(),)
 
 
 # ---------------------------------------------------------------------------

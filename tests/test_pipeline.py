@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -8,8 +6,7 @@ from edgeids import neural
 from edgeids import pipeline as pl
 from edgeids.agent import ActionId
 from edgeids.config import default_config
-from edgeids import gateway_env as genv
-from edgeids.gateway_env import AttackScenario, EdgeGatewayEnv, FlowRecord
+from edgeids.gateway_env import AttackScenario, EdgeGatewayEnv
 
 
 def quick_config(agent="deepedge", **kw):
@@ -262,24 +259,3 @@ def test_each_offered_flow_is_featurized_once(monkeypatch):
     pipe.train()
     assert len(offered) == cfg.warmup.steps + cfg.env.episode_len
     assert len(calls) == sum(offered) > 0
-
-
-def test_state_vector_hand_counts():
-    cfg = quick_config()
-    cfg.env.dt = 2.0
-    pipe = pl.DrlPipeline(cfg)
-    ae = neural.autoencoder_init(np.random.default_rng(0),
-                                 latent_dim=cfg.neural.latent_dim)
-    pipe.detector = pl.AnomalyDetector(ft.Normalizer(), ae, 1.0, 0.5)
-    flows = [FlowRecord("b000", 4, 400, 2.0, 2, 2, genv.FLAG_SYN | genv.FLAG_ACK),
-             FlowRecord("a000", 6, 600, 1.0, 6, 0, genv.FLAG_SYN, "attack"),
-             FlowRecord("b001", 5, 500, 1.0, 3, 2, genv.FLAG_ACK)]
-    result = SimpleNamespace(offered=flows,
-                             offered_pkts={"benign": 9, "attack": 6})
-    x = np.full(len(ft.FEATURE_NAMES), 0.5)
-    v = pipe.state_vector(result, x, a_s=2.0, window=None)
-    # SYN: handshake=1, syn-only=6, ack-only=0 -> 7; ACK: 3 + 0 + 5
-    assert np.array_equal(v[:3], np.array([15 / 2, 7, 8]) / pl.RATE_SCALE)
-    assert v[3] == min(2.0 / 0.5, pl.SCORE_SCALE) / pl.SCORE_SCALE
-    assert np.array_equal(v[4:], ae.encode(x))
-    assert v.shape == (pipe.state_dim(),)
