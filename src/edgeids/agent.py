@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,10 @@ from .neural import DenseParams, stack_backward, stack_forward
 
 class InsufficientData(Exception):
     """Raised when the replay buffer cannot fill a minibatch yet."""
+
+
+class Diverged(ValueError):
+    """Raised when the Q-network yields non-finite values or TD loss."""
 
 
 class ActionId(IntEnum):
@@ -196,54 +201,83 @@ def select_action(q, s, epsilon, rng):
         raise ValueError("epsilon must lie in [0, 1]")
     if epsilon > 0.0 and rng.random() < epsilon:
         return ActionId(int(rng.integers(N_ACTIONS)))
-    values = q.q_values(s) if hasattr(q, "q_values") else np.asarray(q, dtype=float)
+    # a diverged network overflows here; the finite check below fails it
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = q.q_values(s) if hasattr(q, "q_values") else np.asarray(q, dtype=float)
     if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite Q values")
+        raise Diverged("non-finite Q values")
     return ActionId(int(np.argmax(values)))
 
 
-def td_target(transition, q_target, gamma, carbon_weight=0.0):
-    """r + gamma * max_a Q_target(s', a), with r alone at episode boundaries.
+class Minibatch(NamedTuple):
+    """Sampled transitions as stacked columns, one row per transition."""
 
-    carbon_weight > 0 subtracts a scalar penalty proportional to the step's
-    raw carbon emission (taken from the stored reward breakdown), realizing
-    the carbon-weighted update as a target-side penalty.
+    states: np.ndarray      # [B, d]
+    actions: np.ndarray     # [B] action ids
+    rewards: np.ndarray     # [B]
+    carbon_g: np.ndarray    # [B] step carbon, 0 where no breakdown was stored
+    terminal: np.ndarray    # [B] bool
+    s_next: np.ndarray      # [B, d]
+
+
+def stack_minibatch(transitions):
+    """One pass over the transitions into a Minibatch."""
+    if not transitions:
+        raise ValueError("batch must be nonempty")
+    states, actions, rewards, carbon, terminal, s_next = [], [], [], [], [], []
+    for t in transitions:
+        states.append(t.s)
+        actions.append(int(t.a))
+        rewards.append(t.r)
+        carbon.append(0.0 if t.r_breakdown is None
+                      else t.r_breakdown.components.carbon_g)
+        terminal.append(t.terminal)
+        s_next.append(t.s_next)
+    return Minibatch(np.array(states, dtype=float), np.array(actions),
+                     np.array(rewards, dtype=float), np.array(carbon, dtype=float),
+                     np.array(terminal, dtype=bool), np.array(s_next, dtype=float))
+
+
+def td_targets(batch, q_target, gamma, carbon_weight=0.0):
+    """r + gamma * max_a Q_target(s', a) per row of a Minibatch, with r
+    alone at episode boundaries; one target-network forward for the batch.
+
+    carbon_weight > 0 subtracts a scalar penalty proportional to each
+    step's raw carbon emission (taken from the stored reward breakdown),
+    realizing the carbon-weighted update as a target-side penalty.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    target = transition.r
-    if carbon_weight > 0.0 and transition.r_breakdown is not None:
-        target -= carbon_weight * transition.r_breakdown.components.carbon_g
-    if not transition.terminal:
-        target += gamma * float(np.max(q_target.q_values(transition.s_next)))
-    return target
+    targets = batch.rewards
+    if carbon_weight > 0.0:
+        targets = targets - carbon_weight * batch.carbon_g
+    bootstrap = gamma * np.max(q_target.q_values(batch.s_next), axis=1)
+    return np.where(batch.terminal, targets, targets + bootstrap)
 
 
 def q_update_network(q, batch, q_target, gamma, lr, carbon_weight=0.0):
-    """One SGD step on the mean squared TD error of a minibatch.
+    """One SGD step on the mean squared TD error of a list of transitions.
 
     Only the taken action's output contributes per sample.  Returns
     (loss_before_step, td_errors).
     """
-    if not batch:
-        raise ValueError("batch must be nonempty")
-    states = np.stack([np.asarray(t.s, dtype=float) for t in batch])
-    targets = np.array([td_target(t, q_target, gamma, carbon_weight) for t in batch])
-    actions = np.array([int(t.a) for t in batch])
+    mb = stack_minibatch(batch)
+    rows = np.arange(len(batch))
+    # a diverged network overflows here; the finite-loss check fails it
+    with np.errstate(over="ignore", invalid="ignore"):
+        targets = td_targets(mb, q_target, gamma, carbon_weight)
+        out, caches = stack_forward(q.layers, mb.states)
+        td_errors = out[rows, mb.actions] - targets
+        loss = float(np.mean(td_errors ** 2))
+        if not np.isfinite(loss):
+            raise Diverged("non-finite TD loss")
 
-    out, caches = stack_forward(q.layers, states)
-    taken = out[np.arange(len(batch)), actions]
-    td_errors = taken - targets
-    loss = float(np.mean(td_errors ** 2))
-    if not np.isfinite(loss):
-        raise ValueError("non-finite TD loss")
-
-    d_out = np.zeros_like(out)
-    d_out[np.arange(len(batch)), actions] = 2.0 * td_errors / len(batch)
-    grads, _ = stack_backward(q.layers, caches, d_out)
-    for layer, (dw, db) in zip(q.layers, grads):
-        layer.w -= lr * dw
-        layer.b -= lr * db
+        d_out = np.zeros_like(out)
+        d_out[rows, mb.actions] = 2.0 * td_errors / len(batch)
+        grads, _ = stack_backward(q.layers, caches, d_out)
+        for layer, (dw, db) in zip(q.layers, grads):
+            layer.w -= lr * dw
+            layer.b -= lr * db
     return loss, td_errors
 
 

@@ -96,6 +96,15 @@ def warm_up(pipe, logger):
         raise
 
 
+def train(pipe, logger):
+    """DrlPipeline.train, with a diverged DQN logged as CRITICAL."""
+    try:
+        return pipe.train()
+    except ag.Diverged as exc:
+        logger.critical("Training failed: %s", exc)
+        raise
+
+
 def write_json(path, payload):
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -142,7 +151,7 @@ def cmd_train(args):
     warm_up(pipe, logger)
     logger.info("Alarm thresholds: tau_flow=%.6g tau_step=%.6g",
                 pipe.detector.tau_flow, pipe.detector.tau_step)
-    outcome = pipe.train()
+    outcome = train(pipe, logger)
 
     neural.save_checkpoint(outcome.models, out / "checkpoint.txt")
     write_json(out / "detector.json", pl.detector_to_dict(pipe.detector))
@@ -153,9 +162,9 @@ def cmd_train(args):
 
     violations = [v for ledger in outcome.ledgers for v in ledger.check_bounds()]
     for stats in outcome.episode_stats:
-        logger.log(POLICY, "Episode %d: reward %.1f, suppression %.3f, updates %d",
-                   stats.episode, stats.reward_total, stats.detection_rate,
-                   stats.updates)
+        logger.log(POLICY, "Episode %d: reward %.1f, suppression %.3f, updates %d, "
+                   "TD loss %.4g", stats.episode, stats.reward_total,
+                   stats.detection_rate, stats.updates, stats.td_loss_mean)
     if violations:
         logger.log(logging.CRITICAL, "Sustainability bounds violated %d times",
                    len(violations))
@@ -341,7 +350,7 @@ def cmd_sweep(args):
             run_cfg.seed = seed
             pipe = pl.DrlPipeline(run_cfg)
             warm_up(pipe, logger)
-            outcome = pipe.train()
+            outcome = train(pipe, logger)
             return [s.reward_total for s in outcome.episode_stats]
 
     result = ev.epsilon_sweep(run_fn, epsilons, seeds)

@@ -422,6 +422,8 @@ class StepResult:
     features: np.ndarray    # one features_matrix row per offered flow
     flags: list
     offered_pkts: dict
+    offered_syn: int        # SYN packets among the offered flows
+    offered_ack: int        # ACK packets among the offered flows
     passed_pkts: dict
     dropped_pkts: dict
     resource: ResourceProxy
@@ -531,7 +533,12 @@ class EdgeGatewayEnv:
                 counts[f.label] += f.pkts_total
             return counts
 
-        offered_pkts = pkt_counts(offered)
+        offered_pkts = {"benign": 0, "attack": 0}
+        offered_syn = offered_ack = 0
+        for f in offered:
+            offered_pkts[f.label] += f.pkts_total
+            offered_syn += f.syn_packets
+            offered_ack += f.ack_packets
         passed_pkts = pkt_counts(passed)
         dropped_pkts = pkt_counts(dropped)
 
@@ -552,6 +559,8 @@ class EdgeGatewayEnv:
             features=features,
             flags=flags,
             offered_pkts=offered_pkts,
+            offered_syn=offered_syn,
+            offered_ack=offered_ack,
             passed_pkts=passed_pkts,
             dropped_pkts=dropped_pkts,
             resource=resource,

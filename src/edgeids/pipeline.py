@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -155,11 +155,20 @@ class AnomalyDetector:
     autoencoder: neural.AutoencoderModel
     tau_flow: float   # per-flow flag threshold (p99 of benign flow errors)
     tau_step: float   # step-score alarm threshold (p99 of benign step scores)
+    _last: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def _normalized(self, features):
+        """The normalized rows of a feature matrix.  The gateway's flags
+        and then the step profile ask for the same step's matrix, so the
+        last one is kept."""
+        if self._last is None or self._last[0] is not features:
+            self._last = (features, self.normalizer.transform(features))
+        return self._last[1]
 
     def flow_flag(self, features):
         """One flag per feature row: its reconstruction error exceeds
         tau_flow."""
-        return (_row_errors(self.autoencoder, self.normalizer.transform(features))
+        return (_row_errors(self.autoencoder, self._normalized(features))
                 > self.tau_flow).tolist()
 
     def step_profile(self, features):
@@ -167,7 +176,7 @@ class AnomalyDetector:
         feature matrix."""
         if not len(features):
             return np.zeros(len(ft.FEATURE_NAMES)), 0.0
-        return _step_score(self.autoencoder, self.normalizer.transform(features))
+        return _step_score(self.autoencoder, self._normalized(features))
 
 
 def _row_errors(autoencoder, rows):
@@ -318,6 +327,7 @@ class EpisodeStats:
     cpu_mean: float
     epsilon_end: float
     updates: int
+    td_loss_mean: float     # mean minibatch TD loss over the episode's updates
 
 
 EPISODE_COLUMNS = [f.name for f in fields(EpisodeStats)]
@@ -470,10 +480,9 @@ class DrlPipeline:
         """[offered packet rate, SYN and ACK counts, clipped a_s / tau_step,
         latent], the first three over RATE_SCALE."""
         p_rate = sum(result.offered_pkts.values()) / self.cfg.env.dt
-        syn = float(sum(f.syn_packets for f in result.offered))
-        ack = float(sum(f.ack_packets for f in result.offered))
         return np.concatenate([
-            [p_rate / RATE_SCALE, syn / RATE_SCALE, ack / RATE_SCALE,
+            [p_rate / RATE_SCALE, result.offered_syn / RATE_SCALE,
+             result.offered_ack / RATE_SCALE,
              min(a_s / max(self.detector.tau_step, 1e-9), SCORE_SCALE) / SCORE_SCALE],
             self._latent(x_step, window),
         ])
@@ -487,6 +496,14 @@ class DrlPipeline:
                 self.cfg, self.detector, self.cfg.seed + 104729)
 
     def train(self):
+        """Warm-up unless done, then cfg.episodes of DQN training; a
+        diverging DQN raises ag.Diverged naming the learning rate."""
+        try:
+            return self._train()
+        except ag.Diverged as exc:
+            raise ag.Diverged(f"{exc}: the DQN diverged; lower hyper.lr") from exc
+
+    def _train(self):
         cfg = self.cfg
         if self.detector is None:
             self.warmup()
@@ -522,6 +539,7 @@ class DrlPipeline:
             counts.add(prev.result)
             cpu_sum = prev.result.resource.cpu_pct
             reward_sum = 0.0
+            loss_sum = 0.0
             episode_updates = 0
 
             for step in steps:
@@ -544,10 +562,11 @@ class DrlPipeline:
                     if len(buffer) >= cfg.hyper.batch_size:
                         q_updates += 1
                         episode_updates += 1
-                        ag.q_update_network(
+                        loss, _ = ag.q_update_network(
                             self.q_net, buffer.sample_minibatch(action_rng),
                             target_net, cfg.hyper.gamma, self._q_lr(q_updates),
                             cfg.hyper.carbon_weight)
+                        loss_sum += loss
                         epsilon = ag.decay_epsilon(epsilon, cfg.hyper.epsilon.decay,
                                                    cfg.hyper.epsilon.floor)
                         if q_updates % cfg.hyper.target_sync_every == 0:
@@ -568,6 +587,7 @@ class DrlPipeline:
                 cpu_mean=cpu_sum / cfg.env.episode_len,
                 epsilon_end=epsilon,
                 updates=episode_updates,
+                td_loss_mean=loss_sum / episode_updates if episode_updates else 0.0,
             ))
             ledgers.append(env.ledger)
 

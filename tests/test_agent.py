@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeids import agent as ag
 from edgeids.agent import (
@@ -17,7 +21,8 @@ from edgeids.agent import (
     random_mdp,
     robbins_monro_eta,
     select_action,
-    td_target,
+    stack_minibatch,
+    td_targets,
     toy_mdp,
 )
 
@@ -27,13 +32,20 @@ def make_transition(s, a, r, s_next, step=0, terminal=False):
 
 
 class FixedQ:
-    """Q stub returning a constant row regardless of state."""
+    """Q stub returning a constant row regardless of state, one per input
+    row for a stacked batch."""
 
     def __init__(self, row):
         self.row = np.asarray(row, dtype=float)
 
     def q_values(self, s):
+        if np.ndim(s) == 2:
+            return np.tile(self.row, (len(s), 1))
         return self.row
+
+
+def batch_targets(transitions, q_target, gamma, carbon_weight=0.0):
+    return td_targets(stack_minibatch(transitions), q_target, gamma, carbon_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -145,23 +157,69 @@ def test_transition_rejects_non_finite_reward():
 # ---------------------------------------------------------------------------
 
 def test_td_target_arithmetic():
-    t = make_transition(0, ActionId.RATE_LIMIT, 1.0, 1)
-    assert td_target(t, FixedQ([2.0, 1.0, 0.0, 0.0]), 0.9) == pytest.approx(2.8)
+    batch = [make_transition([0.0], ActionId.RATE_LIMIT, 1.0, [1.0]),
+             make_transition([0.0], ActionId.BLOCK_ANOMALOUS, -0.5, [2.0])]
+    targets = batch_targets(batch, FixedQ([2.0, 1.0, 0.0, 0.0]), 0.9)
+    assert targets.shape == (2,)
+    assert targets == pytest.approx([2.8, 1.3])
 
 
 def test_td_target_terminal_boundary():
-    t = make_transition(0, ActionId.RATE_LIMIT, 1.0, 1, terminal=True)
-    assert td_target(t, FixedQ([99.0, 0.0, 0.0, 0.0]), 0.9) == 1.0
+    batch = [make_transition([0.0], ActionId.RATE_LIMIT, 1.0, [1.0], terminal=True),
+             make_transition([0.0], ActionId.RATE_LIMIT, 1.0, [1.0])]
+    targets = batch_targets(batch, FixedQ([99.0, 0.0, 0.0, 0.0]), 0.9)
+    assert targets[0] == 1.0
+    assert targets[1] == pytest.approx(1.0 + 0.9 * 99.0)
+    with pytest.raises(ValueError):
+        batch_targets(batch, FixedQ([99.0, 0.0, 0.0, 0.0]), 1.0)
 
 
 def test_td_target_matches_scalar_recomputation():
     rng = np.random.default_rng(5)
     for _ in range(50):
         row = rng.normal(size=4)
-        r = float(rng.normal())
-        t = make_transition(0, ActionId.RATE_LIMIT, r, 1)
-        expected = r + 0.9 * max(row)
-        assert td_target(t, FixedQ(row), 0.9) == pytest.approx(expected, rel=1e-12)
+        rewards = rng.normal(size=3)
+        batch = [make_transition([0.0], ActionId.RATE_LIMIT, float(r), [1.0])
+                 for r in rewards]
+        expected = [float(r) + 0.9 * max(row) for r in rewards]
+        assert batch_targets(batch, FixedQ(row), 0.9) == \
+            pytest.approx(expected, rel=1e-12)
+
+
+class Breakdown:
+    """The part of a RewardBreakdown the TD target reads."""
+
+    def __init__(self, carbon_g):
+        self.components = SimpleNamespace(carbon_g=carbon_g)
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(finite, st.booleans(),
+                               st.none() | st.floats(0.0, 1e3),
+                               st.lists(finite, min_size=3, max_size=3)),
+                     min_size=1, max_size=16),
+       carbon_weight=st.sampled_from([0.0, 0.5, 3.0]),
+       gamma=st.floats(0.01, 0.99))
+def test_td_targets_match_per_row_formula(rows, carbon_weight, gamma):
+    rng = np.random.default_rng(len(rows))
+    q_target = qnetwork_init(3, rng, hidden=(5,))
+    batch = [Transition(np.zeros(3), ActionId.RATE_LIMIT, r, np.array(s_next), 0,
+                        r_breakdown=None if carbon is None else Breakdown(carbon),
+                        terminal=terminal)
+             for r, terminal, carbon, s_next in rows]
+    expected = []
+    for t in batch:
+        y = t.r
+        if carbon_weight > 0.0 and t.r_breakdown is not None:
+            y -= carbon_weight * t.r_breakdown.components.carbon_g
+        if not t.terminal:
+            y += gamma * float(np.max(q_target.q_values(t.s_next)))
+        expected.append(y)
+    got = batch_targets(batch, q_target, gamma, carbon_weight)
+    assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_q_update_tabular_endpoints():
@@ -205,7 +263,7 @@ def test_q_update_network_matches_hand_gradient():
     s = np.array([0.5, -1.0])
     s2 = np.array([0.2, 0.3])
     t = make_transition(s, ActionId.RATE_LIMIT, 0.7, s2)
-    y = td_target(t, target_net, 0.9)
+    y = float(batch_targets([t], target_net, 0.9)[0])
     q_a = float(q.q_values(s)[0])
     w_before = layer.w.copy()
     ag.q_update_network(q, [t], target_net, 0.9, lr=0.05)
@@ -224,7 +282,7 @@ def test_q_update_network_reduces_loss_for_small_lr():
         for _ in range(16)
     ]
     states = np.stack([t.s for t in batch])
-    targets = np.array([td_target(t, target_net, 0.9) for t in batch])
+    targets = batch_targets(batch, target_net, 0.9)
     actions = np.array([int(t.a) for t in batch])
 
     def batch_loss():

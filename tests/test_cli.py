@@ -46,7 +46,8 @@ def test_log_lines_follow_operational_format(train_artifact):
     lines = (train_artifact / "run.log").read_text().strip().splitlines()
     assert lines
     assert all(pattern.match(line) for line in lines)
-    assert any("- POLICY:" in line for line in lines)
+    assert any(re.search(r"- POLICY: Episode \d+: .*, TD loss [0-9.e+-]+$", line)
+               for line in lines)
     assert any("- SUCCESS:" in line for line in lines)
 
 
@@ -244,6 +245,32 @@ def test_diverged_warmup_prints_one_line_and_logs_critical(tmp_path, command):
     assert len(err) == 1 and err[0].startswith("runtime error:"), proc.stderr
     log = (out / "run.log").read_text()
     assert re.search(r"- CRITICAL: .*diverged", log)
+
+
+@pytest.mark.parametrize("lr, check", [
+    ("1e12", "non-finite TD loss"),
+    ("1e3", "non-finite Q values"),
+])
+def test_diverged_dqn_prints_one_line_and_logs_critical(tmp_path, lr, check):
+    # a subprocess, as above; lr=1e3 fails in select_action before any loss
+    # turns non-finite
+    out = tmp_path / "run"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "edgeids.cli", "train", "--quiet", "--out", str(out),
+         "--set", f"hyper.lr={lr}", "--set", "env.episode_len=300",
+         "--set", "episodes=1"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        timeout=120)
+    assert proc.returncode == cli.EXIT_RUNTIME
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error:"), proc.stderr
+    assert check in err[0] and "hyper.lr" in err[0]
+    log = (out / "run.log").read_text()
+    assert re.search(r"- CRITICAL: Training failed: .*diverged", log)
+    assert not (out / "checkpoint.txt").exists()
 
 
 def test_checkpoint_without_autoencoder_names_the_model(train_artifact, tmp_path,

@@ -101,14 +101,18 @@ def hand_step():
     flows = [flow(pkts_total=4, pkts_in=2, pkts_out=2),
              FlowRecord("a000", 6, 600, 1.0, 6, 0, FLAG_SYN, "attack", "tcp"),
              FlowRecord("b001", 5, 500, 1.0, 3, 2, FLAG_ACK, "benign", "tcp")]
-    return SimpleNamespace(offered=flows, offered_pkts={"benign": 9, "attack": 6})
+    # SYN: handshake=1, syn-only=6, ack-only=0 -> 7; ACK: 3 + 0 + 5 -> 8
+    return SimpleNamespace(offered=flows, offered_pkts={"benign": 9, "attack": 6},
+                           offered_syn=7, offered_ack=8)
 
 
 def test_build_state_hand_counts():
     pipe = state_pipeline("deepedge")
     x = np.full(len(FEATURE_NAMES), 0.5)
-    v = pipe.state_vector(hand_step(), x, a_s=2.0, window=None)
-    # SYN: handshake=1, syn-only=6, ack-only=0 -> 7; ACK: 3 + 0 + 5
+    step = hand_step()
+    assert sum(f.syn_packets for f in step.offered) == step.offered_syn
+    assert sum(f.ack_packets for f in step.offered) == step.offered_ack
+    v = pipe.state_vector(step, x, a_s=2.0, window=None)
     assert np.array_equal(v[:3], np.array([15 / 2, 7, 8]) / pl.RATE_SCALE)
     assert v[3] == min(2.0 / 0.5, pl.SCORE_SCALE) / pl.SCORE_SCALE
     assert v.shape == (pipe.state_dim(),)

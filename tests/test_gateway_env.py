@@ -339,6 +339,16 @@ def test_step_features_are_the_offered_flows_matrix():
         assert np.array_equal(res.features, features_matrix(res.offered))
 
 
+def test_step_counts_offered_syn_and_ack_packets():
+    e = EdgeGatewayEnv(TrafficConfig(attacks=[default_syn_flood(start=2, end=6)],
+                                     episode_len=8), seed=4)
+    for _ in range(8):
+        res = e.step(ActionId.SYN_THROTTLE)
+        assert res.offered_syn == sum(f.syn_packets for f in res.offered)
+        assert res.offered_ack == sum(f.ack_packets for f in res.offered)
+    assert res.offered_syn > 0 and res.offered_ack > 0
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(flow_records(), max_size=30), st.floats(0.0, 5000.0))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from edgeids import agent as ag
 from edgeids import features as ft
 from edgeids import neural
 from edgeids import pipeline as pl
@@ -259,3 +260,61 @@ def test_each_offered_flow_is_featurized_once(monkeypatch):
     pipe.train()
     assert len(offered) == cfg.warmup.steps + cfg.env.episode_len
     assert len(calls) == sum(offered) > 0
+
+
+def test_target_net_forward_once_per_update(monkeypatch):
+    cfg = quick_config(episodes=1, episode_len=200)
+    pipe = pl.DrlPipeline(cfg)
+    pipe.warmup()
+    inside, forwards = [], []
+    update, q_values = ag.q_update_network, ag.QNetwork.q_values
+
+    def counted_update(*args, **kwargs):
+        inside.append(1)
+        try:
+            return update(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_q_values(self, s):
+        if inside:
+            forwards.append(np.shape(s))
+        return q_values(self, s)
+
+    monkeypatch.setattr(ag, "q_update_network", counted_update)
+    monkeypatch.setattr(ag.QNetwork, "q_values", counted_q_values)
+    outcome = pipe.train()
+    assert outcome.q_updates > 0
+    assert len(forwards) == outcome.q_updates
+    assert set(forwards) == {(cfg.hyper.batch_size, pipe.state_dim())}
+
+
+@pytest.mark.parametrize("agent", ["deepedge", "autodrl"])
+def test_each_step_is_normalized_once(monkeypatch, agent):
+    cfg = quick_config(agent, episodes=1, episode_len=200)
+    calls = []
+    transform = ft.Normalizer.transform
+
+    def counted(self, v):
+        calls.append(1)
+        return transform(self, v)
+
+    monkeypatch.setattr(ft.Normalizer, "transform", counted)
+    pipe = pl.DrlPipeline(cfg)
+    pipe.warmup()
+    # one pass over the warm-up matrix, then one per LSTM pre-training step
+    pretrain_steps = cfg.env.episode_len if agent == "autodrl" else 0
+    assert len(calls) == 1 + pretrain_steps
+    calls.clear()
+    pipe.train()
+    assert len(calls) == cfg.env.episode_len
+
+
+def test_td_loss_mean_per_episode(trained_quick):
+    _, outcome = trained_quick
+    for stats in outcome.episode_stats:
+        assert stats.updates > 0
+        assert np.isfinite(stats.td_loss_mean) and stats.td_loss_mean > 0.0
+    quiet = quick_config(episodes=1, episode_len=100)
+    quiet.env.attacks = []
+    assert pl.DrlPipeline(quiet).train().episode_stats[0].td_loss_mean == 0.0
