@@ -4,7 +4,9 @@ The network path drives the gateway simulator; the tabular path runs on
 small synthetic MDPs with a known transition kernel, where the Bellman
 operator can be applied exactly.  That twin is what makes the convergence
 diagnostics honest: contraction ratios and the Lyapunov distance are
-measured against value iteration rather than against the learner itself.
+measured between Q-tables and against value iteration rather than against
+the learner itself.  One loop, ``q_learning_run``, is the tabular learner
+for the convergence checks, tabular training and the exploration sweep.
 """
 
 from __future__ import annotations
@@ -203,7 +205,7 @@ def select_action(q, s, epsilon, rng):
         return ActionId(int(rng.integers(N_ACTIONS)))
     # a diverged network overflows here; the finite check below fails it
     with np.errstate(over="ignore", invalid="ignore"):
-        values = q.q_values(s) if hasattr(q, "q_values") else np.asarray(q, dtype=float)
+        values = q.q_values(s)
     if not np.all(np.isfinite(values)):
         raise Diverged("non-finite Q values")
     return ActionId(int(np.argmax(values)))
@@ -301,6 +303,7 @@ class ConvergenceDiagnostics:
     td_error_mean: list = field(default_factory=list)
     lyapunov: list = field(default_factory=list)
     contraction_ratio: list = field(default_factory=list)
+    returns: list = field(default_factory=list)  # reward sum per window; not in the CSV
 
     def to_csv(self, path):
         with open(path, "w", newline="") as f:
@@ -316,24 +319,15 @@ class ConvergenceDiagnostics:
                                  else v for v in row])
 
 
-def lyapunov_distance(q, q_ref, probe_states=None):
-    """Half the summed squared Q-difference, against a fixed reference.
+def lyapunov_distance(q, q_ref):
+    """Half the summed squared entry-wise difference between two Q-tables.
 
-    Tabular tables compare entry-wise; networks compare over the probe
-    states.  The reference stands in for the (unobservable) fixed point.
+    The reference stands in for the (unobservable) fixed point.
     """
-    if isinstance(q, np.ndarray) and isinstance(q_ref, np.ndarray):
-        if q.shape != q_ref.shape:
-            raise ValueError("table shapes differ")
-        d = q - q_ref
-        return 0.5 * float((d * d).sum())
-    if probe_states is None or len(probe_states) == 0:
-        raise ValueError("network comparison needs probe states")
-    total = 0.0
-    for s in probe_states:
-        d = q.q_values(s) - q_ref.q_values(s)
-        total += float(d @ d)
-    return 0.5 * total
+    if q.shape != q_ref.shape:
+        raise ValueError("table shapes differ")
+    d = q - q_ref
+    return 0.5 * float((d * d).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +346,17 @@ class TabularMDP:
         p = self.transitions
         if p.ndim != 3 or p.shape[0] != p.shape[2]:
             raise ValueError("transitions must be [S, A, S]")
-        if not np.allclose(p.sum(axis=2), 1.0, atol=1e-12):
+        # the checks Generator.choice(n, p=row) made on every draw
+        if np.any(p < 0):
+            raise ValueError("transition probabilities must be non-negative")
+        if not np.all(np.abs(p.sum(axis=2) - 1.0) <= np.sqrt(np.finfo(float).eps)):
             raise ValueError("transition rows must sum to 1")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
+        # Generator.choice(n, p=row) draws searchsorted(cumsum(row) /
+        # cumsum(row)[-1], rng.random(), side="right"); step draws the same
+        cdf = np.cumsum(p, axis=2)
+        self._cdf = cdf / cdf[:, :, -1:]
 
     @property
     def n_states(self):
@@ -384,7 +385,7 @@ class TabularMDP:
         return q
 
     def step(self, s, a, rng):
-        s_next = int(rng.choice(self.n_states, p=self.transitions[s, a]))
+        s_next = int(self._cdf[s, a].searchsorted(rng.random(), side="right"))
         return s_next, float(self.rewards[s, a])
 
 
@@ -424,18 +425,21 @@ def empirical_contraction_ratio(mdp, q1, q2):
 
 
 def q_learning_run(mdp, n_updates, p=0.6, seed=0, probe_every=500,
-                   epsilon=1.0, q_star=None):
+                   epsilon=1.0, decay=1.0, floor=0.0):
     """Tabular Q-learning with per-pair step sizes k^(-p), behavior
     epsilon-greedy (epsilon=1 gives the uniform exploration used by the
-    convergence suite).  Returns (Q, ConvergenceDiagnostics)."""
+    convergence suite).  Each window of probe_every updates records its
+    epsilon, reward sum and a probe against value iteration, then epsilon
+    decays to max(floor, epsilon * decay); the defaults keep it constant.
+    Returns (Q, ConvergenceDiagnostics)."""
     rng = np.random.default_rng(seed)
     q = np.zeros((mdp.n_states, mdp.n_actions))
     counts = np.zeros((mdp.n_states, mdp.n_actions), dtype=int)
-    if q_star is None:
-        q_star = mdp.value_iteration()
+    q_star = mdp.value_iteration()
     diag = ConvergenceDiagnostics()
     s = 0
     td_acc = []
+    window_return = 0.0
     for k in range(1, n_updates + 1):
         if rng.random() < epsilon:
             a = int(rng.integers(mdp.n_actions))
@@ -447,6 +451,7 @@ def q_learning_run(mdp, n_updates, p=0.6, seed=0, probe_every=500,
         target = r + mdp.gamma * float(q[s_next].max())
         td_acc.append(abs(target - q[s, a]))
         q_update_tabular(q, s, a, target, eta)
+        window_return += r
         if k % probe_every == 0:
             diag.steps.append(k)
             diag.epsilon.append(epsilon)
@@ -463,6 +468,9 @@ def q_learning_run(mdp, n_updates, p=0.6, seed=0, probe_every=500,
             else:
                 ratio = 0.0
             diag.contraction_ratio.append(ratio)
+            diag.returns.append(window_return)
+            epsilon = decay_epsilon(epsilon, decay, floor)
             td_acc = []
+            window_return = 0.0
         s = s_next
     return q, diag

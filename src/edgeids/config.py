@@ -86,6 +86,9 @@ class SustainConfig:
             raise ConfigError("kappa exceeds kappa_max")
         if self.reward_window < 1:
             raise ConfigError("reward window must be positive")
+        if not isinstance(self.kappa_schedule_file, (str, type(None))):
+            raise ConfigError("sustain.kappa_schedule_file must be a path string "
+                              f"or null, got {self.kappa_schedule_file!r}")
 
     def kappa_g_per_j(self):
         return g_per_kwh_to_g_per_joule(self.kappa_g_per_kwh)
@@ -226,7 +229,15 @@ def _check_integers(cls, values, path):
             raise ConfigError(f"{path}{f.name} must be an integer, got {value!r}")
 
 
+def _object(data, path):
+    """A config section must be a JSON object."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path.rstrip('.')} must be a JSON object, got {data!r}")
+    return data
+
+
 def _build(cls, data, path):
+    _object(data, path)
     field_types = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
@@ -241,18 +252,22 @@ def _build(cls, data, path):
 
 
 def from_dict(data):
-    data = dict(data)
+    data = dict(_object(data, "config"))
     kwargs = {}
     for section, cls in _SECTIONS.items():
         if section not in data:
             continue
-        raw = dict(data.pop(section))
+        raw = dict(_object(data.pop(section), section))
         if section == "env" and "attacks" in raw:
+            if not isinstance(raw["attacks"], list):
+                raise ConfigError(
+                    f"env.attacks must be a JSON list, got {raw['attacks']!r}")
             raw["attacks"] = [
-                _build(AttackScenario, {**a, "size_range": tuple(a.get("size_range", (40, 1200))),
+                _build(AttackScenario, {**_object(a, f"env.attacks[{i}]"),
+                                        "size_range": tuple(a.get("size_range", (40, 1200))),
                                         "jitter_range": tuple(a.get("jitter_range", (0.0, 0.5)))},
                        "env.attacks.")
-                for a in raw["attacks"]
+                for i, a in enumerate(raw["attacks"])
             ]
         if section == "hyper" and "epsilon" in raw:
             raw["epsilon"] = _build(EpsilonSchedule, raw["epsilon"], "hyper.epsilon.")

@@ -290,7 +290,7 @@ def _split_flow(flow, kept_pkts):
     return passed, dropped
 
 
-def _enforce_cap(flows, counts, cap, rng):
+def _enforce_cap(counts, cap, rng):
     """Uniform random drop of excess packets so that sum(kept) <= cap.
 
     counts gives the per-flow packet budget subject to the cap.  Returns the
@@ -329,7 +329,7 @@ def apply_mitigation(flows, mitigation, rng, flags=None, dt=1.0):
         total_syn = sum(syn_counts)
         budget = int(mitigation.syn_cap * dt)
         if total_syn > budget:
-            kept_syn = _enforce_cap(stage, syn_counts, budget, rng)
+            kept_syn = _enforce_cap(syn_counts, budget, rng)
             next_stage = []
             for flow, syn, kept in zip(stage, syn_counts, kept_syn):
                 dropped_syn = syn - kept
@@ -348,7 +348,7 @@ def apply_mitigation(flows, mitigation, rng, flags=None, dt=1.0):
         counts = [f.pkts_total for f in stage]
         budget = int(mitigation.rate_cap * dt)
         if sum(counts) > budget:
-            kept_counts = _enforce_cap(stage, counts, budget, rng)
+            kept_counts = _enforce_cap(counts, budget, rng)
             next_stage = []
             for flow, kept in zip(stage, kept_counts):
                 p, d = _split_flow(flow, kept)
@@ -436,8 +436,9 @@ class StepResult:
 class EdgeGatewayEnv:
     """Seeded, deterministic gateway simulation.
 
-    One instance per run; (seed, config, action sequence) fully determines
-    every observation and ledger entry.  Each step's offered flows are
+    One instance per run, with no reset: a new run builds a new env, and
+    (seed, config, action sequence) fully determines every observation and
+    ledger entry.  Each step's offered flows are
     featurized once, into ``StepResult.features``; the injectable flagger
     takes that matrix and returns one flag per row, so the detection
     pipeline can drive the drop filter and the blacklist with model flags.
@@ -451,21 +452,11 @@ class EdgeGatewayEnv:
         self.kappa = kappa or KappaProvider(g_per_kwh_to_g_per_joule(400.0))
         self.flow_flagger = flow_flagger or rate_threshold_flagger(
             self.params.flag_rate_threshold)
-        self._seed = seed
-        self.reset(seed)
-        if limits is not None:
-            self.ledger.limits = limits
-        self._limits = self.ledger.limits
-
-    def reset(self, seed=None):
-        if seed is not None:
-            self._seed = seed
-        self.rng = np.random.default_rng(self._seed)
+        self.rng = np.random.default_rng(seed)
         self.step_index = 0
         self.mitigation = MitigationState()
-        self.ledger = SustainabilityLedger(getattr(self, "_limits", None))
+        self.ledger = SustainabilityLedger(limits)
         self.source_windows = {}
-        return self
 
     def source_probabilities(self):
         return {src: source_attack_probability(win)

@@ -663,12 +663,14 @@ def rollout(pipeline, seed, traffic=None, policy=None):
 
     Without a ``policy(result, x_step, a_s, history)`` the learned Q-network
     acts greedily above the alarm threshold."""
+    greedy_rng = np.random.default_rng(0)  # epsilon 0 never draws from it
+
     def decide(prev, history):
         if policy is not None:
             action = policy(prev.result, prev.x_step, prev.a_s, history)
         elif prev.alarm:
             action = ag.select_action(pipeline.q_net, prev.state(), 0.0,
-                                      np.random.default_rng(0))
+                                      greedy_rng)
         else:
             action = None
         return action, False, 0.0
@@ -740,38 +742,17 @@ class TabularPipeline:
         self.mdp = ag.toy_mdp(cfg.hyper.gamma)
 
     def train(self):
-        q, diag = ag.q_learning_run(
+        return ag.q_learning_run(
             self.mdp, self.cfg.tabular.n_updates,
             p=self.cfg.tabular.eta_exponent, seed=self.cfg.seed,
             probe_every=self.cfg.tabular.probe_every)
-        return q, diag
 
     def episode_rewards(self, epsilon_start, seed):
-        """Per-episode return of epsilon-greedy Q-learning on the toy MDP."""
-        cfg = self.cfg.tabular
-        rng = np.random.default_rng(seed)
-        q = np.zeros((self.mdp.n_states, self.mdp.n_actions))
-        counts = np.zeros_like(q, dtype=int)
-        eps = epsilon_start
-        rewards = []
-        s = 0
-        for _ in range(cfg.episodes):
-            total = 0.0
-            for _ in range(cfg.steps_per_episode):
-                if rng.random() < eps:
-                    a = int(rng.integers(self.mdp.n_actions))
-                else:
-                    a = int(np.argmax(q[s]))
-                s_next, r = self.mdp.step(s, a, rng)
-                counts[s, a] += 1
-                eta = ag.robbins_monro_eta(counts[s, a], cfg.eta_exponent)
-                ag.q_update_tabular(q, s, a,
-                                    r + self.mdp.gamma * float(q[s_next].max()),
-                                    eta)
-                total += r
-                s = s_next
-            rewards.append(total)
-            eps = ag.decay_epsilon(eps, self.cfg.hyper.epsilon.decay,
-                                   self.cfg.hyper.epsilon.floor)
-        return rewards
-
+        """Per-episode return of epsilon-greedy Q-learning on the toy MDP,
+        with epsilon decaying after each episode."""
+        tab, eps = self.cfg.tabular, self.cfg.hyper.epsilon
+        _, diag = ag.q_learning_run(
+            self.mdp, tab.episodes * tab.steps_per_episode,
+            p=tab.eta_exponent, seed=seed, probe_every=tab.steps_per_episode,
+            epsilon=epsilon_start, decay=eps.decay, floor=eps.floor)
+        return diag.returns

@@ -349,12 +349,6 @@ def test_lyapunov_distance_tabular():
     assert lyapunov_distance(q, q2) == 2.0  # 0.5 * 2^2
 
 
-def test_lyapunov_distance_network():
-    rng = np.random.default_rng(9)
-    q = qnetwork_init(3, rng, hidden=(6,))
-    assert lyapunov_distance(q, q.copy(), probe_states=[rng.normal(size=3)]) == 0.0
-
-
 def test_contraction_constant_shift_is_gamma_exact():
     mdp = toy_mdp(gamma=0.9)
     rng = np.random.default_rng(10)
@@ -386,6 +380,29 @@ def test_contraction_rejects_equal_tables():
 # ---------------------------------------------------------------------------
 # tabular convergence
 # ---------------------------------------------------------------------------
+
+def test_mdp_rejects_negative_probabilities():
+    # each row sums to 1, but one entry is negative
+    p = np.zeros((2, 1, 2))
+    p[0, 0] = [1.5, -0.5]
+    p[1, 0] = [0.5, 0.5]
+    with pytest.raises(ValueError, match="non-negative"):
+        ag.TabularMDP(p, np.zeros((2, 1)), 0.9)
+
+
+@pytest.mark.parametrize("mdp", [
+    toy_mdp(),
+    random_mdp(7, 3, gamma=0.9, rng=np.random.default_rng(13)),
+], ids=["toy", "random_7x3"])
+def test_step_draws_match_generator_choice(mdp):
+    pairs = np.random.default_rng(14).integers(
+        0, [mdp.n_states, mdp.n_actions], size=(10_000, 2))
+    rng, ref = np.random.default_rng(15), np.random.default_rng(15)
+    for s, a in pairs:
+        s_next, r = mdp.step(s, a, rng)
+        assert s_next == ref.choice(mdp.n_states, p=mdp.transitions[s, a])
+        assert r == mdp.rewards[s, a]
+
 
 def test_value_iteration_fixed_point():
     mdp = toy_mdp()
@@ -426,3 +443,30 @@ def test_diagnostics_csv_round_trip(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,epsilon,eta,td_error_mean,lyapunov,contraction_ratio"
     assert len(lines) == 1 + len(diag.steps)
+
+
+def test_q_learning_decays_epsilon_per_window():
+    _, diag = ag.q_learning_run(toy_mdp(), n_updates=1050, probe_every=100,
+                                epsilon=0.9, decay=0.6, floor=0.1)
+    expected = [0.9]
+    for _ in range(9):
+        expected.append(decay_epsilon(expected[-1], 0.6, 0.1))
+    assert diag.epsilon == expected
+    assert expected[-1] == 0.1
+    assert len(diag.returns) == len(diag.steps) == 10
+    assert all(isinstance(v, float) for v in diag.returns)
+
+
+def test_q_learning_window_returns_sum_rewards():
+    mdp = toy_mdp()
+    _, diag = ag.q_learning_run(mdp, n_updates=40, probe_every=20, seed=4)
+    rng, total, s = np.random.default_rng(4), [], 0
+    for _ in range(2):
+        acc = 0.0
+        for _ in range(20):
+            rng.random()
+            a = int(rng.integers(mdp.n_actions))
+            s, r = mdp.step(s, a, rng)
+            acc += r
+        total.append(acc)
+    assert diag.returns == total

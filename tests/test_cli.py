@@ -177,6 +177,24 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("assignment, key", [
+    ("env.attacks=5", "env.attacks"),
+    ("env.attacks=[5]", "env.attacks"),
+    ("sustain.weights=5", "sustain.weights"),
+    ("hyper.epsilon=5", "hyper.epsilon"),
+    ("sustain.kappa_schedule_file=[1]", "sustain.kappa_schedule_file"),
+    ("env=5", "env"),
+])
+def test_config_section_of_wrong_type_names_the_key(tmp_path, capsys,
+                                                    assignment, key):
+    code = cli.main(["train", "--episodes", "0", "--quiet",
+                     "--out", str(tmp_path / "x"), "--set", assignment])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert key in err[0]
+
+
 @pytest.mark.parametrize("assignment", [
     "seed=1.5",
     "episodes=true",

@@ -92,3 +92,7 @@ def test_load_missing_file_is_config_error(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         cfgmod.load(bad)
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="config must be a JSON object"):
+        cfgmod.load(listed)
