@@ -17,9 +17,8 @@ layer = neural.DenseParams(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2),
 print("W @ [1, 1] =", neural.stack_forward([layer], [1.0, 1.0])[0], "(expect [3, 7])")
 
 print("\n== LSTM cell with zero parameters ==")
-zero = np.zeros
-cell = neural.LstmParams(zero((1, 2)), zero((1, 2)), zero((1, 2)), zero((1, 2)),
-                         zero(1), zero(1), zero(1), zero(1))
+# one hidden unit: the four gate rows i, f, o, g stacked over [x, h]
+cell = neural.LstmParams(np.zeros((4, 2)), np.zeros(4))
 h, c = neural.lstm_cell_step(cell, [0.0], [0.0], [1.0])
 print(f"gates sit at sigmoid(0)=0.5, so c = 0.5 (got {c[0]:.4f}) "
       f"and h = 0.5*tanh(0.5) (got {h[0]:.6f})")

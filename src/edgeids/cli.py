@@ -541,6 +541,9 @@ def main(argv=None):
     except (neural.CheckpointError, OSError, KeyError, ValueError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except Exception as exc:  # any other failure still ends in one line
+        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

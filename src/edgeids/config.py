@@ -34,6 +34,15 @@ def _is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_number_pair(value):
+    return (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(_is_number(v) for v in value))
+
+
 @dataclass
 class NeuralConfig:
     ae_hidden: int = 16
@@ -86,9 +95,6 @@ class SustainConfig:
             raise ConfigError("kappa exceeds kappa_max")
         if self.reward_window < 1:
             raise ConfigError("reward window must be positive")
-        if not isinstance(self.kappa_schedule_file, (str, type(None))):
-            raise ConfigError("sustain.kappa_schedule_file must be a path string "
-                              f"or null, got {self.kappa_schedule_file!r}")
 
     def kappa_g_per_j(self):
         return g_per_kwh_to_g_per_joule(self.kappa_g_per_kwh)
@@ -221,12 +227,24 @@ def to_dict(cfg):
     return normalize(out)
 
 
-def _check_integers(cls, values, path):
-    """Integer fields take integers only; a bool is not one."""
+_FIELD_TYPES = {
+    "int": (_is_integer, "an integer"),
+    "float": (_is_number, "a number"),
+    "str": (lambda value: isinstance(value, str), "a string"),
+    "tuple": (_is_number_pair, "a list of two numbers"),
+}
+
+
+def _check_types(cls, values, path):
+    """Typed fields take their own type only: a bool is not a number, and
+    null only where the default is None.  Absent keys are left to cls."""
     for f in dataclasses.fields(cls):
-        value = values.get(f.name, 0)
-        if f.type in ("int", int) and not _is_integer(value):
-            raise ConfigError(f"{path}{f.name} must be an integer, got {value!r}")
+        if f.name not in values or f.type not in _FIELD_TYPES:
+            continue
+        value = values[f.name]
+        accepts, what = _FIELD_TYPES[f.type]
+        if not accepts(value) and not (value is None and f.default is None):
+            raise ConfigError(f"{path}{f.name} must be {what}, got {value!r}")
 
 
 def _object(data, path):
@@ -238,13 +256,12 @@ def _object(data, path):
 
 def _build(cls, data, path):
     _object(data, path)
-    field_types = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
+    field_types = {f.name: f.type for f in dataclasses.fields(cls)}
+    for key in data:
         if key not in field_types:
             raise ConfigError(f"unknown key {path}{key}")
-        kwargs[key] = value
-    _check_integers(cls, kwargs, path)
+    _check_types(cls, data, path)
+    kwargs = {k: tuple(v) if field_types[k] == "tuple" else v for k, v in data.items()}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -262,13 +279,8 @@ def from_dict(data):
             if not isinstance(raw["attacks"], list):
                 raise ConfigError(
                     f"env.attacks must be a JSON list, got {raw['attacks']!r}")
-            raw["attacks"] = [
-                _build(AttackScenario, {**_object(a, f"env.attacks[{i}]"),
-                                        "size_range": tuple(a.get("size_range", (40, 1200))),
-                                        "jitter_range": tuple(a.get("jitter_range", (0.0, 0.5)))},
-                       "env.attacks.")
-                for i, a in enumerate(raw["attacks"])
-            ]
+            raw["attacks"] = [_build(AttackScenario, a, f"env.attacks[{i}].")
+                              for i, a in enumerate(raw["attacks"])]
         if section == "hyper" and "epsilon" in raw:
             raw["epsilon"] = _build(EpsilonSchedule, raw["epsilon"], "hyper.epsilon.")
         if section == "sustain" and "weights" in raw:
@@ -278,7 +290,7 @@ def from_dict(data):
         if key not in ("agent", "seed", "episodes", "pretrain_episodes"):
             raise ConfigError(f"unknown config key {key!r}")
         kwargs[key] = value
-    _check_integers(ExperimentConfig, kwargs, "")
+    _check_types(ExperimentConfig, kwargs, "")
     try:
         return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -239,44 +239,38 @@ def autoencoder_train_step(model, batch, lr):
 # LSTM cell and classifier
 # ---------------------------------------------------------------------------
 
+LSTM_GATES = ("i", "f", "o", "g")
+
+
 @dataclass
 class LstmParams:
-    """Gate weights [hidden, input+hidden] and biases for one LSTM cell."""
+    """One LSTM cell, gates stacked in LSTM_GATES order (the cuDNN layout):
+    w is [4*hidden, input+hidden], b is [4*hidden], and row block k belongs
+    to gate k.  Checkpoints write each row block as a w_<gate>/b_<gate> line."""
 
-    w_i: np.ndarray
-    w_f: np.ndarray
-    w_o: np.ndarray
-    w_g: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_g: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        shape = self.w_i.shape
-        for name in ("w_f", "w_o", "w_g"):
-            if getattr(self, name).shape != shape:
-                raise ValueError("all gate weight blocks must share a shape")
-        for name in ("b_i", "b_f", "b_o", "b_g"):
-            if getattr(self, name).shape != (shape[0],):
-                raise ValueError("gate bias length must equal hidden size")
+        if self.w.ndim != 2 or self.w.shape[0] % 4:
+            raise ValueError("w must be 2-D with a multiple of 4 rows")
+        if self.b.shape != (self.w.shape[0],):
+            raise ValueError("b needs one entry per row of w")
 
     @property
     def hidden_dim(self):
-        return self.w_i.shape[0]
+        return self.w.shape[0] // 4
 
     @property
     def input_dim(self):
-        return self.w_i.shape[1] - self.w_i.shape[0]
+        return self.w.shape[1] - self.hidden_dim
 
 
 def lstm_init(input_dim, hidden_dim, rng):
     bound = 1.0 / np.sqrt(input_dim + hidden_dim)
-    def mat():
-        return rng.uniform(-bound, bound, size=(hidden_dim, input_dim + hidden_dim))
-    def vec():
-        return rng.uniform(-bound, bound, size=hidden_dim)
-    return LstmParams(mat(), mat(), mat(), mat(), vec(), vec(), vec(), vec())
+    w = rng.uniform(-bound, bound, size=(4 * hidden_dim, input_dim + hidden_dim))
+    b = rng.uniform(-bound, bound, size=4 * hidden_dim)
+    return LstmParams(w, b)
 
 
 def lstm_cell_step(params, x, h_prev, c_prev):
@@ -292,14 +286,15 @@ def _lstm_cell_forward(params, x, h_prev, c_prev):
     if x.shape[0] != params.input_dim or h_prev.shape[0] != params.hidden_dim:
         raise ValueError("lstm step dimension mismatch")
     z = np.concatenate([x, h_prev])
-    i = sigmoid(params.w_i @ z + params.b_i)
-    f = sigmoid(params.w_f @ z + params.b_f)
-    o = sigmoid(params.w_o @ z + params.b_o)
-    g = np.tanh(params.w_g @ z + params.b_g)
+    # one product per [H, I+H] gate block, as [4, H]: BLAS then sums each
+    # gate row in the same order as a separate per-gate product would
+    a = params.w.reshape(4, params.hidden_dim, -1) @ z + params.b.reshape(4, -1)
+    ifo, g = sigmoid(a[:3]), np.tanh(a[3])
+    i, f, o = ifo
     c = f * c_prev + i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
-    cache = (z, i, f, o, g, c_prev, tanh_c)
+    cache = (z, ifo, g, c_prev, tanh_c)
     return h, c, cache
 
 
@@ -367,9 +362,8 @@ def iter_params(model):
                 yield f"{part}.{idx}.w", layer.w
                 yield f"{part}.{idx}.b", layer.b
     elif isinstance(model, LstmClassifier):
-        cell = model.cell
-        for name in ("w_i", "w_f", "w_o", "w_g", "b_i", "b_f", "b_o", "b_g"):
-            yield f"cell.{name}", getattr(cell, name)
+        yield "cell.w", model.cell.w
+        yield "cell.b", model.cell.b
         yield "head_w", model.head_w
         yield "head_b", model.head_b
     elif isinstance(model, (list, tuple)):
@@ -446,38 +440,23 @@ def _classifier_backward(model, window, y):
     loss = bce_loss(y_hat, y)
 
     cell = model.cell
-    hdim = cell.hidden_dim
-    grads = {f"cell.{n}": np.zeros_like(getattr(cell, n))
-             for n in ("w_i", "w_f", "w_o", "w_g", "b_i", "b_f", "b_o", "b_g")}
+    grads = {"cell.w": np.zeros_like(cell.w), "cell.b": np.zeros_like(cell.b)}
     # d(loss)/d(logit) for sigmoid + BCE; the clamp is inactive in (eps, 1-eps)
     d_logit = y_hat - y
     grads["head_w"] = d_logit * hs[-1]
     grads["head_b"] = np.asarray(d_logit)
 
     dh = d_logit * model.head_w
-    dc = np.zeros(hdim)
+    dc = np.zeros(cell.hidden_dim)
     for t in range(len(window) - 1, -1, -1):
-        z, i, f, o, g, c_prev, tanh_c = caches[t]
-        do = dh * tanh_c
+        z, ifo, g, c_prev, tanh_c = caches[t]
+        i, f, o = ifo
         dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        da_i = di * i * (1.0 - i)
-        da_f = df * f * (1.0 - f)
-        da_o = do * o * (1.0 - o)
-        da_g = dg * (1.0 - g * g)
-        grads["cell.w_i"] += np.outer(da_i, z)
-        grads["cell.w_f"] += np.outer(da_f, z)
-        grads["cell.w_o"] += np.outer(da_o, z)
-        grads["cell.w_g"] += np.outer(da_g, z)
-        grads["cell.b_i"] += da_i
-        grads["cell.b_f"] += da_f
-        grads["cell.b_o"] += da_o
-        grads["cell.b_g"] += da_g
-        dz = (cell.w_i.T @ da_i + cell.w_f.T @ da_f
-              + cell.w_o.T @ da_o + cell.w_g.T @ da_g)
-        dh = dz[cell.input_dim:]
+        d_ifo = np.stack([dc * g, dc * c_prev, dh * tanh_c])
+        da = np.concatenate([(d_ifo * ifo * (1.0 - ifo)).ravel(), dc * i * (1.0 - g * g)])
+        grads["cell.w"] += np.outer(da, z)
+        grads["cell.b"] += da
+        dh = (cell.w.T @ da)[cell.input_dim:]
         dc = dc * f
     return loss, grads
 
@@ -548,7 +527,7 @@ def grad_check(model, x, target=None, epsilon=1e-5):
 #   dense <out> <in> <activation>
 #   w <row-major floats>
 #   b <floats>
-#   lstm <hidden> <input>        followed by w_i/w_f/w_o/w_g/b_* and head lines
+#   lstm <hidden> <input>        then w_i..b_g (row blocks of w, b), head_w, head_b
 #   end
 #
 # Floats are written with repr(), which round-trips exactly in Python, so
@@ -587,8 +566,9 @@ def save_checkpoint(models, path):
                 out.write(f"meta window_len {model.window_len}\n")
                 cell = model.cell
                 out.write(f"lstm {cell.hidden_dim} {cell.input_dim}\n")
-                for gate in ("w_i", "w_f", "w_o", "w_g", "b_i", "b_f", "b_o", "b_g"):
-                    _write_array(out, gate, getattr(cell, gate))
+                for arr, prefix in ((cell.w, "w"), (cell.b, "b")):
+                    for gate, block in zip(LSTM_GATES, np.split(arr, 4)):
+                        _write_array(out, f"{prefix}_{gate}", block)
                 _write_array(out, "head_w", model.head_w)
                 _write_array(out, "head_b", model.head_b)
             elif isinstance(model, (list, tuple)):
@@ -655,14 +635,7 @@ def load_checkpoint(path):
     if int(head[1]) != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {head[1]}")
     models = {}
-    saw_end = False
-    while True:
-        line = reader.peek()
-        if line is None:
-            break
-        if line.strip() == "end":
-            saw_end = True
-            break
+    while (line := reader.peek()) is not None and line.strip() != "end":
         fields = reader.next().split()
         if len(fields) != 3 or fields[0] != "model":
             raise CheckpointError(f"malformed model header {line[:40]!r}")
@@ -682,20 +655,19 @@ def load_checkpoint(path):
             if len(spec) != 3 or spec[0] != "lstm":
                 raise CheckpointError("malformed lstm header")
             hidden, inp = int(spec[1]), int(spec[2])
-            gshape = (hidden, inp + hidden)
-            gates = {g: _read_array(reader, g, gshape)
-                     for g in ("w_i", "w_f", "w_o", "w_g")}
-            biases = {b: _read_array(reader, b, (hidden,))
-                      for b in ("b_i", "b_f", "b_o", "b_g")}
+            w = np.concatenate([_read_array(reader, f"w_{g}", (hidden, inp + hidden))
+                                for g in LSTM_GATES])
+            b = np.concatenate([_read_array(reader, f"b_{g}", (hidden,))
+                                for g in LSTM_GATES])
             head_w = _read_array(reader, "head_w", (hidden,))
             head_b = _read_array(reader, "head_b", ())
             models[name] = LstmClassifier(
-                LstmParams(**gates, **biases), head_w, head_b, meta["window_len"]
+                LstmParams(w, b), head_w, head_b, meta["window_len"]
             )
         elif kind == "dense_stack":
             models[name] = _read_dense_stack(reader, "layers")
         else:
             raise CheckpointError(f"unknown model kind {kind!r}")
-    if not saw_end:
+    if line is None:
         raise CheckpointError("truncated checkpoint file (missing end marker)")
     return models

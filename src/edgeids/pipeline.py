@@ -231,6 +231,9 @@ def train_detector(cfg, rng_seed):
     # no mitigation acts during warm-up, so every offered flow passes
     step_rows = [env.step(None).features for _ in range(cfg.warmup.steps)]
     raw = np.concatenate(step_rows)
+    if raw.shape[0] < 2:
+        raise ValueError(f"warm-up produced {raw.shape[0]} flow(s), and fitting "
+                         "needs two; raise env.benign_rate or warmup.steps")
     normalizer = ft.Normalizer("minmax").fit(raw)
     data = normalizer.transform(raw)
 
@@ -247,8 +250,6 @@ def train_detector(cfg, rng_seed):
         bounds = np.cumsum([len(rows) for rows in step_rows])[:-1]
         step_scores = [_step_score(model, rows)[1]
                        for rows in np.split(data, bounds) if len(rows)]
-        if not step_scores:
-            raise ValueError("warm-up produced no traffic; raise benign_rate")
         tau_step = float(np.percentile(step_scores, cfg.warmup.tau_percentile))
     if not np.isfinite([tau_flow, tau_step]).all():
         raise ValueError(f"warm-up autoencoder diverged (tau_flow={tau_flow}, "
@@ -256,13 +257,19 @@ def train_detector(cfg, rng_seed):
     return AnomalyDetector(normalizer, model, tau_flow, tau_step)
 
 
+def classifier_sgd_step(cfg, clf, window, label, k):
+    """The k-th SGD step (k from 1) of the LSTM classifier.  The step size
+    decays slowly (k^-0.55), leaving room for the faster-decaying DQN
+    updates during the joint phase."""
+    _, grads = neural.backward(clf, window, label)
+    neural.apply_gradients(clf, grads, cfg.neural.lstm_lr * k ** -0.55)
+
+
 def pretrain_step_classifier(cfg, detector, seed):
     """Supervised phase: label simulator steps and fit the LSTM classifier.
 
     Windows of consecutive per-step aggregate features are labeled by the
-    last step's ground truth.  The step-size schedule decays slowly
-    (k^-0.55), leaving room for the faster-decaying DQN updates during the
-    joint phase."""
+    last step's ground truth."""
     clf_rng = np.random.default_rng(seed)
     clf = neural.lstm_classifier_init(
         len(ft.FEATURE_NAMES), cfg.neural.lstm_hidden,
@@ -288,9 +295,7 @@ def pretrain_step_classifier(cfg, detector, seed):
     for _ in range(2):
         for i in order:
             k += 1
-            eta = cfg.neural.lstm_lr * k ** -0.55
-            _, grads = neural.backward(clf, windows[i], labels[i])
-            neural.apply_gradients(clf, grads, eta)
+            classifier_sgd_step(cfg, clf, windows[i], labels[i], k)
     return clf, k
 
 
@@ -545,11 +550,8 @@ class DrlPipeline:
             for step in steps:
                 if step.classified is not None:
                     clf_updates += 1
-                    eta_s = cfg.neural.lstm_lr * clf_updates ** -0.55
-                    _, grads = neural.backward(
-                        self.classifier, step.window,
-                        1 if step.result.attack_active else 0)
-                    neural.apply_gradients(self.classifier, grads, eta_s)
+                    classifier_sgd_step(cfg, self.classifier, step.window,
+                                        int(step.result.attack_active), clf_updates)
                 reward_sum += step.reward.total
                 cpu_sum += step.result.resource.cpu_pct
 

@@ -184,6 +184,12 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("hyper.epsilon=5", "hyper.epsilon"),
     ("sustain.kappa_schedule_file=[1]", "sustain.kappa_schedule_file"),
     ("env=5", "env"),
+    ('env.attacks=[{"kind":"syn_flood","intensity":5000,"start_step":50,'
+     '"end_step":250,"size_range":5}]', "env.attacks[0].size_range"),
+    ('sustain.e_max_j="x"', "sustain.e_max_j"),
+    ('sustain.p_max_w="x"', "sustain.p_max_w"),
+    ('sustain.m_max="x"', "sustain.m_max"),
+    ('resources.cpu_base="x"', "resources.cpu_base"),
 ])
 def test_config_section_of_wrong_type_names_the_key(tmp_path, capsys,
                                                     assignment, key):
@@ -239,6 +245,31 @@ def test_diverged_warmup_is_a_runtime_error(tmp_path, capsys):
     assert err[-1].startswith("runtime error:")
     assert not (out / "detector.json").exists()
     assert not (out / "checkpoint.txt").exists()
+
+
+def test_unexpected_exception_is_one_runtime_line(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        return 1 / 0
+    monkeypatch.setitem(cli.COMMANDS, "train", broken)
+    code = cli.main(["train", "--quiet", "--out", str(tmp_path / "x")])
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["runtime error: ZeroDivisionError: division by zero"]
+
+
+def test_warmup_without_traffic_names_the_settings(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "edgeids.cli", "train", "--quiet",
+         "--out", str(tmp_path / "run"), "--set", "env.benign_rate=0"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        timeout=120)
+    assert proc.returncode == cli.EXIT_RUNTIME
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error:"), proc.stderr
+    assert "env.benign_rate" in err[0] and "warmup.steps" in err[0]
 
 
 @pytest.mark.parametrize("command", [

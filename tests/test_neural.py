@@ -52,10 +52,17 @@ def test_dense_dimension_mismatch():
 # ---------------------------------------------------------------------------
 
 def _zero_cell(input_dim=1, hidden_dim=1):
-    shape = (hidden_dim, input_dim + hidden_dim)
-    z = np.zeros
-    return LstmParams(z(shape), z(shape), z(shape), z(shape),
-                      z(hidden_dim), z(hidden_dim), z(hidden_dim), z(hidden_dim))
+    return LstmParams(np.zeros((4 * hidden_dim, input_dim + hidden_dim)),
+                      np.zeros(4 * hidden_dim))
+
+
+def test_lstm_params_reject_bad_shapes():
+    with pytest.raises(ValueError):
+        LstmParams(np.zeros((6, 5)), np.zeros(6))  # rows not a multiple of 4
+    with pytest.raises(ValueError):
+        LstmParams(np.zeros((8, 5)), np.zeros(7))  # one bias per row
+    with pytest.raises(ValueError):
+        LstmParams(np.zeros(8), np.zeros(8))  # w must be 2-D
 
 
 def test_lstm_all_zero_is_zero():
@@ -83,14 +90,89 @@ def test_lstm_matches_scalar_reference():
         return 1.0 / (1.0 + np.exp(-v))
 
     z = list(x) + list(h_prev)
+    # gate rows are stacked i, f, o, g
+    w_i, w_f, w_o, w_g = np.split(cell.w, 4)
+    b_i, b_f, b_o, b_g = np.split(cell.b, 4)
     for u in range(2):
-        i = sig(sum(cell.w_i[u][k] * z[k] for k in range(5)) + cell.b_i[u])
-        f = sig(sum(cell.w_f[u][k] * z[k] for k in range(5)) + cell.b_f[u])
-        o = sig(sum(cell.w_o[u][k] * z[k] for k in range(5)) + cell.b_o[u])
-        g = np.tanh(sum(cell.w_g[u][k] * z[k] for k in range(5)) + cell.b_g[u])
+        i = sig(sum(w_i[u][k] * z[k] for k in range(5)) + b_i[u])
+        f = sig(sum(w_f[u][k] * z[k] for k in range(5)) + b_f[u])
+        o = sig(sum(w_o[u][k] * z[k] for k in range(5)) + b_o[u])
+        g = np.tanh(sum(w_g[u][k] * z[k] for k in range(5)) + b_g[u])
         c_ref = f * c_prev[u] + i * g
         assert c[u] == pytest.approx(c_ref, abs=1e-14)
         assert h[u] == pytest.approx(o * np.tanh(c_ref), abs=1e-14)
+
+
+def _gate_blocks(cell):
+    """The stacked cell as four separate weight and four bias arrays."""
+    return ([w.copy() for w in np.split(cell.w, 4)],
+            [b.copy() for b in np.split(cell.b, 4)])
+
+
+def _per_gate_step(blocks, x, h_prev, c_prev):
+    # the gate equations over four separate [H, I+H] blocks
+    (w_i, w_f, w_o, w_g), (b_i, b_f, b_o, b_g) = blocks
+    z = np.concatenate([x, h_prev])
+    i = neural.sigmoid(w_i @ z + b_i)
+    f = neural.sigmoid(w_f @ z + b_f)
+    o = neural.sigmoid(w_o @ z + b_o)
+    g = np.tanh(w_g @ z + b_g)
+    c = f * c_prev + i * g
+    tanh_c = np.tanh(c)
+    return o * tanh_c, c, (z, i, f, o, g, c_prev, tanh_c)
+
+
+def _per_gate_classifier(model, window, y):
+    """(h_T, y_hat, gradients) of an LSTM classifier, with separate gate
+    blocks and per-gate backpropagation."""
+    cell = _gate_blocks(model.cell)
+    hdim = model.cell.hidden_dim
+    h, c, caches = np.zeros(hdim), np.zeros(hdim), []
+    for x in window:
+        h, c, cache = _per_gate_step(cell, x, h, c)
+        caches.append(cache)
+    logit = float(model.head_w @ h + model.head_b)
+    y_hat = float(neural.sigmoid(np.asarray(logit)))
+
+    gw = [np.zeros_like(w) for w in cell[0]]
+    gb = [np.zeros_like(b) for b in cell[1]]
+    dh = (y_hat - y) * model.head_w
+    dc = np.zeros(hdim)
+    for z, i, f, o, g, c_prev, tanh_c in reversed(caches):
+        do = dh * tanh_c
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        da = [dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+              do * o * (1.0 - o), dc * i * (1.0 - g * g)]
+        for k in range(4):
+            gw[k] += np.outer(da[k], z)
+            gb[k] += da[k]
+        dz = sum(w.T @ d for w, d in zip(cell[0], da))
+        dh = dz[model.cell.input_dim:]
+        dc = dc * f
+    grads = {"cell.w": np.concatenate(gw), "cell.b": np.concatenate(gb),
+             "head_w": (y_hat - y) * h, "head_b": y_hat - y}
+    return h, y_hat, grads
+
+
+@pytest.mark.parametrize("input_dim, hidden_dim, window_len",
+                         [(8, 8, 8), (4, 2, 3), (3, 5, 6)])
+def test_stacked_cell_matches_per_gate_reference(input_dim, hidden_dim, window_len):
+    rng = np.random.default_rng(input_dim * 100 + hidden_dim * 10 + window_len)
+    model = lstm_classifier_init(input_dim, hidden_dim, window_len, rng)
+    x, h_prev, c_prev = (rng.normal(size=n) for n in (input_dim, hidden_dim, hidden_dim))
+    ref_h, ref_c, _ = _per_gate_step(_gate_blocks(model.cell), x, h_prev, c_prev)
+    h, c = lstm_cell_step(model.cell, x, h_prev, c_prev)
+    assert np.array_equal(h, ref_h) and np.array_equal(c, ref_c)
+
+    for y in (0, 1):
+        window = rng.normal(scale=2.0, size=(window_len, input_dim))
+        ref_hidden, ref_y_hat, ref_grads = _per_gate_classifier(model, window, y)
+        assert model.classify(window) == ref_y_hat
+        assert np.array_equal(model.hidden(window), ref_hidden)
+        _, grads = backward(model, window, y)
+        assert grads.keys() == ref_grads.keys()
+        for name, ref in ref_grads.items():
+            assert np.max(np.abs(grads[name] - ref)) <= 1e-15, name
 
 
 def test_lstm_hidden_state_bounded():
@@ -286,10 +368,32 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_save_load_save_idempotent(tmp_path):
     rng = np.random.default_rng(8)
     ae = autoencoder_init(rng, input_dim=3, hidden_dim=4, latent_dim=2)
+    clf = lstm_classifier_init(3, 2, window_len=4, rng=rng)
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-    save_checkpoint({"ae": ae}, p1)
+    save_checkpoint({"ae": ae, "clf": clf}, p1)
     save_checkpoint(load_checkpoint(p1), p2)
     assert p1.read_text() == p2.read_text()
+
+
+def test_checkpoint_lstm_gate_lines_are_row_blocks(tmp_path):
+    # a version-1 LSTM block: hidden 2, input 1, one line per gate
+    lines = ["edgeids-checkpoint 1", "model clf lstm_classifier",
+             "meta window_len 3", "lstm 2 1"]
+    for k, gate in enumerate("ifog"):
+        lines.append(f"w_{gate} " + " ".join(str(10.0 * k + j) for j in range(6)))
+    for k, gate in enumerate("ifog"):
+        lines.append(f"b_{gate} {k + 0.5} {k + 0.25}")
+    lines += ["head_w 1.0 -1.0", "head_b 0.5", "end"]
+    path = tmp_path / "ckpt.txt"
+    path.write_text("\n".join(lines) + "\n")
+    cell = load_checkpoint(path)["clf"].cell
+    assert cell.w.shape == (8, 3) and cell.b.shape == (8,)
+    for k in range(4):
+        assert np.array_equal(cell.w[2 * k:2 * k + 2],
+                              (10.0 * k + np.arange(6.0)).reshape(2, 3))
+        assert np.array_equal(cell.b[2 * k:2 * k + 2], [k + 0.5, k + 0.25])
+    save_checkpoint(load_checkpoint(path), tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_text() == path.read_text()
 
 
 def test_checkpoint_truncated_file(tmp_path):
