@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -35,7 +36,9 @@ def _is_integer(value):
 
 
 def _is_number(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A finite int or float: JSON's Infinity and NaN are not numbers here."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _is_number_pair(value):
@@ -221,17 +224,15 @@ def to_dict(cfg):
             return [normalize(v) for v in value]
         if isinstance(value, dict):
             return {k: normalize(v) for k, v in value.items()}
-        if isinstance(value, float) and value in (float("inf"), float("-inf")):
-            return None
         return value
     return normalize(out)
 
 
 _FIELD_TYPES = {
     "int": (_is_integer, "an integer"),
-    "float": (_is_number, "a number"),
+    "float": (_is_number, "a finite number"),
     "str": (lambda value: isinstance(value, str), "a string"),
-    "tuple": (_is_number_pair, "a list of two numbers"),
+    "tuple": (_is_number_pair, "a list of two finite numbers"),
 }
 
 

@@ -30,33 +30,32 @@ FEATURE_NAMES = (
 
 EPS_DURATION = 1e-3  # guard for instantaneous flows
 
-# fixed bitset weights: SYN*1 + ACK*2 + FIN*4 + RST*8
-_FLAG_WEIGHTS = ((1, 1.0), (2, 2.0), (4, 4.0), (8, 8.0))
-
-
-def extract_features(flow):
-    """Fixed-order 8-vector for one flow; total on any valid FlowRecord."""
-    duration = flow.duration if flow.duration >= EPS_DURATION else EPS_DURATION
-    pkt_rate = flow.pkts_total / duration
-    bytes_per_pkt = flow.bytes_total / flow.pkts_total if flow.pkts_total > 0 else 0.0
-    flags_encoded = sum(w for bit, w in _FLAG_WEIGHTS if flow.flags & bit)
-    return np.array([
-        float(flow.pkts_total),
-        float(flow.bytes_total),
-        float(flow.duration),
-        pkt_rate,
-        float(flow.pkts_in),
-        float(flow.pkts_out),
-        bytes_per_pkt,
-        flags_encoded,
-    ])
+# flags_encoded = SYN*1 + ACK*2 + FIN*4 + RST*8, the flag word's low bits
+_FLAG_BITS = 0b1111
 
 
 def features_matrix(flows):
-    """One extract_features row per flow, in order; (0, 8) for none."""
-    if not flows:
-        return np.zeros((0, len(FEATURE_NAMES)))
-    return np.stack([extract_features(f) for f in flows])
+    """One fixed-order 8-feature row per flow, in order, built column by
+    column; (0, 8) for none.  Takes a FlowBatch or a list of FlowRecords;
+    total on any valid flow."""
+    from .gateway_env import FlowBatch
+    batch = FlowBatch.of(flows)
+    pkts, nbytes, duration = batch.pkts_total, batch.bytes_total, batch.duration
+    out = np.empty((len(batch), len(FEATURE_NAMES)))
+    out[:, 0] = pkts
+    out[:, 1] = nbytes
+    out[:, 2] = duration
+    out[:, 3] = pkts / np.where(duration >= EPS_DURATION, duration, EPS_DURATION)
+    out[:, 4] = batch.pkts_in
+    out[:, 5] = batch.pkts_out
+    out[:, 6] = np.divide(nbytes, pkts, out=np.zeros(len(batch)), where=pkts > 0)
+    out[:, 7] = batch.flags & _FLAG_BITS
+    return out
+
+
+def extract_features(flow):
+    """features_matrix's row for one flow."""
+    return features_matrix([flow])[0]
 
 
 # ---------------------------------------------------------------------------

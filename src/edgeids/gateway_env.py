@@ -13,6 +13,7 @@ gateway hardware: ~12% CPU and ~0.96 J/step idle, ~35% under attack,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,7 +31,11 @@ FLAG_RST = 8
 
 @dataclass
 class FlowRecord:
-    """One bidirectional flow with packet/byte/timing counters."""
+    """One bidirectional flow with packet/byte/timing counters.
+
+    The row type of CSV ingest and export and of hand-built flows; the
+    simulator itself works on FlowBatch columns.
+    """
 
     src_id: str
     pkts_total: int
@@ -49,9 +54,9 @@ class FlowRecord:
             raise ValueError("duration must be >= 0")
         if self.pkts_total > 0 and self.bytes_total < self.pkts_total:
             raise ValueError("flows carry at least one byte per packet")
-        if self.label not in ("benign", "attack"):
+        if self.label not in LABELS:
             raise ValueError(f"unknown label {self.label!r}")
-        if self.protocol not in ("tcp", "udp"):
+        if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
 
     @property
@@ -68,6 +73,104 @@ class FlowRecord:
         if self.protocol != "tcp" or not self.flags & FLAG_ACK:
             return 0
         return max(self.pkts_total - (1 if self.flags & FLAG_SYN else 0), 0)
+
+
+LABELS = ("benign", "attack")
+PROTOCOLS = ("tcp", "udp")
+_COLUMNS = ("src", "pkts_total", "bytes_total", "duration", "pkts_in",
+            "pkts_out", "flags", "label", "protocol")
+
+
+@dataclass(eq=False)
+class FlowBatch:
+    """Flows as columns: one numpy array per FlowRecord field.
+
+    ``src`` indexes ``sources`` (the source names), ``label`` indexes
+    LABELS and ``protocol`` indexes PROTOCOLS.  A batch is never modified
+    once built, so mitigation may hand its input back as the passed
+    flows.  Iterating a batch yields FlowRecord rows, for export and for
+    checks; the simulator works on the columns only.
+    """
+
+    sources: tuple
+    src: np.ndarray
+    pkts_total: np.ndarray
+    bytes_total: np.ndarray
+    duration: np.ndarray
+    pkts_in: np.ndarray
+    pkts_out: np.ndarray
+    flags: np.ndarray
+    label: np.ndarray
+    protocol: np.ndarray
+
+    @classmethod
+    def from_records(cls, records):
+        """A batch of FlowRecords, in order, over their source names in
+        order of first appearance."""
+        records = list(records)
+        sources = tuple(dict.fromkeys(r.src_id for r in records))
+        index = {name: i for i, name in enumerate(sources)}
+
+        def column(values, dtype):
+            return np.array(list(values), dtype=dtype)
+
+        return cls(sources,
+                   column((index[r.src_id] for r in records), np.intp),
+                   column((r.pkts_total for r in records), np.int64),
+                   column((r.bytes_total for r in records), np.int64),
+                   column((r.duration for r in records), np.float64),
+                   column((r.pkts_in for r in records), np.int64),
+                   column((r.pkts_out for r in records), np.int64),
+                   column((r.flags for r in records), np.int64),
+                   column((LABELS.index(r.label) for r in records), np.int8),
+                   column((PROTOCOLS.index(r.protocol) for r in records), np.int8))
+
+    @classmethod
+    def of(cls, flows):
+        """``flows`` itself when it is a batch, else its records as one."""
+        return flows if isinstance(flows, cls) else cls.from_records(flows)
+
+    def __len__(self):
+        return len(self.src)
+
+    def __iter__(self):
+        names = self.sources
+        for s, p, b, d, i, o, f, lab, pr in zip(
+                *(getattr(self, c).tolist() for c in _COLUMNS)):
+            yield FlowRecord(names[s], p, b, d, i, o, f, LABELS[lab], PROTOCOLS[pr])
+
+    def take(self, rows):
+        """The flows a boolean mask, index array or slice selects, in order."""
+        return FlowBatch(self.sources, *(getattr(self, c)[rows] for c in _COLUMNS))
+
+    @staticmethod
+    def concat(parts):
+        """The flows of one or more batches over the same sources, in order."""
+        if len(parts) == 1:
+            return parts[0]
+        return FlowBatch(parts[0].sources, *(
+            np.concatenate([getattr(p, c) for p in parts]) for c in _COLUMNS))
+
+    @property
+    def syn_packets(self):
+        """Per flow: every packet of a SYN-only flood flow, one for a
+        handshake flow, none otherwise."""
+        syn = (self.protocol == 0) & (self.flags & FLAG_SYN != 0)
+        handshake = self.flags & FLAG_ACK != 0
+        return np.where(syn, np.where(handshake, self.pkts_total > 0,
+                                      self.pkts_total), 0)
+
+    @property
+    def ack_packets(self):
+        """Per flow: the ACK-flagged tcp packets, the handshake SYN aside."""
+        ack = (self.protocol == 0) & (self.flags & FLAG_ACK != 0)
+        return np.where(ack, np.maximum(
+            self.pkts_total - (self.flags & FLAG_SYN != 0), 0), 0)
+
+    def pkts_by_label(self):
+        counts = np.bincount(self.label, weights=self.pkts_total,
+                             minlength=len(LABELS))
+        return {name: int(n) for name, n in zip(LABELS, counts)}
 
 
 @dataclass
@@ -185,48 +288,52 @@ def resource_model(passed_pps, dropped_pps, learning, buffer_fill, cfg=None):
 # traffic generation
 # ---------------------------------------------------------------------------
 
-def _benign_flows(config, rng):
-    flows = []
+@functools.lru_cache(maxsize=None)
+def _source_names(benign, attack):
+    return (tuple(f"b{i:03d}" for i in range(benign))
+            + tuple(f"a{i:03d}" for i in range(attack)))
+
+
+def source_names(config):
+    """Every source name the traffic can use, benign sources first; a
+    generated flow's ``src`` indexes this tuple.  A zero-day mix rotates
+    through a pool of twice its source count."""
+    attack = max((s.n_sources * (2 if s.kind == "zero_day_mix" else 1)
+                  for s in config.attacks), default=0)
+    return _source_names(config.benign_sources, attack)
+
+
+def _benign_columns(config, rng):
     n = rng.poisson(config.benign_rate * config.dt)
-    for _ in range(n):
-        src = f"b{rng.integers(config.benign_sources):03d}"
-        pkts = max(int(round(rng.lognormal(2.6, 0.6))), 2)
-        bytes_per_pkt = rng.uniform(200.0, 1200.0)
-        duration = float(min(max(rng.exponential(0.8), 0.2), 3.0 * config.dt))
-        pkts_in = int(rng.binomial(pkts, 0.55))
-        pkts_in = min(max(pkts_in, 1), pkts - 1) if pkts >= 2 else pkts_in
-        if rng.random() < 0.75:
-            protocol = "tcp"
-            flags = FLAG_SYN | FLAG_ACK | (FLAG_FIN if rng.random() < 0.5 else 0)
-        else:
-            protocol = "udp"
-            flags = 0
-        flows.append(FlowRecord(
-            src_id=src,
-            pkts_total=pkts,
-            bytes_total=int(round(pkts * bytes_per_pkt)),
-            duration=duration,
-            pkts_in=pkts_in,
-            pkts_out=pkts - pkts_in,
-            flags=flags,
-            label="benign",
-            protocol=protocol,
-        ))
-    return flows
+    src = rng.integers(config.benign_sources, size=n)
+    pkts = np.maximum(np.rint(rng.lognormal(2.6, 0.6, n)), 2).astype(np.int64)
+    bytes_per_pkt = rng.uniform(200.0, 1200.0, n)
+    duration = np.minimum(np.maximum(rng.exponential(0.8, n), 0.2), 3.0 * config.dt)
+    pkts_in = np.minimum(np.maximum(rng.binomial(pkts, 0.55), 1), pkts - 1)
+    tcp = rng.random(n) < 0.75
+    flags = np.zeros(n, np.int64)
+    # only a tcp flow tosses the FIN coin
+    flags[tcp] = np.where(rng.random(np.count_nonzero(tcp)) < 0.5,
+                          FLAG_SYN | FLAG_ACK | FLAG_FIN, FLAG_SYN | FLAG_ACK)
+    return (src, pkts, np.rint(pkts * bytes_per_pkt).astype(np.int64), duration,
+            pkts_in, pkts - pkts_in, flags, np.zeros(n, np.int8),
+            (~tcp).astype(np.int8))
 
 
-def _attack_flows(scenario, step, config, rng):
+def _attack_columns(scenario, step, config, rng):
+    """The scenario's flows at this step, or None; attack source ids
+    follow the benign ones."""
     if not scenario.active(step):
-        return []
+        return None
     total = int(rng.poisson(scenario.intensity * config.dt))
     if total <= 0:
-        return []
+        return None
 
     if scenario.kind == "zero_day_mix":
         # rotating subset of a doubled source pool
         phase = (step - scenario.start_step) // scenario.rotation_every
         pool = 2 * scenario.n_sources
-        sources = [(phase + j) % pool for j in range(scenario.n_sources)]
+        sources = (phase + np.arange(scenario.n_sources)) % pool
         use_tcp = ((step - scenario.start_step) // scenario.protocol_period) % 2 == 0
         lo, hi = scenario.size_range
         mid = 0.5 * (lo + hi)
@@ -234,60 +341,60 @@ def _attack_flows(scenario, step, config, rng):
         bytes_per_pkt = mid + amp * np.sin(2.0 * np.pi * step / 17.0)
         jitter = rng.uniform(*scenario.jitter_range)
     else:
-        sources = list(range(scenario.n_sources))
+        sources = np.arange(scenario.n_sources)
         use_tcp = scenario.kind == "syn_flood"
         bytes_per_pkt = rng.uniform(40.0, 60.0) if use_tcp else rng.uniform(400.0, 1400.0)
         jitter = 0.0
 
     shares = rng.multinomial(total, np.full(len(sources), 1.0 / len(sources)))
-    flows = []
-    for src_idx, pkts in zip(sources, shares):
-        pkts = int(pkts)
-        if pkts == 0:
-            continue
-        flows.append(FlowRecord(
-            src_id=f"a{src_idx:03d}",
-            pkts_total=pkts,
-            bytes_total=max(int(round(pkts * bytes_per_pkt)), pkts),
-            duration=float(config.dt + jitter),
-            pkts_in=pkts,
-            pkts_out=0,
-            flags=FLAG_SYN if use_tcp else 0,
-            label="attack",
-            protocol="tcp" if use_tcp else "udp",
-        ))
-    return flows
+    hit = shares > 0
+    pkts = shares[hit]
+    n = len(pkts)
+    return (config.benign_sources + sources[hit], pkts,
+            np.maximum(np.rint(pkts * bytes_per_pkt).astype(np.int64), pkts),
+            np.full(n, float(config.dt + jitter)), pkts, np.zeros(n, np.int64),
+            np.full(n, FLAG_SYN if use_tcp else 0, np.int64), np.ones(n, np.int8),
+            np.full(n, 0 if use_tcp else 1, np.int8))
 
 
 def generate_step_traffic(config, step, rng):
-    """Benign Poisson arrivals plus flows from every active attack scenario."""
-    flows = _benign_flows(config, rng)
+    """Benign Poisson arrivals plus flows from every active attack
+    scenario, as one FlowBatch; each column is drawn with one call."""
+    parts = [_benign_columns(config, rng)]
     for scenario in config.attacks:
-        flows.extend(_attack_flows(scenario, step, config, rng))
-    return flows
+        part = _attack_columns(scenario, step, config, rng)
+        if part is not None:
+            parts.append(part)
+    columns = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    return FlowBatch(source_names(config), *columns)
 
 
 # ---------------------------------------------------------------------------
 # mitigation
 # ---------------------------------------------------------------------------
 
-def _split_flow(flow, kept_pkts):
-    """Split a flow into (passed, dropped) keeping exact packet and byte sums."""
-    if kept_pkts >= flow.pkts_total:
-        return flow, None
-    if kept_pkts <= 0:
-        return None, flow
-    kept_bytes = int(round(flow.bytes_total * kept_pkts / flow.pkts_total))
-    kept_bytes = min(max(kept_bytes, kept_pkts), flow.bytes_total - (flow.pkts_total - kept_pkts))
-    kept_in = int(round(flow.pkts_in * kept_pkts / flow.pkts_total))
-    kept_in = min(max(kept_in, kept_pkts - flow.pkts_out), flow.pkts_in, kept_pkts)
-    passed = replace(flow, pkts_total=kept_pkts, bytes_total=kept_bytes,
-                     pkts_in=kept_in, pkts_out=kept_pkts - kept_in)
-    rem = flow.pkts_total - kept_pkts
-    dropped = replace(flow, pkts_total=rem, bytes_total=flow.bytes_total - kept_bytes,
-                      pkts_in=flow.pkts_in - kept_in,
-                      pkts_out=flow.pkts_out - (kept_pkts - kept_in))
-    return passed, dropped
+def _split_flows(batch, kept, passed_flags=None):
+    """Split each flow into the part that passes, kept[i] of its packets,
+    and the part dropped, keeping exact packet and byte sums; bytes and
+    inbound packets follow the kept share, rounded.  A flow that keeps
+    every packet has no dropped part and one that keeps none no passed
+    part.  Returns (passed, dropped); passed parts carry passed_flags."""
+    total, nbytes = batch.pkts_total, batch.bytes_total
+    pkts_in, pkts_out = batch.pkts_in, batch.pkts_out
+    whole = kept >= total
+    k = np.minimum(np.maximum(kept, 0), total)
+    denom = np.maximum(total, 1)
+    kept_bytes = np.rint(nbytes * k / denom).astype(np.int64)
+    kept_bytes = np.minimum(np.maximum(kept_bytes, k), nbytes - (total - k))
+    kept_bytes = np.where(whole, nbytes, kept_bytes)
+    kept_in = np.rint(pkts_in * k / denom).astype(np.int64)
+    kept_in = np.minimum(np.minimum(np.maximum(kept_in, k - pkts_out), pkts_in), k)
+    passed = replace(batch, pkts_total=k, bytes_total=kept_bytes, pkts_in=kept_in,
+                     pkts_out=k - kept_in,
+                     flags=batch.flags if passed_flags is None else passed_flags)
+    dropped = replace(batch, pkts_total=total - k, bytes_total=nbytes - kept_bytes,
+                      pkts_in=pkts_in - kept_in, pkts_out=pkts_out - (k - kept_in))
+    return passed.take(whole | (k > 0)), dropped.take(~whole)
 
 
 def _enforce_cap(counts, cap, rng):
@@ -297,69 +404,61 @@ def _enforce_cap(counts, cap, rng):
     kept count per flow, drawn as a multivariate hypergeometric sample
     (every offered packet equally likely to survive).
     """
-    total = int(sum(counts))
     cap = int(cap)
-    if total <= cap:
-        return list(counts)
-    kept = rng.multivariate_hypergeometric(np.asarray(counts, dtype=np.int64),
-                                           cap, method="marginals")
-    return [int(k) for k in kept]
+    if int(counts.sum()) <= cap:
+        return counts
+    return rng.multivariate_hypergeometric(counts, cap, method="marginals")
+
+
+def _blacklisted(sources, blacklist):
+    """One flag per source name: it is on the blacklist."""
+    return np.fromiter((name in blacklist for name in sources), bool, len(sources))
 
 
 def apply_mitigation(flows, mitigation, rng, flags=None, dt=1.0):
     """Filter offered flows through the active mitigation controls.
 
     Order: blacklist, anomaly drop filter, SYN cap, total rate cap.  Packet
-    and byte totals are conserved exactly across (passed, dropped).
+    and byte totals are conserved exactly across (passed, dropped), two
+    FlowBatches; dropped holds the blocked flows, then the SYN-cap cuts,
+    then the rate-cap cuts.
     """
-    if flags is None:
-        flags = [False] * len(flows)
-    passed, dropped = [], []
-    stage = []
-    for flow, flagged in zip(flows, flags, strict=True):
-        if flow.src_id in mitigation.blacklist:
-            dropped.append(flow)
-        elif mitigation.drop_filter_active and flagged:
-            dropped.append(flow)
-        else:
-            stage.append(flow)
+    batch = FlowBatch.of(flows)
+    flagged = np.zeros(len(batch), bool) if flags is None \
+        else np.asarray(flags, dtype=bool)
+    if flagged.shape != (len(batch),):
+        raise ValueError(f"{len(flagged)} flags for {len(batch)} flows")
+    blocked = np.zeros(len(batch), bool)
+    if mitigation.blacklist:
+        blocked = _blacklisted(batch.sources, mitigation.blacklist)[batch.src]
+    if mitigation.drop_filter_active:
+        blocked |= flagged
+    stage, cuts = batch, []
+    if blocked.any():
+        cuts.append(batch.take(blocked))
+        stage = batch.take(~blocked)
 
-    if mitigation.syn_cap is not None and stage:
-        syn_counts = [f.syn_packets for f in stage]
-        total_syn = sum(syn_counts)
+    if mitigation.syn_cap is not None and len(stage):
+        syn = stage.syn_packets
         budget = int(mitigation.syn_cap * dt)
-        if total_syn > budget:
-            kept_syn = _enforce_cap(syn_counts, budget, rng)
-            next_stage = []
-            for flow, syn, kept in zip(stage, syn_counts, kept_syn):
-                dropped_syn = syn - kept
-                p, d = _split_flow(flow, flow.pkts_total - dropped_syn)
-                if p is not None:
-                    # a handshake flow whose SYN was dropped no longer
-                    # carries one; SYN-only flood fragments keep the flag
-                    if dropped_syn > 0 and flow.flags & FLAG_ACK:
-                        p = replace(p, flags=p.flags & ~FLAG_SYN)
-                    next_stage.append(p)
-                if d is not None:
-                    dropped.append(d)
-            stage = next_stage
+        if syn.sum() > budget:
+            dropped_syn = syn - _enforce_cap(syn, budget, rng)
+            # a handshake flow whose SYN was dropped no longer carries
+            # one; SYN-only flood fragments keep the flag
+            lost = (dropped_syn > 0) & (stage.flags & FLAG_ACK != 0)
+            stage, cut = _split_flows(stage, stage.pkts_total - dropped_syn,
+                                      np.where(lost, stage.flags & ~FLAG_SYN,
+                                               stage.flags))
+            cuts.append(cut)
 
-    if mitigation.rate_cap is not None and stage:
-        counts = [f.pkts_total for f in stage]
+    if mitigation.rate_cap is not None and len(stage):
         budget = int(mitigation.rate_cap * dt)
-        if sum(counts) > budget:
-            kept_counts = _enforce_cap(counts, budget, rng)
-            next_stage = []
-            for flow, kept in zip(stage, kept_counts):
-                p, d = _split_flow(flow, kept)
-                if p is not None:
-                    next_stage.append(p)
-                if d is not None:
-                    dropped.append(d)
-            stage = next_stage
+        if stage.pkts_total.sum() > budget:
+            stage, cut = _split_flows(
+                stage, _enforce_cap(stage.pkts_total, budget, rng))
+            cuts.append(cut)
 
-    passed.extend(stage)
-    return passed, dropped
+    return stage, FlowBatch.concat(cuts) if cuts else batch.take(slice(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +466,12 @@ def apply_mitigation(flows, mitigation, rng, flags=None, dt=1.0):
 # ---------------------------------------------------------------------------
 
 def source_attack_probability(window):
-    """Fraction of the recorded per-step anomaly flags that are set."""
-    if len(window) == 0:
+    """Fraction of the recorded per-step anomaly flags that are set, along
+    the last axis: one window, or one per row of a [sources, window] ring."""
+    window = np.asarray(window, dtype=bool)
+    if window.shape[-1] == 0:
         raise ValueError("empty anomaly window")
-    return sum(1 for flag in window if flag) / len(window)
+    return np.count_nonzero(window, axis=-1) / window.shape[-1]
 
 
 def blacklist_update(probabilities, tau_p, expiry_steps, now, blacklist):
@@ -412,13 +513,21 @@ class EnvParams:
     blacklist_expiry: int = 300
     flag_rate_threshold: float = 200.0
 
+    def __post_init__(self):
+        if self.source_window < 1:
+            raise ValueError("source_window must be >= 1")
+
 
 @dataclass
 class StepResult:
+    """One simulator step.  offered, passed and dropped are FlowBatches
+    over the env's sources; a batch iterates as FlowRecord rows, but the
+    packet tallies here are already summed from its columns."""
+
     step: int
-    offered: list
-    passed: list
-    dropped: list
+    offered: FlowBatch
+    passed: FlowBatch
+    dropped: FlowBatch
     features: np.ndarray    # one features_matrix row per offered flow
     flags: list
     offered_pkts: dict
@@ -438,10 +547,17 @@ class EdgeGatewayEnv:
 
     One instance per run, with no reset: a new run builds a new env, and
     (seed, config, action sequence) fully determines every observation and
-    ledger entry.  Each step's offered flows are
-    featurized once, into ``StepResult.features``; the injectable flagger
-    takes that matrix and returns one flag per row, so the detection
-    pipeline can drive the drop filter and the blacklist with model flags.
+    ledger entry.  Each step's offered flows are one FlowBatch, featurized
+    once, into ``StepResult.features``; the injectable flagger takes that
+    matrix and returns one flag per row, so the detection pipeline can
+    drive the drop filter and the blacklist with model flags.
+
+    Per source the env keeps the flags of the last ``source_window`` steps
+    (set when any of the source's flows was flagged) in a [sources, window]
+    boolean ring.  A source is tracked from the step it sends a flow until
+    its window holds no flag while it sends nothing and is not
+    blacklisted; a source seen again starts from an unflagged history, so
+    its attack probability always averages over the full window.
     """
 
     def __init__(self, traffic, seed, params=None, resources=None,
@@ -456,11 +572,17 @@ class EdgeGatewayEnv:
         self.step_index = 0
         self.mitigation = MitigationState()
         self.ledger = SustainabilityLedger(limits)
-        self.source_windows = {}
+        self.sources = source_names(traffic)
+        self._flag_ring = np.zeros((len(self.sources), self.params.source_window),
+                                   dtype=bool)
+        self._ring_pos = 0
+        self._tracked = np.zeros(len(self.sources), dtype=bool)
 
     def source_probabilities(self):
-        return {src: source_attack_probability(win)
-                for src, win in self.source_windows.items() if len(win) > 0}
+        """Attack probability of every tracked source, by name."""
+        probs = source_attack_probability(self._flag_ring)
+        return {self.sources[i]: float(probs[i])
+                for i in np.flatnonzero(self._tracked)}
 
     def _apply_action(self, action):
         m = self.mitigation
@@ -482,21 +604,18 @@ class EdgeGatewayEnv:
                              self.params.blacklist_expiry, self.step_index,
                              m.blacklist)
 
-    def _update_source_windows(self, offered, flags):
-        flagged_srcs = {}
-        for flow, flag in zip(offered, flags):
-            flagged_srcs[flow.src_id] = flagged_srcs.get(flow.src_id, False) or flag
-        maxlen = self.params.source_window
-        for src in set(self.source_windows) | set(flagged_srcs):
-            # a fresh source starts with an unflagged history so that its
-            # attack probability always averages over the full window
-            window = self.source_windows.setdefault(src, [False] * (maxlen - 1))
-            window.append(flagged_srcs.get(src, False))
-            if len(window) > maxlen:
-                del window[0]
-            if not any(window) and src not in flagged_srcs \
-                    and src not in self.mitigation.blacklist:
-                del self.source_windows[src]
+    def _update_source_windows(self, offered, flagged):
+        seen = np.zeros(len(self.sources), dtype=bool)
+        seen[offered.src] = True
+        hit = np.zeros(len(self.sources), dtype=bool)
+        hit[offered.src[flagged]] = True
+        # an untracked source's row is all False, as its history must be
+        self._flag_ring[:, self._ring_pos] = hit
+        self._ring_pos = (self._ring_pos + 1) % self._flag_ring.shape[1]
+        keep = self._flag_ring.any(axis=1)
+        if self.mitigation.blacklist:
+            keep |= _blacklisted(self.sources, self.mitigation.blacklist)
+        self._tracked = seen | (self._tracked & keep)
 
     def step(self, action=None, learning=False, buffer_fill=0.0):
         """Advance one dt: apply the action, generate and filter traffic,
@@ -514,24 +633,14 @@ class EdgeGatewayEnv:
         offered = generate_step_traffic(self.traffic, now, self.rng)
         features = features_matrix(offered)
         flags = self.flow_flagger(features)
+        flagged = np.asarray(flags, dtype=bool)
         passed, dropped = apply_mitigation(offered, self.mitigation, self.rng,
-                                           flags, self.traffic.dt)
-        self._update_source_windows(offered, flags)
+                                           flagged, self.traffic.dt)
+        self._update_source_windows(offered, flagged)
 
-        def pkt_counts(flows):
-            counts = {"benign": 0, "attack": 0}
-            for f in flows:
-                counts[f.label] += f.pkts_total
-            return counts
-
-        offered_pkts = {"benign": 0, "attack": 0}
-        offered_syn = offered_ack = 0
-        for f in offered:
-            offered_pkts[f.label] += f.pkts_total
-            offered_syn += f.syn_packets
-            offered_ack += f.ack_packets
-        passed_pkts = pkt_counts(passed)
-        dropped_pkts = pkt_counts(dropped)
+        offered_pkts = offered.pkts_by_label()
+        passed_pkts = passed.pkts_by_label()
+        dropped_pkts = dropped.pkts_by_label()
 
         dt = self.traffic.dt
         passed_pps = sum(passed_pkts.values()) / dt
@@ -550,8 +659,8 @@ class EdgeGatewayEnv:
             features=features,
             flags=flags,
             offered_pkts=offered_pkts,
-            offered_syn=offered_syn,
-            offered_ack=offered_ack,
+            offered_syn=int(offered.syn_packets.sum()),
+            offered_ack=int(offered.ack_packets.sum()),
             passed_pkts=passed_pkts,
             dropped_pkts=dropped_pkts,
             resource=resource,

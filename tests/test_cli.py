@@ -201,6 +201,27 @@ def test_config_section_of_wrong_type_names_the_key(tmp_path, capsys,
     assert key in err[0]
 
 
+@pytest.mark.parametrize("assignment, key", [
+    ("sustain.p_max_w=Infinity", "sustain.p_max_w"),
+    ("sustain.e_max_j=-Infinity", "sustain.e_max_j"),
+    ("hyper.gamma=NaN", "hyper.gamma"),
+    ("env.benign_rate=NaN", "env.benign_rate"),
+    ('env.attacks=[{"kind":"syn_flood","intensity":Infinity,"start_step":50,'
+     '"end_step":250}]', "env.attacks[0].intensity"),
+    ('env.attacks=[{"kind":"zero_day_mix","intensity":5000,"start_step":50,'
+     '"end_step":250,"jitter_range":[0,NaN]}]', "env.attacks[0].jitter_range"),
+])
+def test_non_finite_floats_are_one_config_error(tmp_path, capsys, assignment, key):
+    out = tmp_path / "x"
+    code = cli.main(["train", "--episodes", "0", "--quiet",
+                     "--out", str(out), "--set", assignment])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert key in err[0] and "finite" in err[0]
+    assert not (out / "config.json").exists()
+
+
 @pytest.mark.parametrize("assignment", [
     "seed=1.5",
     "episodes=true",
@@ -296,21 +317,24 @@ def test_diverged_warmup_prints_one_line_and_logs_critical(tmp_path, command):
     assert re.search(r"- CRITICAL: .*diverged", log)
 
 
-@pytest.mark.parametrize("lr, check", [
-    ("1e12", "non-finite TD loss"),
-    ("1e3", "non-finite Q values"),
+@pytest.mark.parametrize("overrides, check", [
+    pytest.param(["hyper.lr=1e12"], "non-finite TD loss",
+                 id="1e12-non-finite TD loss"),
+    # acting greedily from the start, the first update leaves weights whose
+    # next Q forward overflows: select_action fails before any TD loss does
+    pytest.param(["hyper.lr=1e110", "hyper.epsilon.initial=0"],
+                 "non-finite Q values", id="1e110-non-finite Q values"),
 ])
-def test_diverged_dqn_prints_one_line_and_logs_critical(tmp_path, lr, check):
-    # a subprocess, as above; lr=1e3 fails in select_action before any loss
-    # turns non-finite
+def test_diverged_dqn_prints_one_line_and_logs_critical(tmp_path, overrides, check):
+    # a subprocess, as above
     out = tmp_path / "run"
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    sets = [arg for o in overrides for arg in ("--set", o)]
     proc = subprocess.run(
         [sys.executable, "-m", "edgeids.cli", "train", "--quiet", "--out", str(out),
-         "--set", f"hyper.lr={lr}", "--set", "env.episode_len=300",
-         "--set", "episodes=1"],
+         *sets, "--set", "env.episode_len=300", "--set", "episodes=1"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         timeout=120)
     assert proc.returncode == cli.EXIT_RUNTIME

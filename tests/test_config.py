@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from edgeids import config as cfgmod
 from edgeids.config import ConfigError, default_config
@@ -96,3 +98,42 @@ def test_load_missing_file_is_config_error(tmp_path):
     listed.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="config must be a JSON object"):
         cfgmod.load(listed)
+
+
+def _positive_float_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _positive_float_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _positive_float_paths(value, path + (i,))
+    elif isinstance(node, float) and node > 0:
+        yield path
+
+
+@st.composite
+def valid_configs(draw):
+    """A default config with every positive float moved to an arbitrary
+    value within 10% below it (inside every field's valid range), and a
+    drawn seed, episode count, energy cap and schedule path."""
+    data = cfgmod.to_dict(default_config(draw(st.sampled_from(cfgmod.AGENT_KINDS))))
+    for path in list(_positive_float_paths(data)):
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(st.floats(0.9 * node[path[-1]], node[path[-1]]))
+    data["seed"] = draw(st.integers(0, 2 ** 32 - 1))
+    data["episodes"] = draw(st.integers(0, 50))
+    data["sustain"]["e_max_j"] = draw(st.none() | st.floats(1.0, 1e9))
+    data["sustain"]["kappa_schedule_file"] = draw(
+        st.none() | st.text(st.characters(codec="utf-8"), min_size=1, max_size=12))
+    return cfgmod.from_dict(data)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(valid_configs())
+def test_to_dict_from_dict_round_trips_exactly(cfg):
+    assert cfgmod.from_dict(cfgmod.to_dict(cfg)) == cfg
+    # the snapshot path: canonical JSON text and back
+    assert cfgmod.from_dict(json.loads(cfgmod.dumps(cfg))) == cfg

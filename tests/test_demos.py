@@ -14,6 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
     ("02_tabular_convergence.py", ["tabular_diagnostics.csv"]),
     ("08_epsilon_sweep.py", ["sweep_unsupervised.csv", "sweep_supervised.csv"]),
     ("01_neural_gradient_checks.py", []),
+    ("04_gateway_simulation.py", []),
+    ("09_feature_selection.py", ["selection_report.json", "flows.csv"]),
 ])
 def test_tabular_demo_runs(tmp_path, demo, outputs):
     src = str(Path(edgeids.__file__).resolve().parents[1])

@@ -1,6 +1,10 @@
+from collections import Counter
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from edgeids.agent import ActionId
@@ -9,6 +13,8 @@ from edgeids import gateway_env as env
 from edgeids.gateway_env import (
     AttackScenario,
     EdgeGatewayEnv,
+    EnvParams,
+    FlowBatch,
     FlowRecord,
     MitigationState,
     TrafficConfig,
@@ -64,7 +70,7 @@ def test_traffic_deterministic_for_seed():
     cfg = TrafficConfig(attacks=[default_syn_flood(start=0, end=5)])
     a = generate_step_traffic(cfg, 1, np.random.default_rng(42))
     b = generate_step_traffic(cfg, 1, np.random.default_rng(42))
-    assert a == b
+    assert list(a) == list(b)
 
 
 def test_flow_invariants_hold():
@@ -93,7 +99,7 @@ def test_attack_scenario_validation():
 def test_no_mitigation_is_identity():
     flows = [flow(pkts=10), flow(src="b001", pkts=20)]
     passed, dropped = apply_mitigation(flows, MitigationState(), np.random.default_rng(0))
-    assert passed == flows and dropped == []
+    assert list(passed) == flows and len(dropped) == 0
 
 
 def test_blacklist_drops_all_from_source():
@@ -149,7 +155,7 @@ def test_conservation_under_all_mitigations():
         assert total_pkts(passed) + total_pkts(dropped) == total_pkts(flows)
         bytes_sum = sum(f.bytes_total for f in passed) + sum(f.bytes_total for f in dropped)
         assert bytes_sum == sum(f.bytes_total for f in flows)
-        for f in passed + dropped:
+        for f in list(passed) + list(dropped):
             assert f.pkts_in + f.pkts_out == f.pkts_total
 
 
@@ -187,18 +193,109 @@ def mitigation_cases(draw):
 @given(mitigation_cases())
 def test_mitigation_conserves_and_caps_on_generated_inputs(case):
     flows, m, flags, dt, seed = case
-    passed, dropped = apply_mitigation(flows, m, np.random.default_rng(seed),
-                                       flags, dt)
+    passed, dropped = apply_mitigation(FlowBatch.from_records(flows), m,
+                                       np.random.default_rng(seed), flags, dt)
     for label in ("benign", "attack"):
         for attr in ("pkts_total", "bytes_total"):
             offered = sum(getattr(f, attr) for f in flows if f.label == label)
-            kept = sum(getattr(f, attr) for f in passed + dropped
+            kept = sum(getattr(f, attr) for f in list(passed) + list(dropped)
                        if f.label == label)
             assert kept == offered, (label, attr)
     if m.rate_cap is not None:
         assert total_pkts(passed) <= int(m.rate_cap * dt)
     if m.syn_cap is not None:
         assert sum(f.syn_packets for f in passed) <= int(m.syn_cap * dt)
+
+
+# per-flow reference: the mitigation semantics one FlowRecord at a time
+
+def reference_split(flow, kept_pkts):
+    if kept_pkts >= flow.pkts_total:
+        return flow, None
+    if kept_pkts <= 0:
+        return None, flow
+    kept_bytes = int(round(flow.bytes_total * kept_pkts / flow.pkts_total))
+    kept_bytes = min(max(kept_bytes, kept_pkts),
+                     flow.bytes_total - (flow.pkts_total - kept_pkts))
+    kept_in = int(round(flow.pkts_in * kept_pkts / flow.pkts_total))
+    kept_in = min(max(kept_in, kept_pkts - flow.pkts_out), flow.pkts_in, kept_pkts)
+    passed = replace(flow, pkts_total=kept_pkts, bytes_total=kept_bytes,
+                     pkts_in=kept_in, pkts_out=kept_pkts - kept_in)
+    rem = flow.pkts_total - kept_pkts
+    dropped = replace(flow, pkts_total=rem, bytes_total=flow.bytes_total - kept_bytes,
+                      pkts_in=flow.pkts_in - kept_in,
+                      pkts_out=flow.pkts_out - (kept_pkts - kept_in))
+    return passed, dropped
+
+
+def reference_cap(counts, cap, rng):
+    kept = rng.multivariate_hypergeometric(np.asarray(counts, dtype=np.int64),
+                                           int(cap), method="marginals")
+    return [int(k) for k in kept]
+
+
+def reference_mitigation(flows, mitigation, rng, flags, dt):
+    passed, dropped, stage = [], [], []
+    for flow, flagged in zip(flows, flags, strict=True):
+        if flow.src_id in mitigation.blacklist:
+            dropped.append(flow)
+        elif mitigation.drop_filter_active and flagged:
+            dropped.append(flow)
+        else:
+            stage.append(flow)
+    if mitigation.syn_cap is not None and stage:
+        syn_counts = [f.syn_packets for f in stage]
+        budget = int(mitigation.syn_cap * dt)
+        if sum(syn_counts) > budget:
+            kept_syn = reference_cap(syn_counts, budget, rng)
+            next_stage = []
+            for flow, syn, kept in zip(stage, syn_counts, kept_syn):
+                p, d = reference_split(flow, flow.pkts_total - (syn - kept))
+                if p is not None:
+                    if syn > kept and flow.flags & env.FLAG_ACK:
+                        p = replace(p, flags=p.flags & ~env.FLAG_SYN)
+                    next_stage.append(p)
+                if d is not None:
+                    dropped.append(d)
+            stage = next_stage
+    if mitigation.rate_cap is not None and stage:
+        counts = [f.pkts_total for f in stage]
+        budget = int(mitigation.rate_cap * dt)
+        if sum(counts) > budget:
+            next_stage = []
+            for flow, kept in zip(stage, reference_cap(counts, budget, rng)):
+                p, d = reference_split(flow, kept)
+                if p is not None:
+                    next_stage.append(p)
+                if d is not None:
+                    dropped.append(d)
+            stage = next_stage
+    passed.extend(stage)
+    return passed, dropped
+
+
+def per_source_and_label(flows):
+    sums = Counter()
+    for f in flows:
+        sums[f.src_id, f.label, "pkts"] += f.pkts_total
+        sums[f.src_id, f.label, "bytes"] += f.bytes_total
+    return sums
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mitigation_cases())
+def test_batch_mitigation_matches_per_flow_reference(case):
+    flows, m, flags, dt, seed = case
+    passed, dropped = apply_mitigation(FlowBatch.from_records(flows), m,
+                                       np.random.default_rng(seed), flags, dt)
+    ref_passed, ref_dropped = reference_mitigation(
+        flows, m, np.random.default_rng(seed), flags, dt)
+    assert per_source_and_label(passed) == per_source_and_label(ref_passed)
+    assert per_source_and_label(dropped) == per_source_and_label(ref_dropped)
+    # the same fragments, flags included, in the same order
+    assert list(passed) == ref_passed
+    assert list(dropped) == ref_dropped
 
 
 def test_mitigation_monotone_attack_packets():
@@ -254,6 +351,121 @@ def test_blacklist_expiry_in_env():
     e.step(None)   # step 1
     e.step(None)   # step 2: expiry 2 <= 2, removed
     assert "ghost" not in e.mitigation.blacklist
+
+
+class ReferenceWindows:
+    """Per-source flag windows as a dict of lists, one flow at a time."""
+
+    def __init__(self, maxlen):
+        self.maxlen = maxlen
+        self.windows = {}
+
+    def update(self, flows, flags, blacklist):
+        flagged_srcs = {}
+        for flow, flag in zip(flows, flags):
+            flagged_srcs[flow.src_id] = flagged_srcs.get(flow.src_id, False) or flag
+        for src in set(self.windows) | set(flagged_srcs):
+            # a fresh source starts with an unflagged history
+            window = self.windows.setdefault(src, [False] * (self.maxlen - 1))
+            window.append(flagged_srcs.get(src, False))
+            if len(window) > self.maxlen:
+                del window[0]
+            if not any(window) and src not in flagged_srcs and src not in blacklist:
+                del self.windows[src]
+
+    def probabilities(self):
+        return {src: sum(win) / len(win) for src, win in self.windows.items()}
+
+
+WINDOW_TRAFFIC = TrafficConfig(benign_sources=4, episode_len=60, attacks=[
+    AttackScenario("syn_flood", 100.0, 0, 5, n_sources=3)])
+N_WINDOW_SOURCES = 7
+
+
+def one_packet_flows(sources, ids):
+    """A batch of one-packet flows from the given source ids."""
+    n = len(ids)
+    ones, zeros = np.ones(n, np.int64), np.zeros(n, np.int64)
+    return FlowBatch(sources, np.asarray(ids, dtype=np.intp), ones, ones,
+                     np.ones(n), ones, zeros, zeros, np.zeros(n, np.int8),
+                     np.zeros(n, np.int8))
+
+
+def window_steps():
+    """Per step: (source index, flagged) of each flow, and whether the
+    step's action is SOURCE_FILTER."""
+    flows = st.lists(st.tuples(st.integers(0, N_WINDOW_SOURCES - 1), st.booleans()),
+                     max_size=8)
+    return st.lists(st.tuples(flows, st.booleans()), max_size=30)
+
+
+def run_window_steps(steps, window, expiry, tau_p):
+    """Drives an env through the steps with the given flows and flags and
+    checks its source probabilities and blacklist against the reference
+    after every step."""
+    params = EnvParams(tau_p=tau_p, source_window=window, blacklist_expiry=expiry)
+    batches, flag_lists = [], []
+    e = EdgeGatewayEnv(WINDOW_TRAFFIC, seed=0, params=params,
+                       flow_flagger=lambda features: flag_lists[e.step_index])
+    assert len(e.sources) == N_WINDOW_SOURCES
+    ref, ref_blacklist = ReferenceWindows(window), {}
+    with mock.patch.object(env, "generate_step_traffic",
+                           lambda config, step, rng: batches[step]):
+        for now, (flows, source_filter) in enumerate(steps):
+            batches.append(one_packet_flows(e.sources, [i for i, _ in flows]))
+            flag_lists.append([flag for _, flag in flows])
+            for src in [s for s, exp in ref_blacklist.items() if exp <= now]:
+                del ref_blacklist[src]
+            if source_filter:
+                blacklist_update(ref.probabilities(), tau_p, expiry, now,
+                                 ref_blacklist)
+            res = e.step(ActionId.SOURCE_FILTER if source_filter else None)
+            ref.update(list(batches[-1]), flag_lists[-1], ref_blacklist)
+            assert res.mitigation.blacklist == ref_blacklist
+            assert e.source_probabilities() == ref.probabilities()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(window_steps(), st.integers(1, 6), st.integers(1, 8),
+       st.floats(0.05, 0.95))
+# a flagged source goes quiet, is forgotten, and comes back unflagged
+@example([([(0, True)], False)] + [([], False)] * 3 + [([(0, False)], False)],
+         3, 5, 0.5)
+# a blacklisted source keeps its window after its flags have left it
+@example([([(4, True)], False)] * 2 + [([], True)] + [([], False)] * 4,
+         2, 6, 0.5)
+def test_source_ring_matches_dict_of_lists_reference(steps, window, expiry, tau_p):
+    run_window_steps(steps, window, expiry, tau_p)
+
+
+def test_source_window_rules():
+    e = EdgeGatewayEnv(WINDOW_TRAFFIC, seed=0,
+                       params=EnvParams(source_window=4, blacklist_expiry=3))
+    e.flow_flagger = lambda features: [True] * len(features)
+    one = one_packet_flows(e.sources, [e.sources.index("a001")])
+    none = one.take(slice(0, 0))
+    with mock.patch.object(env, "generate_step_traffic",
+                           lambda config, step, rng: [one, one, none, none,
+                                                      none, none, none][step]):
+        e.step(None)
+        # a fresh source averages its first flag over the full window
+        assert e.source_probabilities() == {"a001": 0.25}
+        e.step(None)
+        e.step(ActionId.SOURCE_FILTER)   # 2/4 is not above tau_p = 0.5
+        assert e.mitigation.blacklist == {}
+        e.mitigation.blacklist["a001"] = 6
+        for _ in range(3):
+            e.step(None)
+        # its flags have left the window; the blacklist keeps it tracked
+        assert e.source_probabilities() == {"a001": 0.0}
+        e.step(None)     # expired at step 6: forgotten
+        assert e.source_probabilities() == {}
+
+
+def test_source_window_must_be_positive():
+    with pytest.raises(ValueError):
+        EnvParams(source_window=0)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +568,25 @@ def test_rate_flagger_matches_per_flow_rule(flows, threshold):
     flags = rate_threshold_flagger(threshold)(features_matrix(flows))
     assert flags == [f.pkts_total / max(f.duration, 1e-3) > threshold
                      for f in flows]
+
+
+def reference_features(f):
+    """The feature row of one flow, computed field by field."""
+    duration = f.duration if f.duration >= 1e-3 else 1e-3
+    return [float(f.pkts_total), float(f.bytes_total), float(f.duration),
+            f.pkts_total / duration, float(f.pkts_in), float(f.pkts_out),
+            f.bytes_total / f.pkts_total if f.pkts_total > 0 else 0.0,
+            sum(w for bit, w in ((1, 1.0), (2, 2.0), (4, 4.0), (8, 8.0))
+                if f.flags & bit)]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(flow_records(), max_size=30))
+def test_features_matrix_matches_per_flow_reference(flows):
+    rows = features_matrix(FlowBatch.from_records(flows))
+    assert rows.shape == (len(flows), 8)
+    assert rows.tolist() == [reference_features(f) for f in flows]
 
 
 def test_env_deterministic_trajectory():

@@ -7,7 +7,7 @@ from edgeids import neural
 from edgeids import pipeline as pl
 from edgeids.agent import ActionId
 from edgeids.config import default_config
-from edgeids.gateway_env import AttackScenario, EdgeGatewayEnv
+from edgeids.gateway_env import AttackScenario, EdgeGatewayEnv, FlowRecord
 
 
 def quick_config(agent="deepedge", **kw):
@@ -239,13 +239,19 @@ def test_flow_flag_runs_once_per_env_step(monkeypatch):
     assert len(calls) == cfg.episodes * cfg.env.episode_len
 
 
-def test_each_offered_flow_is_featurized_once(monkeypatch):
+def test_hot_path_builds_no_flow_records(monkeypatch):
+    """Warm-up and training work on FlowBatch columns only: no FlowRecord
+    row is built and no flow is featurized on its own."""
     cfg = quick_config(episodes=1, episode_len=200)
-    calls, offered = [], []
-    extract, step = ft.extract_features, EdgeGatewayEnv.step
+    records, extracts, offered = [], [], []
+    init, extract, step = FlowRecord.__init__, ft.extract_features, EdgeGatewayEnv.step
+
+    def counted_init(self, *args, **kwargs):
+        records.append(1)
+        init(self, *args, **kwargs)
 
     def counted_extract(flow):
-        calls.append(1)
+        extracts.append(1)
         return extract(flow)
 
     def counted_step(self, *args, **kwargs):
@@ -253,13 +259,15 @@ def test_each_offered_flow_is_featurized_once(monkeypatch):
         offered.append(len(result.offered))
         return result
 
+    monkeypatch.setattr(FlowRecord, "__init__", counted_init)
     monkeypatch.setattr(ft, "extract_features", counted_extract)
     monkeypatch.setattr(EdgeGatewayEnv, "step", counted_step)
     pipe = pl.DrlPipeline(cfg)
     pipe.warmup()
     pipe.train()
     assert len(offered) == cfg.warmup.steps + cfg.env.episode_len
-    assert len(calls) == sum(offered) > 0
+    assert sum(offered) > 0
+    assert len(records) == 0 and len(extracts) == 0
 
 
 def test_target_net_forward_once_per_update(monkeypatch):
