@@ -12,6 +12,7 @@ for the convergence checks, tabular training and the exploration sweep.
 from __future__ import annotations
 
 import csv
+import mmap
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple
@@ -42,56 +43,67 @@ class ActionId(IntEnum):
 N_ACTIONS = len(ActionId)
 
 
-@dataclass
-class Transition:
-    """One (s, a, r, s') sample with its full reward breakdown."""
+class Minibatch(NamedTuple):
+    """Transitions as columns, one row each: the replay ring and its samples."""
 
-    s: object
-    a: ActionId
-    r: float
-    s_next: object
-    step_index: int
-    r_breakdown: object = None
-    terminal: bool = False
+    states: np.ndarray      # [B, d]
+    actions: np.ndarray     # [B] action ids
+    rewards: np.ndarray     # [B]
+    carbon_g: np.ndarray    # [B] step carbon in grams
+    terminal: np.ndarray    # [B] bool
+    s_next: np.ndarray      # [B, d]
 
-    def __post_init__(self):
-        if not np.isfinite(self.r):
-            raise ValueError("transition reward must be finite")
+
+def _mapped_zeros(shape, dtype=float):
+    """A zeroed array in its own anonymous memory map.  Its pages cost RSS
+    only once written, and freeing it skips malloc: a freed multi-MB malloc
+    block raises glibc's mmap threshold, and with it later peak RSS."""
+    dtype = np.dtype(dtype)
+    size = int(np.prod(shape)) * dtype.itemsize
+    return np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
 
 
 class ReplayBuffer:
-    """Bounded ring of transitions with strictly oldest-first eviction."""
+    """Bounded ring of transitions kept as Minibatch columns, with strictly
+    oldest-first eviction.  Row k of the stream lives in slot k % capacity;
+    the zeroed rows are allocated on the first store, shaped like its s."""
 
     def __init__(self, capacity=50_000, batch_size=64):
         if capacity < 1 or batch_size < 1:
             raise ValueError("capacity and batch_size must be positive")
         self.capacity = capacity
         self.batch_size = batch_size
-        self._items = []
-        self._pos = 0
+        self._columns = None
+        self._stored = 0  # rows ever stored
 
     def __len__(self):
-        return len(self._items)
+        return min(self._stored, self.capacity)
 
-    def store(self, transition):
-        if len(self._items) < self.capacity:
-            self._items.append(transition)
-        else:
-            self._items[self._pos] = transition
-            self._pos = (self._pos + 1) % self.capacity
+    def store(self, s, a, r, s_next, carbon_g=0.0, terminal=False):
+        if not np.isfinite(r):
+            raise ValueError("transition reward must be finite")
+        if self._columns is None:
+            n, state_shape = self.capacity, (self.capacity, *np.shape(s))
+            self._columns = Minibatch(
+                _mapped_zeros(state_shape), _mapped_zeros(n, int), _mapped_zeros(n),
+                _mapped_zeros(n), _mapped_zeros(n, bool), _mapped_zeros(state_shape))
+        slot = self._stored % self.capacity
+        for column, value in zip(self._columns, (s, a, r, carbon_g, terminal, s_next)):
+            column[slot] = value
+        self._stored += 1
 
     def snapshot(self):
-        """Contents oldest to newest (for inspection and tests)."""
-        return self._items[self._pos:] + self._items[:self._pos]
+        """Stored rows oldest to newest (for inspection and tests)."""
+        idx = np.arange(self._stored - len(self), self._stored) % self.capacity
+        return Minibatch._make(column[idx] for column in self._columns)
 
     def sample_minibatch(self, rng):
-        """Uniform sampling with replacement; needs at least batch_size items."""
-        if len(self._items) < self.batch_size:
+        """Uniform sampling with replacement; needs at least batch_size rows."""
+        if len(self) < self.batch_size:
             raise InsufficientData(
-                f"buffer holds {len(self._items)} < batch size {self.batch_size}"
-            )
-        idx = rng.integers(0, len(self._items), size=self.batch_size)
-        return [self._items[i] for i in idx]
+                f"buffer holds {len(self)} < batch size {self.batch_size}")
+        idx = rng.integers(0, len(self), size=self.batch_size)
+        return Minibatch._make(column[idx] for column in self._columns)
 
 
 @dataclass
@@ -211,42 +223,13 @@ def select_action(q, s, epsilon, rng):
     return ActionId(int(np.argmax(values)))
 
 
-class Minibatch(NamedTuple):
-    """Sampled transitions as stacked columns, one row per transition."""
-
-    states: np.ndarray      # [B, d]
-    actions: np.ndarray     # [B] action ids
-    rewards: np.ndarray     # [B]
-    carbon_g: np.ndarray    # [B] step carbon, 0 where no breakdown was stored
-    terminal: np.ndarray    # [B] bool
-    s_next: np.ndarray      # [B, d]
-
-
-def stack_minibatch(transitions):
-    """One pass over the transitions into a Minibatch."""
-    if not transitions:
-        raise ValueError("batch must be nonempty")
-    states, actions, rewards, carbon, terminal, s_next = [], [], [], [], [], []
-    for t in transitions:
-        states.append(t.s)
-        actions.append(int(t.a))
-        rewards.append(t.r)
-        carbon.append(0.0 if t.r_breakdown is None
-                      else t.r_breakdown.components.carbon_g)
-        terminal.append(t.terminal)
-        s_next.append(t.s_next)
-    return Minibatch(np.array(states, dtype=float), np.array(actions),
-                     np.array(rewards, dtype=float), np.array(carbon, dtype=float),
-                     np.array(terminal, dtype=bool), np.array(s_next, dtype=float))
-
-
 def td_targets(batch, q_target, gamma, carbon_weight=0.0):
     """r + gamma * max_a Q_target(s', a) per row of a Minibatch, with r
     alone at episode boundaries; one target-network forward for the batch.
 
     carbon_weight > 0 subtracts a scalar penalty proportional to each
-    step's raw carbon emission (taken from the stored reward breakdown),
-    realizing the carbon-weighted update as a target-side penalty.
+    step's raw carbon emission (the carbon_g column), realizing the
+    carbon-weighted update as a target-side penalty.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -258,24 +241,23 @@ def td_targets(batch, q_target, gamma, carbon_weight=0.0):
 
 
 def q_update_network(q, batch, q_target, gamma, lr, carbon_weight=0.0):
-    """One SGD step on the mean squared TD error of a list of transitions.
+    """One SGD step on the mean squared TD error of a Minibatch.
 
     Only the taken action's output contributes per sample.  Returns
     (loss_before_step, td_errors).
     """
-    mb = stack_minibatch(batch)
-    rows = np.arange(len(batch))
+    rows = np.arange(len(batch.rewards))
     # a diverged network overflows here; the finite-loss check fails it
     with np.errstate(over="ignore", invalid="ignore"):
-        targets = td_targets(mb, q_target, gamma, carbon_weight)
-        out, caches = stack_forward(q.layers, mb.states)
-        td_errors = out[rows, mb.actions] - targets
+        targets = td_targets(batch, q_target, gamma, carbon_weight)
+        out, caches = stack_forward(q.layers, batch.states)
+        td_errors = out[rows, batch.actions] - targets
         loss = float(np.mean(td_errors ** 2))
         if not np.isfinite(loss):
             raise Diverged("non-finite TD loss")
 
         d_out = np.zeros_like(out)
-        d_out[rows, mb.actions] = 2.0 * td_errors / len(batch)
+        d_out[rows, batch.actions] = 2.0 * td_errors / len(rows)
         grads, _ = stack_backward(q.layers, caches, d_out)
         for layer, (dw, db) in zip(q.layers, grads):
             layer.w -= lr * dw

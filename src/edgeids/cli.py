@@ -165,6 +165,11 @@ def cmd_train(args):
         logger.log(POLICY, "Episode %d: reward %.1f, suppression %.3f, updates %d, "
                    "TD loss %.4g", stats.episode, stats.reward_total,
                    stats.detection_rate, stats.updates, stats.td_loss_mean)
+    ceiling = pl.td_loss_ceiling(cfg)
+    blown_up = [s.episode for s in outcome.episode_stats if s.td_loss_mean > ceiling]
+    if blown_up:
+        logger.warning("TD loss above its bound (2B)^2 = %.4g in episodes %s: "
+                       "the DQN is blowing up; lower hyper.lr", ceiling, blown_up)
     if violations:
         logger.log(logging.CRITICAL, "Sustainability bounds violated %d times",
                    len(violations))
@@ -177,6 +182,7 @@ def cmd_train(args):
         "final_suppression": outcome.episode_stats[-1].detection_rate,
         "cumulative_energy_j": sum(l.cumulative_energy_j for l in outcome.ledgers),
         "cumulative_carbon_g": sum(l.cumulative_carbon_g for l in outcome.ledgers),
+        "td_loss_over_bound_episodes": blown_up,
     })
     logger.log(SUCCESS, "Training complete: checkpoint and metrics written to %s", out)
     return EXIT_OK

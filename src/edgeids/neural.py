@@ -256,6 +256,8 @@ class LstmParams:
             raise ValueError("w must be 2-D with a multiple of 4 rows")
         if self.b.shape != (self.w.shape[0],):
             raise ValueError("b needs one entry per row of w")
+        if not (np.isfinite(self.w).all() and np.isfinite(self.b).all()):
+            raise ValueError("non-finite LSTM parameters")
 
     @property
     def hidden_dim(self):
@@ -311,6 +313,8 @@ class LstmClassifier:
         if self.window_len < 1:
             raise ValueError("window_len must be >= 1")
         self.head_b = np.asarray(self.head_b, dtype=float)
+        if not (np.isfinite(self.head_w).all() and np.isfinite(self.head_b).all()):
+            raise ValueError("non-finite classifier head")
 
     def classify(self, window):
         """Attack probability in (0, 1) for a [T, input_dim] window."""
@@ -625,14 +629,42 @@ def _read_dense_stack(reader, section):
     return layers
 
 
+def _read_model(reader, kind):
+    meta = {}
+    while reader.peek() is not None and reader.peek().startswith("meta "):
+        _, key, value = reader.next().split()
+        meta[key] = int(value)
+    if kind == "autoencoder":
+        encoder = _read_dense_stack(reader, "encoder")
+        decoder = _read_dense_stack(reader, "decoder")
+        return AutoencoderModel(encoder, decoder, meta["input_dim"], meta["latent_dim"])
+    if kind == "lstm_classifier":
+        spec = reader.next().split()
+        if len(spec) != 3 or spec[0] != "lstm":
+            raise CheckpointError("malformed lstm header")
+        hidden, inp = int(spec[1]), int(spec[2])
+        w = np.concatenate([_read_array(reader, f"w_{g}", (hidden, inp + hidden))
+                            for g in LSTM_GATES])
+        b = np.concatenate([_read_array(reader, f"b_{g}", (hidden,))
+                            for g in LSTM_GATES])
+        head_w = _read_array(reader, "head_w", (hidden,))
+        head_b = _read_array(reader, "head_b", ())
+        return LstmClassifier(LstmParams(w, b), head_w, head_b, meta["window_len"])
+    if kind == "dense_stack":
+        return _read_dense_stack(reader, "layers")
+    raise CheckpointError(f"unknown model kind {kind!r}")
+
+
 def load_checkpoint(path):
-    """Read a checkpoint file; raises CheckpointError on any defect."""
-    with open(path, "r", encoding="ascii") as f:
+    """Read a checkpoint file; raises CheckpointError on any defect, naming
+    the model it was reading."""
+    # a non-ASCII byte reads as U+FFFD, which no number or keyword matches
+    with open(path, "r", encoding="ascii", errors="replace") as f:
         reader = _LineReader(f.read())
     head = reader.next().split()
     if len(head) != 2 or head[0] != CHECKPOINT_TAG:
         raise CheckpointError("not a checkpoint file")
-    if int(head[1]) != CHECKPOINT_VERSION:
+    if head[1] != str(CHECKPOINT_VERSION):
         raise CheckpointError(f"unsupported checkpoint version {head[1]}")
     models = {}
     while (line := reader.peek()) is not None and line.strip() != "end":
@@ -640,34 +672,12 @@ def load_checkpoint(path):
         if len(fields) != 3 or fields[0] != "model":
             raise CheckpointError(f"malformed model header {line[:40]!r}")
         name, kind = fields[1], fields[2]
-        meta = {}
-        while reader.peek() is not None and reader.peek().startswith("meta "):
-            _, key, value = reader.next().split()
-            meta[key] = int(value)
-        if kind == "autoencoder":
-            encoder = _read_dense_stack(reader, "encoder")
-            decoder = _read_dense_stack(reader, "decoder")
-            models[name] = AutoencoderModel(
-                encoder, decoder, meta["input_dim"], meta["latent_dim"]
-            )
-        elif kind == "lstm_classifier":
-            spec = reader.next().split()
-            if len(spec) != 3 or spec[0] != "lstm":
-                raise CheckpointError("malformed lstm header")
-            hidden, inp = int(spec[1]), int(spec[2])
-            w = np.concatenate([_read_array(reader, f"w_{g}", (hidden, inp + hidden))
-                                for g in LSTM_GATES])
-            b = np.concatenate([_read_array(reader, f"b_{g}", (hidden,))
-                                for g in LSTM_GATES])
-            head_w = _read_array(reader, "head_w", (hidden,))
-            head_b = _read_array(reader, "head_b", ())
-            models[name] = LstmClassifier(
-                LstmParams(w, b), head_w, head_b, meta["window_len"]
-            )
-        elif kind == "dense_stack":
-            models[name] = _read_dense_stack(reader, "layers")
-        else:
-            raise CheckpointError(f"unknown model kind {kind!r}")
+        try:
+            models[name] = _read_model(reader, kind)
+        except KeyError as exc:
+            raise CheckpointError(f"model {name!r}: missing meta {exc.args[0]}") from exc
+        except (CheckpointError, IndexError, ValueError) as exc:
+            raise CheckpointError(f"model {name!r}: {exc}") from exc
     if line is None:
         raise CheckpointError("truncated checkpoint file (missing end marker)")
     return models

@@ -21,11 +21,11 @@ import numpy as np
 from . import agent as ag
 from . import features as ft
 from . import neural
-from .agent import ReplayBuffer, Transition
 from .config import ExperimentConfig
 from .evaluation import ConfusionCounts, roc_auc
 from .gateway_env import EdgeGatewayEnv, TrafficConfig
-from .sustain import KappaProvider, RewardComponents, compute_reward
+from .sustain import (KappaProvider, RewardComponents, compute_reward,
+                      load_kappa_schedule)
 
 RATE_SCALE = 5000.0     # state scaling so Q-net inputs sit near [0, 1]
 SCORE_SCALE = 10.0      # anomaly score enters as min(a_s / tau, SCORE_SCALE)
@@ -358,6 +358,17 @@ class TrainOutcome:
     q_updates: int
 
 
+def td_loss_ceiling(cfg):
+    """(2B)^2: B = reward_bound(c_cap) / (1 - gamma) + carbon_weight * c_cap,
+    with c_cap = kappa_max * p_max * dt, bounds every return and TD target,
+    so a larger mean squared TD error means a DQN blowing up while finite."""
+    limits = cfg.sustain.ledger_limits()
+    c_cap = limits.kappa_max * limits.p_max * cfg.env.dt
+    bound = (cfg.sustain.weights.reward_bound(c_cap) / (1.0 - cfg.hyper.gamma)
+             + cfg.hyper.carbon_weight * c_cap)
+    return (2.0 * bound) ** 2
+
+
 @dataclass
 class EvalOutcome:
     confusion: ConfusionCounts        # step-level alert vs ground truth
@@ -439,6 +450,9 @@ class DrlPipeline:
         self.classifier = None
         self.q_net = None
         self._classifier_updates = 0
+        kappa_file = cfg.sustain.kappa_schedule_file
+        # read once, so a bad file fails before the warm-up
+        self._kappa_schedule = load_kappa_schedule(kappa_file) if kappa_file else None
 
     # -- model plumbing ----------------------------------------------------
 
@@ -516,7 +530,7 @@ class DrlPipeline:
         self.q_net = ag.qnetwork_init(self.state_dim(), init_rng,
                                       hidden=tuple(cfg.neural.q_hidden))
         target_net = self.q_net.copy()
-        buffer = ReplayBuffer(cfg.hyper.buffer_capacity, cfg.hyper.batch_size)
+        buffer = ag.ReplayBuffer(cfg.hyper.buffer_capacity, cfg.hyper.batch_size)
         action_rng = np.random.default_rng(cfg.seed + 15485863)
         epsilon = cfg.hyper.epsilon.start_probability()
 
@@ -556,11 +570,9 @@ class DrlPipeline:
                 cpu_sum += step.result.resource.cpu_pct
 
                 if step.action is not None:
-                    buffer.store(Transition(
-                        s=prev.state(), a=step.action, r=step.reward.total,
-                        s_next=step.state(), step_index=step.t,
-                        r_breakdown=step.reward,
-                        terminal=step.t == cfg.env.episode_len - 1))
+                    buffer.store(prev.state(), step.action, step.reward.total,
+                                 step.state(), step.reward.components.carbon_g,
+                                 terminal=step.t == cfg.env.episode_len - 1)
                     if len(buffer) >= cfg.hyper.batch_size:
                         q_updates += 1
                         episode_updates += 1
@@ -649,15 +661,9 @@ class DrlPipeline:
                               params=self.cfg.env.env_params(),
                               resources=self.cfg.resources,
                               limits=self.cfg.sustain.ledger_limits(),
-                              kappa=self._kappa(),
+                              kappa=KappaProvider(self.cfg.sustain.kappa_g_per_j(),
+                                                  self._kappa_schedule),
                               flow_flagger=self.detector.flow_flag)
-
-    def _kappa(self):
-        from .sustain import load_kappa_schedule
-        schedule = None
-        if self.cfg.sustain.kappa_schedule_file:
-            schedule = load_kappa_schedule(self.cfg.sustain.kappa_schedule_file)
-        return KappaProvider(self.cfg.sustain.kappa_g_per_j(), schedule)
 
 
 def rollout(pipeline, seed, traffic=None, policy=None):

@@ -254,17 +254,24 @@ def write_ledger_csv(path, ledgers, episode_len=0):
 
 
 def load_kappa_schedule(path):
-    """CSV with columns step,kappa_g_per_joule -> {step: kappa}."""
+    """CSV with columns step,kappa_g_per_joule -> {step: kappa}; a bad value
+    or a kappa not finite and >= 0 raises ValueError naming file and line."""
     schedule = {}
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
-        if reader.fieldnames is None or \
-                not {"step", "kappa_g_per_joule"} <= set(reader.fieldnames):
-            raise ValueError("kappa schedule needs step,kappa_g_per_joule columns")
-        for row in reader:
-            schedule[int(row["step"])] = float(row["kappa_g_per_joule"])
+        try:
+            if not {"step", "kappa_g_per_joule"} <= set(reader.fieldnames or ()):
+                raise ValueError("needs step,kappa_g_per_joule columns")
+            for row in reader:
+                kappa = float(row["kappa_g_per_joule"])
+                if not (np.isfinite(kappa) and kappa >= 0):
+                    raise ValueError(f"kappa {kappa} must be finite and >= 0")
+                schedule[int(row["step"])] = kappa
+        except (csv.Error, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"kappa schedule {path}, line {reader.line_num}: {exc}") from exc
     if not schedule:
-        raise ValueError("empty kappa schedule")
+        raise ValueError(f"empty kappa schedule {path}")
     return schedule
 
 
@@ -274,7 +281,6 @@ class KappaProvider:
     def __init__(self, default_g_per_j, schedule=None):
         if default_g_per_j < 0:
             raise ValueError("carbon intensity must be >= 0")
-        self.default = default_g_per_j
         self.schedule = schedule or {}
         self._last = default_g_per_j
 

@@ -1,4 +1,4 @@
-from types import SimpleNamespace
+from collections import deque
 
 import numpy as np
 import pytest
@@ -11,8 +11,8 @@ from edgeids.agent import (
     AgentHyperparams,
     EpsilonSchedule,
     InsufficientData,
+    Minibatch,
     ReplayBuffer,
-    Transition,
     decay_epsilon,
     empirical_contraction_ratio,
     lyapunov_distance,
@@ -21,14 +21,28 @@ from edgeids.agent import (
     random_mdp,
     robbins_monro_eta,
     select_action,
-    stack_minibatch,
     td_targets,
     toy_mdp,
 )
 
 
-def make_transition(s, a, r, s_next, step=0, terminal=False):
-    return Transition(s, a, r, s_next, step, terminal=terminal)
+def transition(s, a, r, s_next, carbon_g=0.0, terminal=False):
+    """One transition in ReplayBuffer.store's argument order."""
+    return s, a, r, s_next, carbon_g, terminal
+
+
+def minibatch(transitions):
+    """The Minibatch whose rows are the given transitions, in order."""
+    s, a, r, s_next, carbon_g, terminal = zip(*transitions)
+    return Minibatch(np.array(s, dtype=float), np.array(a, dtype=int),
+                     np.array(r, dtype=float), np.array(carbon_g, dtype=float),
+                     np.array(terminal, dtype=bool), np.array(s_next, dtype=float))
+
+
+def assert_batch_is(batch, transitions):
+    for got, want in zip(batch, minibatch(transitions), strict=True):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 class FixedQ:
@@ -45,7 +59,7 @@ class FixedQ:
 
 
 def batch_targets(transitions, q_target, gamma, carbon_weight=0.0):
-    return td_targets(stack_minibatch(transitions), q_target, gamma, carbon_weight)
+    return td_targets(minibatch(transitions), q_target, gamma, carbon_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +111,12 @@ def test_select_action_rejects_bad_inputs():
 
 def test_buffer_grows_then_evicts_oldest():
     buf = ReplayBuffer(capacity=50_000, batch_size=64)
-    buf.store(make_transition(0, ActionId.RATE_LIMIT, 0.0, 1, step=0))
+    buf.store(0, ActionId.RATE_LIMIT, 0.0, 1)
     assert len(buf) == 1
     for k in range(1, 50_001):
-        buf.store(make_transition(k, ActionId.RATE_LIMIT, 0.0, k + 1, step=k))
+        buf.store(k, ActionId.RATE_LIMIT, 0.0, k + 1)
     assert len(buf) == 50_000
-    survivors = [t.step_index for t in buf.snapshot()]
+    survivors = buf.snapshot().states
     assert survivors[0] == 1 and survivors[-1] == 50_000  # step 0 evicted
 
 
@@ -111,45 +125,74 @@ def test_buffer_survivors_keep_insertion_order():
     buf = ReplayBuffer(capacity=16, batch_size=4)
     reference = []
     for k in range(200):
-        t = make_transition(k, ActionId.BLOCK_ANOMALOUS, 0.0, k + 1, step=k)
-        buf.store(t)
+        buf.store(k, ActionId.BLOCK_ANOMALOUS, 0.0, k + 1)
         reference.append(k)
         if len(reference) > 16:
             reference.pop(0)
         if rng.random() < 0.3:
-            assert [t.step_index for t in buf.snapshot()] == reference
+            snap = buf.snapshot()
+            assert snap.states.tolist() == reference
+            assert snap.s_next.tolist() == [v + 1 for v in reference]
 
 
 def test_sampling_requires_full_batch():
     buf = ReplayBuffer(capacity=100, batch_size=64)
     for k in range(63):
-        buf.store(make_transition(k, ActionId.RATE_LIMIT, 0.0, k + 1, step=k))
+        buf.store(k, ActionId.RATE_LIMIT, 0.0, k + 1)
     with pytest.raises(InsufficientData):
         buf.sample_minibatch(np.random.default_rng(0))
-    buf.store(make_transition(63, ActionId.RATE_LIMIT, 0.0, 64, step=63))
+    buf.store(63, ActionId.RATE_LIMIT, 0.0, 64)
     batch = buf.sample_minibatch(np.random.default_rng(0))
-    members = {t.step_index for t in buf.snapshot()}
-    assert len(batch) == 64
-    assert all(t.step_index in members for t in batch)
+    assert len(batch.rewards) == 64
+    assert set(batch.states) <= set(buf.snapshot().states)
+    assert np.array_equal(batch.s_next, batch.states + 1)
 
 
 def test_sampling_with_replacement_is_uniform():
     buf = ReplayBuffer(capacity=10, batch_size=10)
     for k in range(10):
-        buf.store(make_transition(k, ActionId.RATE_LIMIT, 0.0, k + 1, step=k))
+        buf.store(k, ActionId.RATE_LIMIT, 0.0, k + 1)
     rng = np.random.default_rng(4)
     counts = np.zeros(10)
     draws = 10_000
     for _ in range(draws // 10):
-        for t in buf.sample_minibatch(rng):
-            counts[t.step_index] += 1
+        np.add.at(counts, buf.sample_minibatch(rng).states.astype(int), 1)
     sigma = np.sqrt(draws * 0.1 * 0.9)
     assert np.all(np.abs(counts - draws * 0.1) <= 3 * sigma)
 
 
 def test_transition_rejects_non_finite_reward():
-    with pytest.raises(ValueError):
-        make_transition(0, ActionId.RATE_LIMIT, float("inf"), 1)
+    buf = ReplayBuffer(capacity=4, batch_size=1)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            buf.store(0, ActionId.RATE_LIMIT, bad, 1)
+    assert len(buf) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(capacity=st.integers(1, 12), batch_size=st.integers(1, 6),
+       n_rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_ring_matches_deque_reference(capacity, batch_size, n_rows, seed):
+    rng = np.random.default_rng(seed)
+    buf = ReplayBuffer(capacity, batch_size)
+    reference = deque(maxlen=capacity)
+    for _ in range(n_rows):
+        t = transition(rng.normal(size=3), ActionId(int(rng.integers(4))),
+                       float(rng.normal()), rng.normal(size=3), float(rng.uniform()),
+                       bool(rng.random() < 0.2))
+        buf.store(*t)
+        reference.append(t)
+    assert len(buf) == len(reference)
+    assert_batch_is(buf.snapshot(), reference)
+    if len(reference) < batch_size:
+        with pytest.raises(InsufficientData):
+            buf.sample_minibatch(np.random.default_rng(seed))
+        return
+    # row k of the stream sits in slot k % capacity, so slot i holds the
+    # reference row (i - n_rows) mod len
+    idx = np.random.default_rng(seed).integers(0, len(reference), size=batch_size)
+    assert_batch_is(buf.sample_minibatch(np.random.default_rng(seed)),
+                    [reference[(i - n_rows) % len(reference)] for i in idx])
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +200,16 @@ def test_transition_rejects_non_finite_reward():
 # ---------------------------------------------------------------------------
 
 def test_td_target_arithmetic():
-    batch = [make_transition([0.0], ActionId.RATE_LIMIT, 1.0, [1.0]),
-             make_transition([0.0], ActionId.BLOCK_ANOMALOUS, -0.5, [2.0])]
+    batch = [transition([0.0], ActionId.RATE_LIMIT, 1.0, [1.0]),
+             transition([0.0], ActionId.BLOCK_ANOMALOUS, -0.5, [2.0])]
     targets = batch_targets(batch, FixedQ([2.0, 1.0, 0.0, 0.0]), 0.9)
     assert targets.shape == (2,)
     assert targets == pytest.approx([2.8, 1.3])
 
 
 def test_td_target_terminal_boundary():
-    batch = [make_transition([0.0], ActionId.RATE_LIMIT, 1.0, [1.0], terminal=True),
-             make_transition([0.0], ActionId.RATE_LIMIT, 1.0, [1.0])]
+    batch = [transition([0.0], ActionId.RATE_LIMIT, 1.0, [1.0], terminal=True),
+             transition([0.0], ActionId.RATE_LIMIT, 1.0, [1.0])]
     targets = batch_targets(batch, FixedQ([99.0, 0.0, 0.0, 0.0]), 0.9)
     assert targets[0] == 1.0
     assert targets[1] == pytest.approx(1.0 + 0.9 * 99.0)
@@ -179,26 +222,18 @@ def test_td_target_matches_scalar_recomputation():
     for _ in range(50):
         row = rng.normal(size=4)
         rewards = rng.normal(size=3)
-        batch = [make_transition([0.0], ActionId.RATE_LIMIT, float(r), [1.0])
+        batch = [transition([0.0], ActionId.RATE_LIMIT, float(r), [1.0])
                  for r in rewards]
         expected = [float(r) + 0.9 * max(row) for r in rewards]
         assert batch_targets(batch, FixedQ(row), 0.9) == \
             pytest.approx(expected, rel=1e-12)
 
 
-class Breakdown:
-    """The part of a RewardBreakdown the TD target reads."""
-
-    def __init__(self, carbon_g):
-        self.components = SimpleNamespace(carbon_g=carbon_g)
-
-
 finite = st.floats(-1e3, 1e3, allow_nan=False)
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows=st.lists(st.tuples(finite, st.booleans(),
-                               st.none() | st.floats(0.0, 1e3),
+@given(rows=st.lists(st.tuples(finite, st.booleans(), st.floats(0.0, 1e3),
                                st.lists(finite, min_size=3, max_size=3)),
                      min_size=1, max_size=16),
        carbon_weight=st.sampled_from([0.0, 0.5, 3.0]),
@@ -206,17 +241,16 @@ finite = st.floats(-1e3, 1e3, allow_nan=False)
 def test_td_targets_match_per_row_formula(rows, carbon_weight, gamma):
     rng = np.random.default_rng(len(rows))
     q_target = qnetwork_init(3, rng, hidden=(5,))
-    batch = [Transition(np.zeros(3), ActionId.RATE_LIMIT, r, np.array(s_next), 0,
-                        r_breakdown=None if carbon is None else Breakdown(carbon),
-                        terminal=terminal)
+    batch = [transition(np.zeros(3), ActionId.RATE_LIMIT, r, np.array(s_next),
+                        carbon, terminal)
              for r, terminal, carbon, s_next in rows]
     expected = []
-    for t in batch:
-        y = t.r
-        if carbon_weight > 0.0 and t.r_breakdown is not None:
-            y -= carbon_weight * t.r_breakdown.components.carbon_g
-        if not t.terminal:
-            y += gamma * float(np.max(q_target.q_values(t.s_next)))
+    for _, _, r, s_next, carbon, terminal in batch:
+        y = r
+        if carbon_weight > 0.0:
+            y -= carbon_weight * carbon
+        if not terminal:
+            y += gamma * float(np.max(q_target.q_values(s_next)))
         expected.append(y)
     got = batch_targets(batch, q_target, gamma, carbon_weight)
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
@@ -245,7 +279,7 @@ def test_q_update_network_zero_gradient_when_targets_match():
     a = ActionId.BLOCK_ANOMALOUS
     gamma = 0.9
     r = float(q.q_values(s)[a]) - gamma * float(np.max(q.q_values(s2)))
-    batch = [make_transition(s, a, r, s2)]
+    batch = minibatch([transition(s, a, r, s2)])
     before = [l.w.copy() for l in q.layers]
     loss, _ = ag.q_update_network(q, batch, target_net, gamma, lr=0.1)
     assert loss == pytest.approx(0.0, abs=1e-20)
@@ -262,11 +296,11 @@ def test_q_update_network_matches_hand_gradient():
     target_net = q.copy()
     s = np.array([0.5, -1.0])
     s2 = np.array([0.2, 0.3])
-    t = make_transition(s, ActionId.RATE_LIMIT, 0.7, s2)
-    y = float(batch_targets([t], target_net, 0.9)[0])
+    batch = minibatch([transition(s, ActionId.RATE_LIMIT, 0.7, s2)])
+    y = float(td_targets(batch, target_net, 0.9)[0])
     q_a = float(q.q_values(s)[0])
     w_before = layer.w.copy()
-    ag.q_update_network(q, [t], target_net, 0.9, lr=0.05)
+    ag.q_update_network(q, batch, target_net, 0.9, lr=0.05)
     expected_row0 = w_before[0] - 0.05 * 2.0 * (q_a - y) * s
     assert np.allclose(layer.w[0], expected_row0, atol=1e-12)
     assert np.array_equal(layer.w[1:], w_before[1:])
@@ -276,18 +310,16 @@ def test_q_update_network_reduces_loss_for_small_lr():
     rng = np.random.default_rng(8)
     q = qnetwork_init(4, rng, hidden=(12,))
     target_net = q.copy()
-    batch = [
-        make_transition(rng.normal(size=4), ActionId(int(rng.integers(4))),
-                        float(rng.normal()), rng.normal(size=4))
+    batch = minibatch([
+        transition(rng.normal(size=4), ActionId(int(rng.integers(4))),
+                   float(rng.normal()), rng.normal(size=4))
         for _ in range(16)
-    ]
-    states = np.stack([t.s for t in batch])
-    targets = batch_targets(batch, target_net, 0.9)
-    actions = np.array([int(t.a) for t in batch])
+    ])
+    targets = td_targets(batch, target_net, 0.9)
 
     def batch_loss():
-        out, _ = ag.stack_forward(q.layers, states)
-        taken = out[np.arange(len(batch)), actions]
+        out, _ = ag.stack_forward(q.layers, batch.states)
+        taken = out[np.arange(len(batch.rewards)), batch.actions]
         return float(np.mean((taken - targets) ** 2))
 
     before = batch_loss()

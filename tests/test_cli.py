@@ -5,9 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from edgeids import cli
+from edgeids import cli, neural
 
 QUICK_TRAIN = [
     "--quiet", "--episodes", "2",
@@ -37,6 +38,8 @@ def test_train_artifact_is_self_describing(train_artifact):
     assert report["agent"] == "deepedge"
     assert report["bound_violations"] == 0
     assert report["q_updates"] > 0
+    assert report["td_loss_over_bound_episodes"] == []
+    assert "WARNING" not in (train_artifact / "run.log").read_text()
 
 
 def test_log_lines_follow_operational_format(train_artifact):
@@ -106,13 +109,19 @@ def test_evaluate_mismatched_architecture_names_layer(train_artifact, tmp_path, 
     assert "q_network layer 0" in err
 
 
-def test_corrupt_checkpoint_is_explicit(train_artifact, tmp_path, capsys):
+def artifact_with_checkpoint(train_artifact, tmp_path, text):
+    """A copy of the train artifact whose checkpoint.txt holds ``text``."""
     broken = tmp_path / "broken"
     broken.mkdir()
     for name in ("config.json", "detector.json"):
         (broken / name).write_bytes((train_artifact / name).read_bytes())
+    (broken / "checkpoint.txt").write_text(text)
+    return broken
+
+
+def test_corrupt_checkpoint_is_explicit(train_artifact, tmp_path, capsys):
     text = (train_artifact / "checkpoint.txt").read_text()
-    (broken / "checkpoint.txt").write_text(text[: len(text) // 2])
+    broken = artifact_with_checkpoint(train_artifact, tmp_path, text[: len(text) // 2])
     code = cli.main(["evaluate", "--checkpoint", str(broken),
                      "--out", str(tmp_path / "o"), "--quiet"])
     assert code == cli.EXIT_RUNTIME
@@ -348,20 +357,82 @@ def test_diverged_dqn_prints_one_line_and_logs_critical(tmp_path, overrides, che
 
 def test_checkpoint_without_autoencoder_names_the_model(train_artifact, tmp_path,
                                                         capsys):
-    broken = tmp_path / "broken"
-    broken.mkdir()
-    for name in ("config.json", "detector.json"):
-        (broken / name).write_bytes((train_artifact / name).read_bytes())
     lines = (train_artifact / "checkpoint.txt").read_text().splitlines(True)
     start = lines.index("model autoencoder autoencoder\n")
     end = next(i for i in range(start + 1, len(lines))
                if lines[i].startswith("model "))
-    (broken / "checkpoint.txt").write_text("".join(lines[:start] + lines[end:]))
+    broken = artifact_with_checkpoint(train_artifact, tmp_path,
+                                      "".join(lines[:start] + lines[end:]))
     code = cli.main(["evaluate", "--checkpoint", str(broken),
                      "--out", str(tmp_path / "o"), "--quiet"])
     assert code == cli.EXIT_RUNTIME
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["runtime error: checkpoint lacks model 'autoencoder'"]
+
+
+def test_checkpoint_with_nan_classifier_head_is_one_line(train_artifact, tmp_path,
+                                                         capsys):
+    # the classifier block an autodrl run writes, with a NaN head bias
+    clf_path = tmp_path / "clf.txt"
+    neural.save_checkpoint(
+        {"classifier": neural.lstm_classifier_init(8, 4, 8, np.random.default_rng(0))},
+        clf_path)
+    block = clf_path.read_text().splitlines(True)[1:-1]
+    block[-1] = "head_b nan\n"
+    lines = (train_artifact / "checkpoint.txt").read_text().splitlines(True)
+    broken = artifact_with_checkpoint(train_artifact, tmp_path,
+                                      "".join(lines[:-1] + block + lines[-1:]))
+    out = tmp_path / "o"
+    code = cli.main(["evaluate", "--checkpoint", str(broken), "--out", str(out),
+                     "--quiet"])
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["runtime error: model 'classifier': non-finite classifier head"]
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("kappa", ["nan", "inf", "-0.0002"])
+def test_bad_kappa_schedule_fails_before_warmup(tmp_path, capsys, kappa):
+    schedule = tmp_path / "k.csv"
+    schedule.write_text(f"step,kappa_g_per_joule\n0,0.0001\n50,{kappa}\n")
+    out = tmp_path / "run"
+    code = cli.main(["train", "--quiet", "--out", str(out),
+                     "--set", f"sustain.kappa_schedule_file={json.dumps(str(schedule))}",
+                     "--set", "env.episode_len=100", "--set", "episodes=1"])
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error:")
+    assert f"{schedule}, line 3" in err[0]
+    assert not (out / "checkpoint.txt").exists()
+    assert not (out / "detector.json").exists()
+
+
+def test_bad_kappa_schedule_fails_evaluate(train_artifact, tmp_path, capsys):
+    schedule = tmp_path / "k.csv"
+    schedule.write_text("step,kappa_g_per_joule\n0,0.0001\n50,nan\n")
+    out = tmp_path / "eval"
+    code = cli.main(["evaluate", "--checkpoint", str(train_artifact), "--out", str(out),
+                     "--quiet", "--set",
+                     f"sustain.kappa_schedule_file={json.dumps(str(schedule))}"])
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"{schedule}, line 3" in err[0]
+    assert not (out / "report.json").exists()
+
+
+def test_blown_up_but_finite_dqn_warns_and_is_reported(tmp_path):
+    # at seed 0 this learning rate drives td_loss_mean to ~1e236 without
+    # overflowing, so the run still finishes
+    out = tmp_path / "run"
+    code = cli.main(["train", "--quiet", "--seed", "0", "--out", str(out),
+                     "--set", "hyper.lr=1e3", "--set", "env.episode_len=300",
+                     "--set", "episodes=1"])
+    assert code == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["td_loss_over_bound_episodes"] == [0]
+    log = (out / "run.log").read_text()
+    assert re.search(r"- WARNING: TD loss above its bound .* episodes \[0\].*hyper\.lr",
+                     log)
 
 
 def test_selftest_passes(capsys):

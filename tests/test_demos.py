@@ -16,6 +16,12 @@ ROOT = Path(__file__).resolve().parents[1]
     ("01_neural_gradient_checks.py", []),
     ("04_gateway_simulation.py", []),
     ("09_feature_selection.py", ["selection_report.json", "flows.csv"]),
+    ("03_reward_and_ledger.py", []),
+    # 05 and 06 train both agents through the replay ring; 06 also reads
+    # the pipeline's classifier update count
+    ("05_train_unsupervised_agent.py", []),
+    ("06_train_supervised_agent.py", []),
+    ("07_anova_reference_tables.py", []),
 ])
 def test_tabular_demo_runs(tmp_path, demo, outputs):
     src = str(Path(edgeids.__file__).resolve().parents[1])

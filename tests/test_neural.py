@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from edgeids import neural
 from edgeids.neural import (
     AutoencoderModel,
     CheckpointError,
     DenseParams,
+    LstmClassifier,
     LstmParams,
     apply_gradients,
     autoencoder_init,
@@ -404,6 +407,63 @@ def test_checkpoint_truncated_file(tmp_path):
     path.write_text(text[: len(text) // 2])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_lstm_rejects_non_finite_parameters():
+    w, b = np.zeros((8, 5)), np.zeros(8)
+    for bad in (np.nan, np.inf):
+        w_bad = w.copy()
+        w_bad[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            LstmParams(w_bad, b)
+        with pytest.raises(ValueError, match="non-finite"):
+            LstmParams(w, np.full(8, bad))
+        with pytest.raises(ValueError, match="non-finite"):
+            LstmClassifier(LstmParams(w, b), np.array([0.0, bad]), np.asarray(0.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            LstmClassifier(LstmParams(w, b), np.zeros(2), np.asarray(bad))
+
+
+def small_checkpoint_text(tmp_path):
+    rng = np.random.default_rng(10)
+    path = tmp_path / "base.txt"
+    save_checkpoint({"ae": autoencoder_init(rng, input_dim=3, hidden_dim=4,
+                                            latent_dim=2),
+                     "clf": lstm_classifier_init(3, 2, window_len=4, rng=rng),
+                     "q": [neural.dense_init(5, 3, "relu", rng),
+                           neural.dense_init(3, 4, "identity", rng)]}, path)
+    return path.read_text()
+
+
+odd_tokens = st.sampled_from(["nan", "inf", "-inf", "x", "", "0", "-3", "1.5",
+                              "1e400", "relu", "end", "meta"])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_checkpoint_loads_finite_models_or_fails_cleanly(tmp_path, data):
+    lines = [line.split(" ") for line in small_checkpoint_text(tmp_path).splitlines()]
+    for _ in range(data.draw(st.integers(1, 2))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        edit = data.draw(st.sampled_from(["replace", "drop", "duplicate"]))
+        if edit == "replace":
+            j = data.draw(st.integers(0, len(lines[i]) - 1))
+            lines[i][j] = data.draw(odd_tokens)
+        elif edit == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, list(lines[i]))
+    path = tmp_path / "mutated.txt"
+    path.write_text("".join(" ".join(tokens) + "\n" for tokens in lines))
+    try:
+        models = load_checkpoint(path)
+    except CheckpointError:
+        return
+    for model in models.values():
+        assert isinstance(model, (AutoencoderModel, LstmClassifier, list))
+        for _, param in iter_params(model):
+            assert np.isfinite(param).all()
 
 
 def test_checkpoint_version_check(tmp_path):

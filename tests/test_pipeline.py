@@ -326,3 +326,18 @@ def test_td_loss_mean_per_episode(trained_quick):
     quiet = quick_config(episodes=1, episode_len=100)
     quiet.env.attacks = []
     assert pl.DrlPipeline(quiet).train().episode_stats[0].td_loss_mean == 0.0
+
+
+def test_td_loss_ceiling_is_twice_the_return_bound_squared(trained_quick):
+    # kappa_max 500 g/kWh over 5 W for one 1 s step
+    c_cap = 500.0 / 3.6e6 * 5.0 * 1.0
+    # alpha + beta + lambda * L_cap + delta * E_cap + eps_m + zeta * C_cap, over 1 - gamma
+    bound = (1.0 + 0.5 + 0.1 * 5.0 + 0.01 * 5.0 + 0.1 + 0.05 * c_cap) / (1.0 - 0.9)
+    assert pl.td_loss_ceiling(default_config("deepedge")) == \
+        pytest.approx((2.0 * bound) ** 2, rel=1e-12)
+    # autodrl's carbon_weight of 1 adds one step's carbon to the bound
+    assert pl.td_loss_ceiling(default_config("autodrl")) == \
+        pytest.approx((2.0 * (bound + c_cap)) ** 2, rel=1e-12)
+    _, outcome = trained_quick
+    ceiling = pl.td_loss_ceiling(quick_config())
+    assert all(s.td_loss_mean < ceiling for s in outcome.episode_stats)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from edgeids import sustain
 from edgeids.sustain import (
@@ -221,6 +223,50 @@ def test_kappa_schedule_file(tmp_path):
     bad.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
         load_kappa_schedule(bad)
+
+
+@pytest.mark.parametrize("kappa", ["nan", "inf", "-0.0002"])
+def test_kappa_schedule_rejects_bad_kappa_naming_file_and_line(tmp_path, kappa):
+    path = tmp_path / "kappa.csv"
+    path.write_text(f"step,kappa_g_per_joule\n0,0.0001\n50,{kappa}\n")
+    with pytest.raises(ValueError, match=r"kappa\.csv, line 3: kappa .* finite"):
+        load_kappa_schedule(path)
+
+
+SCHEDULE_LINES = ["step,kappa_g_per_joule", "0,0.0001", "10,0.0002", "25,0.00015"]
+odd_tokens = st.sampled_from(["nan", "inf", "-inf", "-1e-4", "1e400", "x", "",
+                              "7", "2.5", '"', ",", "0x10"]) | st.text(max_size=4)
+
+
+@st.composite
+def mutated_schedules(draw):
+    lines = [line.split(",") for line in SCHEDULE_LINES]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["replace", "drop", "duplicate"]))
+        if edit == "replace":
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(odd_tokens)
+        elif edit == "drop" and len(lines) > 1:
+            del lines[i]
+        else:
+            lines.insert(i, list(lines[i]))
+    return "".join(",".join(tokens) + "\n" for tokens in lines)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_schedules())
+def test_mutated_kappa_schedule_is_clean_or_a_value_error(tmp_path, text):
+    path = tmp_path / "kappa.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        schedule = load_kappa_schedule(path)
+    except ValueError:
+        return
+    assert schedule
+    for step, kappa in schedule.items():
+        assert isinstance(step, int) and isinstance(kappa, float)
+        assert np.isfinite(kappa) and kappa >= 0
 
 
 # ---------------------------------------------------------------------------
