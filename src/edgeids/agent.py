@@ -348,10 +348,6 @@ class TabularMDP:
     def n_actions(self):
         return self.transitions.shape[1]
 
-    @property
-    def r_max(self):
-        return float(np.max(np.abs(self.rewards)))
-
     def bellman(self, q):
         """Exact optimality operator: R + gamma * P (max_a' Q)."""
         v = q.max(axis=1)

@@ -106,9 +106,11 @@ def train(pipe, logger):
 
 
 def write_json(path, payload):
+    """Standard JSON only: a NaN or infinity raises ValueError before the
+    file is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +334,25 @@ def cmd_compare(args):
 # sweep
 # ---------------------------------------------------------------------------
 
+def sweep_values(cfg, flag, text, key, parse):
+    """The comma-separated values of a sweep flag, each checked by the
+    config rule that a single value of `key` must meet."""
+    values = []
+    for raw in text.split(","):
+        try:
+            value = parse(raw)
+            cfgmod.apply_overrides(cfg, [f"{key}={json.dumps(value)}"])
+        except (ConfigError, ValueError) as exc:
+            raise ConfigError(f"{flag} value {raw!r}: {exc}") from exc
+        values.append(value)
+    return values
+
+
 def cmd_sweep(args):
     cfg = build_config(args)
-    epsilons = [float(v) for v in args.epsilon.split(",")]
-    seeds = [int(v) for v in args.seeds.split(",")]
+    epsilons = sweep_values(cfg, "--epsilon", args.epsilon,
+                            "hyper.epsilon.initial", float)
+    seeds = sweep_values(cfg, "--seeds", args.seeds, "seed", int)
     out = prepare_out_dir(args, f"sweep-{cfg.agent}")
     cfgmod.save(cfg, out / "config.json")
     logger = make_run_logger(out, args.quiet)

@@ -676,7 +676,3 @@ class EdgeGatewayEnv:
 
 def default_syn_flood(intensity=5000.0, start=200, end=700, n_sources=20):
     return AttackScenario("syn_flood", intensity, start, end, n_sources)
-
-
-def severe_syn_flood():
-    return AttackScenario("syn_flood", 6000.0, 200, 700, 20)

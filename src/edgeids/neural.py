@@ -6,6 +6,11 @@ cross-entropy), plain SGD, and a central-difference gradient checker.
 Everything runs in float64 and is deterministic for a fixed seed, which is
 what makes the finite-difference verification and the checkpoint round-trip
 guarantees meaningful.
+
+The autoencoder's full-batch training step writes into an AutoencoderWork
+that a warm-up allocates once, not into fresh temporaries per epoch.  The
+LSTM has one forward, which runs a window into per-window [T, ...] arrays;
+classify, hidden, the loss and the backward pass all read it.
 """
 
 from __future__ import annotations
@@ -216,22 +221,87 @@ def autoencoder_init(rng, input_dim=8, hidden_dim=16, latent_dim=8):
     return AutoencoderModel(encoder, decoder, input_dim, latent_dim)
 
 
-def autoencoder_train_step(model, batch, lr):
-    """One batch-mean SGD step on the reconstruction error; returns the loss."""
+def _layout(model):
+    return [(layer.w.shape, layer.activation) for layer in model.encoder + model.decoder]
+
+
+class AutoencoderWork:
+    """The buffers one autoencoder_train_step needs for a [rows, input_dim]
+    batch, allocated once so that a warm-up's epochs reuse them.
+
+    Each layer keeps only its output: a ReLU's gradient mask is y > 0,
+    which is where a > 0.  Back-propagation alternates between two
+    buffers as wide as the widest layer."""
+
+    def __init__(self, model, rows):
+        layers = model.encoder + model.decoder
+        self.shape = (rows, model.input_dim)
+        self.layout = _layout(model)
+        width = max(max(layer.n_in, layer.n_out) for layer in layers)
+        self.y = [np.empty((rows, layer.n_out)) for layer in layers]
+        self._back = np.empty((2, rows * width))
+        self._mask = np.empty(rows * width, dtype=bool)
+        self.row_sum = np.empty(rows)
+        self.dw = [np.empty_like(layer.w) for layer in layers]
+        self.db = [np.empty_like(layer.b) for layer in layers]
+
+    def back(self, k, width):
+        """Back-propagation buffer k % 2 as [rows, width]."""
+        return self._back[k % 2, :self.shape[0] * width].reshape(-1, width)
+
+    def mask(self, width):
+        return self._mask[:self.shape[0] * width].reshape(-1, width)
+
+
+def autoencoder_train_step(model, batch, lr, work=None):
+    """One batch-mean SGD step on the reconstruction error; returns the loss.
+
+    `work` is an AutoencoderWork for this batch's shape and the model's
+    layout; a training loop builds it once and passes it to every step.
+    Without it the step builds its own.  Every operation is the one a
+    step with fresh temporaries makes, in the same order, so the weights
+    are the same to the bit."""
     batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    h, enc_caches = stack_forward(model.encoder, batch)
-    x_hat, dec_caches = stack_forward(model.decoder, h)
-    diff = x_hat - batch
-    loss = float((diff * diff).sum(axis=1).mean())
-    d_xhat = 2.0 * diff / batch.shape[0]
-    dec_grads, d_h = stack_backward(model.decoder, dec_caches, d_xhat)
-    enc_grads, _ = stack_backward(model.encoder, enc_caches, d_h)
-    for layer, (dw, db) in zip(model.decoder, dec_grads):
-        layer.w -= lr * dw
-        layer.b -= lr * db
-    for layer, (dw, db) in zip(model.encoder, enc_grads):
-        layer.w -= lr * dw
-        layer.b -= lr * db
+    if work is None:
+        work = AutoencoderWork(model, batch.shape[0])
+    elif work.shape != batch.shape or work.layout != _layout(model):
+        raise ValueError(f"workspace for a {work.shape} batch of another layout, "
+                         f"given a {batch.shape} batch")
+    layers = model.encoder + model.decoder
+    x = batch
+    for layer, y in zip(layers, work.y):
+        np.matmul(x, layer.w.T, out=y)
+        y += layer.b
+        if layer.activation == "relu":
+            np.maximum(y, 0.0, out=y)
+        elif layer.activation != "identity":
+            y[...] = _activate(layer.activation, y)
+        x = y
+
+    dy = work.back(0, model.input_dim)
+    np.subtract(x, batch, out=dy)
+    sq = work.back(1, model.input_dim)
+    np.multiply(dy, dy, out=sq)
+    loss = float(sq.sum(axis=1, out=work.row_sum).mean())
+    dy *= 2.0
+    dy /= batch.shape[0]
+    for k in range(len(layers) - 1, -1, -1):
+        layer, y = layers[k], work.y[k]
+        # an identity layer's da is dy itself
+        if layer.activation == "relu":
+            mask = np.greater(y, 0.0, out=work.mask(layer.n_out))
+            np.multiply(dy, mask, out=dy)
+        elif layer.activation != "identity":
+            dy *= _activate_grad(layer.activation, None, y)
+        np.matmul(dy.T, work.y[k - 1] if k else batch, out=work.dw[k])
+        dy.sum(axis=0, out=work.db[k])
+        if k:
+            dy = np.matmul(dy, layer.w, out=work.back(len(layers) - k, layer.n_in))
+    for layer, dw, db in zip(layers, work.dw, work.db):
+        dw *= lr
+        layer.w -= dw
+        db *= lr
+        layer.b -= db
     return loss
 
 
@@ -277,27 +347,49 @@ def lstm_init(input_dim, hidden_dim, rng):
 
 def lstm_cell_step(params, x, h_prev, c_prev):
     """Standard gate equations; returns the new (h, c)."""
-    h, c, _ = _lstm_cell_forward(params, x, h_prev, c_prev)
-    return h, c
+    h, (_, _, c_seq, _) = _lstm_forward(params, [x], h_prev, c_prev)
+    return h, c_seq[1]
 
 
-def _lstm_cell_forward(params, x, h_prev, c_prev):
-    x = np.asarray(x, dtype=float)
-    h_prev = np.asarray(h_prev, dtype=float)
-    c_prev = np.asarray(c_prev, dtype=float)
-    if x.shape[0] != params.input_dim or h_prev.shape[0] != params.hidden_dim:
+def _lstm_forward(cell, window, h, c):
+    """Runs the cell over a [T, input_dim] window from the state (h, c).
+
+    Returns the last h and the per-window arrays the backward pass reads:
+    z_seq[t] = [x_t, h_{t-1}], a_seq[t] = the gate activations (i, f, o, g)
+    as [4, hidden], c_seq[t] = c_{t-1} with c_seq[T] = c_T, and
+    tanh_seq[t] = tanh(c_t)."""
+    window = np.atleast_2d(np.asarray(window, dtype=float))
+    n_in, n_h = cell.input_dim, cell.hidden_dim
+    if window.ndim != 2 or window.shape[1] != n_in or np.shape(h) != (n_h,):
         raise ValueError("lstm step dimension mismatch")
-    z = np.concatenate([x, h_prev])
+    steps = len(window)
+    z_seq = np.empty((steps, n_in + n_h))
+    z_seq[:, :n_in] = window
+    a_seq = np.empty((steps, 4, n_h))
+    c_seq = np.empty((steps + 1, n_h))
+    c_seq[0] = c
+    tanh_seq = np.empty((steps, n_h))
     # one product per [H, I+H] gate block, as [4, H]: BLAS then sums each
     # gate row in the same order as a separate per-gate product would
-    a = params.w.reshape(4, params.hidden_dim, -1) @ z + params.b.reshape(4, -1)
-    ifo, g = sigmoid(a[:3]), np.tanh(a[3])
-    i, f, o = ifo
-    c = f * c_prev + i * g
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    cache = (z, ifo, g, c_prev, tanh_c)
-    return h, c, cache
+    w4, b4 = cell.w.reshape(4, n_h, -1), cell.b.reshape(4, -1)
+    z_seq[0, n_in:] = h
+    for t in range(steps):
+        a = w4 @ z_seq[t]
+        a += b4
+        # sigmoid(a) = 1 / (1 + exp(-a)) and tanh, written in place
+        ifo, g = a_seq[t, :3], a_seq[t, 3]
+        np.negative(a[:3], out=ifo)
+        np.exp(ifo, out=ifo)
+        ifo += 1.0
+        np.divide(1.0, ifo, out=ifo)
+        np.tanh(a[3], out=g)
+        c = np.multiply(ifo[1], c_seq[t], out=c_seq[t + 1])
+        c += ifo[0] * g
+        np.tanh(c, out=tanh_seq[t])
+        h = ifo[2] * tanh_seq[t]
+        if t + 1 < steps:
+            z_seq[t + 1, n_in:] = h
+    return h, (z_seq, a_seq, c_seq, tanh_seq)
 
 
 @dataclass
@@ -323,8 +415,8 @@ class LstmClassifier:
 
     def hidden(self, window):
         """Final hidden state h_T for the window (used as DRL state input)."""
-        _, hs, _ = _classifier_forward(self, window)
-        return hs[-1]
+        _, h, _ = _classifier_forward(self, window)
+        return h
 
 
 def lstm_classifier_init(input_dim, hidden_dim, window_len, rng):
@@ -336,17 +428,12 @@ def lstm_classifier_init(input_dim, hidden_dim, window_len, rng):
 
 
 def _classifier_forward(model, window):
-    window = np.atleast_2d(np.asarray(window, dtype=float))
-    h = np.zeros(model.cell.hidden_dim)
-    c = np.zeros(model.cell.hidden_dim)
-    hs, caches = [], []
-    for x in window:
-        h, c, cache = _lstm_cell_forward(model.cell, x, h, c)
-        hs.append(h)
-        caches.append(cache)
+    """(y_hat, h_T, per-window arrays) for one window, from a zero state."""
+    zeros = np.zeros(model.cell.hidden_dim)
+    h, seqs = _lstm_forward(model.cell, window, zeros, zeros)
     logit = float(model.head_w @ h + model.head_b)
     y_hat = float(sigmoid(np.asarray(logit)))
-    return y_hat, hs, caches
+    return y_hat, h, seqs
 
 
 # ---------------------------------------------------------------------------
@@ -439,29 +526,40 @@ def backward(model, x, target=None):
 def _classifier_backward(model, window, y):
     if y not in (0, 1):
         raise ValueError("classifier target must be 0 or 1")
-    window = np.atleast_2d(np.asarray(window, dtype=float))
-    y_hat, hs, caches = _classifier_forward(model, window)
+    y_hat, h, (z_seq, a_seq, c_seq, tanh_seq) = _classifier_forward(model, window)
     loss = bce_loss(y_hat, y)
 
     cell = model.cell
-    grads = {"cell.w": np.zeros_like(cell.w), "cell.b": np.zeros_like(cell.b)}
     # d(loss)/d(logit) for sigmoid + BCE; the clamp is inactive in (eps, 1-eps)
     d_logit = y_hat - y
-    grads["head_w"] = d_logit * hs[-1]
-    grads["head_b"] = np.asarray(d_logit)
+    grads = {"head_w": d_logit * h, "head_b": np.asarray(d_logit)}
+
+    # gate row k of da_t is d[k] * first[t, k] * second[t, k], with
+    # d = (dc, dc, dh, dc), times 1 - ifo for the sigmoid gates; every
+    # product keeps the left-to-right order of the per-step equations
+    ifo, g = a_seq[:, :3], a_seq[:, 3]
+    first = np.stack([g, c_seq[:-1], tanh_seq, ifo[:, 0]], axis=1)
+    second = a_seq.copy()
+    second[:, 3] = 1.0 - g * g
+    one_minus_ifo = 1.0 - ifo
+    d_tanh_c = 1.0 - tanh_seq * tanh_seq
+    da_seq = np.empty_like(a_seq)
 
     dh = d_logit * model.head_w
     dc = np.zeros(cell.hidden_dim)
-    for t in range(len(window) - 1, -1, -1):
-        z, ifo, g, c_prev, tanh_c = caches[t]
-        i, f, o = ifo
-        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        d_ifo = np.stack([dc * g, dc * c_prev, dh * tanh_c])
-        da = np.concatenate([(d_ifo * ifo * (1.0 - ifo)).ravel(), dc * i * (1.0 - g * g)])
-        grads["cell.w"] += np.outer(da, z)
-        grads["cell.b"] += da
-        dh = (cell.w.T @ da)[cell.input_dim:]
-        dc = dc * f
+    for t in range(len(z_seq) - 1, -1, -1):
+        da = da_seq[t]
+        dc = dc + dh * ifo[t, 2] * d_tanh_c[t]
+        np.multiply(dc, first[t], out=da)
+        np.multiply(dh, tanh_seq[t], out=da[2])
+        da *= second[t]
+        da[:3] *= one_minus_ifo[t]
+        dh = (cell.w.T @ da.reshape(-1))[cell.input_dim:]
+        dc = dc * ifo[t, 1]
+    # summed from t = T-1 down to 0, in the order the per-step updates ran
+    da_seq = da_seq.reshape(len(z_seq), -1)
+    grads["cell.w"] = (da_seq[:, :, None] * z_seq[:, None, :])[::-1].sum(axis=0)
+    grads["cell.b"] = da_seq[::-1].sum(axis=0)
     return loss, grads
 
 

@@ -240,10 +240,13 @@ def train_detector(cfg, rng_seed):
     model = neural.autoencoder_init(
         rng, input_dim=len(ft.FEATURE_NAMES),
         hidden_dim=cfg.neural.ae_hidden, latent_dim=cfg.neural.latent_dim)
+    work = neural.AutoencoderWork(model, data.shape[0])
     # a diverging autoencoder overflows here; the finite check below fails it
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.neural.ae_epochs):
-            neural.autoencoder_train_step(model, data, cfg.neural.ae_lr)
+            neural.autoencoder_train_step(model, data, cfg.neural.ae_lr, work)
+        # free the buffers before the full-batch scoring below makes its own
+        del work
         tau_flow = float(np.percentile(_row_errors(model, data),
                                        cfg.warmup.tau_percentile))
         # each step's rows of the normalized matrix, in generation order

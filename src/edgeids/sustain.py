@@ -160,7 +160,6 @@ class LedgerLimits:
     kappa_max: float = g_per_kwh_to_g_per_joule(500.0)    # gCO2 per joule
     e_max: float = float("inf")                           # cumulative joules
     m_max: float = 1.0                                    # utilization ratio
-    c_max: float = float("inf")                           # cumulative grams
 
     def __post_init__(self):
         if self.p_max <= 0 or self.kappa_max <= 0:

@@ -454,7 +454,8 @@ def test_q_learning_reaches_value_iteration_fixed_point():
 def test_learned_q_bounded_by_return_bound():
     mdp = toy_mdp(gamma=0.9)
     q, _ = ag.q_learning_run(mdp, n_updates=50_000, p=0.6, seed=1)
-    bound = mdp.r_max / (1.0 - mdp.gamma)
+    r_max = float(np.max(np.abs(mdp.rewards)))
+    bound = r_max / (1.0 - mdp.gamma)
     assert np.max(np.abs(q)) <= bound
 
 

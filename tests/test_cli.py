@@ -169,6 +169,30 @@ def test_sweep_tabular(tmp_path):
     assert len(lines) == 1 + 3 * 25
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--epsilon", "nan,1"], "--epsilon value 'nan'"),
+    (["--epsilon", "inf,1"], "--epsilon value 'inf'"),
+    (["--epsilon=-1,1"], "--epsilon value '-1'"),
+    (["--seeds", ""], "--seeds value ''"),
+])
+def test_sweep_rejects_bad_values_naming_the_flag(tmp_path, capsys, flags, named):
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--agent", "tabular", "--out", str(out), "--quiet",
+                     *flags])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert named in err[0]
+    assert not out.exists()
+
+
+def test_write_json_refuses_non_finite_floats(tmp_path):
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cli.write_json(tmp_path / "r.json", {"auc": {"x": bad}})
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_zero_episode_boundary(tmp_path):
     out = tmp_path / "zero"
     code = cli.main(["train", "--agent", "deepedge", "--episodes", "0",

@@ -24,7 +24,6 @@ from edgeids.gateway_env import (
     generate_step_traffic,
     rate_threshold_flagger,
     resource_model,
-    severe_syn_flood,
     source_attack_probability,
 )
 
@@ -498,6 +497,10 @@ def test_idle_operating_point_calibration():
         energies.append(res.ledger_entry.energy_j)
     assert 10.5 <= np.mean(cpus) <= 13.5
     assert 0.88 <= np.mean(energies) <= 1.04
+
+
+def severe_syn_flood():
+    return AttackScenario("syn_flood", 6000.0, 200, 700, 20)
 
 
 def test_severe_attack_cpu_band_unmitigated():

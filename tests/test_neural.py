@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -333,6 +335,142 @@ def test_gradient_correctness_over_seeds():
         clf = lstm_classifier_init(2, 2, window_len=3, rng=rng)
         window = rng.normal(size=(3, 2))
         assert grad_check(clf, window, target=seed % 2).max_rel_error < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# training steps against their per-layer and per-time-step references
+# ---------------------------------------------------------------------------
+
+def _reference_autoencoder_train_step(model, batch, lr):
+    """The train step over stack_forward/stack_backward, with fresh
+    temporaries in every call."""
+    batch = np.atleast_2d(np.asarray(batch, dtype=float))
+    h, enc_caches = stack_forward(model.encoder, batch)
+    x_hat, dec_caches = stack_forward(model.decoder, h)
+    diff = x_hat - batch
+    loss = float((diff * diff).sum(axis=1).mean())
+    d_xhat = 2.0 * diff / batch.shape[0]
+    dec_grads, d_h = neural.stack_backward(model.decoder, dec_caches, d_xhat)
+    enc_grads, _ = neural.stack_backward(model.encoder, enc_caches, d_h)
+    for layer, (dw, db) in zip(model.decoder, dec_grads):
+        layer.w -= lr * dw
+        layer.b -= lr * db
+    for layer, (dw, db) in zip(model.encoder, enc_grads):
+        layer.w -= lr * dw
+        layer.b -= lr * db
+    return loss
+
+
+def _bits(arr):
+    # tobytes also tells 0.0 from -0.0, which array_equal does not
+    return np.asarray(arr, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+       dead=st.integers(0, 16), scale=st.sampled_from([0.1, 1.0, 30.0]),
+       lr=st.sampled_from([0.05, 0.5]),
+       activations=st.sampled_from([("relu", "identity")] * 3
+                                   + [("sigmoid", "tanh"), ("tanh", "sigmoid")]))
+def test_autoencoder_train_step_matches_reference(rows, seed, dead, scale, lr,
+                                                  activations):
+    rng = np.random.default_rng(seed)
+    model = autoencoder_init(rng, input_dim=8, hidden_dim=16, latent_dim=8)
+    # the two 16-wide hidden layers take the first, latent and output the second
+    for layer in model.encoder + model.decoder:
+        layer.activation = activations[layer.n_out != 16]
+    # a bias far below zero keeps a ReLU unit off for every row
+    model.encoder[0].b[:dead] -= 100.0
+    model.decoder[0].b[: dead // 2] -= 100.0
+    ref = copy.deepcopy(model)
+    batch = rng.uniform(-1.0, 1.0, size=(rows, 8)) * scale
+    work = neural.AutoencoderWork(model, rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(4):
+            loss = neural.autoencoder_train_step(model, batch, lr, work)
+            ref_loss = _reference_autoencoder_train_step(ref, batch, lr)
+            assert _bits(loss) == _bits(ref_loss)
+        # without a workspace the step builds its own
+        assert (_bits(neural.autoencoder_train_step(model, batch, lr))
+                == _bits(_reference_autoencoder_train_step(ref, batch, lr)))
+    for (name, p), (_, q) in zip(iter_params(model), iter_params(ref)):
+        assert _bits(p) == _bits(q), name
+
+
+def test_autoencoder_workspace_must_fit_batch_and_model():
+    rng = np.random.default_rng(0)
+    model = autoencoder_init(rng)
+    batch = rng.uniform(size=(10, 8))
+    before = [p.copy() for _, p in iter_params(model)]
+    for work in (neural.AutoencoderWork(model, 9),
+                 neural.AutoencoderWork(model, 1),
+                 neural.AutoencoderWork(autoencoder_init(rng, hidden_dim=12), 10)):
+        with pytest.raises(ValueError, match="workspace"):
+            neural.autoencoder_train_step(model, batch, 0.05, work)
+    for (_, p), old in zip(iter_params(model), before):
+        assert np.array_equal(p, old)
+
+
+def _reference_cell_forward(params, x, h_prev, c_prev):
+    z = np.concatenate([x, h_prev])
+    a = params.w.reshape(4, params.hidden_dim, -1) @ z + params.b.reshape(4, -1)
+    ifo, g = neural.sigmoid(a[:3]), np.tanh(a[3])
+    i, f, o = ifo
+    c = f * c_prev + i * g
+    tanh_c = np.tanh(c)
+    return o * tanh_c, c, (z, ifo, g, c_prev, tanh_c)
+
+
+def _reference_classifier_backward(model, window, y):
+    """Loss and gradients with per-time-step caches, a stack and a
+    concatenation per step, and an outer product summed into the weight
+    gradient at each step from t = T-1 down to 0."""
+    window = np.atleast_2d(np.asarray(window, dtype=float))
+    cell = model.cell
+    h, c, caches = np.zeros(cell.hidden_dim), np.zeros(cell.hidden_dim), []
+    for x in window:
+        h, c, cache = _reference_cell_forward(cell, x, h, c)
+        caches.append(cache)
+    y_hat = float(neural.sigmoid(np.asarray(float(model.head_w @ h + model.head_b))))
+    loss = bce_loss(y_hat, y)
+    grads = {"cell.w": np.zeros_like(cell.w), "cell.b": np.zeros_like(cell.b)}
+    d_logit = y_hat - y
+    grads["head_w"] = d_logit * h
+    grads["head_b"] = np.asarray(d_logit)
+    dh = d_logit * model.head_w
+    dc = np.zeros(cell.hidden_dim)
+    for t in range(len(window) - 1, -1, -1):
+        z, ifo, g, c_prev, tanh_c = caches[t]
+        i, f, o = ifo
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        d_ifo = np.stack([dc * g, dc * c_prev, dh * tanh_c])
+        da = np.concatenate([(d_ifo * ifo * (1.0 - ifo)).ravel(), dc * i * (1.0 - g * g)])
+        grads["cell.w"] += np.outer(da, z)
+        grads["cell.b"] += da
+        dh = (cell.w.T @ da)[cell.input_dim:]
+        dc = dc * f
+    return y_hat, h, loss, grads
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=st.integers(1, 12), input_dim=st.integers(1, 8),
+       hidden_dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.5, 3.0, 40.0]), y=st.sampled_from([0, 1]))
+def test_classifier_backward_matches_reference(steps, input_dim, hidden_dim, seed,
+                                               scale, y):
+    rng = np.random.default_rng(seed)
+    model = lstm_classifier_init(input_dim, hidden_dim, steps, rng)
+    # large inputs saturate the gates: sigmoids reach 0 or 1, tanh +-1
+    window = rng.normal(scale=scale, size=(steps, input_dim))
+    window[rng.uniform(size=window.shape) < 0.2] = 0.0
+    ref_y_hat, ref_h, ref_loss, ref_grads = _reference_classifier_backward(model, window, y)
+    assert _bits(model.classify(window)) == _bits(ref_y_hat)
+    assert _bits(model.hidden(window)) == _bits(ref_h)
+    loss, grads = backward(model, window, y)
+    assert _bits(loss) == _bits(ref_loss)
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        assert _bits(grads[name]) == _bits(ref), name
 
 
 # ---------------------------------------------------------------------------

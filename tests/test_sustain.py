@@ -188,6 +188,45 @@ def test_ledger_random_valid_trace_clean():
     assert ledger.cumulative_energy_j == pytest.approx(energies.sum())
 
 
+@st.composite
+def ledger_steps(draw):
+    """Limits and a run of in-bounds steps: power in [0, p_max], kappa in
+    [0, kappa_max], dt > 0 and m_active <= m_total."""
+    limits = LedgerLimits(p_max=draw(st.floats(0.1, 100.0)),
+                          kappa_max=draw(st.floats(1e-7, 1e-3)))
+    steps = []
+    for _ in range(draw(st.integers(1, 40))):
+        m_total = draw(st.integers(1, 10**6))
+        steps.append((draw(st.floats(0.0, limits.p_max)),
+                      draw(st.floats(1e-3, 10.0)),
+                      draw(st.floats(0.0, limits.kappa_max)),
+                      draw(st.integers(0, m_total)), m_total))
+    return limits, steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=ledger_steps(), data=st.data())
+def test_ledger_bounds_hold_on_generated_steps(run, data):
+    limits, steps = run
+    ledger = SustainabilityLedger(limits)
+    energy, carbon = [], []
+    for step, args in enumerate(steps):
+        ledger.record(step, *args)
+        energy.append(ledger.cumulative_energy_j)
+        carbon.append(ledger.cumulative_carbon_g)
+    assert ledger.check_bounds() == []
+    assert np.all(np.diff(energy) >= 0) and np.all(np.diff(carbon) >= 0)
+
+    # one step drawing more than p_max, by a margin no rounding closes
+    bad = data.draw(st.integers(0, len(steps) - 1))
+    over = limits.p_max * data.draw(st.floats(1.0 + 1e-6, 3.0))
+    ledger = SustainabilityLedger(limits)
+    for step, (power, *rest) in enumerate(steps):
+        ledger.record(step, over if step == bad else power, *rest)
+    violations = ledger.check_bounds()
+    assert [(v.kind, v.step) for v in violations] == [("energy_step", bad)]
+
+
 def test_ledger_cumulative_monotone():
     ledger = SustainabilityLedger()
     last_e = last_c = 0.0
