@@ -5,17 +5,17 @@ their calibrated operating points (~12% CPU idle, ~35% under attack), and
 the blacklist absorbing a SYN flood after a few flagged windows.
 """
 
+from dataclasses import replace
+
 from edgeids.agent import ActionId
 from edgeids.config import default_config
 from edgeids.gateway_env import EdgeGatewayEnv, default_syn_flood
 
 cfg = default_config("deepedge")
-traffic = cfg.env.traffic_config()
-traffic.episode_len = 400
-traffic.attacks = [default_syn_flood(start=100, end=320)]
+gateway = replace(cfg.env, episode_len=400,
+                  attacks=[default_syn_flood(start=100, end=320)])
 
-env = EdgeGatewayEnv(traffic, seed=3, params=cfg.env.env_params(),
-                     resources=cfg.resources)
+env = EdgeGatewayEnv(gateway, seed=3, resources=cfg.resources)
 
 print(f"{'step':>4} {'offered':>8} {'passed':>7} {'attack?':>7} "
       f"{'cpu%':>6} {'power W':>8} {'blacklist':>9}  action")

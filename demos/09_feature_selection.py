@@ -7,6 +7,7 @@ saliency-guided recursive elimination).  Mutual-information scores against
 the ground-truth label are reported along the way.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,13 +18,12 @@ from edgeids.config import default_config
 from edgeids.gateway_env import EdgeGatewayEnv, default_syn_flood
 
 cfg = default_config("deepedge")
-traffic = cfg.env.traffic_config()
-traffic.episode_len = 300
-traffic.attacks = [default_syn_flood(intensity=2000.0, start=50, end=200)]
-env = EdgeGatewayEnv(traffic, seed=9, params=cfg.env.env_params())
+gateway = replace(cfg.env, episode_len=300,
+                  attacks=[default_syn_flood(intensity=2000.0, start=50, end=200)])
+env = EdgeGatewayEnv(gateway, seed=9)
 
 flows = []
-for _ in range(traffic.episode_len):
+for _ in range(gateway.episode_len):
     flows.extend(env.step(None).offered)
 data = ft.features_matrix(flows)
 labels = np.array([1 if f.label == "attack" else 0 for f in flows])

@@ -210,6 +210,8 @@ def load_trained_pipeline(checkpoint_dir, cfg=None):
 
 def cmd_evaluate(args):
     ckpt = Path(args.checkpoint)
+    if ckpt.name == "checkpoint.txt" and ckpt.is_file():
+        ckpt = ckpt.parent
     if not (ckpt / "checkpoint.txt").exists():
         raise FileNotFoundError(f"no checkpoint.txt under {ckpt}")
     cfg = cfgmod.load(ckpt / "config.json")
@@ -520,7 +522,7 @@ def make_parser():
     p_eval = sub.add_parser("evaluate", help="frozen-policy rollout from a checkpoint")
     common(p_eval)
     p_eval.add_argument("--checkpoint", required=True,
-                        help="train artifact directory")
+                        help="train artifact directory, or its checkpoint.txt")
     p_eval.add_argument("--pps", type=float, default=50.0,
                         help="packet rate for missed-packets/hour")
 

@@ -15,12 +15,7 @@ import numbers
 from dataclasses import dataclass, field
 
 from .agent import AgentHyperparams, EpsilonSchedule
-from .gateway_env import (
-    AttackScenario,
-    EnvParams,
-    ResourceModelConfig,
-    TrafficConfig,
-)
+from .gateway_env import AttackScenario, EnvConfig, ResourceModelConfig
 from .sustain import LedgerLimits, RewardWeights, g_per_kwh_to_g_per_joule
 
 
@@ -129,39 +124,6 @@ class TabularConfig:
 
 
 @dataclass
-class EnvConfig:
-    benign_rate: float = 50.0
-    benign_sources: int = 40
-    dt: float = 1.0
-    episode_len: int = 1000
-    attacks: list = field(default_factory=lambda: [
-        AttackScenario("syn_flood", 5000.0, 200, 700, 20)])
-    rate_cap_pps: float = 1500.0
-    syn_cap_pps: float = 150.0
-    tau_p: float = 0.5
-    source_window: int = 10
-    blacklist_expiry: int = 300
-    flag_rate_threshold: float = 200.0
-
-    def __post_init__(self):
-        # constructing the module objects performs the real validation
-        try:
-            self.traffic_config()
-            self.env_params()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def traffic_config(self):
-        return TrafficConfig(self.benign_rate, self.benign_sources, self.dt,
-                             self.episode_len, list(self.attacks))
-
-    def env_params(self):
-        return EnvParams(self.rate_cap_pps, self.syn_cap_pps, self.tau_p,
-                         self.source_window, self.blacklist_expiry,
-                         self.flag_rate_threshold)
-
-
-@dataclass
 class ExperimentConfig:
     agent: str = "deepedge"
     seed: int = 0
@@ -266,6 +228,9 @@ def _build(cls, data, path):
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
+        if str(exc).split(" ", 1)[0] in field_types:
+            # the owner's check names its field: name the full key
+            raise ConfigError(f"{path}{exc}") from exc
         raise ConfigError(f"invalid section {path.rstrip('.')}: {exc}") from exc
 
 

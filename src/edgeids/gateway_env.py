@@ -59,21 +59,6 @@ class FlowRecord:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
 
-    @property
-    def syn_packets(self):
-        """SYN-only flood flows count every packet; a normal handshake one."""
-        if self.protocol != "tcp" or not self.flags & FLAG_SYN:
-            return 0
-        if not self.flags & FLAG_ACK:
-            return self.pkts_total
-        return 1 if self.pkts_total > 0 else 0
-
-    @property
-    def ack_packets(self):
-        if self.protocol != "tcp" or not self.flags & FLAG_ACK:
-            return 0
-        return max(self.pkts_total - (1 if self.flags & FLAG_SYN else 0), 0)
-
 
 LABELS = ("benign", "attack")
 PROTOCOLS = ("tcp", "udp")
@@ -200,18 +185,36 @@ class AttackScenario:
 
 
 @dataclass
-class TrafficConfig:
-    benign_rate: float = 50.0      # flows per second
+class EnvConfig:
+    """The gateway: its traffic and its four mitigation controls; the
+    config's ``env`` section.  Each check's message starts with the name
+    of the field it rejects, which the config loader extends to the key."""
+
+    benign_rate: float = 50.0           # flows per second
     benign_sources: int = 40
     dt: float = 1.0
     episode_len: int = 1000
-    attacks: list = field(default_factory=list)
+    attacks: list = field(default_factory=lambda: [
+        AttackScenario("syn_flood", 5000.0, 200, 700, 20)])
+    rate_cap_pps: float = 1500.0        # RATE_LIMIT's total packet cap
+    syn_cap_pps: float = 150.0          # SYN_THROTTLE's SYN packet cap
+    tau_p: float = 0.5                  # SOURCE_FILTER's attack-probability bar
+    source_window: int = 10             # steps of per-source anomaly flags
+    blacklist_expiry: int = 300         # steps a blacklisted source stays out
+    flag_rate_threshold: float = 200.0  # packet rate the fallback flagger flags
 
     def __post_init__(self):
-        if self.benign_rate < 0 or self.benign_sources < 1:
-            raise ValueError("invalid benign traffic parameters")
-        if self.dt <= 0 or self.episode_len < 1:
-            raise ValueError("dt and episode_len must be positive")
+        for name, ok, rule in (
+                ("benign_rate", self.benign_rate >= 0, "must be >= 0"),
+                ("benign_sources", self.benign_sources >= 1, "must be >= 1"),
+                ("dt", self.dt > 0, "must be positive"),
+                ("episode_len", self.episode_len >= 1, "must be >= 1"),
+                ("rate_cap_pps", self.rate_cap_pps > 0, "must be positive"),
+                ("syn_cap_pps", self.syn_cap_pps > 0, "must be positive"),
+                ("tau_p", 0.0 < self.tau_p < 1.0, "must lie in (0, 1)"),
+                ("source_window", self.source_window >= 1, "must be >= 1")):
+            if not ok:
+                raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -505,20 +508,6 @@ def rate_threshold_flagger(threshold_pps=200.0):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class EnvParams:
-    rate_cap_pps: float = 1500.0
-    syn_cap_pps: float = 150.0
-    tau_p: float = 0.5
-    source_window: int = 10
-    blacklist_expiry: int = 300
-    flag_rate_threshold: float = 200.0
-
-    def __post_init__(self):
-        if self.source_window < 1:
-            raise ValueError("source_window must be >= 1")
-
-
-@dataclass
 class StepResult:
     """One simulator step.  offered, passed and dropped are FlowBatches
     over the env's sources; a batch iterates as FlowRecord rows, but the
@@ -560,20 +549,19 @@ class EdgeGatewayEnv:
     its attack probability always averages over the full window.
     """
 
-    def __init__(self, traffic, seed, params=None, resources=None,
-                 limits=None, kappa=None, flow_flagger=None):
-        self.traffic = traffic
-        self.params = params or EnvParams()
+    def __init__(self, config, seed, resources=None, limits=None, kappa=None,
+                 flow_flagger=None):
+        self.config = config
         self.resources = resources or ResourceModelConfig()
         self.kappa = kappa or KappaProvider(g_per_kwh_to_g_per_joule(400.0))
         self.flow_flagger = flow_flagger or rate_threshold_flagger(
-            self.params.flag_rate_threshold)
+            config.flag_rate_threshold)
         self.rng = np.random.default_rng(seed)
         self.step_index = 0
         self.mitigation = MitigationState()
         self.ledger = SustainabilityLedger(limits)
-        self.sources = source_names(traffic)
-        self._flag_ring = np.zeros((len(self.sources), self.params.source_window),
+        self.sources = source_names(config)
+        self._flag_ring = np.zeros((len(self.sources), config.source_window),
                                    dtype=bool)
         self._ring_pos = 0
         self._tracked = np.zeros(len(self.sources), dtype=bool)
@@ -594,14 +582,14 @@ class EdgeGatewayEnv:
             return
         action = ActionId(action)
         if action == ActionId.RATE_LIMIT:
-            m.rate_cap = self.params.rate_cap_pps
+            m.rate_cap = self.config.rate_cap_pps
         elif action == ActionId.SYN_THROTTLE:
-            m.syn_cap = self.params.syn_cap_pps
+            m.syn_cap = self.config.syn_cap_pps
         elif action == ActionId.BLOCK_ANOMALOUS:
             m.drop_filter_active = True
         elif action == ActionId.SOURCE_FILTER:
-            blacklist_update(self.source_probabilities(), self.params.tau_p,
-                             self.params.blacklist_expiry, self.step_index,
+            blacklist_update(self.source_probabilities(), self.config.tau_p,
+                             self.config.blacklist_expiry, self.step_index,
                              m.blacklist)
 
     def _update_source_windows(self, offered, flagged):
@@ -620,7 +608,7 @@ class EdgeGatewayEnv:
     def step(self, action=None, learning=False, buffer_fill=0.0):
         """Advance one dt: apply the action, generate and filter traffic,
         update resources and the ledger, and return the observations."""
-        if self.step_index >= self.traffic.episode_len:
+        if self.step_index >= self.config.episode_len:
             raise RuntimeError("episode already finished")
         now = self.step_index
 
@@ -630,19 +618,19 @@ class EdgeGatewayEnv:
 
         self._apply_action(action)
 
-        offered = generate_step_traffic(self.traffic, now, self.rng)
+        offered = generate_step_traffic(self.config, now, self.rng)
         features = features_matrix(offered)
         flags = self.flow_flagger(features)
         flagged = np.asarray(flags, dtype=bool)
         passed, dropped = apply_mitigation(offered, self.mitigation, self.rng,
-                                           flagged, self.traffic.dt)
+                                           flagged, self.config.dt)
         self._update_source_windows(offered, flagged)
 
         offered_pkts = offered.pkts_by_label()
         passed_pkts = passed.pkts_by_label()
         dropped_pkts = dropped.pkts_by_label()
 
-        dt = self.traffic.dt
+        dt = self.config.dt
         passed_pps = sum(passed_pkts.values()) / dt
         dropped_pps = sum(dropped_pkts.values()) / dt
         resource = resource_model(passed_pps, dropped_pps, learning,

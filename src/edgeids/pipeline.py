@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from . import features as ft
 from . import neural
 from .config import ExperimentConfig
 from .evaluation import ConfusionCounts, roc_auc
-from .gateway_env import EdgeGatewayEnv, TrafficConfig
+from .gateway_env import EdgeGatewayEnv
 from .sustain import (KappaProvider, RewardComponents, compute_reward,
                       load_kappa_schedule)
 
@@ -218,16 +218,8 @@ def train_detector(cfg, rng_seed):
     """Benign warm-up: fit the normalizer, train the autoencoder, and set
     both alarm thresholds at the configured benign percentile."""
     rng = np.random.default_rng(rng_seed)
-    benign_traffic = TrafficConfig(
-        benign_rate=cfg.env.benign_rate,
-        benign_sources=cfg.env.benign_sources,
-        dt=cfg.env.dt,
-        episode_len=cfg.warmup.steps,
-        attacks=[],
-    )
-    env = EdgeGatewayEnv(benign_traffic, seed=rng_seed,
-                         params=cfg.env.env_params(),
-                         resources=cfg.resources)
+    env = EdgeGatewayEnv(replace(cfg.env, episode_len=cfg.warmup.steps, attacks=[]),
+                         seed=rng_seed, resources=cfg.resources)
     # no mitigation acts during warm-up, so every offered flow passes
     step_rows = [env.step(None).features for _ in range(cfg.warmup.steps)]
     raw = np.concatenate(step_rows)
@@ -281,9 +273,8 @@ def pretrain_step_classifier(cfg, detector, seed):
     windows = []
     labels = []
     for episode in range(max(cfg.pretrain_episodes, 1)):
-        env = EdgeGatewayEnv(cfg.env.traffic_config(), seed=seed + 101 + episode,
-                             params=cfg.env.env_params(), resources=cfg.resources,
-                             flow_flagger=detector.flow_flag)
+        env = EdgeGatewayEnv(cfg.env, seed=seed + 101 + episode,
+                             resources=cfg.resources, flow_flagger=detector.flow_flag)
         history = deque(maxlen=cfg.neural.lstm_window)
         for _ in range(cfg.env.episode_len):
             result = env.step(None)
@@ -644,7 +635,7 @@ class DrlPipeline:
 
         step = observe(0, None, env.step(None))
         yield step
-        for t in range(1, env.traffic.episode_len):
+        for t in range(1, env.config.episode_len):
             action, learning, buffer_fill = decide(step, history)
             result = env.step(action, learning=learning, buffer_fill=buffer_fill)
             step = observe(t, action, result)
@@ -659,9 +650,8 @@ class DrlPipeline:
         return RewardTracker(self.cfg.sustain.reward_window,
                              self.cfg.sustain.weights.variant)
 
-    def _make_env(self, seed, traffic=None):
-        return EdgeGatewayEnv(traffic or self.cfg.env.traffic_config(), seed=seed,
-                              params=self.cfg.env.env_params(),
+    def _make_env(self, seed, env_config=None):
+        return EdgeGatewayEnv(env_config or self.cfg.env, seed=seed,
                               resources=self.cfg.resources,
                               limits=self.cfg.sustain.ledger_limits(),
                               kappa=KappaProvider(self.cfg.sustain.kappa_g_per_j(),
@@ -669,9 +659,10 @@ class DrlPipeline:
                               flow_flagger=self.detector.flow_flag)
 
 
-def rollout(pipeline, seed, traffic=None, policy=None):
+def rollout(pipeline, seed, env_config=None, policy=None):
     """Frozen-policy episode; returns alert metrics, counts, and the ledger.
 
+    ``env_config``, an EnvConfig, replaces ``cfg.env`` for this episode.
     Without a ``policy(result, x_step, a_s, history)`` the learned Q-network
     acts greedily above the alarm threshold."""
     greedy_rng = np.random.default_rng(0)  # epsilon 0 never draws from it
@@ -686,7 +677,7 @@ def rollout(pipeline, seed, traffic=None, policy=None):
             action = None
         return action, False, 0.0
 
-    env = pipeline._make_env(seed, traffic)
+    env = pipeline._make_env(seed, env_config)
     steps = pipeline.run_episode(env, decide, pipeline.reward_tracker(),
                                  rollout=True)
     next(steps)  # the rollout's outputs start at step 1

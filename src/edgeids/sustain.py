@@ -141,15 +141,6 @@ def equilibrium_check(weights, kappa_g_per_j):
     return -weights.delta + weights.zeta * kappa_g_per_j
 
 
-def lagrangian_value(objective, energy_j, memory_ratio, lambdas, limits):
-    """objective - lambda_E*(E - E_max) - lambda_M*(M - M_max)."""
-    lam_e, lam_m = lambdas
-    e_max, m_max = limits
-    if lam_e < 0 or lam_m < 0:
-        raise ValueError("multipliers must be >= 0")
-    return objective - lam_e * (energy_j - e_max) - lam_m * (memory_ratio - m_max)
-
-
 # ---------------------------------------------------------------------------
 # sustainability ledger
 # ---------------------------------------------------------------------------

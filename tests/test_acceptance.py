@@ -7,6 +7,7 @@ deferred to manual inspection.
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,9 +110,8 @@ def test_criterion_04_sustainability_bounds():
         cfg = default_config("deepedge")
         limits = cfg.sustain.ledger_limits()
         for seed in range(10):
-            env = EdgeGatewayEnv(cfg.env.traffic_config(), seed=seed,
-                                 params=cfg.env.env_params(),
-                                 resources=cfg.resources, limits=limits)
+            env = EdgeGatewayEnv(cfg.env, seed=seed, resources=cfg.resources,
+                                 limits=limits)
             policy_rng = np.random.default_rng(1000 + seed)
             for _ in range(cfg.env.episode_len):
                 action = (ActionId(int(policy_rng.integers(4)))
@@ -210,14 +210,12 @@ def test_criterion_07_closed_loop_efficacy():
 # 8. detection quality at desk scale
 # ---------------------------------------------------------------------------
 
-def _mixed_holdout_traffic(cfg):
-    traffic = cfg.env.traffic_config()
-    traffic.attacks = [
+def _mixed_holdout_env(cfg):
+    return replace(cfg.env, attacks=[
         AttackScenario("syn_flood", 5000.0, 120, 280, 20),
         AttackScenario("udp_flood", 5000.0, 400, 560, 20),
         AttackScenario("zero_day_mix", 6000.0, 650, 870, 20),
-    ]
-    return traffic
+    ])
 
 
 def test_criterion_08_detection_quality():
@@ -231,7 +229,7 @@ def test_criterion_08_detection_quality():
         scores, labels = [], []
         for seed in (3001, 3002, 3003):
             out = pl.rollout(pipe, seed=seed,
-                             traffic=_mixed_holdout_traffic(cfg),
+                             env_config=_mixed_holdout_env(cfg),
                              policy=pl.noop_policy)
             scores.extend(out.scores)
             labels.extend(out.attack_labels)

@@ -109,6 +109,29 @@ def test_evaluate_mismatched_architecture_names_layer(train_artifact, tmp_path, 
     assert "q_network layer 0" in err
 
 
+def test_evaluate_accepts_the_checkpoint_file(train_artifact, tmp_path):
+    outs = [tmp_path / "by-dir", tmp_path / "by-file"]
+    for ckpt, out in zip([train_artifact, train_artifact / "checkpoint.txt"], outs):
+        code = cli.main(["evaluate", "--checkpoint", str(ckpt), "--seed", "77",
+                         "--out", str(out), "--quiet"])
+        assert code == cli.EXIT_OK
+    for name in ("trace.csv", "ledger.csv", "report.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("path", ["config.json", "absent/checkpoint.txt"])
+def test_evaluate_other_checkpoint_paths_are_one_runtime_line(
+        train_artifact, tmp_path, capsys, path):
+    out = tmp_path / "eval"
+    code = cli.main(["evaluate", "--checkpoint", str(train_artifact / path),
+                     "--out", str(out), "--quiet"])
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error:"), err
+    assert "checkpoint.txt" in err[0]
+    assert not out.exists()
+
+
 def artifact_with_checkpoint(train_artifact, tmp_path, text):
     """A copy of the train artifact whose checkpoint.txt holds ``text``."""
     broken = tmp_path / "broken"
@@ -253,6 +276,24 @@ def test_non_finite_floats_are_one_config_error(tmp_path, capsys, assignment, ke
     assert len(err) == 1 and err[0].startswith("config error:"), err
     assert key in err[0] and "finite" in err[0]
     assert not (out / "config.json").exists()
+
+
+@pytest.mark.parametrize("assignment, key", [
+    ("env.tau_p=1.5", "env.tau_p"),
+    ("env.tau_p=0", "env.tau_p"),
+    ("env.rate_cap_pps=0", "env.rate_cap_pps"),
+    ("env.syn_cap_pps=-1", "env.syn_cap_pps"),
+])
+def test_out_of_range_env_values_fail_at_load(tmp_path, capsys, assignment, key):
+    out = tmp_path / "x"
+    code = cli.main(["train", "--episodes", "2", "--quiet", "--out", str(out),
+                     "--set", "env.episode_len=400", "--set", assignment])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert key in err[0]
+    # rejected before warm-up: nothing is written
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("assignment", [

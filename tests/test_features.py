@@ -22,6 +22,7 @@ from edgeids.features import (
     variance_filter,
 )
 from edgeids.gateway_env import FLAG_ACK, FLAG_SYN, FlowRecord
+from flow_reference import ack_packets, syn_packets
 
 
 def flow(**overrides):
@@ -110,8 +111,8 @@ def test_build_state_hand_counts():
     pipe = state_pipeline("deepedge")
     x = np.full(len(FEATURE_NAMES), 0.5)
     step = hand_step()
-    assert sum(f.syn_packets for f in step.offered) == step.offered_syn
-    assert sum(f.ack_packets for f in step.offered) == step.offered_ack
+    assert sum(syn_packets(f) for f in step.offered) == step.offered_syn
+    assert sum(ack_packets(f) for f in step.offered) == step.offered_ack
     v = pipe.state_vector(step, x, a_s=2.0, window=None)
     assert np.array_equal(v[:3], np.array([15 / 2, 7, 8]) / pl.RATE_SCALE)
     assert v[3] == min(2.0 / 0.5, pl.SCORE_SCALE) / pl.SCORE_SCALE

@@ -13,11 +13,10 @@ from edgeids import gateway_env as env
 from edgeids.gateway_env import (
     AttackScenario,
     EdgeGatewayEnv,
-    EnvParams,
+    EnvConfig,
     FlowBatch,
     FlowRecord,
     MitigationState,
-    TrafficConfig,
     apply_mitigation,
     blacklist_update,
     default_syn_flood,
@@ -26,6 +25,7 @@ from edgeids.gateway_env import (
     resource_model,
     source_attack_probability,
 )
+from flow_reference import ack_packets, syn_packets
 
 
 def flow(src="b000", pkts=10, syn_only=False, label="benign", protocol="tcp",
@@ -48,13 +48,13 @@ def total_pkts(flows):
 # ---------------------------------------------------------------------------
 
 def test_no_attack_all_benign():
-    cfg = TrafficConfig(attacks=[])
+    cfg = EnvConfig(attacks=[])
     flows = generate_step_traffic(cfg, 0, np.random.default_rng(0))
     assert flows and all(f.label == "benign" for f in flows)
 
 
 def test_syn_flood_packet_count_poisson():
-    cfg = TrafficConfig(attacks=[AttackScenario("syn_flood", 1000.0, 0, 10)])
+    cfg = EnvConfig(attacks=[AttackScenario("syn_flood", 1000.0, 0, 10)])
     counts = []
     rng = np.random.default_rng(1)
     for step in range(60):
@@ -66,14 +66,14 @@ def test_syn_flood_packet_count_poisson():
 
 
 def test_traffic_deterministic_for_seed():
-    cfg = TrafficConfig(attacks=[default_syn_flood(start=0, end=5)])
+    cfg = EnvConfig(attacks=[default_syn_flood(start=0, end=5)])
     a = generate_step_traffic(cfg, 1, np.random.default_rng(42))
     b = generate_step_traffic(cfg, 1, np.random.default_rng(42))
     assert list(a) == list(b)
 
 
 def test_flow_invariants_hold():
-    cfg = TrafficConfig(attacks=[AttackScenario("zero_day_mix", 3000.0, 0, 50)])
+    cfg = EnvConfig(attacks=[AttackScenario("zero_day_mix", 3000.0, 0, 50)])
     rng = np.random.default_rng(2)
     for step in range(50):
         for f in generate_step_traffic(cfg, step, rng):
@@ -125,7 +125,7 @@ def test_syn_cap_only_drops_syn_packets():
     benign = [flow(src="b000", pkts=30)]
     m = MitigationState(syn_cap=100.0)
     passed, dropped = apply_mitigation(attack + benign, m, rng)
-    syn_passed = sum(f.syn_packets for f in passed)
+    syn_passed = sum(syn_packets(f) for f in passed)
     assert syn_passed <= 100
     # benign flow loses at most its single handshake SYN
     benign_passed = sum(f.pkts_total for f in passed if f.label == "benign")
@@ -144,7 +144,7 @@ def test_drop_filter_uses_flags():
 
 def test_conservation_under_all_mitigations():
     rng = np.random.default_rng(5)
-    cfg = TrafficConfig(attacks=[default_syn_flood(start=0, end=20)])
+    cfg = EnvConfig(attacks=[default_syn_flood(start=0, end=20)])
     for step in range(20):
         flows = generate_step_traffic(cfg, step, rng)
         flags = [f.label == "attack" for f in flows]
@@ -203,7 +203,7 @@ def test_mitigation_conserves_and_caps_on_generated_inputs(case):
     if m.rate_cap is not None:
         assert total_pkts(passed) <= int(m.rate_cap * dt)
     if m.syn_cap is not None:
-        assert sum(f.syn_packets for f in passed) <= int(m.syn_cap * dt)
+        assert sum(syn_packets(f) for f in passed) <= int(m.syn_cap * dt)
 
 
 # per-flow reference: the mitigation semantics one FlowRecord at a time
@@ -243,7 +243,7 @@ def reference_mitigation(flows, mitigation, rng, flags, dt):
         else:
             stage.append(flow)
     if mitigation.syn_cap is not None and stage:
-        syn_counts = [f.syn_packets for f in stage]
+        syn_counts = [syn_packets(f) for f in stage]
         budget = int(mitigation.syn_cap * dt)
         if sum(syn_counts) > budget:
             kept_syn = reference_cap(syn_counts, budget, rng)
@@ -300,7 +300,7 @@ def test_batch_mitigation_matches_per_flow_reference(case):
 def test_mitigation_monotone_attack_packets():
     # activating any single mitigation never raises passed attack packets
     rng_master = np.random.default_rng(6)
-    cfg = TrafficConfig(attacks=[default_syn_flood(start=0, end=10)])
+    cfg = EnvConfig(attacks=[default_syn_flood(start=0, end=10)])
     flows = generate_step_traffic(cfg, 2, rng_master)
     flags = [f.label == "attack" for f in flows]
     base, _ = apply_mitigation(flows, MitigationState(), np.random.default_rng(7), flags)
@@ -341,9 +341,8 @@ def test_blacklist_update_strict_threshold():
 
 
 def test_blacklist_expiry_in_env():
-    cfg = TrafficConfig(episode_len=50, attacks=[])
-    e = EdgeGatewayEnv(cfg, seed=0)
-    e.params.blacklist_expiry = 3
+    e = EdgeGatewayEnv(EnvConfig(episode_len=50, attacks=[], blacklist_expiry=3),
+                       seed=0)
     e.mitigation.blacklist["ghost"] = 2
     e.step(None)   # step 0: expiry 2 > 0, stays
     assert "ghost" in e.mitigation.blacklist
@@ -376,7 +375,7 @@ class ReferenceWindows:
         return {src: sum(win) / len(win) for src, win in self.windows.items()}
 
 
-WINDOW_TRAFFIC = TrafficConfig(benign_sources=4, episode_len=60, attacks=[
+WINDOW_ENV = EnvConfig(benign_sources=4, episode_len=60, attacks=[
     AttackScenario("syn_flood", 100.0, 0, 5, n_sources=3)])
 N_WINDOW_SOURCES = 7
 
@@ -402,9 +401,10 @@ def run_window_steps(steps, window, expiry, tau_p):
     """Drives an env through the steps with the given flows and flags and
     checks its source probabilities and blacklist against the reference
     after every step."""
-    params = EnvParams(tau_p=tau_p, source_window=window, blacklist_expiry=expiry)
+    config = replace(WINDOW_ENV, tau_p=tau_p, source_window=window,
+                     blacklist_expiry=expiry)
     batches, flag_lists = [], []
-    e = EdgeGatewayEnv(WINDOW_TRAFFIC, seed=0, params=params,
+    e = EdgeGatewayEnv(config, seed=0,
                        flow_flagger=lambda features: flag_lists[e.step_index])
     assert len(e.sources) == N_WINDOW_SOURCES
     ref, ref_blacklist = ReferenceWindows(window), {}
@@ -439,8 +439,8 @@ def test_source_ring_matches_dict_of_lists_reference(steps, window, expiry, tau_
 
 
 def test_source_window_rules():
-    e = EdgeGatewayEnv(WINDOW_TRAFFIC, seed=0,
-                       params=EnvParams(source_window=4, blacklist_expiry=3))
+    e = EdgeGatewayEnv(replace(WINDOW_ENV, source_window=4, blacklist_expiry=3),
+                       seed=0)
     e.flow_flagger = lambda features: [True] * len(features)
     one = one_packet_flows(e.sources, [e.sources.index("a001")])
     none = one.take(slice(0, 0))
@@ -464,7 +464,16 @@ def test_source_window_rules():
 
 def test_source_window_must_be_positive():
     with pytest.raises(ValueError):
-        EnvParams(source_window=0)
+        EnvConfig(source_window=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("benign_rate", -1.0), ("benign_sources", 0), ("dt", 0.0), ("episode_len", 0),
+    ("rate_cap_pps", 0.0), ("syn_cap_pps", -1.0), ("tau_p", 0.0), ("tau_p", 1.5),
+])
+def test_env_config_check_names_its_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        EnvConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +497,7 @@ def test_resource_ranges_clamped():
 
 def test_idle_operating_point_calibration():
     # benign-only traffic, no mitigation: CPU in the ~12% band, ~0.96 J/step
-    cfg = TrafficConfig(attacks=[], episode_len=300)
+    cfg = EnvConfig(attacks=[], episode_len=300)
     e = EdgeGatewayEnv(cfg, seed=11)
     cpus, energies = [], []
     for _ in range(300):
@@ -504,7 +513,7 @@ def severe_syn_flood():
 
 
 def test_severe_attack_cpu_band_unmitigated():
-    cfg = TrafficConfig(attacks=[severe_syn_flood()], episode_len=400)
+    cfg = EnvConfig(attacks=[severe_syn_flood()], episode_len=400)
     e = EdgeGatewayEnv(cfg, seed=12)
     # keep a3/a4 inert even if called
     e.flow_flagger = lambda features: [False] * len(features)
@@ -517,7 +526,7 @@ def test_severe_attack_cpu_band_unmitigated():
 
 
 def test_resource_sanity_on_every_step():
-    cfg = TrafficConfig(attacks=[default_syn_flood()], episode_len=500)
+    cfg = EnvConfig(attacks=[default_syn_flood()], episode_len=500)
     e = EdgeGatewayEnv(cfg, seed=13)
     rng = np.random.default_rng(0)
     for _ in range(500):
@@ -532,7 +541,7 @@ def test_resource_sanity_on_every_step():
 # ---------------------------------------------------------------------------
 
 def test_env_episode_end_error():
-    e = EdgeGatewayEnv(TrafficConfig(episode_len=3, attacks=[]), seed=0)
+    e = EdgeGatewayEnv(EnvConfig(episode_len=3, attacks=[]), seed=0)
     for _ in range(3):
         e.step(None)
     with pytest.raises(RuntimeError):
@@ -540,27 +549,27 @@ def test_env_episode_end_error():
 
 
 def test_flagger_must_return_one_flag_per_flow():
-    e = EdgeGatewayEnv(TrafficConfig(attacks=[]), seed=0,
+    e = EdgeGatewayEnv(EnvConfig(attacks=[]), seed=0,
                        flow_flagger=lambda features: [])
     with pytest.raises(ValueError):
         e.step(None)
 
 
 def test_step_features_are_the_offered_flows_matrix():
-    e = EdgeGatewayEnv(TrafficConfig(attacks=[default_syn_flood(start=0, end=5)],
-                                     episode_len=5), seed=3)
+    e = EdgeGatewayEnv(EnvConfig(attacks=[default_syn_flood(start=0, end=5)],
+                                 episode_len=5), seed=3)
     for _ in range(5):
         res = e.step(None)
         assert np.array_equal(res.features, features_matrix(res.offered))
 
 
 def test_step_counts_offered_syn_and_ack_packets():
-    e = EdgeGatewayEnv(TrafficConfig(attacks=[default_syn_flood(start=2, end=6)],
-                                     episode_len=8), seed=4)
+    e = EdgeGatewayEnv(EnvConfig(attacks=[default_syn_flood(start=2, end=6)],
+                                 episode_len=8), seed=4)
     for _ in range(8):
         res = e.step(ActionId.SYN_THROTTLE)
-        assert res.offered_syn == sum(f.syn_packets for f in res.offered)
-        assert res.offered_ack == sum(f.ack_packets for f in res.offered)
+        assert res.offered_syn == sum(syn_packets(f) for f in res.offered)
+        assert res.offered_ack == sum(ack_packets(f) for f in res.offered)
     assert res.offered_syn > 0 and res.offered_ack > 0
 
 
@@ -593,7 +602,7 @@ def test_features_matrix_matches_per_flow_reference(flows):
 
 
 def test_env_deterministic_trajectory():
-    cfg = TrafficConfig(attacks=[default_syn_flood(start=5, end=40)], episode_len=60)
+    cfg = EnvConfig(attacks=[default_syn_flood(start=5, end=40)], episode_len=60)
     actions = [None] * 10 + [ActionId.SOURCE_FILTER, ActionId.SYN_THROTTLE] * 25
 
     def run():
@@ -609,12 +618,12 @@ def test_env_deterministic_trajectory():
 
 
 def test_env_action_semantics():
-    cfg = TrafficConfig(attacks=[default_syn_flood(start=0, end=50)], episode_len=60)
+    cfg = EnvConfig(attacks=[default_syn_flood(start=0, end=50)], episode_len=60)
     e = EdgeGatewayEnv(cfg, seed=22)
     res = e.step(ActionId.RATE_LIMIT)
-    assert res.mitigation.rate_cap == e.params.rate_cap_pps
+    assert res.mitigation.rate_cap == e.config.rate_cap_pps
     res = e.step(ActionId.SYN_THROTTLE)
-    assert res.mitigation.syn_cap == e.params.syn_cap_pps
+    assert res.mitigation.syn_cap == e.config.syn_cap_pps
     assert res.mitigation.rate_cap is not None  # caps accumulate while active
     res = e.step(ActionId.BLOCK_ANOMALOUS)
     assert res.mitigation.drop_filter_active
@@ -628,7 +637,7 @@ def test_env_action_semantics():
 
 
 def test_source_filter_blacklists_flooders():
-    cfg = TrafficConfig(attacks=[default_syn_flood(start=0, end=50)], episode_len=60)
+    cfg = EnvConfig(attacks=[default_syn_flood(start=0, end=50)], episode_len=60)
     e = EdgeGatewayEnv(cfg, seed=23)
     for _ in range(6):      # build up per-source anomaly windows
         e.step(None)
@@ -641,7 +650,7 @@ def test_source_filter_blacklists_flooders():
 
 
 def test_blacklist_soundness_until_expiry():
-    cfg = TrafficConfig(attacks=[default_syn_flood(start=0, end=90)], episode_len=100)
+    cfg = EnvConfig(attacks=[default_syn_flood(start=0, end=90)], episode_len=100)
     e = EdgeGatewayEnv(cfg, seed=24)
     for _ in range(6):
         e.step(None)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -80,9 +82,7 @@ def test_response_time_measured_from_onset(trained_quick):
 def test_rollout_detection_probability_none_without_attacks(trained_quick):
     pipe, _ = trained_quick
     cfg = pipe.cfg
-    benign = cfg.env.traffic_config()
-    benign.attacks = []
-    out = pl.rollout(pipe, seed=1, traffic=benign)
+    out = pl.rollout(pipe, seed=1, env_config=replace(cfg.env, attacks=[]))
     assert out.detection_prob is None
     assert out.anomaly_auc() is None
     assert out.attack_offered == 0
@@ -206,8 +206,7 @@ def per_flow_reference(detector, flows):
 def test_batch_detector_matches_per_flow_reference(trained_quick):
     pipe, _ = trained_quick
     detector = pipe.detector
-    env = EdgeGatewayEnv(pipe.cfg.env.traffic_config(), seed=4242,
-                         params=pipe.cfg.env.env_params())
+    env = EdgeGatewayEnv(pipe.cfg.env, seed=4242)
     steps = [[]] + [env.step(None).offered
                     for _ in range(pipe.cfg.env.episode_len)]
     flagged = 0

@@ -16,7 +16,6 @@ from edgeids.sustain import (
     energy_overhead,
     equilibrium_check,
     g_per_kwh_to_g_per_joule,
-    lagrangian_value,
     load_kappa_schedule,
     memory_util,
     pareto_front,
@@ -142,14 +141,6 @@ def test_equilibrium_check():
     assert equilibrium_check(RewardWeights(delta=0.02, zeta=0.05), 0.4) == pytest.approx(0.0)
     res = equilibrium_check(RewardWeights(delta=0.03, zeta=0.05), 0.4)
     assert abs(res) == pytest.approx(0.01)
-
-
-def test_lagrangian_value():
-    assert lagrangian_value(2.0, 1.0, 0.5, (0.0, 0.0), (10.0, 1.0)) == 2.0
-    assert lagrangian_value(2.0, 10.0, 1.0, (0.3, 0.7), (10.0, 1.0)) == 2.0
-    assert lagrangian_value(1.0, 12.0, 0.5, (0.5, 0.0), (10.0, 1.0)) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        lagrangian_value(1.0, 1.0, 0.5, (-0.1, 0.0), (10.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
