@@ -424,13 +424,15 @@ def apply_mitigation(flows, mitigation, rng, flags=None, dt=1.0):
     Order: blacklist, anomaly drop filter, SYN cap, total rate cap.  Packet
     and byte totals are conserved exactly across (passed, dropped), two
     FlowBatches; dropped holds the blocked flows, then the SYN-cap cuts,
-    then the rate-cap cuts.
+    then the rate-cap cuts.  With no control active every flow passes.
     """
     batch = FlowBatch.of(flows)
     flagged = np.zeros(len(batch), bool) if flags is None \
         else np.asarray(flags, dtype=bool)
     if flagged.shape != (len(batch),):
         raise ValueError(f"{len(flagged)} flags for {len(batch)} flows")
+    if not mitigation.any_active():
+        return batch, batch.take(slice(0, 0))
     blocked = np.zeros(len(batch), bool)
     if mitigation.blacklist:
         blocked = _blacklisted(batch.sources, mitigation.blacklist)[batch.src]

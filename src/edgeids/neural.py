@@ -9,8 +9,12 @@ guarantees meaningful.
 
 The autoencoder's full-batch training step writes into an AutoencoderWork
 that a warm-up allocates once, not into fresh temporaries per epoch.  The
-LSTM has one forward, which runs a window into per-window [T, ...] arrays;
-classify, hidden, the loss and the backward pass all read it.
+LSTM has one forward, which runs a window into the per-window [T, ...]
+arrays of an LstmWork; classify, hidden, the loss and the backward pass
+all read it.  A training loop builds one LstmWork for its windows and
+passes it to every backward call, so an SGD step allocates little beyond
+the gradients it returns; classify and hidden run in a forward-only work
+of their own.
 """
 
 from __future__ import annotations
@@ -347,49 +351,103 @@ def lstm_init(input_dim, hidden_dim, rng):
 
 def lstm_cell_step(params, x, h_prev, c_prev):
     """Standard gate equations; returns the new (h, c)."""
-    h, (_, _, c_seq, _) = _lstm_forward(params, [x], h_prev, c_prev)
-    return h, c_seq[1]
+    h, work = _lstm_forward(params, [x], h_prev, c_prev)
+    return h, work.c[1]
 
 
-def _lstm_forward(cell, window, h, c):
-    """Runs the cell over a [T, input_dim] window from the state (h, c).
+class LstmWork:
+    """The arrays an LSTM window needs, allocated once per window shape,
+    with the views of every time step built once, so that a training
+    loop's SGD steps reuse them.  `model` is an LstmClassifier (a window
+    of model.window_len steps unless `steps` says otherwise) or a bare
+    LstmParams cell with `steps` given.
 
-    Returns the last h and the per-window arrays the backward pass reads:
-    z_seq[t] = [x_t, h_{t-1}], a_seq[t] = the gate activations (i, f, o, g)
-    as [4, hidden], c_seq[t] = c_{t-1} with c_seq[T] = c_T, and
-    tanh_seq[t] = tanh(c_t)."""
+    The forward fills z[t] = [x_t, h_{t-1}], a[t] = the gate activations
+    (i, f, o, g) as [4, hidden], c[t] = c_{t-1} with c[T] = c_T,
+    tanh[t] = tanh(c_t) and h = h_T.  The backward's arrays are
+    allocated on the first backward pass through the work, so a
+    forward-only work (classify, hidden) does not pay for them."""
+
+    def __init__(self, model, steps=None):
+        cell = model.cell if isinstance(model, LstmClassifier) else model
+        steps = model.window_len if steps is None else steps
+        n_in, n_h = cell.input_dim, cell.hidden_dim
+        self.shape = (steps, n_in)
+        self.hidden_dim = n_h
+        self.z = np.empty((steps, n_in + n_h))
+        self.a = np.empty((steps, 4, n_h))
+        self.c = np.empty((steps + 1, n_h))
+        self.tanh = np.empty((steps, n_h))
+        self.h = np.empty(n_h)
+        self._ig = np.empty(n_h)
+        a = self.a
+        h_out = [self.z[t, n_in:] for t in range(1, steps)] + [self.h]
+        self.forward_steps = [
+            (self.z[t], a[t], a[t, :3], a[t, 0], a[t, 1], a[t, 2], a[t, 3],
+             self.c[t], self.c[t + 1], self.tanh[t], h_out[t])
+            for t in range(steps)]
+        self.back_steps = None
+
+    def build_backward(self):
+        """Allocates the backward pass's arrays and per-time-step views,
+        the steps in the order the pass runs them, t = T-1 down to 0."""
+        steps, n_in = self.shape
+        n_h = self.hidden_dim
+        # first[t] = (g, c_{t-1}, 0, i); the backward writes row 2 of da_t
+        # as dh * tanh(c_t) instead, so first's row 2 stays 0
+        self.first = np.zeros((steps, 4, n_h))
+        self.second = np.empty((steps, 4, n_h))
+        self.one_minus_ifo = np.empty((steps, 3, n_h))
+        self.d_tanh_c = np.empty((steps, n_h))
+        self.da = np.empty((steps, 4 * n_h))
+        self.outer = np.empty((steps, 4 * n_h, n_in + n_h))
+        self.dz = np.empty(n_in + n_h)
+        self.dh = self.dz[n_in:]
+        self.dh_head = np.empty(n_h)
+        self.dc = np.empty(n_h)
+        self._dc_step = np.empty(n_h)
+        da = self.da.reshape(steps, 4, n_h)
+        self.back_steps = [
+            (da[t], da[t, 2], da[t, :3], self.da[t], self.first[t], self.second[t],
+             self.one_minus_ifo[t], self.a[t, 1], self.a[t, 2], self.tanh[t],
+             self.d_tanh_c[t])
+            for t in range(steps - 1, -1, -1)]
+
+
+def _lstm_forward(cell, window, h, c, work=None):
+    """Runs the cell over a [T, input_dim] window from the state (h, c)
+    into `work`, an LstmWork for this window's shape, or into a new one;
+    returns (h_T, work), h_T being work.h."""
     window = np.atleast_2d(np.asarray(window, dtype=float))
     n_in, n_h = cell.input_dim, cell.hidden_dim
     if window.ndim != 2 or window.shape[1] != n_in or np.shape(h) != (n_h,):
         raise ValueError("lstm step dimension mismatch")
-    steps = len(window)
-    z_seq = np.empty((steps, n_in + n_h))
-    z_seq[:, :n_in] = window
-    a_seq = np.empty((steps, 4, n_h))
-    c_seq = np.empty((steps + 1, n_h))
-    c_seq[0] = c
-    tanh_seq = np.empty((steps, n_h))
+    if work is None:
+        work = LstmWork(cell, len(window))
+    elif work.shape != window.shape or work.hidden_dim != n_h:
+        raise ValueError(f"workspace for a {work.shape} window and {work.hidden_dim} "
+                         f"hidden units, given a {window.shape} window and {n_h}")
+    work.z[:, :n_in] = window
+    work.z[0, n_in:] = h
+    work.c[0] = c
     # one product per [H, I+H] gate block, as [4, H]: BLAS then sums each
     # gate row in the same order as a separate per-gate product would
     w4, b4 = cell.w.reshape(4, n_h, -1), cell.b.reshape(4, -1)
-    z_seq[0, n_in:] = h
-    for t in range(steps):
-        a = w4 @ z_seq[t]
+    ig = work._ig
+    for z, a, ifo, i, f, o, g, c_prev, c, tanh_c, h in work.forward_steps:
+        np.matmul(w4, z, out=a)
         a += b4
         # sigmoid(a) = 1 / (1 + exp(-a)) and tanh, written in place
-        ifo, g = a_seq[t, :3], a_seq[t, 3]
-        np.negative(a[:3], out=ifo)
+        np.negative(ifo, out=ifo)
         np.exp(ifo, out=ifo)
         ifo += 1.0
         np.divide(1.0, ifo, out=ifo)
-        np.tanh(a[3], out=g)
-        c = np.multiply(ifo[1], c_seq[t], out=c_seq[t + 1])
-        c += ifo[0] * g
-        np.tanh(c, out=tanh_seq[t])
-        h = ifo[2] * tanh_seq[t]
-        if t + 1 < steps:
-            z_seq[t + 1, n_in:] = h
-    return h, (z_seq, a_seq, c_seq, tanh_seq)
+        np.tanh(g, out=g)
+        np.multiply(f, c_prev, out=c)
+        c += np.multiply(i, g, out=ig)
+        np.tanh(c, out=tanh_c)
+        np.multiply(o, tanh_c, out=h)
+    return work.h, work
 
 
 @dataclass
@@ -427,13 +485,14 @@ def lstm_classifier_init(input_dim, hidden_dim, window_len, rng):
     return LstmClassifier(cell, head_w, head_b, window_len)
 
 
-def _classifier_forward(model, window):
-    """(y_hat, h_T, per-window arrays) for one window, from a zero state."""
+def _classifier_forward(model, window, work=None):
+    """(y_hat, h_T, the LstmWork holding the per-window arrays) for one
+    window, from a zero state."""
     zeros = np.zeros(model.cell.hidden_dim)
-    h, seqs = _lstm_forward(model.cell, window, zeros, zeros)
+    h, work = _lstm_forward(model.cell, window, zeros, zeros, work)
     logit = float(model.head_w @ h + model.head_b)
     y_hat = float(sigmoid(np.asarray(logit)))
-    return y_hat, h, seqs
+    return y_hat, h, work
 
 
 # ---------------------------------------------------------------------------
@@ -483,13 +542,16 @@ def _loss_of(model, x, target):
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def backward(model, x, target=None):
+def backward(model, x, target=None, work=None):
     """Exact analytic gradients of the model's loss on one input.
 
     Autoencoder: summed squared reconstruction error against `target`
     (defaults to the input itself).  LstmClassifier: binary cross-entropy
-    against a 0/1 target.  Dense stack: summed squared error against a
-    target vector.  Returns (loss, {param_name: gradient}).
+    against a 0/1 target, run in `work`, an LstmWork for the window's
+    shape, which a training loop builds once; without it the call builds
+    its own (the other models take no work).  Dense stack: summed squared error against a target vector.
+    Returns (loss, {param_name: gradient}); no gradient shares memory
+    with the work.
     """
     if isinstance(model, AutoencoderModel):
         ref = np.asarray(x if target is None else target, dtype=float)
@@ -507,7 +569,7 @@ def backward(model, x, target=None):
         return loss, grads
 
     if isinstance(model, LstmClassifier):
-        return _classifier_backward(model, x, target)
+        return _classifier_backward(model, x, target, work)
 
     if isinstance(model, (list, tuple)):
         tgt = np.asarray(target, dtype=float)
@@ -523,10 +585,10 @@ def backward(model, x, target=None):
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def _classifier_backward(model, window, y):
+def _classifier_backward(model, window, y, work):
     if y not in (0, 1):
         raise ValueError("classifier target must be 0 or 1")
-    y_hat, h, (z_seq, a_seq, c_seq, tanh_seq) = _classifier_forward(model, window)
+    y_hat, h, work = _classifier_forward(model, window, work)
     loss = bce_loss(y_hat, y)
 
     cell = model.cell
@@ -537,29 +599,39 @@ def _classifier_backward(model, window, y):
     # gate row k of da_t is d[k] * first[t, k] * second[t, k], with
     # d = (dc, dc, dh, dc), times 1 - ifo for the sigmoid gates; every
     # product keeps the left-to-right order of the per-step equations
-    ifo, g = a_seq[:, :3], a_seq[:, 3]
-    first = np.stack([g, c_seq[:-1], tanh_seq, ifo[:, 0]], axis=1)
-    second = a_seq.copy()
-    second[:, 3] = 1.0 - g * g
-    one_minus_ifo = 1.0 - ifo
-    d_tanh_c = 1.0 - tanh_seq * tanh_seq
-    da_seq = np.empty_like(a_seq)
+    if work.back_steps is None:
+        work.build_backward()
+    a, first, second = work.a, work.first, work.second
+    first[:, 0] = a[:, 3]
+    first[:, 1] = work.c[:-1]
+    first[:, 3] = a[:, 0]
+    second[...] = a
+    np.multiply(a[:, 3], a[:, 3], out=second[:, 3])
+    np.subtract(1.0, second[:, 3], out=second[:, 3])
+    np.subtract(1.0, a[:, :3], out=work.one_minus_ifo)
+    np.multiply(work.tanh, work.tanh, out=work.d_tanh_c)
+    np.subtract(1.0, work.d_tanh_c, out=work.d_tanh_c)
 
-    dh = d_logit * model.head_w
-    dc = np.zeros(cell.hidden_dim)
-    for t in range(len(z_seq) - 1, -1, -1):
-        da = da_seq[t]
-        dc = dc + dh * ifo[t, 2] * d_tanh_c[t]
-        np.multiply(dc, first[t], out=da)
-        np.multiply(dh, tanh_seq[t], out=da[2])
-        da *= second[t]
-        da[:3] *= one_minus_ifo[t]
-        dh = (cell.w.T @ da.reshape(-1))[cell.input_dim:]
-        dc = dc * ifo[t, 1]
+    dh = np.multiply(d_logit, model.head_w, out=work.dh_head)
+    dc = work.dc
+    dc.fill(0.0)
+    dc_step, dz, w_t = work._dc_step, work.dz, cell.w.T
+    for (da, da_o, da_ifo, da_flat, first_t, second_t, one_minus_ifo, f, o,
+         tanh_c, d_tanh_c) in work.back_steps:
+        np.multiply(dh, o, out=dc_step)
+        dc_step *= d_tanh_c
+        dc += dc_step
+        np.multiply(dc, first_t, out=da)
+        np.multiply(dh, tanh_c, out=da_o)
+        da *= second_t
+        da_ifo *= one_minus_ifo
+        np.matmul(w_t, da_flat, out=dz)
+        dh = work.dh
+        dc *= f
     # summed from t = T-1 down to 0, in the order the per-step updates ran
-    da_seq = da_seq.reshape(len(z_seq), -1)
-    grads["cell.w"] = (da_seq[:, :, None] * z_seq[:, None, :])[::-1].sum(axis=0)
-    grads["cell.b"] = da_seq[::-1].sum(axis=0)
+    np.multiply(work.da[:, :, None], work.z[:, None, :], out=work.outer)
+    grads["cell.w"] = work.outer[::-1].sum(axis=0)
+    grads["cell.b"] = work.da[::-1].sum(axis=0)
     return loss, grads
 
 
@@ -569,7 +641,7 @@ def apply_gradients(model, grads, lr):
         raise ValueError("learning rate must be >= 0")
     for name, param in iter_params(model):
         g = grads[name]
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError(f"non-finite gradient for {name}")
         param -= lr * np.asarray(g)
     return model

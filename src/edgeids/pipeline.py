@@ -222,12 +222,17 @@ def train_detector(cfg, rng_seed):
                          seed=rng_seed, resources=cfg.resources)
     # no mitigation acts during warm-up, so every offered flow passes
     step_rows = [env.step(None).features for _ in range(cfg.warmup.steps)]
+    # only the per-step row counts outlive the normalized matrix, so the
+    # raw rows are freed before the epochs
+    row_counts = [len(rows) for rows in step_rows]
     raw = np.concatenate(step_rows)
+    del step_rows
     if raw.shape[0] < 2:
         raise ValueError(f"warm-up produced {raw.shape[0]} flow(s), and fitting "
                          "needs two; raise env.benign_rate or warmup.steps")
     normalizer = ft.Normalizer("minmax").fit(raw)
     data = normalizer.transform(raw)
+    del raw
 
     model = neural.autoencoder_init(
         rng, input_dim=len(ft.FEATURE_NAMES),
@@ -242,7 +247,7 @@ def train_detector(cfg, rng_seed):
         tau_flow = float(np.percentile(_row_errors(model, data),
                                        cfg.warmup.tau_percentile))
         # each step's rows of the normalized matrix, in generation order
-        bounds = np.cumsum([len(rows) for rows in step_rows])[:-1]
+        bounds = np.cumsum(row_counts)[:-1]
         step_scores = [_step_score(model, rows)[1]
                        for rows in np.split(data, bounds) if len(rows)]
         tau_step = float(np.percentile(step_scores, cfg.warmup.tau_percentile))
@@ -252,11 +257,12 @@ def train_detector(cfg, rng_seed):
     return AnomalyDetector(normalizer, model, tau_flow, tau_step)
 
 
-def classifier_sgd_step(cfg, clf, window, label, k):
-    """The k-th SGD step (k from 1) of the LSTM classifier.  The step size
-    decays slowly (k^-0.55), leaving room for the faster-decaying DQN
-    updates during the joint phase."""
-    _, grads = neural.backward(clf, window, label)
+def classifier_sgd_step(cfg, clf, work, window, label, k):
+    """The k-th SGD step (k from 1) of the LSTM classifier, run in `work`,
+    the caller's neural.LstmWork for its windows.  The step size decays
+    slowly (k^-0.55), leaving room for the faster-decaying DQN updates
+    during the joint phase."""
+    _, grads = neural.backward(clf, window, label, work=work)
     neural.apply_gradients(clf, grads, cfg.neural.lstm_lr * k ** -0.55)
 
 
@@ -264,7 +270,10 @@ def pretrain_step_classifier(cfg, detector, seed):
     """Supervised phase: label simulator steps and fit the LSTM classifier.
 
     Windows of consecutive per-step aggregate features are labeled by the
-    last step's ground truth."""
+    last step's ground truth.  Every action is None, so no mitigation
+    acts and no flow flag reaches the traffic: the env keeps its default
+    rate flagger rather than paying for the detector's per-flow
+    autoencoder pass, whose flags nothing here reads."""
     clf_rng = np.random.default_rng(seed)
     clf = neural.lstm_classifier_init(
         len(ft.FEATURE_NAMES), cfg.neural.lstm_hidden,
@@ -274,7 +283,7 @@ def pretrain_step_classifier(cfg, detector, seed):
     labels = []
     for episode in range(max(cfg.pretrain_episodes, 1)):
         env = EdgeGatewayEnv(cfg.env, seed=seed + 101 + episode,
-                             resources=cfg.resources, flow_flagger=detector.flow_flag)
+                             resources=cfg.resources)
         history = deque(maxlen=cfg.neural.lstm_window)
         for _ in range(cfg.env.episode_len):
             result = env.step(None)
@@ -285,11 +294,12 @@ def pretrain_step_classifier(cfg, detector, seed):
                 labels.append(1 if result.attack_active else 0)
 
     order = clf_rng.permutation(len(windows))
+    work = neural.LstmWork(clf)
     k = 0
     for _ in range(2):
         for i in order:
             k += 1
-            classifier_sgd_step(cfg, clf, windows[i], labels[i], k)
+            classifier_sgd_step(cfg, clf, work, windows[i], labels[i], k)
     return clf, k
 
 
@@ -541,6 +551,8 @@ class DrlPipeline:
         trace_rows = []
         q_updates = 0
         clf_updates = self._classifier_updates
+        clf_work = (neural.LstmWork(self.classifier, cfg.neural.lstm_window)
+                    if self.classifier is not None else None)
 
         for episode in range(cfg.episodes):
             env = self._make_env(cfg.seed + 1000 * (episode + 1))
@@ -558,7 +570,7 @@ class DrlPipeline:
             for step in steps:
                 if step.classified is not None:
                     clf_updates += 1
-                    classifier_sgd_step(cfg, self.classifier, step.window,
+                    classifier_sgd_step(cfg, self.classifier, clf_work, step.window,
                                         int(step.result.attack_active), clf_updates)
                 reward_sum += step.reward.total
                 cpu_sum += step.result.resource.cpu_pct

@@ -1,5 +1,5 @@
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -99,6 +99,26 @@ def test_no_mitigation_is_identity():
     flows = [flow(pkts=10), flow(src="b001", pkts=20)]
     passed, dropped = apply_mitigation(flows, MitigationState(), np.random.default_rng(0))
     assert list(passed) == flows and len(dropped) == 0
+
+
+@pytest.mark.parametrize("flagged", [False, True])
+def test_no_control_passes_every_flow_and_draws_nothing(flagged):
+    cfg = EnvConfig(attacks=[AttackScenario("zero_day_mix", 3000.0, 0, 5)])
+    batch = generate_step_traffic(cfg, 1, np.random.default_rng(5))
+    assert len(batch) > 0
+    # flags reach nothing while the drop filter is off
+    flags = np.full(len(batch), flagged)
+    rng = np.random.default_rng(6)
+    state = rng.bit_generator.state
+    passed, dropped = apply_mitigation(batch, MitigationState(), rng, flags)
+    assert rng.bit_generator.state == state
+    assert passed.sources == batch.sources
+    for column in fields(FlowBatch)[1:]:
+        assert np.array_equal(getattr(passed, column.name),
+                              getattr(batch, column.name)), column.name
+    assert len(dropped) == 0 and dropped.sources == batch.sources
+    with pytest.raises(ValueError, match="flags for"):
+        apply_mitigation(batch, MitigationState(), rng, flags[1:])
 
 
 def test_blacklist_drops_all_from_source():

@@ -466,11 +466,41 @@ def test_classifier_backward_matches_reference(steps, input_dim, hidden_dim, see
     ref_y_hat, ref_h, ref_loss, ref_grads = _reference_classifier_backward(model, window, y)
     assert _bits(model.classify(window)) == _bits(ref_y_hat)
     assert _bits(model.hidden(window)) == _bits(ref_h)
-    loss, grads = backward(model, window, y)
-    assert _bits(loss) == _bits(ref_loss)
-    assert grads.keys() == ref_grads.keys()
-    for name, ref in ref_grads.items():
-        assert _bits(grads[name]) == _bits(ref), name
+    # without a workspace, then through one workspace on two different
+    # windows, so a value left over from the last call would show; every
+    # call is checked after the last one ran, so an aliased gradient would too
+    other = rng.normal(scale=scale, size=(steps, input_dim))
+    work = neural.LstmWork(model)
+    calls = [(window, backward(model, window, y)),
+             (window, backward(model, window, y, work=work)),
+             (other, backward(model, other, 1 - y, work=work)),
+             (window, backward(model, window, y, work=work))]
+    for win, (loss, grads) in calls:
+        target = y if win is window else 1 - y
+        _, _, ref_loss, ref_grads = _reference_classifier_backward(model, win, target)
+        assert _bits(loss) == _bits(ref_loss)
+        assert grads.keys() == ref_grads.keys()
+        for name, ref in ref_grads.items():
+            assert _bits(grads[name]) == _bits(ref), name
+    buffers = [buf for buf in vars(work).values() if isinstance(buf, np.ndarray)]
+    for _, (_, grads) in calls[1:]:
+        for name, grad in grads.items():
+            assert not any(np.shares_memory(grad, buf) for buf in buffers), name
+
+
+def test_lstm_workspace_must_fit_window_and_model():
+    rng = np.random.default_rng(0)
+    model = lstm_classifier_init(4, 3, 5, rng)
+    window = rng.normal(size=(5, 4))
+    before = [p.copy() for _, p in iter_params(model)]
+    for work in (neural.LstmWork(model, steps=4),
+                 neural.LstmWork(lstm_classifier_init(5, 3, 5, rng)),
+                 neural.LstmWork(lstm_classifier_init(4, 2, 5, rng))):
+        with pytest.raises(ValueError, match="workspace") as exc:
+            backward(model, window, 1, work=work)
+        assert "\n" not in str(exc.value)
+    for (_, p), old in zip(iter_params(model), before):
+        assert np.array_equal(p, old)
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,31 @@ def test_flow_flag_runs_once_per_env_step(monkeypatch):
     assert len(calls) == cfg.episodes * cfg.env.episode_len
 
 
+@pytest.mark.parametrize("pretrain_episodes", [0, 2])
+def test_autodrl_setup_steps_each_planned_env_step_and_flags_none(
+        monkeypatch, pretrain_episodes):
+    """An autodrl warm-up steps the env once per warm-up step and once per
+    pre-training step, and never runs the detector's per-flow flags."""
+    cfg = quick_config("autodrl", episode_len=60, pretrain_episodes=pretrain_episodes)
+    steps, flags = [], []
+    step, flow_flag = EdgeGatewayEnv.step, pl.AnomalyDetector.flow_flag
+
+    def counted_step(self, *args, **kwargs):
+        steps.append(1)
+        return step(self, *args, **kwargs)
+
+    def counted_flow_flag(self, features):
+        flags.append(1)
+        return flow_flag(self, features)
+
+    monkeypatch.setattr(EdgeGatewayEnv, "step", counted_step)
+    monkeypatch.setattr(pl.AnomalyDetector, "flow_flag", counted_flow_flag)
+    pl.DrlPipeline(cfg).warmup()
+    assert len(steps) == (cfg.warmup.steps
+                          + max(cfg.pretrain_episodes, 1) * cfg.env.episode_len)
+    assert len(flags) == 0
+
+
 def test_hot_path_builds_no_flow_records(monkeypatch):
     """Warm-up and training work on FlowBatch columns only: no FlowRecord
     row is built and no flow is featurized on its own."""
