@@ -14,7 +14,7 @@ rng = np.random.default_rng(0)
 print("== dense layer ==")
 layer = neural.DenseParams(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2),
                            "identity")
-print("W @ [1, 1] =", neural.stack_forward([layer], [1.0, 1.0])[0], "(expect [3, 7])")
+print("W @ [1, 1] =", neural.stack_forward([layer], [1.0, 1.0]), "(expect [3, 7])")
 
 print("\n== LSTM cell with zero parameters ==")
 # one hidden unit: the four gate rows i, f, o, g stacked over [x, h]

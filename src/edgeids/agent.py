@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import neural
-from .neural import DenseParams, stack_backward, stack_forward
+from .neural import DenseParams, stack_forward
 
 
 class InsufficientData(Exception):
@@ -187,8 +187,7 @@ class QNetwork:
         return self.layers[0].n_in
 
     def q_values(self, s):
-        q, _ = stack_forward(self.layers, np.asarray(s, dtype=float))
-        return q
+        return stack_forward(self.layers, s)
 
     def copy(self):
         return QNetwork([
@@ -240,8 +239,10 @@ def td_targets(batch, q_target, gamma, carbon_weight=0.0):
     return np.where(batch.terminal, targets, targets + bootstrap)
 
 
-def q_update_network(q, batch, q_target, gamma, lr, carbon_weight=0.0):
-    """One SGD step on the mean squared TD error of a Minibatch.
+def q_update_network(q, work, batch, q_target, gamma, lr, carbon_weight=0.0):
+    """One SGD step on the mean squared TD error of a Minibatch, run in
+    `work`, a neural.DenseWork over q.layers for the batch's rows that a
+    training loop builds once.
 
     Only the taken action's output contributes per sample.  Returns
     (loss_before_step, td_errors).
@@ -250,18 +251,17 @@ def q_update_network(q, batch, q_target, gamma, lr, carbon_weight=0.0):
     # a diverged network overflows here; the finite-loss check fails it
     with np.errstate(over="ignore", invalid="ignore"):
         targets = td_targets(batch, q_target, gamma, carbon_weight)
-        out, caches = stack_forward(q.layers, batch.states)
+        out = work.forward(q.layers, batch.states)
         td_errors = out[rows, batch.actions] - targets
         loss = float(np.mean(td_errors ** 2))
         if not np.isfinite(loss):
             raise Diverged("non-finite TD loss")
 
-        d_out = np.zeros_like(out)
+        d_out = work.back(0, N_ACTIONS)
+        d_out.fill(0.0)
         d_out[rows, batch.actions] = 2.0 * td_errors / len(rows)
-        grads, _ = stack_backward(q.layers, caches, d_out)
-        for layer, (dw, db) in zip(q.layers, grads):
-            layer.w -= lr * dw
-            layer.b -= lr * db
+        work.backward(q.layers, batch.states)
+        work.sgd(q.layers, lr)
     return loss, td_errors
 
 

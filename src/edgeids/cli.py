@@ -294,15 +294,18 @@ def _episode_samples(run_dir, metrics):
         rows = list(csv.DictReader(f))
     samples = {}
     for metric in metrics:
-        column = COMPARE_METRICS.get(metric)
-        if column is None or (rows and column not in rows[0]):
-            raise KeyError(f"metric {metric!r} not available in {run_dir}")
+        column = COMPARE_METRICS[metric]
+        if rows and column not in rows[0]:
+            raise ValueError(f"metric {metric!r} not available in {run_dir}")
         samples[metric] = [float(r[column]) for r in rows]
     return samples
 
 
 def cmd_compare(args):
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    if not metrics or not set(metrics) <= COMPARE_METRICS.keys():
+        raise ConfigError(f"--metrics {args.metrics!r}: each name must be one of "
+                          f"{', '.join(COMPARE_METRICS)}")
     samples_a = _episode_samples(args.run_a, metrics)
     samples_b = _episode_samples(args.run_b, metrics)
     report = ev.compare_models(samples_a, samples_b, metrics)
@@ -336,9 +339,10 @@ def cmd_compare(args):
 # sweep
 # ---------------------------------------------------------------------------
 
-def sweep_values(cfg, flag, text, key, parse):
-    """The comma-separated values of a sweep flag, each checked by the
-    config rule that a single value of `key` must meet."""
+def sweep_values(cfg, flag, text, key, parse, at_least):
+    """The comma-separated values of a sweep flag, at least `at_least` of
+    them, each checked by the config rule that a single value of `key`
+    must meet."""
     values = []
     for raw in text.split(","):
         try:
@@ -347,14 +351,17 @@ def sweep_values(cfg, flag, text, key, parse):
         except (ConfigError, ValueError) as exc:
             raise ConfigError(f"{flag} value {raw!r}: {exc}") from exc
         values.append(value)
+    if len(values) < at_least:
+        raise ConfigError(f"{flag} needs at least {at_least} values, "
+                          f"got {len(values)}")
     return values
 
 
 def cmd_sweep(args):
     cfg = build_config(args)
     epsilons = sweep_values(cfg, "--epsilon", args.epsilon,
-                            "hyper.epsilon.initial", float)
-    seeds = sweep_values(cfg, "--seeds", args.seeds, "seed", int)
+                            "hyper.epsilon.initial", float, ev.SWEEP_MIN_EPSILONS)
+    seeds = sweep_values(cfg, "--seeds", args.seeds, "seed", int, ev.SWEEP_MIN_SEEDS)
     out = prepare_out_dir(args, f"sweep-{cfg.agent}")
     cfgmod.save(cfg, out / "config.json")
     logger = make_run_logger(out, args.quiet)
@@ -496,31 +503,39 @@ def cmd_selftest(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _FlagParser(argparse.ArgumentParser):
+    """An unknown, malformed or missing flag is a configuration error:
+    one `config error:` line and exit 1, not argparse's usage and exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def make_parser():
-    parser = argparse.ArgumentParser(
+    parser = _FlagParser(
         prog="edgeids",
         description="Carbon-aware DRL DDoS-mitigation lab for a simulated "
                     "IoT edge gateway")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scalar_epsilon=True):
+    def common(p, training=True):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="artifact output directory")
-        p.add_argument("--agent", choices=cfgmod.AGENT_KINDS, default=None)
-        p.add_argument("--episodes", type=int, default=None)
-        if scalar_epsilon:
-            p.add_argument("--epsilon", type=float, default=None,
-                           help="exploration temperature override")
+        if training:
+            p.add_argument("--agent", choices=cfgmod.AGENT_KINDS, default=None)
+            p.add_argument("--episodes", type=int, default=None)
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="config override, repeatable (e.g. env.dt=0.5)")
         p.add_argument("--quiet", action="store_true")
 
     p_train = sub.add_parser("train", help="train an agent and write artifacts")
     common(p_train)
+    p_train.add_argument("--epsilon", type=float, default=None,
+                         help="exploration temperature override")
 
     p_eval = sub.add_parser("evaluate", help="frozen-policy rollout from a checkpoint")
-    common(p_eval)
+    common(p_eval, training=False)
     p_eval.add_argument("--checkpoint", required=True,
                         help="train artifact directory, or its checkpoint.txt")
     p_eval.add_argument("--pps", type=float, default=50.0,
@@ -534,7 +549,7 @@ def make_parser():
     p_cmp.add_argument("--quiet", action="store_true")
 
     p_sweep = sub.add_parser("sweep", help="exploration-coefficient sweep")
-    common(p_sweep, scalar_epsilon=False)
+    common(p_sweep)
     p_sweep.add_argument("--epsilon", default="0.5,1.0,2.0",
                          help="comma-separated epsilon values")
     p_sweep.add_argument("--seeds", default="0,1,2",
@@ -556,9 +571,8 @@ COMMANDS = {
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

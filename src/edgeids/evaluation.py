@@ -393,6 +393,9 @@ class SweepResult:
                                      repr(float(s))])
 
 
+SWEEP_MIN_EPSILONS, SWEEP_MIN_SEEDS = 2, 3
+
+
 def epsilon_sweep(run_fn, epsilons, seeds):
     """Mean +/- std reward curves per exploration setting.
 
@@ -400,10 +403,10 @@ def epsilon_sweep(run_fn, epsilons, seeds):
     one run; runs are independent, so the harness only aggregates."""
     epsilons = list(epsilons)
     seeds = list(seeds)
-    if len(epsilons) < 2:
-        raise ValueError("sweep needs at least two epsilon values")
-    if len(seeds) < 3:
-        raise ValueError("sweep needs at least three seeds")
+    if len(epsilons) < SWEEP_MIN_EPSILONS:
+        raise ValueError(f"sweep needs at least {SWEEP_MIN_EPSILONS} epsilon values")
+    if len(seeds) < SWEEP_MIN_SEEDS:
+        raise ValueError(f"sweep needs at least {SWEEP_MIN_SEEDS} seeds")
     curves = {}
     for eps in epsilons:
         runs = [np.asarray(run_fn(eps, seed), dtype=float) for seed in seeds]

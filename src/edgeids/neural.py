@@ -7,9 +7,15 @@ Everything runs in float64 and is deterministic for a fixed seed, which is
 what makes the finite-difference verification and the checkpoint round-trip
 guarantees meaningful.
 
-The autoencoder's full-batch training step writes into an AutoencoderWork
-that a warm-up allocates once, not into fresh temporaries per epoch.  The
-LSTM has one forward, which runs a window into the per-window [T, ...]
+Dense stacks (the autoencoder, the Q-network, bare stacks) have one
+forward loop and one backward loop, both writing in place.  Inference
+(stack_forward) runs the forward into arrays of its own; training and
+the gradient oracle run forward and backward in a DenseWork, which holds
+each layer's output and, from the first backward on, the
+back-propagation buffers and dw/db.  The warm-up and the DQN update
+each build one DenseWork and reuse it for every step.
+
+The LSTM has one forward, which runs a window into the per-window [T, ...]
 arrays of an LstmWork; classify, hidden, the loss and the backward pass
 all read it.  A training loop builds one LstmWork for its windows and
 passes it to every backward call, so an SGD step allocates little beyond
@@ -36,33 +42,19 @@ class CheckpointError(Exception):
 # activations
 # ---------------------------------------------------------------------------
 
-def _activate(name, a):
-    if name == "identity":
-        return a
+def _activate(name, y):
+    """Applies the activation to the array y in place; returns y."""
     if name == "relu":
-        return np.maximum(a, 0.0)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-a))
-    if name == "tanh":
-        return np.tanh(a)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _activate_grad(name, a, y):
-    # derivative w.r.t. pre-activation a, given post-activation y
-    if name == "identity":
-        return np.ones_like(a)
-    if name == "relu":
-        return (a > 0.0).astype(float)
-    if name == "sigmoid":
-        return y * (1.0 - y)
-    if name == "tanh":
-        return 1.0 - y * y
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def sigmoid(a):
-    return 1.0 / (1.0 + np.exp(-a))
+        np.maximum(y, 0.0, out=y)
+    elif name == "sigmoid":
+        # 1 / (1 + exp(-y))
+        np.negative(y, out=y)
+        np.exp(y, out=y)
+        y += 1.0
+        np.divide(1.0, y, out=y)
+    elif name == "tanh":
+        np.tanh(y, out=y)
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -106,46 +98,93 @@ def dense_init(n_in, n_out, activation, rng):
     return DenseParams(w, b, activation)
 
 
+def _forward(layers, x, ys):
+    """Runs a [rows, n_in] batch through the stack, layer k writing its
+    output into ys[k]; returns the last output."""
+    for layer, y in zip(layers, ys):
+        np.matmul(x, layer.w.T, out=y)
+        y += layer.b
+        x = _activate(layer.activation, y)
+    return x
+
+
 def stack_forward(layers, x):
-    """Run a batch [B, d_in] (or a single vector) through a dense stack.
-
-    Returns (output, caches); caches hold per-layer inputs, pre- and
-    post-activations for the matching backward pass.
-    """
+    """Output of a dense stack for a batch [rows, n_in] or a single vector,
+    in arrays of its own."""
     x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    caches = []
-    for layer in layers:
-        if x.shape[1] != layer.n_in:
-            raise ValueError(
-                f"stack input width {x.shape[1]} != layer input {layer.n_in}"
-            )
-        a = x @ layer.w.T + layer.b
-        y = _activate(layer.activation, a)
-        caches.append((x, a, y))
-        x = y
-    return (x[0] if squeeze else x), caches
+    batch = x[None, :] if x.ndim == 1 else x
+    if batch.shape[1] != layers[0].n_in:
+        raise ValueError(
+            f"stack input width {batch.shape[1]} != layer input {layers[0].n_in}")
+    out = _forward(layers, batch, [np.empty((len(batch), layer.n_out))
+                                   for layer in layers])
+    return out[0] if x.ndim == 1 else out
 
 
-def stack_backward(layers, caches, d_out):
-    """Backpropagate d_out [B, d_last] through the stack.
+class DenseWork:
+    """The arrays a dense stack needs to train on [rows, n_in] batches,
+    allocated once so that a training loop's steps reuse them.
 
-    Returns (grads, d_input) where grads is a list of (dw, db) matching the
-    layer list.
-    """
-    d_out = np.asarray(d_out, dtype=float)
-    if d_out.ndim == 1:
-        d_out = d_out[None, :]
-    grads = [None] * len(layers)
-    dy = d_out
-    for i in range(len(layers) - 1, -1, -1):
-        x_in, a, y = caches[i]
-        da = dy * _activate_grad(layers[i].activation, a, y)
-        grads[i] = (da.T @ x_in, da.sum(axis=0))
-        dy = da @ layers[i].w
-    return grads, dy
+    y[k] holds layer k's output, and the forward keeps nothing else: a
+    ReLU's gradient mask is y > 0, which is where its pre-activation is
+    > 0.  The backward's arrays are allocated on the first backward pass
+    through the work: two buffers as wide as the widest layer, between
+    which back-propagation alternates, the ReLU mask, and dw/db."""
+
+    def __init__(self, layers, rows):
+        self.shape = (rows, layers[0].n_in)
+        self.widths = [layer.n_out for layer in layers]
+        self.y = [np.empty((rows, n)) for n in self.widths]
+        self.dw = self.db = None
+
+    def back(self, k, width):
+        """Back-propagation buffer k % 2 as [rows, width].  The backward
+        reads d loss / d output from buffer 0; until it runs, buffer 1 is
+        free scratch."""
+        rows, n_in = self.shape
+        if self.dw is None:
+            dims = [n_in, *self.widths]
+            self._back = np.empty((2, rows * max(dims)))
+            self._mask = np.empty(rows * max(dims), dtype=bool)
+            self.dw = [np.empty((n_out, n)) for n, n_out in zip(dims, self.widths)]
+            self.db = [np.empty(n) for n in self.widths]
+        return self._back[k % 2, :rows * width].reshape(rows, width)
+
+    def forward(self, layers, x):
+        """Runs the [rows, n_in] batch x through the stack into y;
+        returns the output, y[-1]."""
+        widths = [layer.n_out for layer in layers]
+        if x.shape != self.shape or widths != self.widths:
+            raise ValueError(f"workspace for a {self.shape} batch and widths "
+                             f"{self.widths}, given a {x.shape} batch and {widths}")
+        return _forward(layers, x, self.y)
+
+    def backward(self, layers, x):
+        """Back-propagates d loss / d output, written into back(0, n_out),
+        through the forward the work last ran on x into dw and db."""
+        dy = self.back(0, self.widths[-1])
+        for k in range(len(layers) - 1, -1, -1):
+            layer, y = layers[k], self.y[k]
+            # an identity layer's da is dy itself
+            if layer.activation == "relu":
+                mask = np.greater(y, 0.0, out=self._mask[:y.size].reshape(y.shape))
+                np.multiply(dy, mask, out=dy)
+            elif layer.activation == "sigmoid":
+                dy *= y * (1.0 - y)
+            elif layer.activation == "tanh":
+                dy *= 1.0 - y * y
+            np.matmul(dy.T, self.y[k - 1] if k else x, out=self.dw[k])
+            dy.sum(axis=0, out=self.db[k])
+            if k:
+                dy = np.matmul(dy, layer.w, out=self.back(len(layers) - k, layer.n_in))
+
+    def sgd(self, layers, lr):
+        """Plain SGD on the last backward's gradients: p <- p - lr * grad."""
+        for layer, dw, db in zip(layers, self.dw, self.db):
+            dw *= lr
+            layer.w -= dw
+            db *= lr
+            layer.b -= db
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +236,18 @@ class AutoencoderModel:
         if self.decoder[-1].n_out != self.input_dim:
             raise ValueError("decoder must reconstruct the input dimension")
 
+    @property
+    def layers(self):
+        """The encoder then the decoder, as one dense stack."""
+        return self.encoder + self.decoder
+
     def encode(self, x):
-        h, _ = stack_forward(self.encoder, x)
-        return h
+        return stack_forward(self.encoder, x)
 
     def reconstruct(self, x):
         """Returns (latent, reconstruction) for a vector or a batch."""
-        h, _ = stack_forward(self.encoder, x)
-        x_hat, _ = stack_forward(self.decoder, h)
-        return h, x_hat
+        h = stack_forward(self.encoder, x)
+        return h, stack_forward(self.decoder, h)
 
     def anomaly_score(self, x):
         _, x_hat = self.reconstruct(x)
@@ -225,87 +267,26 @@ def autoencoder_init(rng, input_dim=8, hidden_dim=16, latent_dim=8):
     return AutoencoderModel(encoder, decoder, input_dim, latent_dim)
 
 
-def _layout(model):
-    return [(layer.w.shape, layer.activation) for layer in model.encoder + model.decoder]
-
-
-class AutoencoderWork:
-    """The buffers one autoencoder_train_step needs for a [rows, input_dim]
-    batch, allocated once so that a warm-up's epochs reuse them.
-
-    Each layer keeps only its output: a ReLU's gradient mask is y > 0,
-    which is where a > 0.  Back-propagation alternates between two
-    buffers as wide as the widest layer."""
-
-    def __init__(self, model, rows):
-        layers = model.encoder + model.decoder
-        self.shape = (rows, model.input_dim)
-        self.layout = _layout(model)
-        width = max(max(layer.n_in, layer.n_out) for layer in layers)
-        self.y = [np.empty((rows, layer.n_out)) for layer in layers]
-        self._back = np.empty((2, rows * width))
-        self._mask = np.empty(rows * width, dtype=bool)
-        self.row_sum = np.empty(rows)
-        self.dw = [np.empty_like(layer.w) for layer in layers]
-        self.db = [np.empty_like(layer.b) for layer in layers]
-
-    def back(self, k, width):
-        """Back-propagation buffer k % 2 as [rows, width]."""
-        return self._back[k % 2, :self.shape[0] * width].reshape(-1, width)
-
-    def mask(self, width):
-        return self._mask[:self.shape[0] * width].reshape(-1, width)
-
-
 def autoencoder_train_step(model, batch, lr, work=None):
     """One batch-mean SGD step on the reconstruction error; returns the loss.
 
-    `work` is an AutoencoderWork for this batch's shape and the model's
-    layout; a training loop builds it once and passes it to every step.
-    Without it the step builds its own.  Every operation is the one a
-    step with fresh temporaries makes, in the same order, so the weights
-    are the same to the bit."""
+    `work` is a DenseWork over model.layers for this batch's rows; a
+    training loop builds it once and passes it to every step.  Without
+    it the step builds its own."""
     batch = np.atleast_2d(np.asarray(batch, dtype=float))
+    layers = model.layers
     if work is None:
-        work = AutoencoderWork(model, batch.shape[0])
-    elif work.shape != batch.shape or work.layout != _layout(model):
-        raise ValueError(f"workspace for a {work.shape} batch of another layout, "
-                         f"given a {batch.shape} batch")
-    layers = model.encoder + model.decoder
-    x = batch
-    for layer, y in zip(layers, work.y):
-        np.matmul(x, layer.w.T, out=y)
-        y += layer.b
-        if layer.activation == "relu":
-            np.maximum(y, 0.0, out=y)
-        elif layer.activation != "identity":
-            y[...] = _activate(layer.activation, y)
-        x = y
-
+        work = DenseWork(layers, batch.shape[0])
+    x_hat = work.forward(layers, batch)
     dy = work.back(0, model.input_dim)
-    np.subtract(x, batch, out=dy)
+    np.subtract(x_hat, batch, out=dy)
     sq = work.back(1, model.input_dim)
     np.multiply(dy, dy, out=sq)
-    loss = float(sq.sum(axis=1, out=work.row_sum).mean())
+    loss = float(sq.sum(axis=1).mean())
     dy *= 2.0
     dy /= batch.shape[0]
-    for k in range(len(layers) - 1, -1, -1):
-        layer, y = layers[k], work.y[k]
-        # an identity layer's da is dy itself
-        if layer.activation == "relu":
-            mask = np.greater(y, 0.0, out=work.mask(layer.n_out))
-            np.multiply(dy, mask, out=dy)
-        elif layer.activation != "identity":
-            dy *= _activate_grad(layer.activation, None, y)
-        np.matmul(dy.T, work.y[k - 1] if k else batch, out=work.dw[k])
-        dy.sum(axis=0, out=work.db[k])
-        if k:
-            dy = np.matmul(dy, layer.w, out=work.back(len(layers) - k, layer.n_in))
-    for layer, dw, db in zip(layers, work.dw, work.db):
-        dw *= lr
-        layer.w -= dw
-        db *= lr
-        layer.b -= db
+    work.backward(layers, batch)
+    work.sgd(layers, lr)
     return loss
 
 
@@ -437,11 +418,7 @@ def _lstm_forward(cell, window, h, c, work=None):
     for z, a, ifo, i, f, o, g, c_prev, c, tanh_c, h in work.forward_steps:
         np.matmul(w4, z, out=a)
         a += b4
-        # sigmoid(a) = 1 / (1 + exp(-a)) and tanh, written in place
-        np.negative(ifo, out=ifo)
-        np.exp(ifo, out=ifo)
-        ifo += 1.0
-        np.divide(1.0, ifo, out=ifo)
+        _activate("sigmoid", ifo)
         np.tanh(g, out=g)
         np.multiply(f, c_prev, out=c)
         c += np.multiply(i, g, out=ig)
@@ -491,7 +468,7 @@ def _classifier_forward(model, window, work=None):
     zeros = np.zeros(model.cell.hidden_dim)
     h, work = _lstm_forward(model.cell, window, zeros, zeros, work)
     logit = float(model.head_w @ h + model.head_b)
-    y_hat = float(sigmoid(np.asarray(logit)))
+    y_hat = float(1.0 / (1.0 + np.exp(-logit)))
     return y_hat, h, work
 
 
@@ -537,8 +514,7 @@ def _loss_of(model, x, target):
     if isinstance(model, (list, tuple)):
         if target is None:
             raise ValueError("dense stack loss needs a target vector")
-        out, _ = stack_forward(model, x)
-        return mse_loss(np.asarray(target, dtype=float), out)
+        return mse_loss(np.asarray(target, dtype=float), stack_forward(model, x))
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
@@ -549,40 +525,30 @@ def backward(model, x, target=None, work=None):
     (defaults to the input itself).  LstmClassifier: binary cross-entropy
     against a 0/1 target, run in `work`, an LstmWork for the window's
     shape, which a training loop builds once; without it the call builds
-    its own (the other models take no work).  Dense stack: summed squared error against a target vector.
+    its own.  Dense stack: summed squared error against a target vector.
+    The two dense models run in a DenseWork of their own, not in `work`.
     Returns (loss, {param_name: gradient}); no gradient shares memory
-    with the work.
+    with a work the caller passed.
     """
-    if isinstance(model, AutoencoderModel):
-        ref = np.asarray(x if target is None else target, dtype=float)
-        h, enc_caches = stack_forward(model.encoder, x)
-        x_hat, dec_caches = stack_forward(model.decoder, h)
-        loss = mse_loss(ref, x_hat)
-        d_xhat = 2.0 * (x_hat - ref)
-        dec_grads, d_h = stack_backward(model.decoder, dec_caches, d_xhat)
-        enc_grads, _ = stack_backward(model.encoder, enc_caches, d_h)
-        grads = {}
-        for part, g in (("encoder", enc_grads), ("decoder", dec_grads)):
-            for idx, (dw, db) in enumerate(g):
-                grads[f"{part}.{idx}.w"] = dw
-                grads[f"{part}.{idx}.b"] = db
-        return loss, grads
-
     if isinstance(model, LstmClassifier):
         return _classifier_backward(model, x, target, work)
-
-    if isinstance(model, (list, tuple)):
-        tgt = np.asarray(target, dtype=float)
-        out, caches = stack_forward(model, x)
-        loss = mse_loss(tgt, out)
-        stack_grads, _ = stack_backward(model, caches, 2.0 * (out - tgt))
-        grads = {}
-        for idx, (dw, db) in enumerate(stack_grads):
-            grads[f"{idx}.w"] = dw
-            grads[f"{idx}.b"] = db
-        return loss, grads
-
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    if isinstance(model, AutoencoderModel):
+        layers, target = model.layers, x if target is None else target
+    elif isinstance(model, (list, tuple)):
+        layers = model
+    else:
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    x, target = np.asarray(x, dtype=float), np.asarray(target, dtype=float)
+    batch = np.atleast_2d(x)
+    work = DenseWork(layers, len(batch))
+    out = work.forward(layers, batch)
+    loss = mse_loss(target, out[0] if x.ndim == 1 else out)
+    dy = work.back(0, out.shape[1])
+    np.subtract(out, target, out=dy)
+    dy *= 2.0
+    work.backward(layers, batch)
+    grads = [g for dw_db in zip(work.dw, work.db) for g in dw_db]
+    return loss, {name: g for (name, _), g in zip(iter_params(model), grads)}
 
 
 def _classifier_backward(model, window, y, work):

@@ -237,7 +237,7 @@ def train_detector(cfg, rng_seed):
     model = neural.autoencoder_init(
         rng, input_dim=len(ft.FEATURE_NAMES),
         hidden_dim=cfg.neural.ae_hidden, latent_dim=cfg.neural.latent_dim)
-    work = neural.AutoencoderWork(model, data.shape[0])
+    work = neural.DenseWork(model.layers, data.shape[0])
     # a diverging autoencoder overflows here; the finite check below fails it
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.neural.ae_epochs):
@@ -534,6 +534,7 @@ class DrlPipeline:
         self.q_net = ag.qnetwork_init(self.state_dim(), init_rng,
                                       hidden=tuple(cfg.neural.q_hidden))
         target_net = self.q_net.copy()
+        q_work = neural.DenseWork(self.q_net.layers, cfg.hyper.batch_size)
         buffer = ag.ReplayBuffer(cfg.hyper.buffer_capacity, cfg.hyper.batch_size)
         action_rng = np.random.default_rng(cfg.seed + 15485863)
         epsilon = cfg.hyper.epsilon.start_probability()
@@ -583,7 +584,7 @@ class DrlPipeline:
                         q_updates += 1
                         episode_updates += 1
                         loss, _ = ag.q_update_network(
-                            self.q_net, buffer.sample_minibatch(action_rng),
+                            self.q_net, q_work, buffer.sample_minibatch(action_rng),
                             target_net, cfg.hyper.gamma, self._q_lr(q_updates),
                             cfg.hyper.carbon_weight)
                         loss_sum += loss

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeids import agent as ag
+from edgeids import neural
 from edgeids.agent import (
     ActionId,
     AgentHyperparams,
@@ -281,7 +282,8 @@ def test_q_update_network_zero_gradient_when_targets_match():
     r = float(q.q_values(s)[a]) - gamma * float(np.max(q.q_values(s2)))
     batch = minibatch([transition(s, a, r, s2)])
     before = [l.w.copy() for l in q.layers]
-    loss, _ = ag.q_update_network(q, batch, target_net, gamma, lr=0.1)
+    work = neural.DenseWork(q.layers, 1)
+    loss, _ = ag.q_update_network(q, work, batch, target_net, gamma, lr=0.1)
     assert loss == pytest.approx(0.0, abs=1e-20)
     for layer, w in zip(q.layers, before):
         assert np.array_equal(layer.w, w)
@@ -290,8 +292,7 @@ def test_q_update_network_zero_gradient_when_targets_match():
 def test_q_update_network_matches_hand_gradient():
     # single linear layer, single sample: dloss/dw = 2*(q_a - y) * s on row a
     rng = np.random.default_rng(7)
-    import edgeids.neural as nn
-    layer = nn.DenseParams(rng.normal(size=(4, 2)), np.zeros(4), "identity")
+    layer = neural.DenseParams(rng.normal(size=(4, 2)), np.zeros(4), "identity")
     q = ag.QNetwork([layer])
     target_net = q.copy()
     s = np.array([0.5, -1.0])
@@ -300,7 +301,8 @@ def test_q_update_network_matches_hand_gradient():
     y = float(td_targets(batch, target_net, 0.9)[0])
     q_a = float(q.q_values(s)[0])
     w_before = layer.w.copy()
-    ag.q_update_network(q, batch, target_net, 0.9, lr=0.05)
+    ag.q_update_network(q, neural.DenseWork(q.layers, 1), batch, target_net, 0.9,
+                        lr=0.05)
     expected_row0 = w_before[0] - 0.05 * 2.0 * (q_a - y) * s
     assert np.allclose(layer.w[0], expected_row0, atol=1e-12)
     assert np.array_equal(layer.w[1:], w_before[1:])
@@ -318,12 +320,13 @@ def test_q_update_network_reduces_loss_for_small_lr():
     targets = td_targets(batch, target_net, 0.9)
 
     def batch_loss():
-        out, _ = ag.stack_forward(q.layers, batch.states)
+        out = q.q_values(batch.states)
         taken = out[np.arange(len(batch.rewards)), batch.actions]
         return float(np.mean((taken - targets) ** 2))
 
     before = batch_loss()
-    ag.q_update_network(q, batch, target_net, 0.9, lr=1e-3)
+    ag.q_update_network(q, neural.DenseWork(q.layers, 16), batch, target_net, 0.9,
+                        lr=1e-3)
     assert batch_loss() <= before
 
 

@@ -170,12 +170,29 @@ def test_compare_between_runs(train_artifact, tmp_path):
     assert text.count("Between Groups") == 4
 
 
-def test_compare_missing_metric_fails(train_artifact, tmp_path):
+@pytest.mark.parametrize("metrics", ["nonexistent", "reward,bogus", ","])
+def test_compare_missing_metric_fails(train_artifact, tmp_path, capsys, metrics):
+    out = tmp_path / "cmp2"
     code = cli.main(["compare", "--run-a", str(train_artifact),
                      "--run-b", str(train_artifact),
-                     "--metrics", "nonexistent",
-                     "--out", str(tmp_path / "cmp2"), "--quiet"])
+                     "--metrics", metrics, "--out", str(out), "--quiet"])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: --metrics"), err
+    assert "reward, detection, false_rate, energy, carbon, cpu" in err[0]
+    assert not out.exists()
+
+
+def test_compare_metric_missing_from_a_run_is_one_runtime_line(tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "episodes.csv").write_text("episode,reward_total\n0,1.0\n1,2.0\n")
+    code = cli.main(["compare", "--run-a", str(run), "--run-b", str(run),
+                     "--metrics", "reward,energy", "--out", str(tmp_path / "cmp"),
+                     "--quiet"])
     assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"runtime error: metric 'energy' not available in {run}"]
 
 
 def test_sweep_tabular(tmp_path):
@@ -197,6 +214,8 @@ def test_sweep_tabular(tmp_path):
     (["--epsilon", "inf,1"], "--epsilon value 'inf'"),
     (["--epsilon=-1,1"], "--epsilon value '-1'"),
     (["--seeds", ""], "--seeds value ''"),
+    (["--seeds", "0,1"], "--seeds needs at least 3 values"),
+    (["--epsilon", "1"], "--epsilon needs at least 2 values"),
 ])
 def test_sweep_rejects_bad_values_naming_the_flag(tmp_path, capsys, flags, named):
     out = tmp_path / "sweep"
@@ -207,6 +226,36 @@ def test_sweep_rejects_bad_values_naming_the_flag(tmp_path, capsys, flags, named
     assert len(err) == 1 and err[0].startswith("config error:"), err
     assert named in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["train", "--bogus"], "unrecognized arguments: --bogus"),
+    (["train", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["evaluate"], "required: --checkpoint"),
+    # evaluate replays the checkpoint's own agent and a single rollout
+    (["evaluate", "--checkpoint", "{ckpt}", "--agent", "autodrl"],
+     "unrecognized arguments: --agent autodrl"),
+    (["evaluate", "--checkpoint", "{ckpt}", "--episodes", "7"],
+     "unrecognized arguments: --episodes 7"),
+    (["evaluate", "--checkpoint", "{ckpt}", "--epsilon", "3"],
+     "unrecognized arguments: --epsilon 3"),
+])
+def test_bad_flags_are_one_config_error(train_artifact, tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    argv = [arg.format(ckpt=train_artifact) for arg in argv]
+    code = cli.main([*argv, "--out", str(out), "--quiet"])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert named in err[0]
+    assert not out.exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--help"])
+    assert exc.value.code == 0
+    assert "--epsilon" in capsys.readouterr().out
 
 
 def test_write_json_refuses_non_finite_floats(tmp_path):

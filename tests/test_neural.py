@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from edgeids import agent as ag
 from edgeids import neural
 from edgeids.neural import (
     AutoencoderModel,
@@ -28,22 +29,87 @@ from edgeids.neural import (
 
 
 # ---------------------------------------------------------------------------
+# the bit-for-bit references: per-layer caches and fresh temporaries
+# ---------------------------------------------------------------------------
+
+def _sigmoid(a):
+    return 1.0 / (1.0 + np.exp(-a))
+
+
+def _reference_activate(name, a):
+    if name == "identity":
+        return a
+    if name == "relu":
+        return np.maximum(a, 0.0)
+    if name == "sigmoid":
+        return _sigmoid(a)
+    return np.tanh(a)
+
+
+def _reference_activate_grad(name, a, y):
+    # derivative w.r.t. pre-activation a, given post-activation y
+    if name == "identity":
+        return np.ones_like(a)
+    if name == "relu":
+        return (a > 0.0).astype(float)
+    if name == "sigmoid":
+        return y * (1.0 - y)
+    return 1.0 - y * y
+
+
+def _reference_stack_forward(layers, x):
+    """(output, caches) for a batch [B, d_in] or a single vector; caches
+    hold per-layer inputs, pre- and post-activations."""
+    x = np.asarray(x, dtype=float)
+    squeeze = x.ndim == 1
+    if squeeze:
+        x = x[None, :]
+    caches = []
+    for layer in layers:
+        a = x @ layer.w.T + layer.b
+        y = _reference_activate(layer.activation, a)
+        caches.append((x, a, y))
+        x = y
+    return (x[0] if squeeze else x), caches
+
+
+def _reference_stack_backward(layers, caches, d_out):
+    """(a (dw, db) per layer, d_input) for d_out [B, d_last]."""
+    d_out = np.asarray(d_out, dtype=float)
+    if d_out.ndim == 1:
+        d_out = d_out[None, :]
+    grads = [None] * len(layers)
+    dy = d_out
+    for i in range(len(layers) - 1, -1, -1):
+        x_in, a, y = caches[i]
+        da = dy * _reference_activate_grad(layers[i].activation, a, y)
+        grads[i] = (da.T @ x_in, da.sum(axis=0))
+        dy = da @ layers[i].w
+    return grads, dy
+
+
+def _bits(arr):
+    # tobytes also tells 0.0 from -0.0, which array_equal does not
+    return np.asarray(arr, dtype=float).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # dense forward
 # ---------------------------------------------------------------------------
 
 def test_dense_identity_case():
     layer = DenseParams(np.eye(2), np.zeros(2), "identity")
-    assert np.array_equal(stack_forward([layer], [3.0, -1.0])[0], [3.0, -1.0])
+    assert np.array_equal(stack_forward([layer], [3.0, -1.0]), [3.0, -1.0])
 
 
 def test_dense_zero_weights_returns_bias():
     layer = DenseParams(np.zeros((2, 3)), np.array([0.5, 0.5]), "identity")
-    assert np.array_equal(stack_forward([layer], [7.0, -2.0, 9.0])[0], [0.5, 0.5])
+    assert np.array_equal(stack_forward([layer], [7.0, -2.0, 9.0]), [0.5, 0.5])
 
 
 def test_dense_hand_matrix_multiply():
     layer = DenseParams(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2), "identity")
-    assert np.array_equal(stack_forward([layer], [1.0, 1.0])[0], [3.0, 7.0])
+    assert np.array_equal(stack_forward([layer], [1.0, 1.0]), [3.0, 7.0])
 
 
 def test_dense_dimension_mismatch():
@@ -118,9 +184,9 @@ def _per_gate_step(blocks, x, h_prev, c_prev):
     # the gate equations over four separate [H, I+H] blocks
     (w_i, w_f, w_o, w_g), (b_i, b_f, b_o, b_g) = blocks
     z = np.concatenate([x, h_prev])
-    i = neural.sigmoid(w_i @ z + b_i)
-    f = neural.sigmoid(w_f @ z + b_f)
-    o = neural.sigmoid(w_o @ z + b_o)
+    i = _sigmoid(w_i @ z + b_i)
+    f = _sigmoid(w_f @ z + b_f)
+    o = _sigmoid(w_o @ z + b_o)
     g = np.tanh(w_g @ z + b_g)
     c = f * c_prev + i * g
     tanh_c = np.tanh(c)
@@ -137,7 +203,7 @@ def _per_gate_classifier(model, window, y):
         h, c, cache = _per_gate_step(cell, x, h, c)
         caches.append(cache)
     logit = float(model.head_w @ h + model.head_b)
-    y_hat = float(neural.sigmoid(np.asarray(logit)))
+    y_hat = float(_sigmoid(np.asarray(logit)))
 
     gw = [np.zeros_like(w) for w in cell[0]]
     gb = [np.zeros_like(b) for b in cell[1]]
@@ -342,16 +408,16 @@ def test_gradient_correctness_over_seeds():
 # ---------------------------------------------------------------------------
 
 def _reference_autoencoder_train_step(model, batch, lr):
-    """The train step over stack_forward/stack_backward, with fresh
-    temporaries in every call."""
+    """The train step over the cached reference, with fresh temporaries in
+    every call."""
     batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    h, enc_caches = stack_forward(model.encoder, batch)
-    x_hat, dec_caches = stack_forward(model.decoder, h)
+    h, enc_caches = _reference_stack_forward(model.encoder, batch)
+    x_hat, dec_caches = _reference_stack_forward(model.decoder, h)
     diff = x_hat - batch
     loss = float((diff * diff).sum(axis=1).mean())
     d_xhat = 2.0 * diff / batch.shape[0]
-    dec_grads, d_h = neural.stack_backward(model.decoder, dec_caches, d_xhat)
-    enc_grads, _ = neural.stack_backward(model.encoder, enc_caches, d_h)
+    dec_grads, d_h = _reference_stack_backward(model.decoder, dec_caches, d_xhat)
+    enc_grads, _ = _reference_stack_backward(model.encoder, enc_caches, d_h)
     for layer, (dw, db) in zip(model.decoder, dec_grads):
         layer.w -= lr * dw
         layer.b -= lr * db
@@ -361,9 +427,34 @@ def _reference_autoencoder_train_step(model, batch, lr):
     return loss
 
 
-def _bits(arr):
-    # tobytes also tells 0.0 from -0.0, which array_equal does not
-    return np.asarray(arr, dtype=float).tobytes()
+def _reference_dense_backward(model, x, target=None):
+    """backward()'s loss and gradients for an autoencoder or a bare stack,
+    over the cached reference."""
+    if isinstance(model, AutoencoderModel):
+        ref = np.asarray(x if target is None else target, dtype=float)
+        h, enc_caches = _reference_stack_forward(model.encoder, x)
+        x_hat, dec_caches = _reference_stack_forward(model.decoder, h)
+        loss = mse_loss(ref, x_hat)
+        dec_grads, d_h = _reference_stack_backward(model.decoder, dec_caches,
+                                                   2.0 * (x_hat - ref))
+        enc_grads, _ = _reference_stack_backward(model.encoder, enc_caches, d_h)
+        grads = enc_grads + dec_grads
+    else:
+        tgt = np.asarray(target, dtype=float)
+        out, caches = _reference_stack_forward(model, x)
+        loss = mse_loss(tgt, out)
+        grads, _ = _reference_stack_backward(model, caches, 2.0 * (out - tgt))
+    flat = [g for dw_db in grads for g in dw_db]
+    return loss, {name: g for (name, _), g in zip(iter_params(model), flat)}
+
+
+def _assert_same_backward(model, x, target=None):
+    loss, grads = backward(model, x, target)
+    ref_loss, ref_grads = _reference_dense_backward(model, x, target)
+    assert _bits(loss) == _bits(ref_loss)
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        assert _bits(grads[name]) == _bits(ref), name
 
 
 @settings(max_examples=60, deadline=None)
@@ -377,15 +468,22 @@ def test_autoencoder_train_step_matches_reference(rows, seed, dead, scale, lr,
     rng = np.random.default_rng(seed)
     model = autoencoder_init(rng, input_dim=8, hidden_dim=16, latent_dim=8)
     # the two 16-wide hidden layers take the first, latent and output the second
-    for layer in model.encoder + model.decoder:
+    for layer in model.layers:
         layer.activation = activations[layer.n_out != 16]
     # a bias far below zero keeps a ReLU unit off for every row
     model.encoder[0].b[:dead] -= 100.0
     model.decoder[0].b[: dead // 2] -= 100.0
     ref = copy.deepcopy(model)
     batch = rng.uniform(-1.0, 1.0, size=(rows, 8)) * scale
-    work = neural.AutoencoderWork(model, rows)
+    stack_x = rng.uniform(-1.0, 1.0, size=(rows, 8)) * scale
+    stack_target = rng.normal(size=(rows, 8))
+    work = neural.DenseWork(model.layers, rows)
     with np.errstate(over="ignore", invalid="ignore"):
+        # the gradient oracle, on one row and on the batch: the autoencoder,
+        # and its decoder as a bare stack with a target of its own
+        for k in (0, slice(None)):
+            _assert_same_backward(model, batch[k])
+            _assert_same_backward(model.decoder, stack_x[k], stack_target[k])
         for _ in range(4):
             loss = neural.autoencoder_train_step(model, batch, lr, work)
             ref_loss = _reference_autoencoder_train_step(ref, batch, lr)
@@ -402,19 +500,86 @@ def test_autoencoder_workspace_must_fit_batch_and_model():
     model = autoencoder_init(rng)
     batch = rng.uniform(size=(10, 8))
     before = [p.copy() for _, p in iter_params(model)]
-    for work in (neural.AutoencoderWork(model, 9),
-                 neural.AutoencoderWork(model, 1),
-                 neural.AutoencoderWork(autoencoder_init(rng, hidden_dim=12), 10)):
+    for work in (neural.DenseWork(model.layers, 9),
+                 neural.DenseWork(model.layers, 1),
+                 neural.DenseWork(autoencoder_init(rng, hidden_dim=12).layers, 10)):
         with pytest.raises(ValueError, match="workspace"):
             neural.autoencoder_train_step(model, batch, 0.05, work)
     for (_, p), old in zip(iter_params(model), before):
         assert np.array_equal(p, old)
 
 
+def _reference_q_update(q, batch, q_target, gamma, lr, carbon_weight):
+    """q_update_network over the cached reference, the target-network
+    forward included."""
+    rows = np.arange(len(batch.rewards))
+    targets = batch.rewards
+    if carbon_weight > 0.0:
+        targets = targets - carbon_weight * batch.carbon_g
+    q_next, _ = _reference_stack_forward(q_target.layers, batch.s_next)
+    targets = np.where(batch.terminal, targets,
+                       targets + gamma * np.max(q_next, axis=1))
+    out, caches = _reference_stack_forward(q.layers, batch.states)
+    td_errors = out[rows, batch.actions] - targets
+    loss = float(np.mean(td_errors ** 2))
+    if not np.isfinite(loss):
+        raise ag.Diverged("non-finite TD loss")
+    d_out = np.zeros_like(out)
+    d_out[rows, batch.actions] = 2.0 * td_errors / len(rows)
+    grads, _ = _reference_stack_backward(q.layers, caches, d_out)
+    for layer, (dw, db) in zip(q.layers, grads):
+        layer.w -= lr * dw
+        layer.b -= lr * db
+    return loss, td_errors
+
+
+@settings(max_examples=60, deadline=None)
+@given(state_dim=st.integers(1, 12),
+       hidden=st.lists(st.integers(1, 24), max_size=3),
+       rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.5, 5.0, 1e100, 1e160]),
+       lr=st.sampled_from([0.01, 0.5, 20.0]),
+       carbon_weight=st.sampled_from([0.0, 0.7]))
+def test_q_update_network_matches_reference(state_dim, hidden, rows, seed, scale,
+                                            lr, carbon_weight):
+    rng = np.random.default_rng(seed)
+    q = ag.qnetwork_init(state_dim, rng, hidden=tuple(hidden))
+    q_target = ag.qnetwork_init(state_dim, rng, hidden=tuple(hidden))
+    ref = q.copy()
+    # one work over every update, so a value left over from the last
+    # update would show
+    work = neural.DenseWork(q.layers, rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(4):
+            batch = ag.Minibatch(
+                rng.normal(scale=scale, size=(rows, state_dim)),
+                rng.integers(0, ag.N_ACTIONS, size=rows), rng.normal(size=rows),
+                rng.uniform(size=rows), rng.uniform(size=rows) < 0.3,
+                rng.normal(scale=scale, size=(rows, state_dim)))
+            state = batch.states[0]
+            assert (_bits(q.q_values(state))
+                    == _bits(_reference_stack_forward(ref.layers, state)[0]))
+            try:
+                ref_loss, ref_td = _reference_q_update(ref, batch, q_target, 0.9, lr,
+                                                       carbon_weight)
+            except ag.Diverged:
+                # a diverging network fails at the same update
+                with pytest.raises(ag.Diverged):
+                    ag.q_update_network(q, work, batch, q_target, 0.9, lr,
+                                        carbon_weight)
+                break
+            loss, td = ag.q_update_network(q, work, batch, q_target, 0.9, lr,
+                                           carbon_weight)
+            assert _bits(loss) == _bits(ref_loss)
+            assert _bits(td) == _bits(ref_td)
+    for (name, p), (_, r) in zip(iter_params(q.layers), iter_params(ref.layers)):
+        assert _bits(p) == _bits(r), name
+
+
 def _reference_cell_forward(params, x, h_prev, c_prev):
     z = np.concatenate([x, h_prev])
     a = params.w.reshape(4, params.hidden_dim, -1) @ z + params.b.reshape(4, -1)
-    ifo, g = neural.sigmoid(a[:3]), np.tanh(a[3])
+    ifo, g = _sigmoid(a[:3]), np.tanh(a[3])
     i, f, o = ifo
     c = f * c_prev + i * g
     tanh_c = np.tanh(c)
@@ -431,7 +596,7 @@ def _reference_classifier_backward(model, window, y):
     for x in window:
         h, c, cache = _reference_cell_forward(cell, x, h, c)
         caches.append(cache)
-    y_hat = float(neural.sigmoid(np.asarray(float(model.head_w @ h + model.head_b))))
+    y_hat = float(_sigmoid(np.asarray(float(model.head_w @ h + model.head_b))))
     loss = bce_loss(y_hat, y)
     grads = {"cell.w": np.zeros_like(cell.w), "cell.b": np.zeros_like(cell.b)}
     d_logit = y_hat - y
