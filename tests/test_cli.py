@@ -170,8 +170,7 @@ def test_compare_between_runs(train_artifact, tmp_path):
     assert text.count("Between Groups") == 4
 
 
-@pytest.mark.parametrize("metrics", ["nonexistent", "reward,bogus", ","])
-def test_compare_missing_metric_fails(train_artifact, tmp_path, capsys, metrics):
+def assert_metrics_rejected(train_artifact, tmp_path, capsys, metrics):
     out = tmp_path / "cmp2"
     code = cli.main(["compare", "--run-a", str(train_artifact),
                      "--run-b", str(train_artifact),
@@ -181,6 +180,15 @@ def test_compare_missing_metric_fails(train_artifact, tmp_path, capsys, metrics)
     assert len(err) == 1 and err[0].startswith("config error: --metrics"), err
     assert "reward, detection, false_rate, energy, carbon, cpu" in err[0]
     assert not out.exists()
+
+
+def test_compare_missing_metric_fails(train_artifact, tmp_path, capsys):
+    assert_metrics_rejected(train_artifact, tmp_path, capsys, "nonexistent")
+
+
+@pytest.mark.parametrize("metrics", ["reward,bogus", ","])
+def test_compare_bad_metric_list_fails(train_artifact, tmp_path, capsys, metrics):
+    assert_metrics_rejected(train_artifact, tmp_path, capsys, metrics)
 
 
 def test_compare_metric_missing_from_a_run_is_one_runtime_line(tmp_path, capsys):
