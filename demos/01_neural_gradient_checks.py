@@ -16,12 +16,15 @@ layer = neural.DenseParams(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2),
                            "identity")
 print("W @ [1, 1] =", neural.stack_forward([layer], [1.0, 1.0]), "(expect [3, 7])")
 
-print("\n== LSTM cell with zero parameters ==")
+print("\n== LSTM classifier with zero parameters ==")
 # one hidden unit: the four gate rows i, f, o, g stacked over [x, h]
 cell = neural.LstmParams(np.zeros((4, 2)), np.zeros(4))
-h, c = neural.lstm_cell_step(cell, [0.0], [0.0], [1.0])
-print(f"gates sit at sigmoid(0)=0.5, so c = 0.5 (got {c[0]:.4f}) "
-      f"and h = 0.5*tanh(0.5) (got {h[0]:.6f})")
+clf = neural.LstmClassifier(cell, np.zeros(1), 0.0, window_len=2)
+h = clf.hidden([[0.0], [0.0]])
+# every gate sits at sigmoid(0) = 0.5 and the candidate at tanh(0) = 0, so
+# the cell state stays 0 from the zero start and so does h
+print(f"from the zero state, h stays 0 (got {h[0]:.4f}); "
+      f"the head reads sigmoid(0) = 0.5 (got {clf.classify([[0.0], [0.0]]):.4f})")
 
 print("\n== losses ==")
 print("reconstruction error of an exact match:", neural.mse_loss([1, 2], [1, 2]))

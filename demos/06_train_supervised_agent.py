@@ -19,7 +19,7 @@ cfg.env.episode_len = 500
 cfg.env.attacks = [AttackScenario("syn_flood", 5000.0, 80, 420, 20)]
 cfg.warmup.steps = 80
 
-print(f"carbon-weighted TD penalty xi = {cfg.hyper.carbon_weight}")
+print(f"carbon-weighted TD penalty xi = {pl.carbon_weight(cfg.agent)}")
 start = time.time()
 pipe = pl.DrlPipeline(cfg)
 pipe.warmup()

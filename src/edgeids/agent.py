@@ -155,7 +155,6 @@ class AgentHyperparams:
     target_sync_every: int = 500
     buffer_capacity: int = 50_000
     batch_size: int = 64
-    carbon_weight: float = 0.0  # scalar penalty applied inside the TD target
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -164,8 +163,6 @@ class AgentHyperparams:
             raise ValueError("learning rate must be positive")
         if self.target_sync_every < 1:
             raise ValueError("target_sync_every must be >= 1")
-        if self.carbon_weight < 0:
-            raise ValueError("carbon_weight must be >= 0")
 
 
 # ---------------------------------------------------------------------------

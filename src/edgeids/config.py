@@ -142,23 +142,10 @@ class ExperimentConfig:
             raise ConfigError(f"agent must be one of {AGENT_KINDS}")
         if self.episodes < 0 or self.pretrain_episodes < 0:
             raise ConfigError("episode counts must be >= 0")
-        if self.sustain.weights.variant != ("autodrl" if self.agent == "autodrl"
-                                            else "deepedge"):
-            # keep the reward variant in lockstep with the agent kind
-            self.sustain.weights = dataclasses.replace(
-                self.sustain.weights,
-                variant="autodrl" if self.agent == "autodrl" else "deepedge")
 
 
-def default_config(agent="deepedge", **overrides):
-    cfg = ExperimentConfig(agent=agent)
-    if agent == "autodrl" and cfg.hyper.carbon_weight == 0.0:
-        cfg.hyper.carbon_weight = 1.0  # carbon-weighted TD target
-    for key, value in overrides.items():
-        if not hasattr(cfg, key):
-            raise ConfigError(f"unknown config field {key!r}")
-        setattr(cfg, key, value)
-    return cfg
+def default_config(agent="deepedge"):
+    return ExperimentConfig(agent=agent)
 
 
 # ---------------------------------------------------------------------------

@@ -501,7 +501,7 @@ def rate_threshold_flagger(threshold_pps=200.0):
     column = FEATURE_NAMES.index("pkt_rate")
 
     def flag(features):
-        return (features[:, column] > threshold_pps).tolist()
+        return features[:, column] > threshold_pps
     return flag
 
 
@@ -520,7 +520,6 @@ class StepResult:
     passed: FlowBatch
     dropped: FlowBatch
     features: np.ndarray    # one features_matrix row per offered flow
-    flags: list
     offered_pkts: dict
     offered_syn: int        # SYN packets among the offered flows
     offered_ack: int        # ACK packets among the offered flows
@@ -540,8 +539,9 @@ class EdgeGatewayEnv:
     (seed, config, action sequence) fully determines every observation and
     ledger entry.  Each step's offered flows are one FlowBatch, featurized
     once, into ``StepResult.features``; the injectable flagger takes that
-    matrix and returns one flag per row, so the detection pipeline can
-    drive the drop filter and the blacklist with model flags.
+    matrix and returns one flag per row (a bool array, or anything
+    np.asarray reads as one), so the detection pipeline can drive the
+    drop filter and the blacklist with model flags.
 
     Per source the env keeps the flags of the last ``source_window`` steps
     (set when any of the source's flows was flagged) in a [sources, window]
@@ -622,8 +622,7 @@ class EdgeGatewayEnv:
 
         offered = generate_step_traffic(self.config, now, self.rng)
         features = features_matrix(offered)
-        flags = self.flow_flagger(features)
-        flagged = np.asarray(flags, dtype=bool)
+        flagged = np.asarray(self.flow_flagger(features), dtype=bool)
         passed, dropped = apply_mitigation(offered, self.mitigation, self.rng,
                                            flagged, self.config.dt)
         self._update_source_windows(offered, flagged)
@@ -647,7 +646,6 @@ class EdgeGatewayEnv:
             passed=passed,
             dropped=dropped,
             features=features,
-            flags=flags,
             offered_pkts=offered_pkts,
             offered_syn=int(offered.syn_packets.sum()),
             offered_ack=int(offered.ack_packets.sum()),

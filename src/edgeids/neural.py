@@ -15,17 +15,18 @@ each layer's output and, from the first backward on, the
 back-propagation buffers and dw/db.  The warm-up and the DQN update
 each build one DenseWork and reuse it for every step.
 
-The LSTM has one forward, which runs a window into the per-window [T, ...]
-arrays of an LstmWork; classify, hidden, the loss and the backward pass
-all read it.  A training loop builds one LstmWork for its windows and
-passes it to every backward call, so an SGD step allocates little beyond
-the gradients it returns; classify and hidden run in a forward-only work
-of their own.
+The LSTM classifier has one forward, which runs a window from the zero
+state into the per-window [T, ...] arrays of an LstmWork; classify,
+hidden (a copy of h_T), the loss and the backward pass all read it.  Each
+classifier builds the one LstmWork its [window_len, input_dim] windows
+need and runs every pass in it, so neither a call nor an SGD step
+allocates much beyond the gradients it returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -330,34 +331,27 @@ def lstm_init(input_dim, hidden_dim, rng):
     return LstmParams(w, b)
 
 
-def lstm_cell_step(params, x, h_prev, c_prev):
-    """Standard gate equations; returns the new (h, c)."""
-    h, work = _lstm_forward(params, [x], h_prev, c_prev)
-    return h, work.c[1]
-
-
 class LstmWork:
-    """The arrays an LSTM window needs, allocated once per window shape,
-    with the views of every time step built once, so that a training
-    loop's SGD steps reuse them.  `model` is an LstmClassifier (a window
-    of model.window_len steps unless `steps` says otherwise) or a bare
-    LstmParams cell with `steps` given.
+    """The arrays a cell needs to run [steps, input_dim] windows from the
+    zero state, allocated once, with the views of every time step built
+    once, so that every forward and backward pass reuses them.
 
     The forward fills z[t] = [x_t, h_{t-1}], a[t] = the gate activations
     (i, f, o, g) as [4, hidden], c[t] = c_{t-1} with c[T] = c_T,
-    tanh[t] = tanh(c_t) and h = h_T.  The backward's arrays are
-    allocated on the first backward pass through the work, so a
-    forward-only work (classify, hidden) does not pay for them."""
+    tanh[t] = tanh(c_t) and h = h_T.  No forward writes the zero initial
+    state, z[0, input_dim:] and c[0], so it is written once, here.  The
+    backward's arrays are allocated on the first backward pass through
+    the work, so a classifier that only classifies does not pay for them."""
 
-    def __init__(self, model, steps=None):
-        cell = model.cell if isinstance(model, LstmClassifier) else model
-        steps = model.window_len if steps is None else steps
+    def __init__(self, cell, steps):
         n_in, n_h = cell.input_dim, cell.hidden_dim
         self.shape = (steps, n_in)
         self.hidden_dim = n_h
         self.z = np.empty((steps, n_in + n_h))
+        self.z[0, n_in:] = 0.0
         self.a = np.empty((steps, 4, n_h))
         self.c = np.empty((steps + 1, n_h))
+        self.c[0] = 0.0
         self.tanh = np.empty((steps, n_h))
         self.h = np.empty(n_h)
         self._ig = np.empty(n_h)
@@ -394,47 +388,46 @@ class LstmWork:
              self.d_tanh_c[t])
             for t in range(steps - 1, -1, -1)]
 
-
-def _lstm_forward(cell, window, h, c, work=None):
-    """Runs the cell over a [T, input_dim] window from the state (h, c)
-    into `work`, an LstmWork for this window's shape, or into a new one;
-    returns (h_T, work), h_T being work.h."""
-    window = np.atleast_2d(np.asarray(window, dtype=float))
-    n_in, n_h = cell.input_dim, cell.hidden_dim
-    if window.ndim != 2 or window.shape[1] != n_in or np.shape(h) != (n_h,):
-        raise ValueError("lstm step dimension mismatch")
-    if work is None:
-        work = LstmWork(cell, len(window))
-    elif work.shape != window.shape or work.hidden_dim != n_h:
-        raise ValueError(f"workspace for a {work.shape} window and {work.hidden_dim} "
-                         f"hidden units, given a {window.shape} window and {n_h}")
-    work.z[:, :n_in] = window
-    work.z[0, n_in:] = h
-    work.c[0] = c
-    # one product per [H, I+H] gate block, as [4, H]: BLAS then sums each
-    # gate row in the same order as a separate per-gate product would
-    w4, b4 = cell.w.reshape(4, n_h, -1), cell.b.reshape(4, -1)
-    ig = work._ig
-    for z, a, ifo, i, f, o, g, c_prev, c, tanh_c, h in work.forward_steps:
-        np.matmul(w4, z, out=a)
-        a += b4
-        _activate("sigmoid", ifo)
-        np.tanh(g, out=g)
-        np.multiply(f, c_prev, out=c)
-        c += np.multiply(i, g, out=ig)
-        np.tanh(c, out=tanh_c)
-        np.multiply(o, tanh_c, out=h)
-    return work.h, work
+    def forward(self, cell, window):
+        """Runs the cell over the window from the zero state; returns h_T,
+        which is the work's own array h."""
+        window = np.asarray(window, dtype=float)
+        if window.shape != self.shape:
+            raise ValueError(f"classifier for {self.shape} windows, "
+                             f"given a {window.shape} window")
+        n_in, n_h = self.shape[1], self.hidden_dim
+        self.z[:, :n_in] = window
+        # one product per [H, I+H] gate block, as [4, H]: BLAS then sums each
+        # gate row in the same order as a separate per-gate product would
+        w4, b4 = cell.w.reshape(4, n_h, -1), cell.b.reshape(4, -1)
+        ig = self._ig
+        for z, a, ifo, i, f, o, g, c_prev, c, tanh_c, h in self.forward_steps:
+            np.matmul(w4, z, out=a)
+            a += b4
+            _activate("sigmoid", ifo)
+            np.tanh(g, out=g)
+            np.multiply(f, c_prev, out=c)
+            c += np.multiply(i, g, out=ig)
+            np.tanh(c, out=tanh_c)
+            np.multiply(o, tanh_c, out=h)
+        return self.h
 
 
 @dataclass
 class LstmClassifier:
-    """LSTM over a feature window followed by a sigmoid read-out head."""
+    """LSTM over a feature window followed by a sigmoid read-out head.
+
+    The classifier owns the one LstmWork its forward and backward passes
+    run in.  Unlike a dense stack, which trains and infers at several
+    batch sizes and so leaves its DenseWork to the caller, a classifier
+    only ever runs windows of its own [window_len, input_dim] shape, and
+    any other shape is a ValueError naming both."""
 
     cell: LstmParams
     head_w: np.ndarray
     head_b: np.ndarray  # 0-d array so the gradient checker can perturb it
     window_len: int = 8
+    work: LstmWork = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.window_len < 1:
@@ -442,16 +435,28 @@ class LstmClassifier:
         self.head_b = np.asarray(self.head_b, dtype=float)
         if not (np.isfinite(self.head_w).all() and np.isfinite(self.head_b).all()):
             raise ValueError("non-finite classifier head")
+        self.work = LstmWork(self.cell, self.window_len)
+
+    def __deepcopy__(self, memo):
+        # a copied work's per-step views would not alias its copied
+        # arrays, so the copy builds a work of its own
+        return LstmClassifier(copy.deepcopy(self.cell, memo), self.head_w.copy(),
+                              self.head_b.copy(), self.window_len)
+
+    def _forward(self, window):
+        """(y_hat, h_T) for one window; h_T is the work's array."""
+        h = self.work.forward(self.cell, window)
+        logit = float(self.head_w @ h + self.head_b)
+        return float(1.0 / (1.0 + np.exp(-logit))), h
 
     def classify(self, window):
-        """Attack probability in (0, 1) for a [T, input_dim] window."""
-        y_hat, _, _ = _classifier_forward(self, window)
-        return y_hat
+        """Attack probability in (0, 1) for a [window_len, input_dim] window."""
+        return self._forward(window)[0]
 
     def hidden(self, window):
-        """Final hidden state h_T for the window (used as DRL state input)."""
-        _, h, _ = _classifier_forward(self, window)
-        return h
+        """A copy of the final hidden state h_T for the window (used as DRL
+        state input)."""
+        return self.work.forward(self.cell, window).copy()
 
 
 def lstm_classifier_init(input_dim, hidden_dim, window_len, rng):
@@ -460,16 +465,6 @@ def lstm_classifier_init(input_dim, hidden_dim, window_len, rng):
     head_w = rng.uniform(-bound, bound, size=hidden_dim)
     head_b = np.asarray(rng.uniform(-bound, bound))
     return LstmClassifier(cell, head_w, head_b, window_len)
-
-
-def _classifier_forward(model, window, work=None):
-    """(y_hat, h_T, the LstmWork holding the per-window arrays) for one
-    window, from a zero state."""
-    zeros = np.zeros(model.cell.hidden_dim)
-    h, work = _lstm_forward(model.cell, window, zeros, zeros, work)
-    logit = float(model.head_w @ h + model.head_b)
-    y_hat = float(1.0 / (1.0 + np.exp(-logit)))
-    return y_hat, h, work
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +504,7 @@ def _loss_of(model, x, target):
     if isinstance(model, LstmClassifier):
         if target is None:
             raise ValueError("classifier loss needs a 0/1 target")
-        y_hat, _, _ = _classifier_forward(model, x)
-        return bce_loss(y_hat, target)
+        return bce_loss(model.classify(x), target)
     if isinstance(model, (list, tuple)):
         if target is None:
             raise ValueError("dense stack loss needs a target vector")
@@ -518,20 +512,18 @@ def _loss_of(model, x, target):
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def backward(model, x, target=None, work=None):
+def backward(model, x, target=None):
     """Exact analytic gradients of the model's loss on one input.
 
     Autoencoder: summed squared reconstruction error against `target`
     (defaults to the input itself).  LstmClassifier: binary cross-entropy
-    against a 0/1 target, run in `work`, an LstmWork for the window's
-    shape, which a training loop builds once; without it the call builds
-    its own.  Dense stack: summed squared error against a target vector.
-    The two dense models run in a DenseWork of their own, not in `work`.
-    Returns (loss, {param_name: gradient}); no gradient shares memory
-    with a work the caller passed.
+    against a 0/1 target, run in the classifier's own LstmWork.  Dense
+    stack: summed squared error against a target vector.  The two dense
+    models run in a DenseWork of their own.  Returns
+    (loss, {param_name: gradient}); no gradient shares memory with a work.
     """
     if isinstance(model, LstmClassifier):
-        return _classifier_backward(model, x, target, work)
+        return _classifier_backward(model, x, target)
     if isinstance(model, AutoencoderModel):
         layers, target = model.layers, x if target is None else target
     elif isinstance(model, (list, tuple)):
@@ -551,11 +543,12 @@ def backward(model, x, target=None, work=None):
     return loss, {name: g for (name, _), g in zip(iter_params(model), grads)}
 
 
-def _classifier_backward(model, window, y, work):
+def _classifier_backward(model, window, y):
     if y not in (0, 1):
         raise ValueError("classifier target must be 0 or 1")
-    y_hat, h, work = _classifier_forward(model, window, work)
+    y_hat, h = model._forward(window)
     loss = bce_loss(y_hat, y)
+    work = model.work
 
     cell = model.cell
     # d(loss)/d(logit) for sigmoid + BCE; the clamp is inactive in (eps, 1-eps)

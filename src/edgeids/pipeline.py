@@ -47,9 +47,9 @@ class RewardTracker:
     computed separately and are not fed back into rewards.
     """
 
-    def __init__(self, window, variant):
+    def __init__(self, window, agent):
         self.window = deque(maxlen=window)
-        self.variant = variant
+        self.agent = agent
         self.pending_delay = 0.0
 
     def push(self, result, classified_attack=None):
@@ -73,7 +73,7 @@ class RewardTracker:
         return sum(w["attack_dropped"] for w in self.window) / offered
 
     def false_rate(self):
-        if self.variant == "autodrl":
+        if self.agent == "autodrl":
             attacks = [w for w in self.window
                        if w["attack_step"] and w["classified_attack"] is not None]
             if not attacks:
@@ -166,10 +166,10 @@ class AnomalyDetector:
         return self._last[1]
 
     def flow_flag(self, features):
-        """One flag per feature row: its reconstruction error exceeds
-        tau_flow."""
+        """One flag per feature row, as a bool array: its reconstruction
+        error exceeds tau_flow."""
         return (_row_errors(self.autoencoder, self._normalized(features))
-                > self.tau_flow).tolist()
+                > self.tau_flow)
 
     def step_profile(self, features):
         """(normalized mean feature vector, anomaly score) of one step's
@@ -257,12 +257,11 @@ def train_detector(cfg, rng_seed):
     return AnomalyDetector(normalizer, model, tau_flow, tau_step)
 
 
-def classifier_sgd_step(cfg, clf, work, window, label, k):
-    """The k-th SGD step (k from 1) of the LSTM classifier, run in `work`,
-    the caller's neural.LstmWork for its windows.  The step size decays
-    slowly (k^-0.55), leaving room for the faster-decaying DQN updates
-    during the joint phase."""
-    _, grads = neural.backward(clf, window, label, work=work)
+def classifier_sgd_step(cfg, clf, window, label, k):
+    """The k-th SGD step (k from 1) of the LSTM classifier.  The step size
+    decays slowly (k^-0.55), leaving room for the faster-decaying DQN
+    updates during the joint phase."""
+    _, grads = neural.backward(clf, window, label)
     neural.apply_gradients(clf, grads, cfg.neural.lstm_lr * k ** -0.55)
 
 
@@ -294,12 +293,11 @@ def pretrain_step_classifier(cfg, detector, seed):
                 labels.append(1 if result.attack_active else 0)
 
     order = clf_rng.permutation(len(windows))
-    work = neural.LstmWork(clf)
     k = 0
     for _ in range(2):
         for i in order:
             k += 1
-            classifier_sgd_step(cfg, clf, work, windows[i], labels[i], k)
+            classifier_sgd_step(cfg, clf, windows[i], labels[i], k)
     return clf, k
 
 
@@ -362,6 +360,12 @@ class TrainOutcome:
     q_updates: int
 
 
+def carbon_weight(agent):
+    """Weight of the carbon penalty in the DQN's TD target: the supervised
+    agent's update is carbon-weighted, the unsupervised agent's is not."""
+    return 1.0 if agent == "autodrl" else 0.0
+
+
 def td_loss_ceiling(cfg):
     """(2B)^2: B = reward_bound(c_cap) / (1 - gamma) + carbon_weight * c_cap,
     with c_cap = kappa_max * p_max * dt, bounds every return and TD target,
@@ -369,7 +373,7 @@ def td_loss_ceiling(cfg):
     limits = cfg.sustain.ledger_limits()
     c_cap = limits.kappa_max * limits.p_max * cfg.env.dt
     bound = (cfg.sustain.weights.reward_bound(c_cap) / (1.0 - cfg.hyper.gamma)
-             + cfg.hyper.carbon_weight * c_cap)
+             + carbon_weight(cfg.agent) * c_cap)
     return (2.0 * bound) ** 2
 
 
@@ -483,13 +487,23 @@ class DrlPipeline:
                 raise ValueError(f"checkpoint lacks model {name!r}")
         if self.detector is None:
             raise ValueError("detector thresholds missing; run warm-up first")
+        clf = models.get("classifier")
+        if self.cfg.agent == "autodrl":
+            if clf.window_len != self.cfg.neural.lstm_window:
+                raise ValueError(
+                    f"classifier runs {clf.window_len}-step windows, config "
+                    f"needs neural.lstm_window={self.cfg.neural.lstm_window}")
+            if clf.cell.input_dim != len(ft.FEATURE_NAMES):
+                raise ValueError(
+                    f"classifier expects input {clf.cell.input_dim}, the step "
+                    f"features have {len(ft.FEATURE_NAMES)}")
         q_net = ag.QNetwork(list(models["q_network"]))
         if q_net.input_dim != self.state_dim():
             raise ValueError(
                 f"q_network layer 0 expects input {q_net.input_dim}, "
                 f"config needs {self.state_dim()}")
         self.q_net = q_net
-        self.classifier = models.get("classifier")
+        self.classifier = clf
         self.detector.autoencoder = models["autoencoder"]
 
     # -- state assembly ----------------------------------------------------
@@ -552,8 +566,6 @@ class DrlPipeline:
         trace_rows = []
         q_updates = 0
         clf_updates = self._classifier_updates
-        clf_work = (neural.LstmWork(self.classifier, cfg.neural.lstm_window)
-                    if self.classifier is not None else None)
 
         for episode in range(cfg.episodes):
             env = self._make_env(cfg.seed + 1000 * (episode + 1))
@@ -571,7 +583,7 @@ class DrlPipeline:
             for step in steps:
                 if step.classified is not None:
                     clf_updates += 1
-                    classifier_sgd_step(cfg, self.classifier, clf_work, step.window,
+                    classifier_sgd_step(cfg, self.classifier, step.window,
                                         int(step.result.attack_active), clf_updates)
                 reward_sum += step.reward.total
                 cpu_sum += step.result.resource.cpu_pct
@@ -586,7 +598,7 @@ class DrlPipeline:
                         loss, _ = ag.q_update_network(
                             self.q_net, q_work, buffer.sample_minibatch(action_rng),
                             target_net, cfg.hyper.gamma, self._q_lr(q_updates),
-                            cfg.hyper.carbon_weight)
+                            carbon_weight(cfg.agent))
                         loss_sum += loss
                         epsilon = ag.decay_epsilon(epsilon, cfg.hyper.epsilon.decay,
                                                    cfg.hyper.epsilon.floor)
@@ -660,8 +672,7 @@ class DrlPipeline:
             yield step
 
     def reward_tracker(self):
-        return RewardTracker(self.cfg.sustain.reward_window,
-                             self.cfg.sustain.weights.variant)
+        return RewardTracker(self.cfg.sustain.reward_window, self.cfg.agent)
 
     def _make_env(self, seed, env_config=None):
         return EdgeGatewayEnv(env_config or self.cfg.env, seed=seed,

@@ -24,10 +24,10 @@ def g_per_kwh_to_g_per_joule(value):
 class RewardWeights:
     """Non-negative weights for the six reward terms.
 
-    variant selects which false-rate the second term penalizes: the
-    unsupervised agent pays for false positives, the supervised one for
-    false negatives.  Caps bound latency and energy before weighting so the
-    per-step reward stays bounded.
+    The agent kind selects which false rate the second term penalizes:
+    the unsupervised agent pays for false positives, the supervised one
+    for false negatives.  Caps bound latency and energy before weighting
+    so the per-step reward stays bounded.
     """
 
     alpha: float = 1.0       # detection rate
@@ -36,7 +36,6 @@ class RewardWeights:
     delta: float = 0.01      # energy overhead, joules
     epsilon_m: float = 0.1   # memory utilization ratio
     zeta: float = 0.05       # carbon emission, grams CO2
-    variant: str = "deepedge"
     l_cap: float = 5.0
     e_cap: float = 5.0
 
@@ -47,8 +46,6 @@ class RewardWeights:
             raise ValueError("weights must be finite and >= 0")
         if not any(w > 0 for w in weights):
             raise ValueError("at least one weight must be positive")
-        if self.variant not in ("deepedge", "autodrl"):
-            raise ValueError(f"unknown reward variant {self.variant!r}")
         if self.l_cap <= 0 or self.e_cap <= 0:
             raise ValueError("caps must be positive")
 

@@ -109,6 +109,33 @@ def test_evaluate_mismatched_architecture_names_layer(train_artifact, tmp_path, 
     assert "q_network layer 0" in err
 
 
+@pytest.fixture(scope="module")
+def autodrl_artifact(tmp_path_factory):
+    out = tmp_path_factory.mktemp("runs") / "train-autodrl"
+    code = cli.main(["train", "--agent", "autodrl", "--seed", "11",
+                     "--out", str(out), "--quiet", "--episodes", "1",
+                     "--set", "env.episode_len=100", "--set", "warmup.steps=50",
+                     "--set", "pretrain_episodes=1"])
+    assert code == cli.EXIT_OK
+    return out
+
+
+def test_evaluate_classifier_of_another_window_names_the_key(autodrl_artifact,
+                                                             tmp_path, capsys):
+    out = tmp_path / "eval"
+    code = cli.main(["evaluate", "--checkpoint", str(autodrl_artifact),
+                     "--out", str(out), "--quiet", "--set", "neural.lstm_window=3"])
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error:"), err
+    assert "neural.lstm_window=3" in err[0] and "8-step" in err[0], err
+    assert not (out / "report.json").exists()
+    # at the window it was trained on, the same checkpoint evaluates
+    code = cli.main(["evaluate", "--checkpoint", str(autodrl_artifact),
+                     "--out", str(tmp_path / "ok"), "--quiet"])
+    assert code == cli.EXIT_OK
+
+
 def test_evaluate_accepts_the_checkpoint_file(train_artifact, tmp_path):
     outs = [tmp_path / "by-dir", tmp_path / "by-file"]
     for ckpt, out in zip([train_artifact, train_artifact / "checkpoint.txt"], outs):

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from edgeids import cli
 from edgeids import config as cfgmod
+from edgeids import pipeline as pl
 from edgeids.config import ConfigError, default_config
 
 
@@ -19,9 +21,39 @@ def test_defaults_match_stated_setup():
 
 
 def test_variant_follows_agent_kind():
-    assert default_config("deepedge").sustain.weights.variant == "deepedge"
-    assert default_config("autodrl").sustain.weights.variant == "autodrl"
-    assert default_config("autodrl").hyper.carbon_weight > 0
+    # the agent kind alone sets the reward's false rate and the TD
+    # target's carbon weight
+    for kind, weight in (("deepedge", 0.0), ("autodrl", 1.0)):
+        assert pl.DrlPipeline(default_config(kind)).reward_tracker().agent == kind
+        assert pl.carbon_weight(kind) == weight
+
+
+def test_autodrl_is_one_config_whichever_way_it_is_chosen(tmp_path):
+    path = tmp_path / "autodrl.json"
+    path.write_text(json.dumps({"agent": "autodrl"}))
+    parser = cli.make_parser()
+    cfgs = [cli.build_config(parser.parse_args(["train", *flags]))
+            for flags in (["--agent", "autodrl"], ["--config", str(path)],
+                          ["--set", 'agent="autodrl"'])]
+    for cfg in cfgs:
+        assert cfgmod.dumps(cfg) == cfgmod.dumps(default_config("autodrl"))
+        assert pl.DrlPipeline(cfg).reward_tracker().agent == "autodrl"
+        assert pl.td_loss_ceiling(cfg) == pl.td_loss_ceiling(cfgs[0])
+
+
+@pytest.mark.parametrize("section, key", [("hyper", "carbon_weight"),
+                                          ("sustain.weights", "variant")])
+def test_keys_the_agent_kind_sets_are_unknown(section, key):
+    data = cfgmod.to_dict(default_config("autodrl"))
+    node = data
+    for part in section.split("."):
+        node = node[part]
+    node[key] = "autodrl" if key == "variant" else 1.0
+    with pytest.raises(ConfigError, match=f"unknown key {section}.{key}$"):
+        cfgmod.from_dict(data)
+    with pytest.raises(ConfigError, match=f"unknown config key '{section}.{key}'"):
+        cfgmod.apply_overrides(default_config("deepedge"),
+                               [f'{section}.{key}="autodrl"'])
 
 
 def test_round_trip_is_identity(tmp_path):

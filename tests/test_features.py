@@ -121,11 +121,12 @@ def test_build_state_hand_counts():
 
 def test_build_state_with_latent():
     x = np.full(len(FEATURE_NAMES), 0.5)
-    window = np.tile(x, (4, 1))
     deepedge = state_pipeline("deepedge")
     v = deepedge.state_vector(hand_step(), x, a_s=2.0, window=None)
     assert np.array_equal(v[4:], deepedge.detector.autoencoder.encode(x))
     autodrl = state_pipeline("autodrl")
+    # the classifier only runs windows of its own lstm_window steps
+    window = np.tile(x, (autodrl.cfg.neural.lstm_window, 1))
     v = autodrl.state_vector(hand_step(), x, a_s=2.0, window=window)
     assert np.array_equal(v[4:], autodrl.classifier.hidden(window))
     assert v.shape == (autodrl.state_dim(),)

@@ -20,7 +20,6 @@ from edgeids.neural import (
     grad_check,
     iter_params,
     load_checkpoint,
-    lstm_cell_step,
     lstm_classifier_init,
     mse_loss,
     save_checkpoint,
@@ -127,6 +126,11 @@ def _zero_cell(input_dim=1, hidden_dim=1):
                       np.zeros(4 * hidden_dim))
 
 
+def _classifier(cell, window_len):
+    """A classifier over the cell with a zero head."""
+    return LstmClassifier(cell, np.zeros(cell.hidden_dim), 0.0, window_len)
+
+
 def test_lstm_params_reject_bad_shapes():
     with pytest.raises(ValueError):
         LstmParams(np.zeros((6, 5)), np.zeros(6))  # rows not a multiple of 4
@@ -137,41 +141,59 @@ def test_lstm_params_reject_bad_shapes():
 
 
 def test_lstm_all_zero_is_zero():
-    h, c = lstm_cell_step(_zero_cell(), [0.0], [0.0], [0.0])
-    assert np.array_equal(h, [0.0]) and np.array_equal(c, [0.0])
+    # the candidate is tanh(0) = 0 at every step, so from the zero state
+    # the cell state and h stay 0 whatever the input
+    model = _classifier(_zero_cell(), 3)
+    for window in ([[0.0], [0.0], [0.0]], [[1.0], [-2.0], [5.0]]):
+        assert np.array_equal(model.hidden(window), [0.0])
+        assert model.classify(window) == 0.5
 
 
 def test_lstm_zero_params_carry_cell_state():
-    # gates sigmoid(0)=0.5, candidate tanh(0)=0: c = 0.5*1, h = 0.5*tanh(0.5)
-    h, c = lstm_cell_step(_zero_cell(), [0.0], [0.0], [1.0])
-    assert np.allclose(c, [0.5])
-    assert np.allclose(h, [0.5 * np.tanh(0.5)])
+    # every gate parameter is 0 but the candidate's input weight: i, f, o
+    # sit at sigmoid(0) = 0.5, so c_1 = 0.5 * tanh(x_1), and with x_2 = 0
+    # c_2 = 0.5 * c_1 and h = 0.5 * tanh(c_2)
+    cell = _zero_cell()
+    cell.w[3, 0] = 1.0
+    model = _classifier(cell, 2)
+    h = model.hidden([[2.0], [0.0]])
+    c_2 = 0.5 * 0.5 * np.tanh(2.0)
+    assert np.allclose(model.work.c[2], [c_2])
+    assert np.allclose(h, [0.5 * np.tanh(c_2)])
 
 
 def test_lstm_matches_scalar_reference():
-    # independent scalar re-evaluation of the gate equations, unit by unit
+    # independent scalar re-evaluation of the gate equations, unit by unit,
+    # over three steps, so the f * c_{t-1} and h_{t-1} terms are non-zero
     rng = np.random.default_rng(7)
-    cell = neural.lstm_init(3, 2, rng)
-    x = rng.normal(size=3)
-    h_prev = rng.normal(size=2)
-    c_prev = rng.normal(size=2)
-    h, c = lstm_cell_step(cell, x, h_prev, c_prev)
+    model = _classifier(neural.lstm_init(3, 2, rng), 3)
+    cell = model.cell
+    window = rng.normal(size=(3, 3))
+    h = model.hidden(window)
+    c = model.work.c[-1]
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    z = list(x) + list(h_prev)
     # gate rows are stacked i, f, o, g
     w_i, w_f, w_o, w_g = np.split(cell.w, 4)
     b_i, b_f, b_o, b_g = np.split(cell.b, 4)
+    h_ref, c_ref = [0.0, 0.0], [0.0, 0.0]
+    for x in window:
+        z = list(x) + h_ref
+        h_next, c_next = [], []
+        for u in range(2):
+            i = sig(sum(w_i[u][k] * z[k] for k in range(5)) + b_i[u])
+            f = sig(sum(w_f[u][k] * z[k] for k in range(5)) + b_f[u])
+            o = sig(sum(w_o[u][k] * z[k] for k in range(5)) + b_o[u])
+            g = np.tanh(sum(w_g[u][k] * z[k] for k in range(5)) + b_g[u])
+            c_next.append(f * c_ref[u] + i * g)
+            h_next.append(o * np.tanh(c_next[u]))
+        h_ref, c_ref = h_next, c_next
+    assert all(c_ref) and all(h_ref)
     for u in range(2):
-        i = sig(sum(w_i[u][k] * z[k] for k in range(5)) + b_i[u])
-        f = sig(sum(w_f[u][k] * z[k] for k in range(5)) + b_f[u])
-        o = sig(sum(w_o[u][k] * z[k] for k in range(5)) + b_o[u])
-        g = np.tanh(sum(w_g[u][k] * z[k] for k in range(5)) + b_g[u])
-        c_ref = f * c_prev[u] + i * g
-        assert c[u] == pytest.approx(c_ref, abs=1e-14)
-        assert h[u] == pytest.approx(o * np.tanh(c_ref), abs=1e-14)
+        assert c[u] == pytest.approx(c_ref[u], abs=1e-14)
+        assert h[u] == pytest.approx(h_ref[u], abs=1e-14)
 
 
 def _gate_blocks(cell):
@@ -230,10 +252,13 @@ def _per_gate_classifier(model, window, y):
 def test_stacked_cell_matches_per_gate_reference(input_dim, hidden_dim, window_len):
     rng = np.random.default_rng(input_dim * 100 + hidden_dim * 10 + window_len)
     model = lstm_classifier_init(input_dim, hidden_dim, window_len, rng)
-    x, h_prev, c_prev = (rng.normal(size=n) for n in (input_dim, hidden_dim, hidden_dim))
-    ref_h, ref_c, _ = _per_gate_step(_gate_blocks(model.cell), x, h_prev, c_prev)
-    h, c = lstm_cell_step(model.cell, x, h_prev, c_prev)
-    assert np.array_equal(h, ref_h) and np.array_equal(c, ref_c)
+    blocks = _gate_blocks(model.cell)
+    window = rng.normal(size=(window_len, input_dim))
+    ref_h, ref_c = np.zeros(hidden_dim), np.zeros(hidden_dim)
+    for x in window:
+        ref_h, ref_c, _ = _per_gate_step(blocks, x, ref_h, ref_c)
+    h = model.hidden(window)
+    assert np.array_equal(h, ref_h) and np.array_equal(model.work.c[-1], ref_c)
 
     for y in (0, 1):
         window = rng.normal(scale=2.0, size=(window_len, input_dim))
@@ -248,12 +273,11 @@ def test_stacked_cell_matches_per_gate_reference(input_dim, hidden_dim, window_l
 
 def test_lstm_hidden_state_bounded():
     rng = np.random.default_rng(3)
-    cell = neural.lstm_init(4, 6, rng)
-    h = np.zeros(6)
-    c = np.zeros(6)
-    for _ in range(200):
-        h, c = lstm_cell_step(cell, rng.normal(scale=5.0, size=4), h, c)
-        assert np.all(np.abs(h) < 1.0)
+    model = _classifier(neural.lstm_init(4, 6, rng), 200)
+    h = model.hidden(rng.normal(scale=5.0, size=(200, 4)))
+    # h_1 .. h_199 stay in the work, as the inputs of steps 2 .. 200
+    assert np.all(np.abs(model.work.z[1:, 4:]) < 1.0)
+    assert np.all(np.abs(h) < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -628,44 +652,71 @@ def test_classifier_backward_matches_reference(steps, input_dim, hidden_dim, see
     # large inputs saturate the gates: sigmoids reach 0 or 1, tanh +-1
     window = rng.normal(scale=scale, size=(steps, input_dim))
     window[rng.uniform(size=window.shape) < 0.2] = 0.0
-    ref_y_hat, ref_h, ref_loss, ref_grads = _reference_classifier_backward(model, window, y)
-    assert _bits(model.classify(window)) == _bits(ref_y_hat)
-    assert _bits(model.hidden(window)) == _bits(ref_h)
-    # without a workspace, then through one workspace on two different
-    # windows, so a value left over from the last call would show; every
-    # call is checked after the last one ran, so an aliased gradient would too
     other = rng.normal(scale=scale, size=(steps, input_dim))
-    work = neural.LstmWork(model)
-    calls = [(window, backward(model, window, y)),
-             (window, backward(model, window, y, work=work)),
-             (other, backward(model, other, 1 - y, work=work)),
-             (window, backward(model, window, y, work=work))]
-    for win, (loss, grads) in calls:
-        target = y if win is window else 1 - y
-        _, _, ref_loss, ref_grads = _reference_classifier_backward(model, win, target)
-        assert _bits(loss) == _bits(ref_loss)
-        assert grads.keys() == ref_grads.keys()
-        for name, ref in ref_grads.items():
-            assert _bits(grads[name]) == _bits(ref), name
-    buffers = [buf for buf in vars(work).values() if isinstance(buf, np.ndarray)]
-    for _, (_, grads) in calls[1:]:
-        for name, grad in grads.items():
-            assert not any(np.shares_memory(grad, buf) for buf in buffers), name
+    refs = {id(win): _reference_classifier_backward(model, win, target)
+            for win, target in ((window, y), (other, 1 - y))}
+    targets = {id(window): y, id(other): 1 - y}
+    # classify, hidden and backward take turns in the classifier's one work
+    # on two windows, so a value left over from an earlier call would show;
+    # every result is checked after the last call ran, so an aliased
+    # hidden state or gradient would too
+    calls = [(kind, win, fn(win)) for kind, win, fn in [
+        ("classify", window, model.classify),
+        ("hidden", window, model.hidden),
+        ("backward", window, lambda w: backward(model, w, targets[id(w)])),
+        ("hidden", other, model.hidden),
+        ("classify", other, model.classify),
+        ("backward", other, lambda w: backward(model, w, targets[id(w)])),
+        ("classify", window, model.classify),
+        ("backward", window, lambda w: backward(model, w, targets[id(w)])),
+        ("hidden", window, model.hidden),
+    ]]
+    buffers = [buf for buf in vars(model.work).values() if isinstance(buf, np.ndarray)]
+    for kind, win, out in calls:
+        ref_y_hat, ref_h, ref_loss, ref_grads = refs[id(win)]
+        if kind == "classify":
+            assert _bits(out) == _bits(ref_y_hat)
+        elif kind == "hidden":
+            assert _bits(out) == _bits(ref_h)
+            assert not any(np.shares_memory(out, buf) for buf in buffers)
+        else:
+            loss, grads = out
+            assert _bits(loss) == _bits(ref_loss)
+            assert grads.keys() == ref_grads.keys()
+            for name, ref in ref_grads.items():
+                assert _bits(grads[name]) == _bits(ref), name
+                assert not any(np.shares_memory(grads[name], buf)
+                               for buf in buffers), name
 
 
-def test_lstm_workspace_must_fit_window_and_model():
+def test_classifier_rejects_window_of_another_shape():
     rng = np.random.default_rng(0)
     model = lstm_classifier_init(4, 3, 5, rng)
-    window = rng.normal(size=(5, 4))
     before = [p.copy() for _, p in iter_params(model)]
-    for work in (neural.LstmWork(model, steps=4),
-                 neural.LstmWork(lstm_classifier_init(5, 3, 5, rng)),
-                 neural.LstmWork(lstm_classifier_init(4, 2, 5, rng))):
-        with pytest.raises(ValueError, match="workspace") as exc:
-            backward(model, window, 1, work=work)
-        assert "\n" not in str(exc.value)
+    for shape in ((4, 4), (6, 4), (5, 3), (5,), (1, 5, 4)):
+        window = rng.normal(size=shape)
+        for call in (model.classify, model.hidden,
+                     lambda w: backward(model, w, 1),
+                     # an SGD step fails before it touches a parameter
+                     lambda w: apply_gradients(model, backward(model, w, 1)[1], 0.1)):
+            with pytest.raises(ValueError) as exc:
+                call(window)
+            message = str(exc.value)
+            assert "\n" not in message
+            assert str((5, 4)) in message and str(shape) in message, message
     for (_, p), old in zip(iter_params(model), before):
         assert np.array_equal(p, old)
+
+
+def test_classifier_copy_runs_in_a_work_of_its_own():
+    rng = np.random.default_rng(1)
+    model = lstm_classifier_init(4, 3, 5, rng)
+    clone = copy.deepcopy(model)
+    assert clone.work is not model.work
+    for _ in range(2):
+        window = rng.normal(size=(5, 4))
+        assert _bits(clone.hidden(window)) == _bits(model.hidden(window))
+        assert _bits(clone.classify(window)) == _bits(model.classify(window))
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ def test_reward_tracker_suppression_and_collateral():
             self.attack_active = attack
             self.mitigation = type("M", (), {"any_active": lambda self_: mitig})()
 
-    tracker = pl.RewardTracker(window=10, variant="deepedge")
+    tracker = pl.RewardTracker(window=10, agent="deepedge")
     tracker.push(Result(1000, 900, 500, 50, True, True))
     tracker.push(Result(1000, 800, 500, 0, True, True))
     assert tracker.detection_rate() == pytest.approx(1700 / 2000)
@@ -143,11 +143,28 @@ def test_reward_tracker_autodrl_miss_rate():
             self.classified = classified
             self.mitigation = type("M", (), {"any_active": lambda self_: True})()
 
-    tracker = pl.RewardTracker(window=10, variant="autodrl")
+    tracker = pl.RewardTracker(window=10, agent="autodrl")
     tracker.push(Result(True, True), classified_attack=True)
     tracker.push(Result(True, False), classified_attack=False)
     tracker.push(Result(False, False), classified_attack=False)
     assert tracker.false_rate() == pytest.approx(0.5)  # 1 miss of 2 attack steps
+
+
+def test_load_models_rejects_a_classifier_the_config_cannot_feed():
+    rng = np.random.default_rng(0)
+    pipe = pl.DrlPipeline(default_config("autodrl"))
+    autoencoder = neural.autoencoder_init(rng, input_dim=len(ft.FEATURE_NAMES))
+    pipe.detector = pl.AnomalyDetector(ft.Normalizer(), autoencoder, 1.0, 0.5)
+    q_layers = ag.qnetwork_init(pipe.state_dim(), rng).layers
+    n_features, hidden = len(ft.FEATURE_NAMES), pipe.cfg.neural.lstm_hidden
+    for clf, named in ((neural.lstm_classifier_init(n_features, hidden, 3, rng),
+                        "neural.lstm_window=8"),
+                       (neural.lstm_classifier_init(5, hidden, 8, rng),
+                        f"step features have {n_features}")):
+        with pytest.raises(ValueError, match=named):
+            pipe.load_models({"autoencoder": autoencoder, "q_network": q_layers,
+                              "classifier": clf})
+        assert pipe.q_net is None and pipe.classifier is None
 
 
 def test_autodrl_classifier_quality():
@@ -215,10 +232,10 @@ def test_batch_detector_matches_per_flow_reference(trained_quick):
         features = ft.features_matrix(flows)
         flags = detector.flow_flag(features)
         x, score = detector.step_profile(features)
-        assert flags == ref_flags
+        assert flags.dtype == bool and flags.tolist() == ref_flags
         assert np.array_equal(x, ref_x)
         assert score == ref_score
-        flagged += sum(flags)
+        flagged += int(flags.sum())
     assert 0 < flagged < sum(len(flows) for flows in steps)
 
 
