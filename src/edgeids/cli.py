@@ -62,23 +62,29 @@ def make_run_logger(out_dir, quiet=False):
 # config assembly from flags
 # ---------------------------------------------------------------------------
 
-def build_config(args):
-    if getattr(args, "config", None):
-        cfg = cfgmod.load(args.config)
-    else:
-        cfg = cfgmod.default_config(getattr(args, "agent", None) or "deepedge")
+def flag_overrides(cfg, args):
+    """cfg under --agent, --seed, --episodes, --epsilon and --set, in order."""
     overrides = []
     if getattr(args, "agent", None):
         overrides.append(f"agent={json.dumps(args.agent)}")
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides.append(f"seed={args.seed}")
     if getattr(args, "episodes", None) is not None:
         overrides.append(f"episodes={args.episodes}")
     epsilon = getattr(args, "epsilon", None)
     if isinstance(epsilon, (int, float)):   # the sweep passes a list string
         overrides.append(f"hyper.epsilon.initial={epsilon}")
-    overrides.extend(getattr(args, "set", None) or [])
+    overrides.extend(args.set or [])
     return cfgmod.apply_overrides(cfg, overrides)
+
+
+def build_config(args):
+    """A train or sweep config: --config or the agent's defaults, plus flags."""
+    if args.config:
+        cfg = cfgmod.load(args.config)
+    else:
+        cfg = cfgmod.default_config(args.agent or "deepedge")
+    return flag_overrides(cfg, args)
 
 
 def prepare_out_dir(args, default_name):
@@ -194,17 +200,14 @@ def cmd_train(args):
 # evaluate
 # ---------------------------------------------------------------------------
 
-def load_trained_pipeline(checkpoint_dir, cfg=None):
-    """Rebuild a frozen pipeline from a train artifact directory."""
+def load_trained_pipeline(checkpoint_dir, cfg):
+    """Rebuild a frozen pipeline under cfg from a train artifact directory."""
     ckpt = Path(checkpoint_dir)
-    if cfg is None:
-        cfg = cfgmod.load(ckpt / "config.json")
     models = neural.load_checkpoint(ckpt / "checkpoint.txt")
     with open(ckpt / "detector.json") as f:
         detector_data = json.load(f)
     pipe = pl.DrlPipeline(cfg)
-    pipe.detector = pl.detector_from_dict(detector_data)
-    pipe.load_models(models)
+    pipe.load_models(models, detector_data)
     return pipe
 
 
@@ -216,20 +219,15 @@ def cmd_evaluate(args):
         raise FileNotFoundError(f"no checkpoint.txt under {ckpt}")
     cfg = cfgmod.load(ckpt / "config.json")
     if args.config:
-        scenario = cfgmod.load(args.config)
-        cfg.env = scenario.env
-    if args.set or args.seed is not None:
-        overrides = list(args.set or [])
-        if args.seed is not None:
-            overrides.append(f"seed={args.seed}")
-        cfg = cfgmod.apply_overrides(cfg, overrides)
+        cfg.env = cfgmod.load(args.config).env
+    cfg = flag_overrides(cfg, args)
+    # a rejected checkpoint or config fails before the output directory exists
+    pipe = load_trained_pipeline(ckpt, cfg)
 
     out = prepare_out_dir(args, f"eval-{cfg.agent}-s{cfg.seed}")
     cfgmod.save(cfg, out / "config.json")
     logger = make_run_logger(out, args.quiet)
     logger.info("System State: EVALUATION (frozen policy, seed %d)", cfg.seed)
-
-    pipe = load_trained_pipeline(ckpt, cfg)
     outcome = pl.rollout(pipe, seed=cfg.seed)
 
     pl.write_trace_csv(out / "trace.csv", outcome.trace_rows)
@@ -367,23 +365,16 @@ def cmd_sweep(args):
     logger = make_run_logger(out, args.quiet)
     logger.info("Exploration sweep over epsilon=%s seeds=%s", epsilons, seeds)
 
-    if cfg.agent == "tabular":
-        def run_fn(eps, seed):
-            import dataclasses
-            schedule = dataclasses.replace(cfg.hyper.epsilon, initial=eps)
-            pipe = pl.TabularPipeline(cfg)
-            return pipe.episode_rewards(schedule.start_probability(), seed)
-    else:
-        def run_fn(eps, seed):
-            import dataclasses
-            run_cfg = cfgmod.from_dict(cfgmod.to_dict(cfg))
-            run_cfg.hyper.epsilon = dataclasses.replace(run_cfg.hyper.epsilon,
-                                                        initial=eps)
-            run_cfg.seed = seed
-            pipe = pl.DrlPipeline(run_cfg)
-            warm_up(pipe, logger)
-            outcome = train(pipe, logger)
-            return [s.reward_total for s in outcome.episode_stats]
+    def run_fn(eps, seed):
+        run_cfg = cfgmod.apply_overrides(
+            cfg, [f"hyper.epsilon.initial={json.dumps(eps)}", f"seed={seed}"])
+        if run_cfg.agent == "tabular":
+            return pl.TabularPipeline(run_cfg).episode_rewards(
+                run_cfg.hyper.epsilon.start_probability(), seed)
+        pipe = pl.DrlPipeline(run_cfg)
+        warm_up(pipe, logger)
+        outcome = train(pipe, logger)
+        return [s.reward_total for s in outcome.episode_stats]
 
     result = ev.epsilon_sweep(run_fn, epsilons, seeds)
     result.to_csv(out / "sweep.csv")

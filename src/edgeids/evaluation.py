@@ -104,17 +104,10 @@ def roc_auc(scores, labels):
     neg = scores[labels == 0]
     if pos.size == 0 or neg.size == 0:
         raise ValueError("AUC needs both classes")
-    order = np.argsort(np.concatenate([neg, pos]), kind="mergesort")
-    ranks = np.empty(order.size)
-    ranks[order] = np.arange(1, order.size + 1)
-    # midranks for ties
-    allv = np.concatenate([neg, pos])
-    sorted_v = np.sort(allv)
-    uniq, start = np.unique(sorted_v, return_index=True)
-    for u, s in zip(uniq, start):
-        same = allv == u
-        if same.sum() > 1:
-            ranks[same] = ranks[same].mean()
+    # each distinct value's midrank: the mean of the 1-based ranks it spans
+    _, inverse, counts = np.unique(np.concatenate([neg, pos]),
+                                   return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     rank_pos = ranks[neg.size:].sum()
     u_stat = rank_pos - pos.size * (pos.size + 1) / 2.0
     return float(u_stat / (pos.size * neg.size))

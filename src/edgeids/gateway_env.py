@@ -201,7 +201,6 @@ class EnvConfig:
     tau_p: float = 0.5                  # SOURCE_FILTER's attack-probability bar
     source_window: int = 10             # steps of per-source anomaly flags
     blacklist_expiry: int = 300         # steps a blacklisted source stays out
-    flag_rate_threshold: float = 200.0  # packet rate the fallback flagger flags
 
     def __post_init__(self):
         for name, ok, rule in (
@@ -556,8 +555,7 @@ class EdgeGatewayEnv:
         self.config = config
         self.resources = resources or ResourceModelConfig()
         self.kappa = kappa or KappaProvider(g_per_kwh_to_g_per_joule(400.0))
-        self.flow_flagger = flow_flagger or rate_threshold_flagger(
-            config.flag_rate_threshold)
+        self.flow_flagger = flow_flagger or rate_threshold_flagger()
         self.rng = np.random.default_rng(seed)
         self.step_index = 0
         self.mitigation = MitigationState()

@@ -268,16 +268,13 @@ def autoencoder_init(rng, input_dim=8, hidden_dim=16, latent_dim=8):
     return AutoencoderModel(encoder, decoder, input_dim, latent_dim)
 
 
-def autoencoder_train_step(model, batch, lr, work=None):
+def autoencoder_train_step(model, batch, lr, work):
     """One batch-mean SGD step on the reconstruction error; returns the loss.
 
     `work` is a DenseWork over model.layers for this batch's rows; a
-    training loop builds it once and passes it to every step.  Without
-    it the step builds its own."""
+    training loop builds it once and passes it to every step."""
     batch = np.atleast_2d(np.asarray(batch, dtype=float))
     layers = model.layers
-    if work is None:
-        work = DenseWork(layers, batch.shape[0])
     x_hat = work.forward(layers, batch)
     dy = work.back(0, model.input_dim)
     np.subtract(x_hat, batch, out=dy)

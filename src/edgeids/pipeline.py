@@ -203,9 +203,9 @@ def detector_to_dict(detector):
     }
 
 
-def detector_from_dict(data, autoencoder=None):
-    """The inverse of detector_to_dict; DrlPipeline.load_models wires the
-    checkpoint's autoencoder in when none is given."""
+def detector_from_dict(data, autoencoder):
+    """The inverse of detector_to_dict, around the checkpoint's
+    autoencoder."""
     normalizer = ft.Normalizer(data["kind"])
     normalizer.low = np.asarray(data["low"], dtype=float)
     normalizer.scale = np.asarray(data["scale"], dtype=float)
@@ -354,7 +354,6 @@ def write_episode_csv(path, stats):
 class TrainOutcome:
     models: dict
     episode_stats: list
-    detector: AnomalyDetector
     ledgers: list
     trace_rows: list
     q_updates: int
@@ -476,35 +475,37 @@ class DrlPipeline:
             out["classifier"] = self.classifier
         return out
 
-    def load_models(self, models):
-        """Wire checkpointed models into the pipeline; every check runs
-        before anything is wired."""
-        needed = ["autoencoder", "q_network"]
-        if self.cfg.agent == "autodrl":
-            needed.append("classifier")
-        for name in needed:
+    def load_models(self, models, detector_data):
+        """Rebuild the trained detector, classifier and Q-network from a
+        checkpoint's models and detector_to_dict's data; every check runs
+        before anything is set."""
+        for name in ("autoencoder", "q_network"):
             if name not in models:
                 raise ValueError(f"checkpoint lacks model {name!r}")
-        if self.detector is None:
-            raise ValueError("detector thresholds missing; run warm-up first")
         clf = models.get("classifier")
-        if self.cfg.agent == "autodrl":
-            if clf.window_len != self.cfg.neural.lstm_window:
-                raise ValueError(
-                    f"classifier runs {clf.window_len}-step windows, config "
-                    f"needs neural.lstm_window={self.cfg.neural.lstm_window}")
-            if clf.cell.input_dim != len(ft.FEATURE_NAMES):
-                raise ValueError(
-                    f"classifier expects input {clf.cell.input_dim}, the step "
-                    f"features have {len(ft.FEATURE_NAMES)}")
+        if self.cfg.agent != "autodrl":
+            if clf is not None:
+                raise ValueError(f"checkpoint holds an autodrl classifier, and "
+                                 f"agent {self.cfg.agent!r} cannot run it")
+        elif clf is None:
+            raise ValueError("checkpoint lacks model 'classifier'")
+        elif clf.window_len != self.cfg.neural.lstm_window:
+            raise ValueError(
+                f"classifier runs {clf.window_len}-step windows, config "
+                f"needs neural.lstm_window={self.cfg.neural.lstm_window}")
+        elif clf.cell.input_dim != len(ft.FEATURE_NAMES):
+            raise ValueError(
+                f"classifier expects input {clf.cell.input_dim}, the step "
+                f"features have {len(ft.FEATURE_NAMES)}")
         q_net = ag.QNetwork(list(models["q_network"]))
         if q_net.input_dim != self.state_dim():
             raise ValueError(
                 f"q_network layer 0 expects input {q_net.input_dim}, "
                 f"config needs {self.state_dim()}")
+        detector = detector_from_dict(detector_data, models["autoencoder"])
         self.q_net = q_net
         self.classifier = clf
-        self.detector.autoencoder = models["autoencoder"]
+        self.detector = detector
 
     # -- state assembly ----------------------------------------------------
 
@@ -553,7 +554,7 @@ class DrlPipeline:
         action_rng = np.random.default_rng(cfg.seed + 15485863)
         epsilon = cfg.hyper.epsilon.start_probability()
 
-        def decide(prev, history):
+        def decide(prev):
             """epsilon-greedy above the alarm threshold"""
             fill = len(buffer) / buffer.capacity
             if not prev.alarm:
@@ -624,8 +625,8 @@ class DrlPipeline:
             ))
             ledgers.append(env.ledger)
 
-        return TrainOutcome(self.models(), episode_stats, self.detector,
-                            ledgers, trace_rows, q_updates)
+        return TrainOutcome(self.models(), episode_stats, ledgers, trace_rows,
+                            q_updates)
 
     def _q_lr(self, k):
         # Robbins-Monro style decay; the supervised agent's DQN uses the
@@ -640,10 +641,10 @@ class DrlPipeline:
 
         Yields one EpisodeStep per simulator step, step 0 first.  Each step
         is scored, its LSTM window classified (autodrl), pushed to
-        ``tracker``, paid its reward and traced.  ``decide(prev, history)``
-        returns ``(action, learning, buffer_fill)`` for ``env.step``; the
-        caller learns from a step before it asks for the next one.  A
-        rollout records an active mitigation as an alert too."""
+        ``tracker``, paid its reward and traced.  ``decide(prev)`` maps the
+        previous EpisodeStep to ``(action, learning, buffer_fill)`` for
+        ``env.step``; the caller learns from a step before it asks for the
+        next one.  A rollout records an active mitigation as an alert too."""
         cfg = self.cfg
         history = deque(maxlen=cfg.neural.lstm_window)
 
@@ -661,7 +662,7 @@ class DrlPipeline:
         step = observe(0, None, env.step(None))
         yield step
         for t in range(1, env.config.episode_len):
-            action, learning, buffer_fill = decide(step, history)
+            action, learning, buffer_fill = decide(step)
             result = env.step(action, learning=learning, buffer_fill=buffer_fill)
             step = observe(t, action, result)
             step.reward = compute_reward(cfg.sustain.weights,
@@ -687,13 +688,13 @@ def rollout(pipeline, seed, env_config=None, policy=None):
     """Frozen-policy episode; returns alert metrics, counts, and the ledger.
 
     ``env_config``, an EnvConfig, replaces ``cfg.env`` for this episode.
-    Without a ``policy(result, x_step, a_s, history)`` the learned Q-network
-    acts greedily above the alarm threshold."""
+    A ``policy(prev)`` maps the previous EpisodeStep to the action; without
+    one the learned Q-network acts greedily above the alarm threshold."""
     greedy_rng = np.random.default_rng(0)  # epsilon 0 never draws from it
 
-    def decide(prev, history):
+    def decide(prev):
         if policy is not None:
-            action = policy(prev.result, prev.x_step, prev.a_s, history)
+            action = policy(prev)
         elif prev.alarm:
             action = ag.select_action(pipeline.q_net, prev.state(), 0.0,
                                       greedy_rng)
@@ -752,7 +753,7 @@ def rollout(pipeline, seed, env_config=None, policy=None):
         reward_total=reward_total, ledger=env.ledger, trace_rows=trace_rows)
 
 
-def noop_policy(result, x_step, a_s, history):
+def noop_policy(prev):
     return None
 
 

@@ -1,8 +1,10 @@
 """The benchmark traces the package from outside: bench/spans.py and
-bench/harness.py wrap edgeids functions and methods by name.  These
-tests install both sets of wrappers on the live package and restore
-them, so renaming or deleting a wrapped name fails here, not only in a
-traced benchmark run.  Nothing under bench/ is changed."""
+bench/harness.py wrap edgeids functions and methods by name, and
+bench/harness.py drives it through DrlPipeline and pipeline.rollout.
+These tests install both sets of wrappers on the live package and
+restore them, and run the bench's closed loop at a short episode length,
+so renaming a wrapped name or changing a call the bench makes fails
+here, not only in a benchmark run.  Nothing under bench/ is changed."""
 
 from pathlib import Path
 
@@ -47,3 +49,23 @@ def test_bench_wraps_live_names_and_restores_them(bench):
     assert [recorder.names[i] for i in recorder.name] == [
         "neural.lstm_classify", "neural.lstm_hidden", "neural.backward"]
 
+
+@pytest.mark.parametrize("workload", ["deepedge_syn", "autodrl_mixed"])
+def test_bench_cycle_completes_checked_and_repeats(bench, workload):
+    # set-up, training and rollout under the monitor, which checks packet
+    # and byte conservation, finite scores and TD losses, and ledger bounds
+    harness, spans = bench
+    cfg = harness.make_config(workload, seed=0, episode_len=60)
+    monitor, patcher = harness.Monitor(), spans.Patcher()
+    monitor.install(patcher)
+    try:
+        cycles = [harness.Cycle(cfg, monitor) for _ in range(2)]
+        for cycle in cycles:
+            for phase in harness.PHASES:
+                getattr(cycle, phase)()
+    finally:
+        patcher.restore()
+    assert [p.error for p in monitor.phases] == [None] * 6
+    assert all(cycle.complete() for cycle in cycles)
+    assert monitor.failed == 0
+    assert cycles[0].fingerprint() == cycles[1].fingerprint()

@@ -129,11 +129,25 @@ def test_evaluate_classifier_of_another_window_names_the_key(autodrl_artifact,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("runtime error:"), err
     assert "neural.lstm_window=3" in err[0] and "8-step" in err[0], err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
     # at the window it was trained on, the same checkpoint evaluates
     code = cli.main(["evaluate", "--checkpoint", str(autodrl_artifact),
                      "--out", str(tmp_path / "ok"), "--quiet"])
     assert code == cli.EXIT_OK
+
+
+def test_evaluate_refuses_a_checkpoint_of_the_other_agent_kind(autodrl_artifact,
+                                                               tmp_path, capsys):
+    # deepedge's Q-network input (4 + latent_dim) is as wide as autodrl's
+    # (4 + lstm_hidden), so only the classifier tells the two apart
+    out = tmp_path / "eval"
+    code = cli.main(["evaluate", "--checkpoint", str(autodrl_artifact),
+                     "--out", str(out), "--quiet", "--set", 'agent="deepedge"'])
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error:"), err
+    assert "'deepedge'" in err[0] and "classifier" in err[0], err
+    assert not out.exists()
 
 
 def test_evaluate_accepts_the_checkpoint_file(train_artifact, tmp_path):
@@ -517,6 +531,7 @@ def test_checkpoint_without_autoencoder_names_the_model(train_artifact, tmp_path
     assert code == cli.EXIT_RUNTIME
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["runtime error: checkpoint lacks model 'autoencoder'"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_checkpoint_with_nan_classifier_head_is_one_line(train_artifact, tmp_path,
@@ -537,7 +552,7 @@ def test_checkpoint_with_nan_classifier_head_is_one_line(train_artifact, tmp_pat
     assert code == cli.EXIT_RUNTIME
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["runtime error: model 'classifier': non-finite classifier head"]
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kappa", ["nan", "inf", "-0.0002"])
@@ -566,7 +581,7 @@ def test_bad_kappa_schedule_fails_evaluate(train_artifact, tmp_path, capsys):
     assert code == cli.EXIT_RUNTIME
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and f"{schedule}, line 3" in err[0]
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def test_blown_up_but_finite_dqn_warns_and_is_reported(tmp_path):

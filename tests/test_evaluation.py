@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeids import evaluation as ev
 from edgeids.evaluation import (
@@ -94,6 +96,39 @@ def test_roc_auc_extremes_and_ranks():
     neg = scores[labels == 0]
     wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
     assert roc_auc(scores, labels) == pytest.approx(wins / (len(pos) * len(neg)))
+
+
+def _reference_roc_auc(scores, labels):
+    """roc_auc with its former per-value tie loop: each tied value's ranks
+    are replaced by their mean."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    pos = scores[labels == 1]
+    neg = scores[labels == 0]
+    allv = np.concatenate([neg, pos])
+    order = np.argsort(allv, kind="mergesort")
+    ranks = np.empty(order.size)
+    ranks[order] = np.arange(1, order.size + 1)
+    for u in np.unique(allv):
+        same = allv == u
+        if same.sum() > 1:
+            ranks[same] = ranks[same].mean()
+    u_stat = ranks[neg.size:].sum() - pos.size * (pos.size + 1) / 2.0
+    return float(u_stat / (pos.size * neg.size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_roc_auc_matches_per_value_tie_loop(data):
+    n = data.draw(st.integers(2, 80))
+    tied = data.draw(st.booleans())
+    values = (st.sampled_from([-1.0, 0.0, 0.25, 0.5, 3.0]) if tied
+              else st.floats(-1e6, 1e6))
+    scores = data.draw(st.lists(values, min_size=n, max_size=n))
+    # both classes present
+    labels = [0, 1] + data.draw(st.lists(st.integers(0, 1), min_size=n - 2,
+                                         max_size=n - 2))
+    assert roc_auc(scores, labels) == _reference_roc_auc(scores, labels)
 
 
 # ---------------------------------------------------------------------------

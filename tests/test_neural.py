@@ -512,8 +512,9 @@ def test_autoencoder_train_step_matches_reference(rows, seed, dead, scale, lr,
             loss = neural.autoencoder_train_step(model, batch, lr, work)
             ref_loss = _reference_autoencoder_train_step(ref, batch, lr)
             assert _bits(loss) == _bits(ref_loss)
-        # without a workspace the step builds its own
-        assert (_bits(neural.autoencoder_train_step(model, batch, lr))
+        # a fresh workspace takes the same step
+        fresh = neural.DenseWork(model.layers, rows)
+        assert (_bits(neural.autoencoder_train_step(model, batch, lr, fresh))
                 == _bits(_reference_autoencoder_train_step(ref, batch, lr)))
     for (name, p), (_, q) in zip(iter_params(model), iter_params(ref)):
         assert _bits(p) == _bits(q), name

@@ -154,7 +154,9 @@ def test_load_models_rejects_a_classifier_the_config_cannot_feed():
     rng = np.random.default_rng(0)
     pipe = pl.DrlPipeline(default_config("autodrl"))
     autoencoder = neural.autoencoder_init(rng, input_dim=len(ft.FEATURE_NAMES))
-    pipe.detector = pl.AnomalyDetector(ft.Normalizer(), autoencoder, 1.0, 0.5)
+    normalizer = ft.Normalizer().fit(rng.uniform(size=(10, len(ft.FEATURE_NAMES))))
+    detector_data = pl.detector_to_dict(
+        pl.AnomalyDetector(normalizer, autoencoder, 1.0, 0.5))
     q_layers = ag.qnetwork_init(pipe.state_dim(), rng).layers
     n_features, hidden = len(ft.FEATURE_NAMES), pipe.cfg.neural.lstm_hidden
     for clf, named in ((neural.lstm_classifier_init(n_features, hidden, 3, rng),
@@ -163,8 +165,9 @@ def test_load_models_rejects_a_classifier_the_config_cannot_feed():
                         f"step features have {n_features}")):
         with pytest.raises(ValueError, match=named):
             pipe.load_models({"autoencoder": autoencoder, "q_network": q_layers,
-                              "classifier": clf})
+                              "classifier": clf}, detector_data)
         assert pipe.q_net is None and pipe.classifier is None
+        assert pipe.detector is None
 
 
 def test_autodrl_classifier_quality():
