@@ -29,9 +29,8 @@ outcome = pipe.train()
 print(f"trained {cfg.episodes} episodes, {outcome.q_updates} Q updates "
       f"({time.time() - start:.0f}s)")
 for s in outcome.episode_stats:
-    suppression = 1.0 - s.attack_passed / max(s.attack_offered, 1)
     print(f"  episode {s.episode}: reward {s.reward_total:8.1f}  "
-          f"attack suppressed {suppression:.3f}  epsilon {s.epsilon_end:.2f}  "
+          f"attack suppressed {s.detection_rate:.3f}  epsilon {s.epsilon_end:.2f}  "
           f"updates {s.updates}")
 
 trained = pl.rollout(pipe, seed=777)

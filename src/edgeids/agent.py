@@ -163,6 +163,9 @@ class AgentHyperparams:
             raise ValueError("learning rate must be positive")
         if self.target_sync_every < 1:
             raise ValueError("target_sync_every must be >= 1")
+        for name in ("buffer_capacity", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,8 @@ def write_json(path, payload):
 
 def cmd_train(args):
     cfg = build_config(args)
+    # a DRL pipeline reads its kappa schedule before the output directory exists
+    pipe = pl.TabularPipeline(cfg) if cfg.agent == "tabular" else pl.DrlPipeline(cfg)
     out = prepare_out_dir(args, f"train-{cfg.agent}-s{cfg.seed}")
     cfgmod.save(cfg, out / "config.json")
     logger = make_run_logger(out, args.quiet)
@@ -139,7 +141,6 @@ def cmd_train(args):
         return EXIT_OK
 
     if cfg.agent == "tabular":
-        pipe = pl.TabularPipeline(cfg)
         q_table, diag = pipe.train()
         np.savetxt(out / "q_table.csv", q_table, delimiter=",")
         diag.to_csv(out / "diagnostics.csv")
@@ -154,7 +155,6 @@ def cmd_train(args):
         logger.log(SUCCESS, "Tabular run converged within %.2e of value iteration", gap)
         return EXIT_OK
 
-    pipe = pl.DrlPipeline(cfg)
     logger.info("Benign warm-up: fitting normalizer and anomaly thresholds")
     warm_up(pipe, logger)
     logger.info("Alarm thresholds: tau_flow=%.6g tau_step=%.6g",
@@ -360,6 +360,8 @@ def cmd_sweep(args):
     epsilons = sweep_values(cfg, "--epsilon", args.epsilon,
                             "hyper.epsilon.initial", float, ev.SWEEP_MIN_EPSILONS)
     seeds = sweep_values(cfg, "--seeds", args.seeds, "seed", int, ev.SWEEP_MIN_SEEDS)
+    if cfg.agent != "tabular":
+        pl.DrlPipeline(cfg)  # reads the kappa schedule before the directory exists
     out = prepare_out_dir(args, f"sweep-{cfg.agent}")
     cfgmod.save(cfg, out / "config.json")
     logger = make_run_logger(out, args.quiet)

@@ -91,6 +91,9 @@ class SustainConfig:
             raise ConfigError("carbon intensities must be positive")
         if self.kappa_g_per_kwh > self.kappa_max_g_per_kwh:
             raise ConfigError("kappa exceeds kappa_max")
+        if self.p_max_w <= 0:
+            # a ValueError, so that the loader names the full key
+            raise ValueError(f"p_max_w must be positive, got {self.p_max_w!r}")
         if self.reward_window < 1:
             raise ConfigError("reward window must be positive")
 

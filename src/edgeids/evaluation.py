@@ -38,6 +38,19 @@ class ConfusionCounts:
     def total(self):
         return self.tp + self.fp + self.tn + self.fn
 
+    def add(self, truth, verdict):
+        """Count one decision: ``verdict`` (flagged as an attack or not)
+        against the ground ``truth``."""
+        if truth:
+            if verdict:
+                self.tp += 1
+            else:
+                self.fn += 1
+        elif verdict:
+            self.fp += 1
+        else:
+            self.tn += 1
+
 
 def classification_metrics(counts):
     """Accuracy, precision, recall, f1.  Ratios with a zero denominator are

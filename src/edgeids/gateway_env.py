@@ -261,6 +261,12 @@ class ResourceModelConfig:
     mem_util_per_pps: float = 6e-5
     mem_util_buffer: float = 0.05
 
+    def __post_init__(self):
+        if self.p_max < 0:
+            raise ValueError(f"p_max must be >= 0, got {self.p_max!r}")
+        if self.mem_total < 1:
+            raise ValueError(f"mem_total must be positive, got {self.mem_total!r}")
+
 
 def resource_model(passed_pps, dropped_pps, learning, buffer_fill, cfg=None):
     """CPU/memory/power proxies for one step.

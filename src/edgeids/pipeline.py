@@ -306,20 +306,6 @@ def pretrain_step_classifier(cfg, detector, seed):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PacketCounts:
-    attack_offered: int = 0
-    attack_passed: int = 0
-    benign_offered: int = 0
-    benign_passed: int = 0
-
-    def add(self, result):
-        self.attack_offered += result.offered_pkts["attack"]
-        self.attack_passed += result.passed_pkts["attack"]
-        self.benign_offered += result.offered_pkts["benign"]
-        self.benign_passed += result.passed_pkts["benign"]
-
-
-@dataclass
 class EpisodeStats:
     episode: int
     reward_total: float
@@ -377,21 +363,42 @@ def td_loss_ceiling(cfg):
 
 
 @dataclass
-class EvalOutcome:
-    confusion: ConfusionCounts        # step-level alert vs ground truth
-    detection_prob: float             # None when the scenario had no attacks
-    response_times: list
-    scores: list                      # per-step anomaly scores
-    attack_labels: list               # per-step ground truth
-    classifier_correct: int
-    classifier_total: int
-    attack_offered: int
-    attack_passed: int
-    benign_offered: int
-    benign_passed: int
-    reward_total: float
+class EpisodeOutcome:
+    """What one episode did, as DrlPipeline.run_episode counts it.
+
+    Packets, CPU and the whole-episode rates count every step, as the
+    ledger does.  Reward, alerts, scores, labels, classifier verdicts,
+    response times and trace rows count from step 1, the first step an
+    action can reach."""
+
     ledger: object
-    trace_rows: list
+    rates: RewardTracker              # its window spans the whole episode
+    confusion: ConfusionCounts = field(default_factory=ConfusionCounts)   # alert vs truth
+    classifier: ConfusionCounts = field(default_factory=ConfusionCounts)  # verdict vs truth
+    response_times: list = field(default_factory=list)
+    scores: list = field(default_factory=list)          # per-step anomaly scores
+    attack_labels: list = field(default_factory=list)   # per-step ground truth
+    trace_rows: list = field(default_factory=list)
+    attack_offered: int = 0
+    attack_passed: int = 0
+    benign_offered: int = 0
+    benign_passed: int = 0
+    cpu_pct_sum: float = 0.0
+    reward_total: float = 0.0
+
+    @property
+    def detection_prob(self):
+        """The share of attack steps alerted on; None without attack steps."""
+        attack_steps = self.confusion.tp + self.confusion.fn
+        return self.confusion.tp / attack_steps if attack_steps else None
+
+    @property
+    def classifier_correct(self):
+        return self.classifier.tp + self.classifier.tn
+
+    @property
+    def classifier_total(self):
+        return self.classifier.total
 
     @property
     def classifier_accuracy(self):
@@ -406,13 +413,12 @@ class EvalOutcome:
 
 
 # ---------------------------------------------------------------------------
-# episode steps, as DrlPipeline.run_episode yields them
+# episode steps, as DrlPipeline.run_episode observes them
 # ---------------------------------------------------------------------------
 
 @dataclass
 class EpisodeStep:
-    """One observed step of an episode; reward, alert and trace stay unset
-    at step 0."""
+    """One observed step of an episode; the reward stays unset at step 0."""
 
     pipeline: DrlPipeline
     t: int
@@ -423,8 +429,6 @@ class EpisodeStep:
     window: np.ndarray      # stacked LSTM window (autodrl), else None
     classified: object      # the classifier's verdict (autodrl), else None
     reward: object = None   # RewardBreakdown
-    alert: bool = False     # the alert the trace row records
-    trace: list = None
     _state: np.ndarray = None
 
     @property
@@ -562,68 +566,61 @@ class DrlPipeline:
             action = ag.select_action(self.q_net, prev.state(), epsilon, action_rng)
             return action, len(buffer) >= cfg.hyper.batch_size, fill
 
+        q_updates = 0
+        clf_updates = self._classifier_updates
+        loss_sum = 0.0
+
+        def learn(prev, step):
+            """the classifier's SGD step, then the replay store and DQN update"""
+            nonlocal epsilon, q_updates, clf_updates, loss_sum
+            if step.classified is not None:
+                clf_updates += 1
+                classifier_sgd_step(cfg, self.classifier, step.window,
+                                    int(step.result.attack_active), clf_updates)
+            if step.action is None:
+                return
+            buffer.store(prev.state(), step.action, step.reward.total,
+                         step.state(), step.reward.components.carbon_g,
+                         terminal=step.t == cfg.env.episode_len - 1)
+            if len(buffer) < cfg.hyper.batch_size:
+                return
+            q_updates += 1
+            loss, _ = ag.q_update_network(
+                self.q_net, q_work, buffer.sample_minibatch(action_rng),
+                target_net, cfg.hyper.gamma, self._q_lr(q_updates),
+                carbon_weight(cfg.agent))
+            loss_sum += loss
+            epsilon = ag.decay_epsilon(epsilon, cfg.hyper.epsilon.decay,
+                                       cfg.hyper.epsilon.floor)
+            if q_updates % cfg.hyper.target_sync_every == 0:
+                target_net.sync_from(self.q_net)
+
         episode_stats = []
         ledgers = []
         trace_rows = []
-        q_updates = 0
-        clf_updates = self._classifier_updates
-
         for episode in range(cfg.episodes):
             env = self._make_env(cfg.seed + 1000 * (episode + 1))
-            tracker = self.reward_tracker()
-            steps = self.run_episode(env, decide, tracker, episode)
-            prev = next(steps)
-            # training counts step 0's packets and CPU
-            counts = PacketCounts()
-            counts.add(prev.result)
-            cpu_sum = prev.result.resource.cpu_pct
-            reward_sum = 0.0
-            loss_sum = 0.0
-            episode_updates = 0
-
-            for step in steps:
-                if step.classified is not None:
-                    clf_updates += 1
-                    classifier_sgd_step(cfg, self.classifier, step.window,
-                                        int(step.result.attack_active), clf_updates)
-                reward_sum += step.reward.total
-                cpu_sum += step.result.resource.cpu_pct
-
-                if step.action is not None:
-                    buffer.store(prev.state(), step.action, step.reward.total,
-                                 step.state(), step.reward.components.carbon_g,
-                                 terminal=step.t == cfg.env.episode_len - 1)
-                    if len(buffer) >= cfg.hyper.batch_size:
-                        q_updates += 1
-                        episode_updates += 1
-                        loss, _ = ag.q_update_network(
-                            self.q_net, q_work, buffer.sample_minibatch(action_rng),
-                            target_net, cfg.hyper.gamma, self._q_lr(q_updates),
-                            carbon_weight(cfg.agent))
-                        loss_sum += loss
-                        epsilon = ag.decay_epsilon(epsilon, cfg.hyper.epsilon.decay,
-                                                   cfg.hyper.epsilon.floor)
-                        if q_updates % cfg.hyper.target_sync_every == 0:
-                            target_net.sync_from(self.q_net)
-
-                trace_rows.append(step.trace)
-                counts.add(step.result)
-                prev = step
-
+            updates_before, loss_sum = q_updates, 0.0
+            out = self.run_episode(env, decide, learn, episode)
+            updates = q_updates - updates_before
             episode_stats.append(EpisodeStats(
                 episode=episode,
-                reward_total=reward_sum,
-                detection_rate=tracker.detection_rate(),
-                false_rate=tracker.false_rate(),
-                **vars(counts),
-                energy_j=env.ledger.cumulative_energy_j,
-                carbon_g=env.ledger.cumulative_carbon_g,
-                cpu_mean=cpu_sum / cfg.env.episode_len,
+                reward_total=out.reward_total,
+                detection_rate=out.rates.detection_rate(),
+                false_rate=out.rates.false_rate(),
+                attack_offered=out.attack_offered,
+                attack_passed=out.attack_passed,
+                benign_offered=out.benign_offered,
+                benign_passed=out.benign_passed,
+                energy_j=out.ledger.cumulative_energy_j,
+                carbon_g=out.ledger.cumulative_carbon_g,
+                cpu_mean=out.cpu_pct_sum / cfg.env.episode_len,
                 epsilon_end=epsilon,
-                updates=episode_updates,
-                td_loss_mean=loss_sum / episode_updates if episode_updates else 0.0,
+                updates=updates,
+                td_loss_mean=loss_sum / updates if updates else 0.0,
             ))
-            ledgers.append(env.ledger)
+            ledgers.append(out.ledger)
+            trace_rows.extend(out.trace_rows)
 
         return TrainOutcome(self.models(), episode_stats, ledgers, trace_rows,
                             q_updates)
@@ -636,17 +633,22 @@ class DrlPipeline:
             return self.cfg.hyper.lr * k ** -0.8
         return self.cfg.hyper.lr * k ** -0.6
 
-    def run_episode(self, env, decide, tracker, episode=0, rollout=False):
-        """The step loop that training and rollout share.
+    def run_episode(self, env, decide, learn=None, episode=0, rollout=False):
+        """Run one episode of ``env``, the loop that training and rollout
+        share, and return its EpisodeOutcome.
 
-        Yields one EpisodeStep per simulator step, step 0 first.  Each step
-        is scored, its LSTM window classified (autodrl), pushed to
-        ``tracker``, paid its reward and traced.  ``decide(prev)`` maps the
-        previous EpisodeStep to ``(action, learning, buffer_fill)`` for
-        ``env.step``; the caller learns from a step before it asks for the
-        next one.  A rollout records an active mitigation as an alert too."""
+        Each step is scored, its LSTM window classified (autodrl) and pushed
+        to the reward tracker; from step 1 on it is also paid its reward,
+        alerted on and traced.  EpisodeOutcome says which of its counts
+        start at step 0.  ``decide(prev)`` maps the previous EpisodeStep
+        to ``(action, learning, buffer_fill)`` for ``env.step``, and
+        ``learn(prev, step)`` sees each step from step 1 on before the next
+        decision.  A rollout records an active mitigation as an alert too."""
         cfg = self.cfg
         history = deque(maxlen=cfg.neural.lstm_window)
+        tracker = self.reward_tracker()
+        out = EpisodeOutcome(env.ledger,
+                             RewardTracker(env.config.episode_len, cfg.agent))
 
         def observe(t, action, result):
             x_step, a_s = self.detector.step_profile(result.features)
@@ -656,21 +658,44 @@ class DrlPipeline:
                 window = np.stack(history)
                 classified = self.classifier.classify(window) > 0.5
             tracker.push(result, classified)
+            out.rates.push(result, classified)
+            out.attack_offered += result.offered_pkts["attack"]
+            out.attack_passed += result.passed_pkts["attack"]
+            out.benign_offered += result.offered_pkts["benign"]
+            out.benign_passed += result.passed_pkts["benign"]
+            out.cpu_pct_sum += result.resource.cpu_pct
             return EpisodeStep(self, t, action, result, x_step, a_s, window,
                                classified)
 
-        step = observe(0, None, env.step(None))
-        yield step
+        prev = observe(0, None, env.step(None))
+        onset, responded = None, True
         for t in range(1, env.config.episode_len):
-            action, learning, buffer_fill = decide(step)
+            action, learning, buffer_fill = decide(prev)
             result = env.step(action, learning=learning, buffer_fill=buffer_fill)
             step = observe(t, action, result)
             step.reward = compute_reward(cfg.sustain.weights,
                                          tracker.components(result))
-            step.alert = step.alarm or (rollout and result.mitigation.any_active())
-            step.trace = trace_row(episode, result, step.a_s, step.alert,
-                                   step.reward.total)
-            yield step
+            attack = result.attack_active
+            alert = step.alarm or (rollout and result.mitigation.any_active())
+            out.reward_total += step.reward.total
+            out.confusion.add(attack, alert)
+            if step.classified is not None:
+                out.classifier.add(attack, step.classified)
+            out.scores.append(step.a_s)
+            out.attack_labels.append(int(attack))
+            if not attack:
+                onset, responded = None, True
+            elif onset is None:
+                onset, responded = t, False
+            if not responded and action is not None:
+                out.response_times.append((t - onset) * env.config.dt)
+                responded = True
+            out.trace_rows.append(trace_row(episode, result, step.a_s, alert,
+                                            step.reward.total))
+            if learn is not None:
+                learn(prev, step)
+            prev = step
+        return out
 
     def reward_tracker(self):
         return RewardTracker(self.cfg.sustain.reward_window, self.cfg.agent)
@@ -685,7 +710,7 @@ class DrlPipeline:
 
 
 def rollout(pipeline, seed, env_config=None, policy=None):
-    """Frozen-policy episode; returns alert metrics, counts, and the ledger.
+    """Frozen-policy episode; returns its EpisodeOutcome.
 
     ``env_config``, an EnvConfig, replaces ``cfg.env`` for this episode.
     A ``policy(prev)`` maps the previous EpisodeStep to the action; without
@@ -702,55 +727,8 @@ def rollout(pipeline, seed, env_config=None, policy=None):
             action = None
         return action, False, 0.0
 
-    env = pipeline._make_env(seed, env_config)
-    steps = pipeline.run_episode(env, decide, pipeline.reward_tracker(),
-                                 rollout=True)
-    next(steps)  # the rollout's outputs start at step 1
-
-    confusion = ConfusionCounts()
-    scores, labels, trace_rows, responses = [], [], [], []
-    counts = PacketCounts()
-    clf_correct = clf_total = 0
-    reward_total = 0.0
-    onset = None
-    responded = True
-
-    for step in steps:
-        result, t = step.result, step.t
-        reward_total += step.reward.total
-        scores.append(step.a_s)
-        labels.append(1 if result.attack_active else 0)
-        if result.attack_active and step.alert:
-            confusion.tp += 1
-        elif result.attack_active:
-            confusion.fn += 1
-        elif step.alert:
-            confusion.fp += 1
-        else:
-            confusion.tn += 1
-        if step.classified is not None:
-            clf_total += 1
-            clf_correct += int(step.classified == result.attack_active)
-        counts.add(result)
-
-        if not result.attack_active:
-            onset, responded = None, True
-        elif onset is None:
-            onset, responded = t, False
-        if not responded and step.action is not None:
-            responses.append((t - onset) * pipeline.cfg.env.dt)
-            responded = True
-
-        trace_rows.append(step.trace)
-
-    attack_steps = confusion.tp + confusion.fn
-    detection = (confusion.tp / attack_steps) if attack_steps else None
-    return EvalOutcome(
-        confusion=confusion, detection_prob=detection,
-        response_times=responses, scores=scores, attack_labels=labels,
-        classifier_correct=clf_correct, classifier_total=clf_total,
-        **vars(counts),
-        reward_total=reward_total, ledger=env.ledger, trace_rows=trace_rows)
+    return pipeline.run_episode(pipeline._make_env(seed, env_config), decide,
+                                rollout=True)
 
 
 def noop_policy(prev):

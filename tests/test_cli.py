@@ -381,6 +381,11 @@ def test_non_finite_floats_are_one_config_error(tmp_path, capsys, assignment, ke
     ("env.tau_p=0", "env.tau_p"),
     ("env.rate_cap_pps=0", "env.rate_cap_pps"),
     ("env.syn_cap_pps=-1", "env.syn_cap_pps"),
+    ("hyper.batch_size=0", "hyper.batch_size"),
+    ("hyper.buffer_capacity=0", "hyper.buffer_capacity"),
+    ("resources.mem_total=0", "resources.mem_total"),
+    ("resources.p_max=-1", "resources.p_max"),
+    ("sustain.p_max_w=0", "sustain.p_max_w"),
 ])
 def test_out_of_range_env_values_fail_at_load(tmp_path, capsys, assignment, key):
     out = tmp_path / "x"
@@ -569,6 +574,20 @@ def test_bad_kappa_schedule_fails_before_warmup(tmp_path, capsys, kappa):
     assert f"{schedule}, line 3" in err[0]
     assert not (out / "checkpoint.txt").exists()
     assert not (out / "detector.json").exists()
+    assert not out.exists()
+
+
+def test_bad_kappa_schedule_fails_sweep_before_its_directory(tmp_path, capsys):
+    schedule = tmp_path / "k.csv"
+    schedule.write_text("step,kappa_g_per_joule\n0,0.0001\n50,nan\n")
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--quiet", "--out", str(out), "--epsilon", "0.5,1.0",
+                     "--set", f"sustain.kappa_schedule_file={json.dumps(str(schedule))}",
+                     "--set", "env.episode_len=100", "--set", "episodes=1"])
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"{schedule}, line 3" in err[0]
+    assert not out.exists()
 
 
 def test_bad_kappa_schedule_fails_evaluate(train_artifact, tmp_path, capsys):

@@ -50,6 +50,23 @@ def test_metrics_match_hand_formulas():
         assert m["f1"] == pytest.approx(2 * p * r / (p + r))
 
 
+@given(st.lists(st.tuples(st.booleans(), st.booleans()), max_size=50))
+def test_confusion_add_matches_the_if_chain(decisions):
+    counts, reference = ConfusionCounts(), ConfusionCounts()
+    for truth, verdict in decisions:
+        counts.add(truth, verdict)
+        if truth and verdict:
+            reference.tp += 1
+        elif truth:
+            reference.fn += 1
+        elif verdict:
+            reference.fp += 1
+        else:
+            reference.tn += 1
+    assert counts == reference
+    assert counts.total == len(decisions)
+
+
 def test_metrics_undefined_ratios_are_absent_not_zero():
     m = classification_metrics(ConfusionCounts(tp=0, fp=0, tn=5, fn=0))
     assert m["precision"] is None

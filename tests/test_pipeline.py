@@ -9,6 +9,7 @@ from edgeids import neural
 from edgeids import pipeline as pl
 from edgeids.agent import ActionId
 from edgeids.config import default_config
+from edgeids.evaluation import ConfusionCounts
 from edgeids.gateway_env import AttackScenario, EdgeGatewayEnv, FlowRecord
 
 
@@ -35,6 +36,14 @@ def trained_quick():
     pipe.warmup()
     outcome = pipe.train()
     return pipe, outcome
+
+
+@pytest.fixture(scope="module")
+def trained_autodrl():
+    pipe = pl.DrlPipeline(quick_config("autodrl", episodes=1, episode_len=200))
+    pipe.warmup()
+    pipe.train()
+    return pipe
 
 
 def test_detector_separates_attack_steps(trained_quick):
@@ -170,14 +179,116 @@ def test_load_models_rejects_a_classifier_the_config_cannot_feed():
         assert pipe.detector is None
 
 
-def test_autodrl_classifier_quality():
-    cfg = quick_config("autodrl", episodes=1, episode_len=200)
-    pipe = pl.DrlPipeline(cfg)
-    pipe.warmup()
-    pipe.train()
-    ev = pl.rollout(pipe, seed=99)
+def test_autodrl_classifier_quality(trained_autodrl):
+    ev = pl.rollout(trained_autodrl, seed=99)
     assert ev.classifier_total > 0
     assert ev.classifier_accuracy > 0.85
+
+
+def reference_account(pipe, pairs):
+    """The per-step accumulation rollout() kept before run_episode returned
+    an EpisodeOutcome, over a rollout's recorded (prev, step) pairs, with
+    the alert and trace row the runner then set on each step.  Packets and
+    CPU also count step 0 here, as the outcome does."""
+    confusion = ConfusionCounts()
+    scores, labels, trace_rows, responses = [], [], [], []
+    step0 = pairs[0][0].result
+    attack_offered, attack_passed = step0.offered_pkts["attack"], step0.passed_pkts["attack"]
+    benign_offered, benign_passed = step0.offered_pkts["benign"], step0.passed_pkts["benign"]
+    cpu_pct_sum = step0.resource.cpu_pct
+    clf_correct = clf_total = 0
+    reward_total = 0.0
+    onset = None
+    responded = True
+
+    for _, step in pairs:
+        result, t = step.result, step.t
+        alert = step.alarm or result.mitigation.any_active()
+        reward_total += step.reward.total
+        scores.append(step.a_s)
+        labels.append(1 if result.attack_active else 0)
+        if result.attack_active and alert:
+            confusion.tp += 1
+        elif result.attack_active:
+            confusion.fn += 1
+        elif alert:
+            confusion.fp += 1
+        else:
+            confusion.tn += 1
+        if step.classified is not None:
+            clf_total += 1
+            clf_correct += int(step.classified == result.attack_active)
+        attack_offered += result.offered_pkts["attack"]
+        attack_passed += result.passed_pkts["attack"]
+        benign_offered += result.offered_pkts["benign"]
+        benign_passed += result.passed_pkts["benign"]
+        cpu_pct_sum += result.resource.cpu_pct
+
+        if not result.attack_active:
+            onset, responded = None, True
+        elif onset is None:
+            onset, responded = t, False
+        if not responded and step.action is not None:
+            responses.append((t - onset) * pipe.cfg.env.dt)
+            responded = True
+
+        trace_rows.append(pl.trace_row(0, result, step.a_s, alert,
+                                       step.reward.total))
+
+    attack_steps = confusion.tp + confusion.fn
+    return dict(
+        confusion=confusion,
+        detection_prob=(confusion.tp / attack_steps) if attack_steps else None,
+        response_times=responses, scores=scores, attack_labels=labels,
+        classifier_correct=clf_correct, classifier_total=clf_total,
+        attack_offered=attack_offered, attack_passed=attack_passed,
+        benign_offered=benign_offered, benign_passed=benign_passed,
+        cpu_pct_sum=cpu_pct_sum, reward_total=reward_total, trace_rows=trace_rows)
+
+
+@pytest.mark.parametrize("agent, policy", [
+    ("deepedge", None), ("autodrl", None), ("deepedge", pl.noop_policy)],
+    ids=["deepedge", "autodrl", "noop"])
+def test_episode_outcome_matches_the_reference_account(
+        request, monkeypatch, agent, policy):
+    pipe = request.getfixturevalue(
+        "trained_autodrl" if agent == "autodrl" else "trained_quick")
+    if agent == "deepedge":
+        pipe = pipe[0]
+    pairs = []
+    run_episode = pipe.run_episode
+
+    def recorded(env, decide, learn=None, episode=0, rollout=False):
+        assert learn is None
+        return run_episode(env, decide, lambda prev, step: pairs.append((prev, step)),
+                           episode, rollout)
+
+    monkeypatch.setattr(pipe, "run_episode", recorded)
+    out = pl.rollout(pipe, seed=4321, policy=policy)
+    steps = pipe.cfg.env.episode_len
+    # the hook sees steps 1..L-1 in order, each after the step before it
+    assert pairs[0][0].t == 0
+    assert [step.t for _, step in pairs] == list(range(1, steps))
+    assert all(prev is earlier for (prev, _), (_, earlier) in zip(pairs[1:], pairs))
+    reference = reference_account(pipe, pairs)
+    for name, expected in reference.items():
+        assert getattr(out, name) == expected, name
+    assert out.classifier_total == (steps - 1 if agent == "autodrl" else 0)
+    assert len(out.rates.window) == steps
+    assert len(out.ledger.entries) == steps
+
+
+def test_episode_rates_cover_the_whole_episode():
+    cfg = default_config("deepedge")
+    cfg.episodes = 1
+    stats, = pl.DrlPipeline(cfg).train().episode_stats
+    # the default flood runs from step 200 to 700 of 1000, so a rate read
+    # off the last reward window alone would be 0
+    assert stats.attack_offered > 0 and stats.attack_passed < stats.attack_offered
+    assert stats.detection_rate == \
+        (stats.attack_offered - stats.attack_passed) / stats.attack_offered
+    assert stats.false_rate == \
+        (stats.benign_offered - stats.benign_passed) / stats.benign_offered
 
 
 def test_tabular_pipeline_episode_rewards_deterministic():
