@@ -166,6 +166,11 @@ class AgentHyperparams:
         for name in ("buffer_capacity", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        # the buffer never holds more rows than it can keep, so a smaller
+        # one would never fill a minibatch and the DQN would never update
+        if self.buffer_capacity < self.batch_size:
+            raise ValueError(f"buffer_capacity must be at least batch_size "
+                             f"({self.batch_size}), got {self.buffer_capacity!r}")
 
 
 # ---------------------------------------------------------------------------

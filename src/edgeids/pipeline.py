@@ -13,6 +13,7 @@ refining it on a slower timescale than the DQN while both run.
 from __future__ import annotations
 
 import csv
+import multiprocessing as mp
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
 
@@ -174,21 +175,23 @@ class AnomalyDetector:
     def step_profile(self, features):
         """(normalized mean feature vector, anomaly score) of one step's
         feature matrix."""
-        if not len(features):
-            return np.zeros(len(ft.FEATURE_NAMES)), 0.0
-        return _step_score(self.autoencoder, self._normalized(features))
+        x = step_mean(self._normalized, features)
+        return x, self.autoencoder.anomaly_score(x) if len(features) else 0.0
+
+
+def step_mean(normalize, features):
+    """The normalized mean feature vector of one step's feature matrix,
+    zeros for a step without flows; ``normalize`` maps the matrix to its
+    normalized rows."""
+    if not len(features):
+        return np.zeros(len(ft.FEATURE_NAMES))
+    return normalize(features).mean(axis=0)
 
 
 def _row_errors(autoencoder, rows):
     """Summed squared reconstruction error of each normalized flow row."""
     _, recon = autoencoder.reconstruct(rows)
     return ((rows - recon) ** 2).sum(axis=1)
-
-
-def _step_score(autoencoder, rows):
-    """(mean row, its anomaly score) for one step's normalized flow rows."""
-    x = rows.mean(axis=0)
-    return x, autoencoder.anomaly_score(x)
 
 
 def detector_to_dict(detector):
@@ -214,16 +217,16 @@ def detector_from_dict(data, autoencoder):
                            float(data["tau_flow"]), float(data["tau_step"]))
 
 
-def train_detector(cfg, rng_seed):
-    """Benign warm-up: fit the normalizer, train the autoencoder, and set
-    both alarm thresholds at the configured benign percentile."""
-    rng = np.random.default_rng(rng_seed)
+def benign_warmup(cfg, rng_seed):
+    """The detector's first half: run the benign warm-up steps and fit the
+    normalizer.  Returns (normalizer, the normalized matrix of every
+    warm-up flow in generation order, the number of flows of each step)."""
     env = EdgeGatewayEnv(replace(cfg.env, episode_len=cfg.warmup.steps, attacks=[]),
                          seed=rng_seed, resources=cfg.resources)
     # no mitigation acts during warm-up, so every offered flow passes
     step_rows = [env.step(None).features for _ in range(cfg.warmup.steps)]
-    # only the per-step row counts outlive the normalized matrix, so the
-    # raw rows are freed before the epochs
+    # of the per-step matrices only their row counts are kept, so they are
+    # freed once concatenated
     row_counts = [len(rows) for rows in step_rows]
     raw = np.concatenate(step_rows)
     del step_rows
@@ -231,11 +234,15 @@ def train_detector(cfg, rng_seed):
         raise ValueError(f"warm-up produced {raw.shape[0]} flow(s), and fitting "
                          "needs two; raise env.benign_rate or warmup.steps")
     normalizer = ft.Normalizer("minmax").fit(raw)
-    data = normalizer.transform(raw)
-    del raw
+    return normalizer, normalizer.transform(raw), row_counts
 
+
+def fit_autoencoder(cfg, rng_seed, data, row_counts):
+    """The detector's second half: train the autoencoder on benign_warmup's
+    normalized matrix and set both alarm thresholds at the configured
+    benign percentile.  Returns (autoencoder, tau_flow, tau_step)."""
     model = neural.autoencoder_init(
-        rng, input_dim=len(ft.FEATURE_NAMES),
+        np.random.default_rng(rng_seed), input_dim=len(ft.FEATURE_NAMES),
         hidden_dim=cfg.neural.ae_hidden, latent_dim=cfg.neural.latent_dim)
     work = neural.DenseWork(model.layers, data.shape[0])
     # a diverging autoencoder overflows here; the finite check below fails it
@@ -248,13 +255,67 @@ def train_detector(cfg, rng_seed):
                                        cfg.warmup.tau_percentile))
         # each step's rows of the normalized matrix, in generation order
         bounds = np.cumsum(row_counts)[:-1]
-        step_scores = [_step_score(model, rows)[1]
+        step_scores = [model.anomaly_score(rows.mean(axis=0))
                        for rows in np.split(data, bounds) if len(rows)]
         tau_step = float(np.percentile(step_scores, cfg.warmup.tau_percentile))
     if not np.isfinite([tau_flow, tau_step]).all():
         raise ValueError(f"warm-up autoencoder diverged (tau_flow={tau_flow}, "
                          f"tau_step={tau_step}); lower neural.ae_lr")
-    return AnomalyDetector(normalizer, model, tau_flow, tau_step)
+    return model, tau_flow, tau_step
+
+
+class ForkedCall:
+    """fn(*args) run in a child process forked from this one.
+
+    The child reads its arguments in the memory it shares with the
+    parent as of the fork, so only the result is pickled, back through a
+    pipe.  ``fork`` rather than ``spawn`` or ``forkserver``: those
+    re-import numpy in a fresh interpreter, and a forkserver stays
+    running afterwards."""
+
+    def __init__(self, fn, *args):
+        ctx = mp.get_context("fork")
+        self._conn, child_end = ctx.Pipe(duplex=False)
+        self._proc = ctx.Process(target=_send_call, args=(child_end, fn, args),
+                                 daemon=True)
+        self._proc.start()
+        child_end.close()
+
+    def result(self):
+        """Waits for the child and reaps it; returns fn's result or raises
+        fn's exception."""
+        reply = None
+        try:
+            reply = self._conn.recv()
+        except EOFError:
+            pass  # the child died before it could reply
+        finally:
+            self._proc.join()
+            self._conn.close()
+        if reply is None:
+            raise RuntimeError(f"forked child exited with code "
+                               f"{self._proc.exitcode} and no result")
+        ok, value = reply
+        if not ok:
+            raise value
+        return value
+
+    def cancel(self):
+        """Ends the child, if it still runs, and reaps it."""
+        self._proc.terminate()
+        self._proc.join()
+        self._conn.close()
+
+
+def _send_call(conn, fn, args):
+    """A ForkedCall child: sends (True, fn's result) or (False, its
+    exception), so that the parent raises it and the child prints nothing."""
+    try:
+        reply = (True, fn(*args))
+    except Exception as exc:
+        reply = (False, exc)
+    conn.send(reply)
+    conn.close()
 
 
 def classifier_sgd_step(cfg, clf, window, label, k):
@@ -265,14 +326,14 @@ def classifier_sgd_step(cfg, clf, window, label, k):
     neural.apply_gradients(clf, grads, cfg.neural.lstm_lr * k ** -0.55)
 
 
-def pretrain_step_classifier(cfg, detector, seed):
+def pretrain_step_classifier(cfg, normalizer, seed):
     """Supervised phase: label simulator steps and fit the LSTM classifier.
 
-    Windows of consecutive per-step aggregate features are labeled by the
-    last step's ground truth.  Every action is None, so no mitigation
+    Windows of consecutive per-step normalized mean features are labeled
+    by the last step's ground truth; no anomaly score is needed, so only
+    the warm-up's normalizer is.  Every action is None, so no mitigation
     acts and no flow flag reaches the traffic: the env keeps its default
-    rate flagger rather than paying for the detector's per-flow
-    autoencoder pass, whose flags nothing here reads."""
+    rate flagger."""
     clf_rng = np.random.default_rng(seed)
     clf = neural.lstm_classifier_init(
         len(ft.FEATURE_NAMES), cfg.neural.lstm_hidden,
@@ -286,8 +347,7 @@ def pretrain_step_classifier(cfg, detector, seed):
         history = deque(maxlen=cfg.neural.lstm_window)
         for _ in range(cfg.env.episode_len):
             result = env.step(None)
-            x, _ = detector.step_profile(result.features)
-            history.append(x)
+            history.append(step_mean(normalizer.transform, result.features))
             if len(history) == cfg.neural.lstm_window:
                 windows.append(np.stack(history))
                 labels.append(1 if result.attack_active else 0)
@@ -532,10 +592,37 @@ class DrlPipeline:
     # -- training ----------------------------------------------------------
 
     def warmup(self):
-        self.detector = train_detector(self.cfg, self.cfg.seed + 7919)
-        if self.cfg.agent == "autodrl":
-            self.classifier, self._classifier_updates = pretrain_step_classifier(
-                self.cfg, self.detector, self.cfg.seed + 104729)
+        """Fit the detector, and for autodrl pre-train the classifier.
+
+        The classifier needs only the detector's normalizer, so where
+        ``fork`` exists autodrl trains the autoencoder in a forked child
+        while this process pre-trains, with the same results as one after
+        the other.  A failure raises here, the autoencoder's first, as in
+        that order, and leaves no child running."""
+        cfg = self.cfg
+        seed = cfg.seed + 7919
+        normalizer, data, row_counts = benign_warmup(cfg, seed)
+        if cfg.agent != "autodrl" or "fork" not in mp.get_all_start_methods():
+            self.detector = AnomalyDetector(
+                normalizer, *fit_autoencoder(cfg, seed, data, row_counts))
+            if cfg.agent == "autodrl":
+                self.classifier, self._classifier_updates = \
+                    pretrain_step_classifier(cfg, normalizer, cfg.seed + 104729)
+            return
+        fit = ForkedCall(fit_autoencoder, cfg, seed, data, row_counts)
+        # the child holds its own copy of the matrix from here on
+        del data
+        try:
+            clf, updates = pretrain_step_classifier(cfg, normalizer,
+                                                    cfg.seed + 104729)
+        except Exception:
+            fit.result()  # the autoencoder's error comes first
+            raise
+        except BaseException:
+            fit.cancel()
+            raise
+        self.detector = AnomalyDetector(normalizer, *fit.result())
+        self.classifier, self._classifier_updates = clf, updates
 
     def train(self):
         """Warm-up unless done, then cfg.episodes of DQN training; a

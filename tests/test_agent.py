@@ -372,6 +372,14 @@ def test_hyperparams_validation():
     assert defaults.batch_size == 64
 
 
+def test_hyperparams_buffer_must_hold_a_minibatch():
+    # a buffer smaller than a minibatch would train with zero DQN updates
+    with pytest.raises(ValueError, match=r"^buffer_capacity .*batch_size \(64\), got 63"):
+        AgentHyperparams(buffer_capacity=63)
+    assert AgentHyperparams(buffer_capacity=64).buffer_capacity == 64
+    assert AgentHyperparams(buffer_capacity=4, batch_size=4).batch_size == 4
+
+
 # ---------------------------------------------------------------------------
 # Lyapunov distance and contraction
 # ---------------------------------------------------------------------------

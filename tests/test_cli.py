@@ -383,6 +383,8 @@ def test_non_finite_floats_are_one_config_error(tmp_path, capsys, assignment, ke
     ("env.syn_cap_pps=-1", "env.syn_cap_pps"),
     ("hyper.batch_size=0", "hyper.batch_size"),
     ("hyper.buffer_capacity=0", "hyper.buffer_capacity"),
+    # smaller than the default batch of 64: no minibatch would ever fill
+    ("hyper.buffer_capacity=10", "hyper.buffer_capacity"),
     ("resources.mem_total=0", "resources.mem_total"),
     ("resources.p_max=-1", "resources.p_max"),
     ("sustain.p_max_w=0", "sustain.p_max_w"),
@@ -473,6 +475,8 @@ def test_warmup_without_traffic_names_the_settings(tmp_path):
 @pytest.mark.parametrize("command", [
     ["train"],
     ["sweep", "--epsilon", "1.0,2.0", "--seeds", "0,1,2"],
+    # the autoencoder diverges in the forked child, which prints nothing
+    ["train", "--agent", "autodrl"],
 ])
 def test_diverged_warmup_prints_one_line_and_logs_critical(tmp_path, command):
     # a subprocess, because pytest captures numpy's RuntimeWarnings away
@@ -490,6 +494,7 @@ def test_diverged_warmup_prints_one_line_and_logs_critical(tmp_path, command):
     assert proc.returncode == cli.EXIT_RUNTIME
     err = proc.stderr.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("runtime error:"), proc.stderr
+    assert "Warning" not in proc.stderr
     log = (out / "run.log").read_text()
     assert re.search(r"- CRITICAL: .*diverged", log)
 

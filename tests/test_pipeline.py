@@ -1,3 +1,5 @@
+import multiprocessing
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -496,3 +498,160 @@ def test_td_loss_ceiling_is_twice_the_return_bound_squared(trained_quick):
     _, outcome = trained_quick
     ceiling = pl.td_loss_ceiling(quick_config())
     assert all(s.td_loss_mean < ceiling for s in outcome.episode_stats)
+
+
+# ---------------------------------------------------------------------------
+# the autodrl warm-up: the autoencoder in a forked child against the serial
+# order
+# ---------------------------------------------------------------------------
+
+def serial_train_detector(cfg, rng_seed):
+    """The warm-up detector fitted serially in one piece: the reference
+    that benign_warmup then fit_autoencoder, forked or not, must match
+    bit for bit."""
+    rng = np.random.default_rng(rng_seed)
+    env = EdgeGatewayEnv(replace(cfg.env, episode_len=cfg.warmup.steps, attacks=[]),
+                         seed=rng_seed, resources=cfg.resources)
+    step_rows = [env.step(None).features for _ in range(cfg.warmup.steps)]
+    row_counts = [len(rows) for rows in step_rows]
+    raw = np.concatenate(step_rows)
+    normalizer = ft.Normalizer("minmax").fit(raw)
+    data = normalizer.transform(raw)
+    model = neural.autoencoder_init(
+        rng, input_dim=len(ft.FEATURE_NAMES),
+        hidden_dim=cfg.neural.ae_hidden, latent_dim=cfg.neural.latent_dim)
+    work = neural.DenseWork(model.layers, data.shape[0])
+    for _ in range(cfg.neural.ae_epochs):
+        neural.autoencoder_train_step(model, data, cfg.neural.ae_lr, work)
+    tau_flow = float(np.percentile(pl._row_errors(model, data),
+                                   cfg.warmup.tau_percentile))
+    bounds = np.cumsum(row_counts)[:-1]
+    step_scores = []
+    for rows in np.split(data, bounds):
+        if len(rows):
+            x = rows.mean(axis=0)
+            step_scores.append(model.anomaly_score(x))
+    tau_step = float(np.percentile(step_scores, cfg.warmup.tau_percentile))
+    return pl.AnomalyDetector(normalizer, model, tau_flow, tau_step)
+
+
+def serial_pretrain_step_classifier(cfg, detector, seed):
+    """LSTM pre-training that reads each step's mean row from the full
+    detector's step_profile and discards its score: the reference for
+    pretrain_step_classifier."""
+    clf_rng = np.random.default_rng(seed)
+    clf = neural.lstm_classifier_init(
+        len(ft.FEATURE_NAMES), cfg.neural.lstm_hidden,
+        cfg.neural.lstm_window, clf_rng)
+    windows, labels = [], []
+    for episode in range(max(cfg.pretrain_episodes, 1)):
+        env = EdgeGatewayEnv(cfg.env, seed=seed + 101 + episode,
+                             resources=cfg.resources)
+        history = deque(maxlen=cfg.neural.lstm_window)
+        for _ in range(cfg.env.episode_len):
+            result = env.step(None)
+            x, _ = detector.step_profile(result.features)
+            history.append(x)
+            if len(history) == cfg.neural.lstm_window:
+                windows.append(np.stack(history))
+                labels.append(1 if result.attack_active else 0)
+    order = clf_rng.permutation(len(windows))
+    k = 0
+    for _ in range(2):
+        for i in order:
+            k += 1
+            pl.classifier_sgd_step(cfg, clf, windows[i], labels[i], k)
+    return clf, k
+
+
+def warmup_bits(pipe):
+    """Every warm-up result of an autodrl pipeline, as raw bytes."""
+    det, clf = pipe.detector, pipe.classifier
+    arrays = [det.normalizer.low, det.normalizer.scale, det.tau_flow, det.tau_step,
+              *(a for layer in det.autoencoder.layers for a in (layer.w, layer.b)),
+              clf.cell.w, clf.cell.b, clf.head_w, clf.head_b]
+    return [np.asarray(a).tobytes() for a in arrays], pipe._classifier_updates
+
+
+@pytest.fixture
+def forked_calls(monkeypatch):
+    """Every ForkedCall the pipeline starts, in order."""
+    calls = []
+
+    class Recorded(pl.ForkedCall):
+        def __init__(self, *args):
+            super().__init__(*args)
+            calls.append(self)
+
+    monkeypatch.setattr(pl, "ForkedCall", Recorded)
+    return calls
+
+
+@pytest.mark.parametrize("start_methods", [None, ["spawn", "forkserver"]],
+                         ids=["fork", "without-fork"])
+def test_forked_warmup_is_bit_identical_to_the_serial_one(
+        monkeypatch, tmp_path, forked_calls, start_methods):
+    cfg = quick_config("autodrl", episodes=1, episode_len=200)
+    reference = pl.DrlPipeline(cfg)
+    reference.detector = serial_train_detector(cfg, cfg.seed + 7919)
+    reference.classifier, reference._classifier_updates = \
+        serial_pretrain_step_classifier(cfg, reference.detector, cfg.seed + 104729)
+    if start_methods is not None:
+        # where fork is missing, the autoencoder trains in this process
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: start_methods)
+    pipe = pl.DrlPipeline(cfg)
+    pipe.warmup()
+    assert len(forked_calls) == ("fork" in multiprocessing.get_all_start_methods())
+    assert warmup_bits(pipe) == warmup_bits(reference)
+    for name, p in (("reference", reference), ("warmup", pipe)):
+        p.train()
+        neural.save_checkpoint(p.models(), tmp_path / name)
+    assert (tmp_path / "warmup").read_bytes() == (tmp_path / "reference").read_bytes()
+
+
+def test_deepedge_warmup_forks_nothing(forked_calls):
+    pl.DrlPipeline(quick_config("deepedge")).warmup()
+    assert forked_calls == []
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the autoencoder trains in a child only where fork exists")
+def test_autodrl_warmup_leaves_no_child_process(monkeypatch, forked_calls):
+    cfg = quick_config("autodrl", episode_len=100)
+    diverging = quick_config("autodrl", episode_len=100)
+    diverging.neural.ae_lr = 1e6
+    diverging.neural.ae_epochs = 5
+
+    def reaped():
+        return (multiprocessing.active_children() == []
+                and all(c._proc.exitcode is not None for c in forked_calls))
+
+    pl.DrlPipeline(cfg).warmup()
+    assert reaped()
+    # the child's error is raised here, and the child prints nothing
+    with pytest.raises(ValueError, match="autoencoder diverged"):
+        pl.DrlPipeline(diverging).warmup()
+    assert reaped()
+
+    def failing_pretrain(*args):
+        raise RuntimeError("pre-training failed")
+
+    monkeypatch.setattr(pl, "pretrain_step_classifier", failing_pretrain)
+    with pytest.raises(RuntimeError, match="pre-training failed"):
+        pl.DrlPipeline(cfg).warmup()
+    assert reaped()
+    # both fail: the autoencoder's error comes first, as in the serial order
+    with pytest.raises(ValueError, match="autoencoder diverged"):
+        pl.DrlPipeline(diverging).warmup()
+    assert reaped()
+
+    def interrupted_pretrain(*args):
+        raise KeyboardInterrupt
+
+    # an interrupt ends the child rather than waiting for it
+    monkeypatch.setattr(pl, "pretrain_step_classifier", interrupted_pretrain)
+    with pytest.raises(KeyboardInterrupt):
+        pl.DrlPipeline(cfg).warmup()
+    assert reaped()
+    assert len(forked_calls) == 5
