@@ -21,6 +21,7 @@ import numpy as np
 
 from . import neural
 from .neural import DenseParams, stack_forward
+from .rules import check_fields
 
 
 class InsufficientData(Exception):
@@ -121,12 +122,11 @@ class EpsilonSchedule:
     floor: float = 0.05
 
     def __post_init__(self):
-        if self.initial < 0 or self.unit <= 0:
-            raise ValueError("epsilon temperature and unit must be positive")
-        if not 0.0 < self.decay <= 1.0:
-            raise ValueError("decay must lie in (0, 1]")
-        if not 0.0 <= self.floor <= 1.0:
-            raise ValueError("floor must lie in [0, 1]")
+        check_fields(self, (
+            ("initial", self.initial >= 0, "must be >= 0"),
+            ("unit", self.unit > 0, "must be positive"),
+            ("decay", 0.0 < self.decay <= 1.0, "must lie in (0, 1]"),
+            ("floor", 0.0 <= self.floor <= 1.0, "must lie in [0, 1]")))
 
     def start_probability(self):
         return min(1.0, self.initial * self.unit)
@@ -157,20 +157,16 @@ class AgentHyperparams:
     batch_size: int = 64
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.target_sync_every < 1:
-            raise ValueError("target_sync_every must be >= 1")
-        for name in ("buffer_capacity", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        # the buffer never holds more rows than it can keep, so a smaller
-        # one would never fill a minibatch and the DQN would never update
-        if self.buffer_capacity < self.batch_size:
-            raise ValueError(f"buffer_capacity must be at least batch_size "
-                             f"({self.batch_size}), got {self.buffer_capacity!r}")
+        check_fields(self, (
+            ("gamma", 0.0 < self.gamma < 1.0, "must lie in (0, 1)"),
+            ("lr", self.lr > 0, "must be positive"),
+            ("target_sync_every", self.target_sync_every >= 1, "must be >= 1"),
+            ("buffer_capacity", self.buffer_capacity >= 1, "must be positive"),
+            ("batch_size", self.batch_size >= 1, "must be positive"),
+            # the buffer never holds more rows than it can keep, so a smaller
+            # one would never fill a minibatch and the DQN would never update
+            ("buffer_capacity", self.buffer_capacity >= self.batch_size,
+             f"must be at least batch_size ({self.batch_size})")))
 
 
 # ---------------------------------------------------------------------------

@@ -236,10 +236,6 @@ def cmd_evaluate(args):
     metrics = ev.classification_metrics(outcome.confusion) \
         if outcome.confusion.total else {}
     alerts = outcome.confusion.tp + outcome.confusion.fp
-    impact = None
-    if outcome.detection_prob is not None and alerts:
-        impact = ev.operational_impact(outcome.detection_prob, args.pps,
-                                       outcome.confusion.fp, alerts)
     report = {
         "agent": cfg.agent,
         "seed": cfg.seed,
@@ -250,8 +246,9 @@ def cmd_evaluate(args):
         "classifier_accuracy": outcome.classifier_accuracy,
         "false_alerts_per_100": ev.false_alerts_per_100(outcome.confusion.fp, alerts)
         if alerts else None,
-        "missed_packets_per_hour": impact.missed_packets_per_hour
-        if impact else None,
+        "missed_packets_per_hour": ev.missed_packets_per_hour(
+            outcome.detection_prob, args.pps)
+        if outcome.detection_prob is not None and alerts else None,
         "response_times_s": outcome.response_times,
         "attack_packets": {"offered": outcome.attack_offered,
                            "passed": outcome.attack_passed},

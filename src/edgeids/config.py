@@ -1,9 +1,10 @@
 """Experiment configuration: defaults, JSON round-trip, flag overrides.
 
 One flat JSON file configures a whole run.  Every value is validated by the
-owning module's constructor before anything starts, and the effective
-config is snapshotted byte-identically into each run artifact so any run
-can be reproduced from its own snapshot.
+owning section's constructor before anything starts, through
+``rules.check_fields``, and a rejection names the value's full key.  The
+effective config is snapshotted byte-identically into each run artifact so
+any run can be reproduced from its own snapshot.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .agent import AgentHyperparams, EpsilonSchedule
 from .gateway_env import AttackScenario, EnvConfig, ResourceModelConfig
+from .rules import check_fields
 from .sustain import LedgerLimits, RewardWeights, g_per_kwh_to_g_per_joule
 
 
@@ -53,14 +55,17 @@ class NeuralConfig:
     q_hidden: list = field(default_factory=lambda: [32, 32])
 
     def __post_init__(self):
-        if min(self.ae_hidden, self.latent_dim, self.lstm_hidden,
-               self.lstm_window) < 1:
-            raise ConfigError("network dimensions must be positive")
-        if self.ae_lr <= 0 or self.lstm_lr <= 0 or self.ae_epochs < 1:
-            raise ConfigError("learning rates and epochs must be positive")
-        if not self.q_hidden or not all(_is_integer(w) and w >= 1
-                                        for w in self.q_hidden):
-            raise ConfigError("q_hidden must list positive integer layer widths")
+        check_fields(self, (
+            ("ae_hidden", self.ae_hidden >= 1, "must be >= 1"),
+            ("latent_dim", self.latent_dim >= 1, "must be >= 1"),
+            ("ae_lr", self.ae_lr > 0, "must be positive"),
+            ("ae_epochs", self.ae_epochs >= 1, "must be >= 1"),
+            ("lstm_hidden", self.lstm_hidden >= 1, "must be >= 1"),
+            ("lstm_window", self.lstm_window >= 1, "must be >= 1"),
+            ("lstm_lr", self.lstm_lr > 0, "must be positive"),
+            ("q_hidden", isinstance(self.q_hidden, list) and self.q_hidden != []
+             and all(_is_integer(w) and w >= 1 for w in self.q_hidden),
+             "must list positive integer layer widths")))
 
 
 @dataclass
@@ -69,10 +74,10 @@ class WarmupConfig:
     tau_percentile: float = 99.0
 
     def __post_init__(self):
-        if self.steps < 10:
-            raise ConfigError("warm-up needs at least 10 benign steps")
-        if not 50.0 <= self.tau_percentile < 100.0:
-            raise ConfigError("tau percentile must lie in [50, 100)")
+        check_fields(self, (
+            ("steps", self.steps >= 10, "must be >= 10"),
+            ("tau_percentile", 50.0 <= self.tau_percentile < 100.0,
+             "must lie in [50, 100)")))
 
 
 @dataclass
@@ -87,15 +92,16 @@ class SustainConfig:
     reward_window: int = 50
 
     def __post_init__(self):
-        if self.kappa_g_per_kwh < 0 or self.kappa_max_g_per_kwh <= 0:
-            raise ConfigError("carbon intensities must be positive")
-        if self.kappa_g_per_kwh > self.kappa_max_g_per_kwh:
-            raise ConfigError("kappa exceeds kappa_max")
-        if self.p_max_w <= 0:
-            # a ValueError, so that the loader names the full key
-            raise ValueError(f"p_max_w must be positive, got {self.p_max_w!r}")
-        if self.reward_window < 1:
-            raise ConfigError("reward window must be positive")
+        check_fields(self, (
+            ("kappa_g_per_kwh", self.kappa_g_per_kwh >= 0, "must be >= 0"),
+            ("kappa_max_g_per_kwh", self.kappa_max_g_per_kwh > 0, "must be positive"),
+            ("kappa_g_per_kwh", self.kappa_g_per_kwh <= self.kappa_max_g_per_kwh,
+             f"must be at most kappa_max_g_per_kwh ({self.kappa_max_g_per_kwh:g})"),
+            ("p_max_w", self.p_max_w > 0, "must be positive"),
+            ("e_max_j", self.e_max_j is None or self.e_max_j > 0,
+             "must be positive or null"),
+            ("m_max", self.m_max > 0, "must be positive"),
+            ("reward_window", self.reward_window >= 1, "must be >= 1")))
 
     def kappa_g_per_j(self):
         return g_per_kwh_to_g_per_joule(self.kappa_g_per_kwh)
@@ -118,12 +124,12 @@ class TabularConfig:
     steps_per_episode: int = 100
 
     def __post_init__(self):
-        if self.n_updates < 1 or self.probe_every < 1:
-            raise ConfigError("update counts must be positive")
-        if not 0.5 < self.eta_exponent < 1.0:
-            raise ConfigError("eta exponent must lie in (0.5, 1)")
-        if self.episodes < 1 or self.steps_per_episode < 1:
-            raise ConfigError("episode counts must be positive")
+        check_fields(self, (
+            ("n_updates", self.n_updates >= 1, "must be >= 1"),
+            ("eta_exponent", 0.5 < self.eta_exponent < 1.0, "must lie in (0.5, 1)"),
+            ("probe_every", self.probe_every >= 1, "must be >= 1"),
+            ("episodes", self.episodes >= 1, "must be >= 1"),
+            ("steps_per_episode", self.steps_per_episode >= 1, "must be >= 1")))
 
 
 @dataclass
@@ -141,10 +147,11 @@ class ExperimentConfig:
     resources: ResourceModelConfig = field(default_factory=ResourceModelConfig)
 
     def __post_init__(self):
-        if self.agent not in AGENT_KINDS:
-            raise ConfigError(f"agent must be one of {AGENT_KINDS}")
-        if self.episodes < 0 or self.pretrain_episodes < 0:
-            raise ConfigError("episode counts must be >= 0")
+        check_fields(self, (
+            ("agent", self.agent in AGENT_KINDS,
+             f"must be one of {', '.join(AGENT_KINDS)}"),
+            ("episodes", self.episodes >= 0, "must be >= 0"),
+            ("pretrain_episodes", self.pretrain_episodes >= 0, "must be >= 0")))
 
 
 def default_config(agent="deepedge"):
@@ -154,17 +161,6 @@ def default_config(agent="deepedge"):
 # ---------------------------------------------------------------------------
 # dict / JSON round-trip
 # ---------------------------------------------------------------------------
-
-_SECTIONS = {
-    "hyper": AgentHyperparams,
-    "env": EnvConfig,
-    "neural": NeuralConfig,
-    "warmup": WarmupConfig,
-    "sustain": SustainConfig,
-    "tabular": TabularConfig,
-    "resources": ResourceModelConfig,
-}
-
 
 def to_dict(cfg):
     out = dataclasses.asdict(cfg)
@@ -180,6 +176,11 @@ def to_dict(cfg):
     return normalize(out)
 
 
+# a field annotated with one of these names is a nested section
+_SECTIONS = {cls.__name__: cls for cls in (
+    AgentHyperparams, EpsilonSchedule, EnvConfig, NeuralConfig, WarmupConfig,
+    SustainConfig, RewardWeights, TabularConfig, ResourceModelConfig)}
+
 _FIELD_TYPES = {
     "int": (_is_integer, "an integer"),
     "float": (_is_number, "a finite number"),
@@ -188,69 +189,46 @@ _FIELD_TYPES = {
 }
 
 
-def _check_types(cls, values, path):
-    """Typed fields take their own type only: a bool is not a number, and
-    null only where the default is None.  Absent keys are left to cls."""
-    for f in dataclasses.fields(cls):
-        if f.name not in values or f.type not in _FIELD_TYPES:
-            continue
-        value = values[f.name]
-        accepts, what = _FIELD_TYPES[f.type]
-        if not accepts(value) and not (value is None and f.default is None):
-            raise ConfigError(f"{path}{f.name} must be {what}, got {value!r}")
+def _build(cls, data, path=""):
+    """cls from a JSON object, its sections built the same way.
 
-
-def _object(data, path):
-    """A config section must be a JSON object."""
+    Every rejection names its full key: path plus the field.  A typed
+    field takes its own type only (a bool is not a number, and null only
+    where the default is None); cls then checks the values' ranges."""
     if not isinstance(data, dict):
-        raise ConfigError(f"{path.rstrip('.')} must be a JSON object, got {data!r}")
-    return data
-
-
-def _build(cls, data, path):
-    _object(data, path)
-    field_types = {f.name: f.type for f in dataclasses.fields(cls)}
-    for key in data:
-        if key not in field_types:
+        raise ConfigError(f"{path.rstrip('.') or 'config'} must be a JSON object, "
+                          f"got {data!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in data.items():
+        if key not in fields:
             raise ConfigError(f"unknown key {path}{key}")
-    _check_types(cls, data, path)
-    kwargs = {k: tuple(v) if field_types[k] == "tuple" else v for k, v in data.items()}
+        f = fields[key]
+        if f.type in _SECTIONS:
+            value = _build(_SECTIONS[f.type], value, f"{path}{key}.")
+        elif cls is EnvConfig and key == "attacks":
+            if not isinstance(value, list):
+                raise ConfigError(f"{path}attacks must be a JSON list, got {value!r}")
+            value = [_build(AttackScenario, a, f"{path}attacks[{i}].")
+                     for i, a in enumerate(value)]
+        elif f.type in _FIELD_TYPES and not (value is None and f.default is None):
+            accepts, what = _FIELD_TYPES[f.type]
+            if not accepts(value):
+                raise ConfigError(f"{path}{key} must be {what}, got {value!r}")
+            if f.type == "tuple":
+                value = tuple(value)
+        kwargs[key] = value
+    for key, f in fields.items():
+        if key not in kwargs and f.default is f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"missing key {path}{key}")
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        if str(exc).split(" ", 1)[0] in field_types:
-            # the owner's check names its field: name the full key
-            raise ConfigError(f"{path}{exc}") from exc
-        raise ConfigError(f"invalid section {path.rstrip('.')}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}{exc}") from exc
 
 
 def from_dict(data):
-    data = dict(_object(data, "config"))
-    kwargs = {}
-    for section, cls in _SECTIONS.items():
-        if section not in data:
-            continue
-        raw = dict(_object(data.pop(section), section))
-        if section == "env" and "attacks" in raw:
-            if not isinstance(raw["attacks"], list):
-                raise ConfigError(
-                    f"env.attacks must be a JSON list, got {raw['attacks']!r}")
-            raw["attacks"] = [_build(AttackScenario, a, f"env.attacks[{i}].")
-                              for i, a in enumerate(raw["attacks"])]
-        if section == "hyper" and "epsilon" in raw:
-            raw["epsilon"] = _build(EpsilonSchedule, raw["epsilon"], "hyper.epsilon.")
-        if section == "sustain" and "weights" in raw:
-            raw["weights"] = _build(RewardWeights, raw["weights"], "sustain.weights.")
-        kwargs[section] = _build(cls, raw, f"{section}.")
-    for key, value in data.items():
-        if key not in ("agent", "seed", "episodes", "pretrain_episodes"):
-            raise ConfigError(f"unknown config key {key!r}")
-        kwargs[key] = value
-    _check_types(ExperimentConfig, kwargs, "")
-    try:
-        return ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(ExperimentConfig, data)
 
 
 def dumps(cfg):

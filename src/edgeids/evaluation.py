@@ -92,23 +92,6 @@ def false_alerts_per_100(false_positives, alerts):
     return 100.0 * false_positives / alerts
 
 
-@dataclass
-class OperationalImpact:
-    detection_prob: float
-    missed_packets_per_hour: int
-    false_alerts_per_100: float
-
-
-def operational_impact(detection_prob, packets_per_second, false_positives,
-                       alerts):
-    """The three headline operational metrics for one evaluation window."""
-    return OperationalImpact(
-        detection_prob,
-        missed_packets_per_hour(detection_prob, packets_per_second),
-        false_alerts_per_100(false_positives, alerts),
-    )
-
-
 def roc_auc(scores, labels):
     """Rank-based AUC of a score against binary ground truth."""
     scores = np.asarray(scores, dtype=float)

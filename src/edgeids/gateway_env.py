@@ -20,6 +20,7 @@ import numpy as np
 
 from .agent import ActionId
 from .features import FEATURE_NAMES, features_matrix
+from .rules import check_fields
 from .sustain import KappaProvider, SustainabilityLedger, \
     g_per_kwh_to_g_per_joule
 
@@ -158,6 +159,12 @@ class FlowBatch:
         return {name: int(n) for name, n in zip(LABELS, counts)}
 
 
+# A bound on env.benign_rate * env.dt, the benign flows a step draws: 500
+# times the densest set-up measured (200).  A rate far above it could not
+# be drawn at all.
+MAX_FLOWS_PER_STEP = 1e5
+
+
 @dataclass
 class AttackScenario:
     """One attack burst; the zero-day knobs only matter for kind=zero_day_mix."""
@@ -173,12 +180,15 @@ class AttackScenario:
     rotation_every: int = 25           # steps between source-set rotations
 
     def __post_init__(self):
-        if self.kind not in ("syn_flood", "udp_flood", "zero_day_mix"):
-            raise ValueError(f"unknown attack kind {self.kind!r}")
-        if self.start_step >= self.end_step:
-            raise ValueError("attack start must precede end")
-        if self.intensity <= 0:
-            raise ValueError("intensity must be positive")
+        check_fields(self, (
+            ("kind", self.kind in ("syn_flood", "udp_flood", "zero_day_mix"),
+             "must be syn_flood, udp_flood or zero_day_mix"),
+            ("intensity", self.intensity > 0, "must be positive"),
+            ("start_step", self.start_step < self.end_step,
+             f"must be less than end_step ({self.end_step})"),
+            ("n_sources", self.n_sources >= 1, "must be >= 1"),
+            ("protocol_period", self.protocol_period >= 1, "must be >= 1"),
+            ("rotation_every", self.rotation_every >= 1, "must be >= 1")))
 
     def active(self, step):
         return self.start_step <= step < self.end_step
@@ -187,8 +197,7 @@ class AttackScenario:
 @dataclass
 class EnvConfig:
     """The gateway: its traffic and its four mitigation controls; the
-    config's ``env`` section.  Each check's message starts with the name
-    of the field it rejects, which the config loader extends to the key."""
+    config's ``env`` section."""
 
     benign_rate: float = 50.0           # flows per second
     benign_sources: int = 40
@@ -203,17 +212,19 @@ class EnvConfig:
     blacklist_expiry: int = 300         # steps a blacklisted source stays out
 
     def __post_init__(self):
-        for name, ok, rule in (
-                ("benign_rate", self.benign_rate >= 0, "must be >= 0"),
-                ("benign_sources", self.benign_sources >= 1, "must be >= 1"),
-                ("dt", self.dt > 0, "must be positive"),
-                ("episode_len", self.episode_len >= 1, "must be >= 1"),
-                ("rate_cap_pps", self.rate_cap_pps > 0, "must be positive"),
-                ("syn_cap_pps", self.syn_cap_pps > 0, "must be positive"),
-                ("tau_p", 0.0 < self.tau_p < 1.0, "must lie in (0, 1)"),
-                ("source_window", self.source_window >= 1, "must be >= 1")):
-            if not ok:
-                raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
+        check_fields(self, (
+            ("benign_rate", self.benign_rate >= 0, "must be >= 0"),
+            ("benign_sources", self.benign_sources >= 1, "must be >= 1"),
+            ("dt", self.dt > 0, "must be positive"),
+            ("benign_rate", self.benign_rate * self.dt <= MAX_FLOWS_PER_STEP,
+             f"times dt ({self.dt:g} s) must be at most "
+             f"{MAX_FLOWS_PER_STEP:g} flows per step"),
+            ("episode_len", self.episode_len >= 1, "must be >= 1"),
+            ("rate_cap_pps", self.rate_cap_pps > 0, "must be positive"),
+            ("syn_cap_pps", self.syn_cap_pps > 0, "must be positive"),
+            ("tau_p", 0.0 < self.tau_p < 1.0, "must lie in (0, 1)"),
+            ("source_window", self.source_window >= 1, "must be >= 1"),
+            ("blacklist_expiry", self.blacklist_expiry >= 0, "must be >= 0")))
 
 
 @dataclass
@@ -262,10 +273,11 @@ class ResourceModelConfig:
     mem_util_buffer: float = 0.05
 
     def __post_init__(self):
-        if self.p_max < 0:
-            raise ValueError(f"p_max must be >= 0, got {self.p_max!r}")
-        if self.mem_total < 1:
-            raise ValueError(f"mem_total must be positive, got {self.mem_total!r}")
+        check_fields(self, (
+            ("power_idle_w", self.power_idle_w >= 0, "must be >= 0"),
+            ("power_per_cpu", self.power_per_cpu >= 0, "must be >= 0"),
+            ("p_max", self.p_max >= 0, "must be >= 0"),
+            ("mem_total", self.mem_total >= 1, "must be positive")))
 
 
 def resource_model(passed_pps, dropped_pps, learning, buffer_fill, cfg=None):

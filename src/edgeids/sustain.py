@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rules import check_fields
+
 JOULES_PER_KWH = 3.6e6
 
 
@@ -40,14 +42,15 @@ class RewardWeights:
     e_cap: float = 5.0
 
     def __post_init__(self):
-        weights = (self.alpha, self.beta, self.lambda_l, self.delta,
-                   self.epsilon_m, self.zeta)
-        if any((not np.isfinite(w)) or w < 0 for w in weights):
-            raise ValueError("weights must be finite and >= 0")
-        if not any(w > 0 for w in weights):
-            raise ValueError("at least one weight must be positive")
-        if self.l_cap <= 0 or self.e_cap <= 0:
-            raise ValueError("caps must be positive")
+        names = ("alpha", "beta", "lambda_l", "delta", "epsilon_m", "zeta")
+        weights = [getattr(self, name) for name in names]
+        check_fields(self, (
+            *((name, np.isfinite(w) and w >= 0, "must be finite and >= 0")
+              for name, w in zip(names, weights)),
+            ("alpha", any(w > 0 for w in weights),
+             "or another weight must be positive"),
+            ("l_cap", self.l_cap > 0, "must be positive"),
+            ("e_cap", self.e_cap > 0, "must be positive")))
 
     def reward_bound(self, c_cap):
         """|R| <= alpha + beta + lambda*L_cap + delta*E_cap + eps + zeta*C_cap."""

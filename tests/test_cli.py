@@ -344,6 +344,8 @@ def test_config_error_exit_code(tmp_path, capsys):
     ('sustain.p_max_w="x"', "sustain.p_max_w"),
     ('sustain.m_max="x"', "sustain.m_max"),
     ('resources.cpu_base="x"', "resources.cpu_base"),
+    ('env.attacks=[{"kind":"syn_flood","intensity":5000}]',
+     "missing key env.attacks[0].start_step"),
 ])
 def test_config_section_of_wrong_type_names_the_key(tmp_path, capsys,
                                                     assignment, key):
@@ -388,6 +390,16 @@ def test_non_finite_floats_are_one_config_error(tmp_path, capsys, assignment, ke
     ("resources.mem_total=0", "resources.mem_total"),
     ("resources.p_max=-1", "resources.p_max"),
     ("sustain.p_max_w=0", "sustain.p_max_w"),
+    # each of these loaded and then failed, or ran with every step flagged
+    # as a bound violation
+    ("resources.power_idle_w=-1", "resources.power_idle_w"),
+    ("resources.power_per_cpu=-1", "resources.power_per_cpu"),
+    ("sustain.m_max=-1", "sustain.m_max"),
+    ("sustain.e_max_j=-1", "sustain.e_max_j"),
+    ("env.blacklist_expiry=-5", "env.blacklist_expiry"),
+    *((f'env.attacks=[{{"kind":"zero_day_mix","intensity":5000,"start_step":50,'
+       f'"end_step":250,"{name}":0}}]', f"env.attacks[0].{name}")
+      for name in ("n_sources", "protocol_period", "rotation_every")),
 ])
 def test_out_of_range_env_values_fail_at_load(tmp_path, capsys, assignment, key):
     out = tmp_path / "x"
@@ -398,6 +410,29 @@ def test_out_of_range_env_values_fail_at_load(tmp_path, capsys, assignment, key)
     assert len(err) == 1 and err[0].startswith("config error:"), err
     assert key in err[0]
     # rejected before warm-up: nothing is written
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("assignment, named", [
+    ("env.benign_rate=1e12", "env.benign_rate"),
+    ("env.dt=1e12", "env.benign_rate times dt (1e+12 s)"),
+    # just over the bound of 1e5 benign flows per step
+    ("env.benign_rate=100001", "env.benign_rate"),
+    ("env.dt=2001", "env.benign_rate times dt (2001 s)"),
+])
+def test_flows_per_step_are_bounded_at_load(tmp_path, capsys, monkeypatch,
+                                            assignment, named):
+    # a run past load would draw traffic at this rate: stop it before it
+    # builds a pipeline, so that no check here ever allocates the flows
+    def loaded(cfg):
+        raise RuntimeError("the config loaded")
+    monkeypatch.setattr(cli.pl, "DrlPipeline", loaded)
+    out = tmp_path / "x"
+    code = cli.main(["train", "--quiet", "--out", str(out), "--set", assignment])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert named in err[0]
     assert not out.exists()
 
 

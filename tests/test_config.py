@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from edgeids import cli
 from edgeids import config as cfgmod
+from edgeids import gateway_env as env
 from edgeids import pipeline as pl
 from edgeids.config import ConfigError, default_config
 
@@ -104,10 +106,60 @@ def test_validation_surfaces_module_preconditions():
         cfgmod.apply_overrides(cfg, ["agent=\"quantum\""])
 
 
+PROBE_VALUES = [0, -1, 0.5, 1e12, float("nan"), True, "x", []]
+
+
+def _scalar_leaves(node, path=""):
+    """Each key of a config dict whose value is not a section or a list
+    of sections."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _scalar_leaves(value, f"{path}{key}.")
+        elif not (isinstance(value, list) and value and isinstance(value[0], dict)):
+            yield f"{path}{key}"
+
+
+@pytest.mark.parametrize("agent", ["deepedge", "autodrl"])
+def test_every_load_rejection_names_its_full_key(agent):
+    cfg = default_config(agent)
+    for key in _scalar_leaves(cfgmod.to_dict(cfg)):
+        section, _, name = key.rpartition(".")
+        for value in PROBE_VALUES:
+            try:
+                cfgmod.apply_overrides(cfg, [f"{key}={json.dumps(value)}"])
+            except ConfigError as exc:
+                blamed = str(exc).split(" ", 1)[0]
+                # a cross-field rule blames a sibling and names this field
+                assert blamed == key or (
+                    blamed.rpartition(".")[0] == section
+                    and re.search(rf"\b{name}\b", str(exc))), (key, value, str(exc))
+
+
+@pytest.mark.parametrize("section, kwargs, message", [
+    (cfgmod.NeuralConfig, {"ae_epochs": 0}, "ae_epochs must be >= 1, got 0"),
+    (cfgmod.WarmupConfig, {"steps": 9}, "steps must be >= 10, got 9"),
+    (cfgmod.SustainConfig, {"kappa_g_per_kwh": 600.0},
+     "kappa_g_per_kwh must be at most kappa_max_g_per_kwh (500), got 600.0"),
+    (cfgmod.TabularConfig, {"eta_exponent": 0.5},
+     "eta_exponent must lie in (0.5, 1), got 0.5"),
+    (cfgmod.ExperimentConfig, {"episodes": -1}, "episodes must be >= 0, got -1"),
+])
+def test_sections_reject_a_value_naming_its_field(section, kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        section(**kwargs)
+    assert str(exc.value) == message
+
+
+def test_flows_per_step_bound_is_inclusive():
+    cfg = cfgmod.apply_overrides(default_config(), ["env.benign_rate=50000",
+                                                    "env.dt=2"])
+    assert cfg.env.benign_rate * cfg.env.dt == env.MAX_FLOWS_PER_STEP
+
+
 def test_from_dict_rejects_unknown_keys():
     data = cfgmod.to_dict(default_config())
     data["mystery"] = 1
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^unknown key mystery$"):
         cfgmod.from_dict(data)
 
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeids import evaluation as ev
 from edgeids.evaluation import (
     AnovaResult,
     ConfusionCounts,
@@ -377,9 +376,3 @@ def test_compare_models_errors():
     with pytest.raises(ValueError):
         compare_models({"cpu": [1, 2, 3]}, {"cpu": [1, 2]}, ["cpu"])
 
-
-def test_operational_impact_bundle():
-    impact = ev.operational_impact(0.976, 50, 19, 250)
-    assert impact.detection_prob == 0.976
-    assert impact.missed_packets_per_hour == 4_320
-    assert impact.false_alerts_per_100 == pytest.approx(7.6)
