@@ -178,6 +178,11 @@ def cmd_train(args):
     if blown_up:
         logger.warning("TD loss above its bound (2B)^2 = %.4g in episodes %s: "
                        "the DQN is blowing up; lower hyper.lr", ceiling, blown_up)
+    constant = outcome.constant_verdict_episodes
+    if constant:
+        logger.warning("The classifier gave one verdict on every step of episodes %s, "
+                       "attack and benign alike: it has not learned to tell them "
+                       "apart; check neural.lstm_lr", constant)
     if violations:
         logger.log(logging.CRITICAL, "Sustainability bounds violated %d times",
                    len(violations))
@@ -191,6 +196,7 @@ def cmd_train(args):
         "cumulative_energy_j": sum(l.cumulative_energy_j for l in outcome.ledgers),
         "cumulative_carbon_g": sum(l.cumulative_carbon_g for l in outcome.ledgers),
         "td_loss_over_bound_episodes": blown_up,
+        "constant_verdict_episodes": constant,
     })
     logger.log(SUCCESS, "Training complete: checkpoint and metrics written to %s", out)
     return EXIT_OK

@@ -13,7 +13,12 @@ forward loop and one backward loop, both writing in place.  Inference
 the gradient oracle run forward and backward in a DenseWork, which holds
 each layer's output and, from the first backward on, the
 back-propagation buffers and dw/db.  The warm-up and the DQN update
-each build one DenseWork and reuse it for every step.
+each build one DenseWork and reuse it for every step.  A DenseWork's
+[rows, width] arrays are column-major, because its layers are only 8 to
+32 wide and its batches up to thousands of rows long: the bias adds,
+activations, masks and db sums then run down contiguous columns.  That
+changes the order of dense training's sums, not what they add, so its
+results differ from a row-major run's only in low-order bits.
 
 The LSTM classifier has one forward, which runs a window from the zero
 state into the per-window [T, ...] arrays of an LstmWork; classify,
@@ -130,12 +135,19 @@ class DenseWork:
     ReLU's gradient mask is y > 0, which is where its pre-activation is
     > 0.  The backward's arrays are allocated on the first backward pass
     through the work: two buffers as wide as the widest layer, between
-    which back-propagation alternates, the ReLU mask, and dw/db."""
+    which back-propagation alternates, the ReLU mask, and dw/db.
+
+    Every [rows, width] array, y[k], the buffers and the mask, is
+    column-major (Fortran order).  A layer is a few columns of many rows,
+    so the elementwise passes and the db column sums walk contiguous
+    memory, and BLAS takes each product transposed.  The results differ
+    from row-major buffers' only in low-order bits: db is numpy's
+    pairwise column sum, and dw comes from another BLAS kernel."""
 
     def __init__(self, layers, rows):
         self.shape = (rows, layers[0].n_in)
         self.widths = [layer.n_out for layer in layers]
-        self.y = [np.empty((rows, n)) for n in self.widths]
+        self.y = [np.empty((rows, n), order="F") for n in self.widths]
         self.dw = self.db = None
 
     def back(self, k, width):
@@ -149,7 +161,7 @@ class DenseWork:
             self._mask = np.empty(rows * max(dims), dtype=bool)
             self.dw = [np.empty((n_out, n)) for n, n_out in zip(dims, self.widths)]
             self.db = [np.empty(n) for n in self.widths]
-        return self._back[k % 2, :rows * width].reshape(rows, width)
+        return self._back[k % 2, :rows * width].reshape(width, rows).T
 
     def forward(self, layers, x):
         """Runs the [rows, n_in] batch x through the stack into y;
@@ -168,7 +180,8 @@ class DenseWork:
             layer, y = layers[k], self.y[k]
             # an identity layer's da is dy itself
             if layer.activation == "relu":
-                mask = np.greater(y, 0.0, out=self._mask[:y.size].reshape(y.shape))
+                mask = self._mask[:y.size].reshape(y.shape[::-1]).T
+                np.greater(y, 0.0, out=mask)
                 np.multiply(dy, mask, out=dy)
             elif layer.activation == "sigmoid":
                 dy *= y * (1.0 - y)
@@ -441,10 +454,13 @@ class LstmClassifier:
                               self.head_b.copy(), self.window_len)
 
     def _forward(self, window):
-        """(y_hat, h_T) for one window; h_T is the work's array."""
-        h = self.work.forward(self.cell, window)
-        logit = float(self.head_w @ h + self.head_b)
-        return float(1.0 / (1.0 + np.exp(-logit))), h
+        """(y_hat, h_T) for one window; h_T is the work's array.  In a
+        saturated classifier exp overflows to inf, which gives each sigmoid
+        its limit, exactly 0, so the overflow is not warned about."""
+        with np.errstate(over="ignore"):
+            h = self.work.forward(self.cell, window)
+            logit = float(self.head_w @ h + self.head_b)
+            return float(1.0 / (1.0 + np.exp(-logit))), h
 
     def classify(self, window):
         """Attack probability in (0, 1) for a [window_len, input_dim] window."""
@@ -453,7 +469,8 @@ class LstmClassifier:
     def hidden(self, window):
         """A copy of the final hidden state h_T for the window (used as DRL
         state input)."""
-        return self.work.forward(self.cell, window).copy()
+        with np.errstate(over="ignore"):  # as in _forward
+            return self.work.forward(self.cell, window).copy()
 
 
 def lstm_classifier_init(input_dim, hidden_dim, window_len, rng):

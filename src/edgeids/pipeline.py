@@ -403,6 +403,7 @@ class TrainOutcome:
     ledgers: list
     trace_rows: list
     q_updates: int
+    constant_verdict_episodes: list   # see EpisodeOutcome.constant_verdict
 
 
 def carbon_weight(agent):
@@ -465,6 +466,15 @@ class EpisodeOutcome:
         if self.classifier_total == 0:
             return None
         return self.classifier_correct / self.classifier_total
+
+    @property
+    def constant_verdict(self):
+        """Whether the classifier gave every step one verdict although the
+        episode had attack and benign steps: it has not learned to tell
+        them apart, as one trained at too small a neural.lstm_lr does."""
+        c = self.classifier
+        return (c.tp + c.fn > 0 and c.tn + c.fp > 0
+                and (c.tp + c.fp == 0 or c.tn + c.fn == 0))
 
     def anomaly_auc(self):
         if len(set(self.attack_labels)) < 2:
@@ -685,6 +695,7 @@ class DrlPipeline:
         episode_stats = []
         ledgers = []
         trace_rows = []
+        constant_episodes = []
         for episode in range(cfg.episodes):
             env = self._make_env(cfg.seed + 1000 * (episode + 1))
             updates_before, loss_sum = q_updates, 0.0
@@ -708,9 +719,11 @@ class DrlPipeline:
             ))
             ledgers.append(out.ledger)
             trace_rows.extend(out.trace_rows)
+            if out.constant_verdict:
+                constant_episodes.append(episode)
 
         return TrainOutcome(self.models(), episode_stats, ledgers, trace_rows,
-                            q_updates)
+                            q_updates, constant_episodes)
 
     def _q_lr(self, k):
         # Robbins-Monro style decay; the supervised agent's DQN uses the

@@ -39,6 +39,7 @@ def test_train_artifact_is_self_describing(train_artifact):
     assert report["bound_violations"] == 0
     assert report["q_updates"] > 0
     assert report["td_loss_over_bound_episodes"] == []
+    assert report["constant_verdict_episodes"] == []
     assert "WARNING" not in (train_artifact / "run.log").read_text()
 
 
@@ -656,6 +657,40 @@ def test_blown_up_but_finite_dqn_warns_and_is_reported(tmp_path):
     log = (out / "run.log").read_text()
     assert re.search(r"- WARNING: TD loss above its bound .* episodes \[0\].*hyper\.lr",
                      log)
+
+
+@pytest.mark.parametrize("lstm_lr, constant", [
+    # exp overflows in the gates and the head, and the saturated classifier
+    # still tells the flood's steps apart
+    ("1e12", []),
+    # the classifier barely moves from its initial weights and says
+    # "attack" on every step
+    ("1e-6", [0, 1]),
+    ("1.0", []),
+], ids=["saturated", "untrained", "default"])
+def test_constant_classifier_verdicts_warn_and_are_reported(tmp_path, lstm_lr,
+                                                            constant):
+    # a subprocess, because pytest captures numpy's RuntimeWarnings away
+    # from capsys
+    out = tmp_path / "run"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "edgeids.cli", "train", "--agent", "autodrl",
+         "--seed", "11", "--out", str(out), *QUICK_TRAIN,
+         "--set", f"neural.lstm_lr={lstm_lr}"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        timeout=120)
+    assert proc.returncode == cli.EXIT_OK
+    assert proc.stderr == ""
+    report = json.loads((out / "report.json").read_text())
+    assert report["constant_verdict_episodes"] == constant
+    log = (out / "run.log").read_text()
+    warned = re.search(r"- WARNING: The classifier gave one verdict on every step "
+                       r"of episodes \[0, 1\].*neural\.lstm_lr", log)
+    assert bool(warned) == bool(constant)
+    assert log.count("- WARNING:") == (1 if constant else 0)
 
 
 def test_selftest_passes(capsys):

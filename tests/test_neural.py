@@ -56,24 +56,38 @@ def _reference_activate_grad(name, a, y):
     return 1.0 - y * y
 
 
-def _reference_stack_forward(layers, x):
+def _as_layout(a, column_major):
+    # DenseWork holds its batch-shaped arrays column-major; the row-major
+    # reference's are numpy's default
+    return np.asarray(a, order="F" if column_major else "C")
+
+
+def _reference_stack_forward(layers, x, column_major=False):
     """(output, caches) for a batch [B, d_in] or a single vector; caches
-    hold per-layer inputs, pre- and post-activations."""
+    hold per-layer inputs, pre- and post-activations.
+
+    column_major is the twin of DenseWork's order: each product runs
+    transposed, (w @ x.T).T, as numpy hands BLAS a product into a
+    Fortran-order array, and every [B, d] array is column-major."""
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
     caches = []
     for layer in layers:
-        a = x @ layer.w.T + layer.b
-        y = _reference_activate(layer.activation, a)
+        if column_major:
+            a = (layer.w @ x.T).T + layer.b
+        else:
+            a = x @ layer.w.T + layer.b
+        y = _as_layout(_reference_activate(layer.activation, a), column_major)
         caches.append((x, a, y))
         x = y
     return (x[0] if squeeze else x), caches
 
 
-def _reference_stack_backward(layers, caches, d_out):
-    """(a (dw, db) per layer, d_input) for d_out [B, d_last]."""
+def _reference_stack_backward(layers, caches, d_out, column_major=False):
+    """(a (dw, db) per layer, d_input) for d_out [B, d_last]; column_major
+    as in _reference_stack_forward."""
     d_out = np.asarray(d_out, dtype=float)
     if d_out.ndim == 1:
         d_out = d_out[None, :]
@@ -81,10 +95,33 @@ def _reference_stack_backward(layers, caches, d_out):
     dy = d_out
     for i in range(len(layers) - 1, -1, -1):
         x_in, a, y = caches[i]
-        da = dy * _reference_activate_grad(layers[i].activation, a, y)
+        da = _as_layout(dy * _reference_activate_grad(layers[i].activation, a, y),
+                        column_major)
         grads[i] = (da.T @ x_in, da.sum(axis=0))
-        dy = da @ layers[i].w
+        dy = (layers[i].w.T @ da.T).T if column_major else da @ layers[i].w
     return grads, dy
+
+
+def _abs_stack(layers):
+    """The stack whose reference forward and backward bound, entry by
+    entry, the sum of the absolute terms that the given stack's forward
+    and backward add up: |w|, |b| and no activation.  relu and tanh never
+    grow a value, and no activation's derivative exceeds 1; a sigmoid's
+    output is at most 1, which its bias adds."""
+    return [DenseParams(np.abs(layer.w),
+                        np.abs(layer.b) + (layer.activation == "sigmoid"), "identity")
+            for layer in layers]
+
+
+def _assert_close(actual, expected, bound, name):
+    """actual matches expected within 1e-12 times bound, the sum of the
+    absolute terms behind each entry.  An entry whose bound overflows has
+    no tolerance to check, so it is not compared."""
+    actual, expected, bound = (np.asarray(v, dtype=float)
+                               for v in (actual, expected, bound))
+    assert actual.shape == expected.shape == bound.shape, name
+    ok = (np.abs(actual - expected) <= 1e-12 * bound) | ~np.isfinite(bound)
+    assert ok.all(), name
 
 
 def _bits(arr):
@@ -431,17 +468,19 @@ def test_gradient_correctness_over_seeds():
 # training steps against their per-layer and per-time-step references
 # ---------------------------------------------------------------------------
 
-def _reference_autoencoder_train_step(model, batch, lr):
+def _reference_autoencoder_train_step(model, batch, lr, column_major=False):
     """The train step over the cached reference, with fresh temporaries in
-    every call."""
+    every call; column_major as in _reference_stack_forward."""
     batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    h, enc_caches = _reference_stack_forward(model.encoder, batch)
-    x_hat, dec_caches = _reference_stack_forward(model.decoder, h)
-    diff = x_hat - batch
+    h, enc_caches = _reference_stack_forward(model.encoder, batch, column_major)
+    x_hat, dec_caches = _reference_stack_forward(model.decoder, h, column_major)
+    diff = _as_layout(x_hat - batch, column_major)
     loss = float((diff * diff).sum(axis=1).mean())
     d_xhat = 2.0 * diff / batch.shape[0]
-    dec_grads, d_h = _reference_stack_backward(model.decoder, dec_caches, d_xhat)
-    enc_grads, _ = _reference_stack_backward(model.encoder, enc_caches, d_h)
+    dec_grads, d_h = _reference_stack_backward(model.decoder, dec_caches, d_xhat,
+                                               column_major)
+    enc_grads, _ = _reference_stack_backward(model.encoder, enc_caches, d_h,
+                                             column_major)
     for layer, (dw, db) in zip(model.decoder, dec_grads):
         layer.w -= lr * dw
         layer.b -= lr * db
@@ -451,34 +490,68 @@ def _reference_autoencoder_train_step(model, batch, lr):
     return loss
 
 
-def _reference_dense_backward(model, x, target=None):
+def _squared_error_bounds(layers, x, target):
+    """Term bounds for the summed squared error of a stack's output against
+    target: (the loss's, [each parameter's gradient's] in iter_params order)."""
+    stack = _abs_stack(layers)
+    out, caches = _reference_stack_forward(stack, np.abs(x))
+    diff = out + np.abs(target)
+    grads, _ = _reference_stack_backward(stack, caches, 2.0 * diff)
+    return float((diff * diff).sum()), [g for dw_db in grads for g in dw_db]
+
+
+def _reference_dense_backward(model, x, target=None, column_major=False):
     """backward()'s loss and gradients for an autoencoder or a bare stack,
-    over the cached reference."""
+    over the cached reference; column_major as in _reference_stack_forward."""
     if isinstance(model, AutoencoderModel):
         ref = np.asarray(x if target is None else target, dtype=float)
-        h, enc_caches = _reference_stack_forward(model.encoder, x)
-        x_hat, dec_caches = _reference_stack_forward(model.decoder, h)
+        h, enc_caches = _reference_stack_forward(model.encoder, x, column_major)
+        x_hat, dec_caches = _reference_stack_forward(model.decoder, h, column_major)
         loss = mse_loss(ref, x_hat)
-        dec_grads, d_h = _reference_stack_backward(model.decoder, dec_caches,
-                                                   2.0 * (x_hat - ref))
-        enc_grads, _ = _reference_stack_backward(model.encoder, enc_caches, d_h)
+        dec_grads, d_h = _reference_stack_backward(
+            model.decoder, dec_caches, 2.0 * (x_hat - ref), column_major)
+        enc_grads, _ = _reference_stack_backward(model.encoder, enc_caches, d_h,
+                                                 column_major)
         grads = enc_grads + dec_grads
     else:
         tgt = np.asarray(target, dtype=float)
-        out, caches = _reference_stack_forward(model, x)
+        out, caches = _reference_stack_forward(model, x, column_major)
         loss = mse_loss(tgt, out)
-        grads, _ = _reference_stack_backward(model, caches, 2.0 * (out - tgt))
+        grads, _ = _reference_stack_backward(model, caches, 2.0 * (out - tgt),
+                                             column_major)
     flat = [g for dw_db in grads for g in dw_db]
     return loss, {name: g for (name, _), g in zip(iter_params(model), flat)}
 
 
 def _assert_same_backward(model, x, target=None):
+    """backward() matches its column-major twin bit for bit and the
+    row-major reference within the summed terms' tolerance."""
     loss, grads = backward(model, x, target)
-    ref_loss, ref_grads = _reference_dense_backward(model, x, target)
+    ref_loss, ref_grads = _reference_dense_backward(model, x, target, column_major=True)
     assert _bits(loss) == _bits(ref_loss)
     assert grads.keys() == ref_grads.keys()
     for name, ref in ref_grads.items():
         assert _bits(grads[name]) == _bits(ref), name
+    row_loss, row_grads = _reference_dense_backward(model, x, target)
+    layers = model.layers if isinstance(model, AutoencoderModel) else model
+    loss_bound, grad_bounds = _squared_error_bounds(
+        layers, x, x if target is None else target)
+    _assert_close(loss, row_loss, loss_bound, "loss")
+    for (name, row), bound in zip(row_grads.items(), grad_bounds):
+        _assert_close(grads[name], row, bound, name)
+
+
+def _assert_autoencoder_step_close(model, before, batch, lr, loss):
+    """The step that took `before` to `model`, returning loss, against the
+    row-major reference's step from the same parameters, within the summed
+    terms' tolerance."""
+    row = copy.deepcopy(before)
+    row_loss = _reference_autoencoder_train_step(row, batch, lr)
+    loss_bound, grad_bounds = _squared_error_bounds(before.layers, batch, batch)
+    _assert_close(loss, row_loss, loss_bound / len(batch), "loss")
+    for (name, p), (_, q), (_, old), bound in zip(
+            iter_params(model), iter_params(row), iter_params(before), grad_bounds):
+        _assert_close(p, q, np.abs(old) + lr * bound / len(batch), name)
 
 
 @settings(max_examples=60, deadline=None)
@@ -509,13 +582,17 @@ def test_autoencoder_train_step_matches_reference(rows, seed, dead, scale, lr,
             _assert_same_backward(model, batch[k])
             _assert_same_backward(model.decoder, stack_x[k], stack_target[k])
         for _ in range(4):
+            before = copy.deepcopy(model)
             loss = neural.autoencoder_train_step(model, batch, lr, work)
-            ref_loss = _reference_autoencoder_train_step(ref, batch, lr)
+            ref_loss = _reference_autoencoder_train_step(ref, batch, lr,
+                                                         column_major=True)
             assert _bits(loss) == _bits(ref_loss)
+            _assert_autoencoder_step_close(model, before, batch, lr, loss)
         # a fresh workspace takes the same step
         fresh = neural.DenseWork(model.layers, rows)
         assert (_bits(neural.autoencoder_train_step(model, batch, lr, fresh))
-                == _bits(_reference_autoencoder_train_step(ref, batch, lr)))
+                == _bits(_reference_autoencoder_train_step(ref, batch, lr,
+                                                           column_major=True)))
     for (name, p), (_, q) in zip(iter_params(model), iter_params(ref)):
         assert _bits(p) == _bits(q), name
 
@@ -534,28 +611,59 @@ def test_autoencoder_workspace_must_fit_batch_and_model():
         assert np.array_equal(p, old)
 
 
-def _reference_q_update(q, batch, q_target, gamma, lr, carbon_weight):
-    """q_update_network over the cached reference, the target-network
-    forward included."""
-    rows = np.arange(len(batch.rewards))
+def _reference_td_targets(batch, q_target, gamma, carbon_weight):
     targets = batch.rewards
     if carbon_weight > 0.0:
         targets = targets - carbon_weight * batch.carbon_g
     q_next, _ = _reference_stack_forward(q_target.layers, batch.s_next)
-    targets = np.where(batch.terminal, targets,
-                       targets + gamma * np.max(q_next, axis=1))
-    out, caches = _reference_stack_forward(q.layers, batch.states)
+    return np.where(batch.terminal, targets, targets + gamma * np.max(q_next, axis=1))
+
+
+def _reference_q_update(q, batch, q_target, gamma, lr, carbon_weight,
+                        column_major=False):
+    """q_update_network over the cached reference, the target-network
+    forward included; column_major as in _reference_stack_forward, except
+    that the target network's inference forward stays row-major."""
+    rows = np.arange(len(batch.rewards))
+    targets = _reference_td_targets(batch, q_target, gamma, carbon_weight)
+    out, caches = _reference_stack_forward(q.layers, batch.states, column_major)
     td_errors = out[rows, batch.actions] - targets
     loss = float(np.mean(td_errors ** 2))
     if not np.isfinite(loss):
         raise ag.Diverged("non-finite TD loss")
     d_out = np.zeros_like(out)
     d_out[rows, batch.actions] = 2.0 * td_errors / len(rows)
-    grads, _ = _reference_stack_backward(q.layers, caches, d_out)
+    grads, _ = _reference_stack_backward(q.layers, caches, d_out, column_major)
     for layer, (dw, db) in zip(q.layers, grads):
         layer.w -= lr * dw
         layer.b -= lr * db
     return loss, td_errors
+
+
+def _assert_q_update_close(q, before, batch, q_target, gamma, lr, carbon_weight,
+                           loss, td):
+    """The update that took `before` to `q`, returning (loss, td), against
+    the row-major reference's update from the same parameters, within the
+    summed terms' tolerance."""
+    row = before.copy()
+    row_loss, row_td = _reference_q_update(row, batch, q_target, gamma, lr,
+                                           carbon_weight)
+    rows = np.arange(len(batch.rewards))
+    stack = _abs_stack(before.layers)
+    out, caches = _reference_stack_forward(stack, np.abs(batch.states))
+    # both sides take their targets from one row-major inference forward
+    td_bound = out[rows, batch.actions] + np.abs(
+        _reference_td_targets(batch, q_target, gamma, carbon_weight))
+    d_out = np.zeros_like(out)
+    d_out[rows, batch.actions] = 2.0 * td_bound / len(rows)
+    grads, _ = _reference_stack_backward(stack, caches, d_out)
+    _assert_close(loss, row_loss, np.mean(td_bound ** 2), "loss")
+    _assert_close(td, row_td, td_bound, "td")
+    bounds = [g for dw_db in grads for g in dw_db]
+    for (name, p), (_, r), (_, old), bound in zip(
+            iter_params(q.layers), iter_params(row.layers),
+            iter_params(before.layers), bounds):
+        _assert_close(p, r, np.abs(old) + lr * bound, name)
 
 
 @settings(max_examples=60, deadline=None)
@@ -586,19 +694,74 @@ def test_q_update_network_matches_reference(state_dim, hidden, rows, seed, scale
                     == _bits(_reference_stack_forward(ref.layers, state)[0]))
             try:
                 ref_loss, ref_td = _reference_q_update(ref, batch, q_target, 0.9, lr,
-                                                       carbon_weight)
+                                                       carbon_weight,
+                                                       column_major=True)
             except ag.Diverged:
                 # a diverging network fails at the same update
                 with pytest.raises(ag.Diverged):
                     ag.q_update_network(q, work, batch, q_target, 0.9, lr,
                                         carbon_weight)
                 break
+            before = q.copy()
             loss, td = ag.q_update_network(q, work, batch, q_target, 0.9, lr,
                                            carbon_weight)
             assert _bits(loss) == _bits(ref_loss)
             assert _bits(td) == _bits(ref_td)
+            _assert_q_update_close(q, before, batch, q_target, 0.9, lr,
+                                   carbon_weight, loss, td)
     for (name, p), (_, r) in zip(iter_params(q.layers), iter_params(ref.layers)):
         assert _bits(p) == _bits(r), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(129, 300), seed=st.integers(0, 2**32 - 1),
+       dead=st.integers(1, 16), ae_scale=st.sampled_from([0.1, 1.0, 30.0]),
+       ae_lr=st.sampled_from([0.05, 0.5]),
+       q_scale=st.sampled_from([0.5, 5.0, 1e100, 1e160]),
+       q_lr=st.sampled_from([0.01, 0.5, 20.0]))
+def test_dense_training_past_the_pairwise_block_matches_row_major_reference(
+        rows, seed, dead, ae_scale, ae_lr, q_scale, q_lr):
+    # numpy sums a contiguous column of more than 128 entries pairwise, in
+    # blocks, so db strays further from the row-major order than on the
+    # small batches above; every step, several through one work, is checked
+    # against the row-major reference's step from the same parameters
+    rng = np.random.default_rng(seed)
+    model = autoencoder_init(rng, input_dim=8, hidden_dim=16, latent_dim=8)
+    model.encoder[0].b[:dead] -= 100.0
+    model.decoder[0].b[: dead // 2] -= 100.0
+    batch = rng.uniform(-1.0, 1.0, size=(rows, 8)) * ae_scale
+    work = neural.DenseWork(model.layers, rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            before = copy.deepcopy(model)
+            loss = neural.autoencoder_train_step(model, batch, ae_lr, work)
+            _assert_autoencoder_step_close(model, before, batch, ae_lr, loss)
+
+    state_dim = 6
+    q = ag.qnetwork_init(state_dim, rng, hidden=(16, 12))
+    q_target = ag.qnetwork_init(state_dim, rng, hidden=(16, 12))
+    # zero weights and a negative bias keep a ReLU unit off at any scale
+    for layer, n in zip(q.layers[:2], (dead, dead // 2)):
+        layer.w[:n] = 0.0
+        layer.b[:n] = -1.0
+    work = neural.DenseWork(q.layers, rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            batch = ag.Minibatch(
+                rng.normal(scale=q_scale, size=(rows, state_dim)),
+                rng.integers(0, ag.N_ACTIONS, size=rows), rng.normal(size=rows),
+                rng.uniform(size=rows), rng.uniform(size=rows) < 0.3,
+                rng.normal(scale=q_scale, size=(rows, state_dim)))
+            before = q.copy()
+            try:
+                loss, td = ag.q_update_network(q, work, batch, q_target, 0.9, q_lr,
+                                               0.7)
+            except ag.Diverged:
+                with pytest.raises(ag.Diverged):
+                    _reference_q_update(before, batch, q_target, 0.9, q_lr, 0.7)
+                break
+            _assert_q_update_close(q, before, batch, q_target, 0.9, q_lr, 0.7,
+                                   loss, td)
 
 
 def _reference_cell_forward(params, x, h_prev, c_prev):
