@@ -12,7 +12,6 @@ for the convergence checks, tabular training and the exploration sweep.
 from __future__ import annotations
 
 import csv
-import mmap
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple
@@ -20,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import neural
-from .neural import DenseParams, stack_forward
+from .neural import DenseParams, mapped_zeros, stack_forward
 from .rules import check_fields
 
 
@@ -55,15 +54,6 @@ class Minibatch(NamedTuple):
     s_next: np.ndarray      # [B, d]
 
 
-def _mapped_zeros(shape, dtype=float):
-    """A zeroed array in its own anonymous memory map.  Its pages cost RSS
-    only once written, and freeing it skips malloc: a freed multi-MB malloc
-    block raises glibc's mmap threshold, and with it later peak RSS."""
-    dtype = np.dtype(dtype)
-    size = int(np.prod(shape)) * dtype.itemsize
-    return np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
-
-
 class ReplayBuffer:
     """Bounded ring of transitions kept as Minibatch columns, with strictly
     oldest-first eviction.  Row k of the stream lives in slot k % capacity;
@@ -86,8 +76,8 @@ class ReplayBuffer:
         if self._columns is None:
             n, state_shape = self.capacity, (self.capacity, *np.shape(s))
             self._columns = Minibatch(
-                _mapped_zeros(state_shape), _mapped_zeros(n, int), _mapped_zeros(n),
-                _mapped_zeros(n), _mapped_zeros(n, bool), _mapped_zeros(state_shape))
+                mapped_zeros(state_shape), mapped_zeros(n, int), mapped_zeros(n),
+                mapped_zeros(n), mapped_zeros(n, bool), mapped_zeros(state_shape))
         slot = self._stored % self.capacity
         for column, value in zip(self._columns, (s, a, r, carbon_g, terminal, s_next)):
             column[slot] = value

@@ -14,7 +14,11 @@ from __future__ import annotations
 
 import csv
 import multiprocessing as mp
+import os
+import signal
+import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -237,18 +241,33 @@ def benign_warmup(cfg, rng_seed):
     return normalizer, normalizer.transform(raw), row_counts
 
 
-def fit_autoencoder(cfg, rng_seed, data, row_counts):
+def fit_autoencoder(cfg, rng_seed, data, row_counts, fork_half=False):
     """The detector's second half: train the autoencoder on benign_warmup's
     normalized matrix and set both alarm thresholds at the configured
-    benign percentile.  Returns (autoencoder, tau_flow, tau_step)."""
+    benign percentile.  Returns (autoencoder, tau_flow, tau_step).
+
+    Each epoch's gradient is the sum of the gradients over the matrix's
+    two halves (neural.HalvesWork).  With fork_half, a worker forked for
+    the fit computes the second half while this process computes the
+    first; otherwise, or where no process can be forked, this process
+    computes both, in the same order.  The results are the same to the
+    bit either way, and differ from a full-batch fit only in low-order
+    bits."""
     model = neural.autoencoder_init(
         np.random.default_rng(rng_seed), input_dim=len(ft.FEATURE_NAMES),
         hidden_dim=cfg.neural.ae_hidden, latent_dim=cfg.neural.latent_dim)
-    work = neural.DenseWork(model.layers, data.shape[0])
+    second = None
+    if fork_half:
+        try:
+            second = HalfWorker(model.layers, data)
+        except OSError:
+            pass  # no process to be had: this one computes both halves
     # a diverging autoencoder overflows here; the finite check below fails it
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.neural.ae_epochs):
-            neural.autoencoder_train_step(model, data, cfg.neural.ae_lr, work)
+        with second if second is not None else nullcontext():
+            work = neural.HalvesWork(model.layers, data.shape[0], second)
+            for _ in range(cfg.neural.ae_epochs):
+                neural.autoencoder_train_step(model, data, cfg.neural.ae_lr, work)
         # free the buffers before the full-batch scoring below makes its own
         del work
         tau_flow = float(np.percentile(_row_errors(model, data),
@@ -264,6 +283,35 @@ def fit_autoencoder(cfg, rng_seed, data, row_counts):
     return model, tau_flow, tau_step
 
 
+# a lockstep side spins this long for the other before it blocks: a
+# blocked process wakes 100-300 us late on a busy 2-vCPU box, a fifth of a
+# warm-up epoch, and a round's wait is rarely longer than the spin
+_SPIN_S = 0.002
+# how often a blocked lockstep side checks that the other still runs
+_ALIVE_S = 0.1
+
+
+def usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call, as on macOS
+        return os.cpu_count() or 1
+
+
+def _meet(sem, alive):
+    """Acquires the semaphore, spinning up to _SPIN_S before it blocks;
+    False if alive() turns false while it waits."""
+    deadline = time.perf_counter() + _SPIN_S
+    while time.perf_counter() < deadline:
+        if sem.acquire(False):
+            return True
+    while not sem.acquire(timeout=_ALIVE_S):
+        if not alive():
+            return sem.acquire(False)
+    return True
+
+
 class ForkedCall:
     """fn(*args) run in a child process forked from this one.
 
@@ -271,33 +319,56 @@ class ForkedCall:
     parent as of the fork, so only the result is pickled, back through a
     pipe.  ``fork`` rather than ``spawn`` or ``forkserver``: those
     re-import numpy in a fresh interpreter, and a forkserver stays
-    running afterwards."""
+    running afterwards.  The child ignores SIGINT, so that a Ctrl-C
+    reaches the parent alone, which ends the child, and a child whose
+    parent has gone exits without a word.
 
-    def __init__(self, fn, *args):
+    With rounds=True, fn(*args) returns a function instead, which the
+    child calls once per round: begin() starts a round and finish() waits
+    for it, so that the two processes run in lockstep, and result() ends
+    the child.  A round's function leaves its results in memory the two
+    processes share.  Rounds meet through two semaphores, on which each
+    side spins briefly before it blocks (_meet); the pipe carries only a
+    round's exception and the end.  A child that dies raises a one-line
+    RuntimeError in the parent."""
+
+    def __init__(self, fn, *args, rounds=False):
         ctx = mp.get_context("fork")
-        self._conn, child_end = ctx.Pipe(duplex=False)
-        self._proc = ctx.Process(target=_send_call, args=(child_end, fn, args),
-                                 daemon=True)
+        self._conn, child_end = ctx.Pipe(duplex=rounds)
+        # (go, done): the parent starts a round, the child ends it
+        self._rounds = (ctx.Semaphore(0), ctx.Semaphore(0)) if rounds else None
+        self._proc = ctx.Process(target=_serve_call, daemon=True,
+                                 args=(child_end, fn, args, self._rounds))
         self._proc.start()
         child_end.close()
 
+    def begin(self):
+        """Starts a round of a rounds=True child."""
+        self._rounds[0].release()
+
+    def finish(self):
+        """Waits for the round begin() started; raises its exception, or a
+        RuntimeError if the child has died."""
+        if not _meet(self._rounds[1], self._proc.is_alive) or self._conn.poll():
+            self._reply()
+
     def result(self):
         """Waits for the child and reaps it; returns fn's result or raises
-        fn's exception."""
-        reply = None
+        fn's exception.  A rounds=True child is told to stop, and returns
+        None."""
         try:
-            reply = self._conn.recv()
-        except EOFError:
-            pass  # the child died before it could reply
-        finally:
-            self._proc.join()
-            self._conn.close()
-        if reply is None:
-            raise RuntimeError(f"forked child exited with code "
-                               f"{self._proc.exitcode} and no result")
-        ok, value = reply
-        if not ok:
-            raise value
+            if self._rounds is not None:
+                try:
+                    self._conn.send(None)
+                except OSError:
+                    pass  # the child has gone, which _reply reports
+                self._rounds[0].release()
+            value = self._reply()
+        except BaseException:
+            self.cancel()
+            raise
+        self._proc.join()
+        self._conn.close()
         return value
 
     def cancel(self):
@@ -306,16 +377,129 @@ class ForkedCall:
         self._proc.join()
         self._conn.close()
 
+    def _reply(self):
+        try:
+            ok, value = self._conn.recv()
+        except (EOFError, OSError):
+            # the child died before it could reply
+            self._proc.join()
+            raise RuntimeError(f"forked child exited with code "
+                               f"{self._proc.exitcode} and no result") from None
+        if not ok:
+            raise value
+        return value
 
-def _send_call(conn, fn, args):
+
+def _serve_call(conn, fn, args, rounds):
     """A ForkedCall child: sends (True, fn's result) or (False, its
-    exception), so that the parent raises it and the child prints nothing."""
+    exception), so that the parent raises it and the child prints
+    nothing.  A rounds=True child runs a round each time the parent
+    starts one, until the parent stops it, and sends (True, None), or a
+    round raises, and sends that; it then ends the round the parent may
+    be waiting for."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    reply = _call(fn, *args)
+    if rounds is not None and reply[0]:
+        go, done = rounds
+        step, parent = reply[1], os.getppid()
+        while True:
+            if not _meet(go, lambda: os.getppid() == parent):
+                return  # the parent has gone
+            if conn.poll():
+                reply = (True, None)  # the parent's stop
+                break
+            reply = _call(step)
+            if not reply[0]:
+                break
+            done.release()
     try:
-        reply = (True, fn(*args))
-    except Exception as exc:
-        reply = (False, exc)
-    conn.send(reply)
+        conn.send(reply)
+    except OSError:
+        return  # the parent has gone
     conn.close()
+    if rounds is not None:
+        rounds[1].release()
+
+
+def _call(fn, *args):
+    try:
+        return True, fn(*args)
+    except Exception as exc:
+        return False, exc
+
+
+class HalfWorker:
+    """The second half of a neural.HalvesWork's batch, computed by a worker
+    forked for one fit while this process computes the first, in lockstep
+    (a rounds=True ForkedCall).
+
+    The layers' parameters move into a shared memory map, where the
+    worker reads each step's, and the worker writes its gradient and the
+    sum of its half's squared errors into two more.  The worker
+    allocates its DenseWork after the fork, so that no page of it is
+    copied on write.  Leaving the worker as a context manager, however it
+    is left, ends and reaps it and moves the parameters back into this
+    process's own memory.  A fork that fails raises and leaves the layers
+    as they were."""
+
+    def __init__(self, layers, batch):
+        self._layers = layers
+        params = neural.mapped_zeros(sum(p.size for layer in layers
+                                         for p in (layer.w, layer.b)))
+        at = 0
+        for layer in layers:
+            for name in ("w", "b"):
+                value = getattr(layer, name)
+                shared = params[at:at + value.size].reshape(value.shape)
+                shared[...] = value
+                setattr(layer, name, shared)
+                at += value.size
+        self._grads = neural.mapped_zeros(params.size)
+        self._total = neural.mapped_zeros(1)
+        try:
+            self._call = ForkedCall(_half_gradient, layers, batch, self._grads,
+                                    self._total, rounds=True)
+        except BaseException:
+            self._unshare()
+            raise
+
+    def start(self):
+        self._call.begin()
+
+    def finish(self):
+        self._call.finish()
+        return self._grads, float(self._total[0])
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            if exc_type is None:
+                self._call.result()
+            else:
+                self._call.cancel()
+        finally:
+            self._unshare()
+
+    def _unshare(self):
+        for layer in self._layers:
+            layer.w, layer.b = layer.w.copy(), layer.b.copy()
+
+
+def _half_gradient(layers, batch, grads, total):
+    """A HalfWorker's set-up, run after the fork: returns the function each
+    round calls, which writes the gradient over the batch's second half
+    into grads and the sum of the half's squared errors into total."""
+    half = neural.HalvesWork.halves(batch)[1]
+    work = neural.DenseWork(layers, len(half), grads)
+
+    def gradient():
+        # as in fit_autoencoder, a diverging fit is failed by its caller
+        with np.errstate(over="ignore", invalid="ignore"):
+            total[0] = work.reconstruction_gradient(layers, half, len(batch))
+
+    return gradient
 
 
 def classifier_sgd_step(cfg, clf, window, label, k):
@@ -604,17 +788,24 @@ class DrlPipeline:
     def warmup(self):
         """Fit the detector, and for autodrl pre-train the classifier.
 
-        The classifier needs only the detector's normalizer, so where
-        ``fork`` exists autodrl trains the autoencoder in a forked child
-        while this process pre-trains, with the same results as one after
-        the other.  A failure raises here, the autoencoder's first, as in
-        that order, and leaves no child running."""
+        The autoencoder fits on two half-batches (fit_autoencoder).  Where
+        ``fork`` exists, deepedge computes one half in this process and
+        the other in a worker forked for the fit.  The classifier needs
+        only the detector's normalizer, so autodrl instead trains the
+        autoencoder in a forked child, which computes both halves itself,
+        while this process pre-trains.  The results are the same to the
+        bit with and without ``fork``.  A failure raises here, the
+        autoencoder's first, as in the serial order, and leaves no child
+        running."""
         cfg = self.cfg
         seed = cfg.seed + 7919
         normalizer, data, row_counts = benign_warmup(cfg, seed)
-        if cfg.agent != "autodrl" or "fork" not in mp.get_all_start_methods():
-            self.detector = AnomalyDetector(
-                normalizer, *fit_autoencoder(cfg, seed, data, row_counts))
+        can_fork = "fork" in mp.get_all_start_methods()
+        if cfg.agent != "autodrl" or not can_fork:
+            # on one CPU the two halves would only take turns
+            self.detector = AnomalyDetector(normalizer, *fit_autoencoder(
+                cfg, seed, data, row_counts,
+                fork_half=can_fork and usable_cpus() >= 2))
             if cfg.agent == "autodrl":
                 self.classifier, self._classifier_updates = \
                     pretrain_step_classifier(cfg, normalizer, cfg.seed + 104729)

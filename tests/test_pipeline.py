@@ -1,6 +1,13 @@
+import errno
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 from collections import deque
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -501,14 +508,15 @@ def test_td_loss_ceiling_is_twice_the_return_bound_squared(trained_quick):
 
 
 # ---------------------------------------------------------------------------
-# the autodrl warm-up: the autoencoder in a forked child against the serial
-# order
+# the warm-up: the autoencoder's halves in a forked worker (deepedge), and
+# the autoencoder in a forked child (autodrl), against the serial order
 # ---------------------------------------------------------------------------
 
-def serial_train_detector(cfg, rng_seed):
-    """The warm-up detector fitted serially in one piece: the reference
-    that benign_warmup then fit_autoencoder, forked or not, must match
-    bit for bit."""
+def serial_train_detector(cfg, rng_seed, full_batch=False):
+    """The warm-up detector fitted serially in one process, each epoch on
+    the two halves of the warm-up matrix: the reference that
+    benign_warmup then fit_autoencoder, forked or not, must match bit for
+    bit.  With full_batch, each epoch's gradient is the full batch's."""
     rng = np.random.default_rng(rng_seed)
     env = EdgeGatewayEnv(replace(cfg.env, episode_len=cfg.warmup.steps, attacks=[]),
                          seed=rng_seed, resources=cfg.resources)
@@ -520,7 +528,8 @@ def serial_train_detector(cfg, rng_seed):
     model = neural.autoencoder_init(
         rng, input_dim=len(ft.FEATURE_NAMES),
         hidden_dim=cfg.neural.ae_hidden, latent_dim=cfg.neural.latent_dim)
-    work = neural.DenseWork(model.layers, data.shape[0])
+    work = (neural.DenseWork if full_batch else neural.HalvesWork)(
+        model.layers, data.shape[0])
     for _ in range(cfg.neural.ae_epochs):
         neural.autoencoder_train_step(model, data, cfg.neural.ae_lr, work)
     tau_flow = float(np.percentile(pl._row_errors(model, data),
@@ -564,12 +573,17 @@ def serial_pretrain_step_classifier(cfg, detector, seed):
     return clf, k
 
 
+def detector_arrays(det):
+    return [det.normalizer.low, det.normalizer.scale, det.tau_flow, det.tau_step,
+            *(a for layer in det.autoencoder.layers for a in (layer.w, layer.b))]
+
+
 def warmup_bits(pipe):
-    """Every warm-up result of an autodrl pipeline, as raw bytes."""
-    det, clf = pipe.detector, pipe.classifier
-    arrays = [det.normalizer.low, det.normalizer.scale, det.tau_flow, det.tau_step,
-              *(a for layer in det.autoencoder.layers for a in (layer.w, layer.b)),
-              clf.cell.w, clf.cell.b, clf.head_w, clf.head_b]
+    """Every warm-up result of a pipeline, as raw bytes."""
+    arrays = detector_arrays(pipe.detector)
+    clf = pipe.classifier
+    if clf is not None:
+        arrays += [clf.cell.w, clf.cell.b, clf.head_w, clf.head_b]
     return [np.asarray(a).tobytes() for a in arrays], pipe._classifier_updates
 
 
@@ -579,8 +593,8 @@ def forked_calls(monkeypatch):
     calls = []
 
     class Recorded(pl.ForkedCall):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             calls.append(self)
 
     monkeypatch.setattr(pl, "ForkedCall", Recorded)
@@ -610,9 +624,163 @@ def test_forked_warmup_is_bit_identical_to_the_serial_one(
     assert (tmp_path / "warmup").read_bytes() == (tmp_path / "reference").read_bytes()
 
 
-def test_deepedge_warmup_forks_nothing(forked_calls):
-    pl.DrlPipeline(quick_config("deepedge")).warmup()
-    assert forked_calls == []
+@pytest.mark.parametrize("start_methods, cpus",
+                         [(None, 2), (None, 1), (["spawn", "forkserver"], 2)],
+                         ids=["fork", "one-cpu", "without-fork"])
+def test_deepedge_forked_warmup_is_bit_identical_to_the_serial_one(
+        monkeypatch, forked_calls, start_methods, cpus):
+    cfg = quick_config("deepedge")
+    reference = pl.DrlPipeline(cfg)
+    reference.detector = serial_train_detector(cfg, cfg.seed + 7919)
+    # on one CPU, or where fork is missing, this process computes both halves
+    monkeypatch.setattr(pl, "usable_cpus", lambda: cpus)
+    if start_methods is not None:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: start_methods)
+    pipe = pl.DrlPipeline(cfg)
+    pipe.warmup()
+    assert len(forked_calls) == (
+        "fork" in multiprocessing.get_all_start_methods() and cpus > 1)
+    assert warmup_bits(pipe) == warmup_bits(reference)
+    assert multiprocessing.active_children() == []
+
+
+def test_deepedge_warmup_computes_both_halves_where_fork_fails(monkeypatch):
+    cfg = quick_config("deepedge")
+    reference = pl.DrlPipeline(cfg)
+    reference.detector = serial_train_detector(cfg, cfg.seed + 7919)
+
+    def no_fork(*args, **kwargs):
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(pl, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(pl, "ForkedCall", no_fork)
+    pipe = pl.DrlPipeline(cfg)
+    pipe.warmup()
+    assert warmup_bits(pipe) == warmup_bits(reference)
+    # the parameters are back in the layers' own arrays, out of the shared map
+    assert all(p.base is None for layer in pipe.detector.autoencoder.layers
+               for p in (layer.w, layer.b))
+
+
+def test_two_half_detector_matches_the_full_batch_fit():
+    # the halves' sum adds what the full batch adds, in another order: every
+    # array agrees within 1e-12 of its largest magnitude.  Both agents share
+    # the default warm-up.
+    cfg = default_config("deepedge")
+    seed = cfg.seed + 7919
+    halves = serial_train_detector(cfg, seed)
+    full = serial_train_detector(cfg, seed, full_batch=True)
+    for a, b in zip(detector_arrays(halves), detector_arrays(full)):
+        a, b = np.asarray(a), np.asarray(b)
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    x = halves.normalizer.transform(np.ones((1, len(ft.FEATURE_NAMES))))[0]
+    assert halves.autoencoder.anomaly_score(x) == pytest.approx(
+        full.autoencoder.anomaly_score(x), rel=1e-12)
+
+
+def epoch_hook(epoch, action):
+    """neural.autoencoder_train_step that runs action() before epoch
+    `epoch` (from 0) of every fit."""
+    real_step = neural.autoencoder_train_step
+    calls = []
+
+    def step(model, batch, lr, work):
+        if len(calls) == epoch:
+            action()
+        calls.append(None)
+        return real_step(model, batch, lr, work)
+
+    return step
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the second half trains in a worker only where fork exists")
+def test_deepedge_warmup_leaves_no_child_process(monkeypatch, forked_calls, capfd):
+    monkeypatch.setattr(pl, "usable_cpus", lambda: 2)
+    cfg = quick_config("deepedge")
+    diverging = quick_config("deepedge")
+    diverging.neural.ae_lr = 1e6
+    diverging.neural.ae_epochs = 5
+
+    def reaped():
+        return (multiprocessing.active_children() == []
+                and all(c._proc.exitcode is not None for c in forked_calls))
+
+    def warmup_with(action):
+        with monkeypatch.context() as patch:
+            patch.setattr(neural, "autoencoder_train_step", epoch_hook(3, action))
+            pl.DrlPipeline(cfg).warmup()
+
+    pl.DrlPipeline(cfg).warmup()
+    assert reaped()
+    # the worker's gradient diverges as well; the finite check fails the fit
+    with pytest.raises(ValueError, match="autoencoder diverged"):
+        pl.DrlPipeline(diverging).warmup()
+    assert reaped()
+
+    def fail():
+        raise RuntimeError("the parent failed")
+
+    with pytest.raises(RuntimeError, match="the parent failed"):
+        warmup_with(fail)
+    assert reaped()
+
+    def interrupt():
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        warmup_with(interrupt)
+    assert reaped()
+
+    # a Ctrl-C reaches the whole process group; the worker ignores it
+    warmup_with(lambda: os.kill(forked_calls[-1]._proc.pid, signal.SIGINT))
+    assert reaped()
+
+    # a worker that dies mid-fit fails the next epoch, with one line
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="forked child exited with code -9") as info:
+        warmup_with(lambda: os.kill(forked_calls[-1]._proc.pid, signal.SIGKILL))
+    assert time.monotonic() - start < 10
+    assert "\n" not in str(info.value)
+    assert reaped()
+    assert len(forked_calls) == 6
+    # no process printed anything
+    assert capfd.readouterr() == ("", "")
+
+
+LOCKSTEP_PARENT_DIES = """
+import os, signal, sys, time
+from edgeids import pipeline as pl
+
+def rounds(fail):
+    def step():
+        time.sleep(0.3)
+        if fail:
+            raise ValueError("the round failed")
+    return step
+
+call = pl.ForkedCall(rounds, sys.argv[1] == "raises", rounds=True)
+call.begin()
+time.sleep(0.1)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="a lockstep child runs only where fork exists")
+@pytest.mark.parametrize("round_ends", ["returns", "raises"])
+def test_lockstep_child_of_a_dead_parent_exits_quietly(round_ends):
+    # the parent dies mid-round; the child finishes the round, finds its
+    # parent gone and exits.  The child holds the parent's stdout and
+    # stderr, so run returns once the child has exited too.
+    src = str(Path(pl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", LOCKSTEP_PARENT_DIES, round_ends],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == -signal.SIGKILL
+    assert (proc.stdout, proc.stderr) == ("", "")
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
