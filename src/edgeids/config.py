@@ -16,7 +16,8 @@ import numbers
 from dataclasses import dataclass, field
 
 from .agent import AgentHyperparams, EpsilonSchedule
-from .gateway_env import AttackScenario, EnvConfig, ResourceModelConfig
+from .gateway_env import (MAX_WARMUP_FLOWS, AttackScenario, EnvConfig,
+                          ResourceModelConfig)
 from .rules import check_fields
 from .sustain import LedgerLimits, RewardWeights, g_per_kwh_to_g_per_joule
 
@@ -152,6 +153,11 @@ class ExperimentConfig:
              f"must be one of {', '.join(AGENT_KINDS)}"),
             ("episodes", self.episodes >= 0, "must be >= 0"),
             ("pretrain_episodes", self.pretrain_episodes >= 0, "must be >= 0")))
+        flows = self.env.benign_rate * self.env.dt * self.warmup.steps
+        if flows > MAX_WARMUP_FLOWS:   # the one rule across sections
+            raise ValueError(f"env.benign_rate times env.dt times warmup.steps must "
+                             f"be at most {MAX_WARMUP_FLOWS:g} warm-up flows, "
+                             f"got {flows:g}")
 
 
 def default_config(agent="deepedge"):

@@ -63,26 +63,19 @@ def extract_features(flow):
 # ---------------------------------------------------------------------------
 
 class Normalizer:
-    """Min-max or z-score scaling with statistics fitted on benign warm-up."""
+    """Min-max scaling, clipped to [0, 1], with statistics fitted on the
+    benign warm-up."""
 
-    def __init__(self, kind="minmax"):
-        if kind not in ("minmax", "zscore"):
-            raise ValueError(f"unknown normalizer kind {kind!r}")
-        self.kind = kind
+    def __init__(self):
         self.fitted = False
 
     def fit(self, data):
         data = np.atleast_2d(np.asarray(data, dtype=float))
         if data.shape[0] < 2:
             raise ValueError("need at least two rows to fit")
-        if self.kind == "minmax":
-            self.low = data.min(axis=0)
-            span = data.max(axis=0) - self.low
-            self.scale = np.where(span > 0, span, 1.0)
-        else:
-            self.low = data.mean(axis=0)
-            std = data.std(axis=0)
-            self.scale = np.where(std > 0, std, 1.0)
+        self.low = data.min(axis=0)
+        span = data.max(axis=0) - self.low
+        self.scale = np.where(span > 0, span, 1.0)
         self.fitted = True
         return self
 
@@ -90,10 +83,7 @@ class Normalizer:
         if not self.fitted:
             raise ValueError("normalizer not fitted")
         v = np.asarray(v, dtype=float)
-        out = (v - self.low) / self.scale
-        if self.kind == "minmax":
-            out = np.clip(out, 0.0, 1.0)
-        return out
+        return np.clip((v - self.low) / self.scale, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -39,69 +39,39 @@ LATENCY_PER_CPU = 0.002  # seconds of inference latency per CPU percent
 
 
 # ---------------------------------------------------------------------------
-# reward bookkeeping
+# the episode's per-step counts
 # ---------------------------------------------------------------------------
 
-class RewardTracker:
-    """Sliding-window reward components for the closed mitigation loop.
+# the columns of EpisodeOutcome.counts, one row per step: the attack and
+# benign packets offered and dropped, and (autodrl only) whether the
+# classifier judged an attack step and whether it missed it
+(ATTACK_OFFERED, ATTACK_DROPPED, BENIGN_OFFERED, BENIGN_DROPPED,
+ ATTACK_JUDGED, ATTACK_MISSED, N_COUNTS) = range(7)
 
-    detection_rate is the windowed attack-suppression rate (attack packets
-    dropped over attack packets offered); the false rate is benign
-    collateral (deepedge) or the step classifier's miss rate (autodrl).
-    The alert-based detection metrics reported by evaluation runs are
-    computed separately and are not fed back into rewards.
-    """
 
-    def __init__(self, window, agent):
-        self.window = deque(maxlen=window)
-        self.agent = agent
-        self.pending_delay = 0.0
+def step_counts(result, classified):
+    """A step's row of EpisodeOutcome.counts, from the gateway's StepResult
+    and the classifier's verdict (None where no classifier judged)."""
+    judged = result.attack_active and classified is not None
+    offered, dropped = result.offered_pkts, result.dropped_pkts
+    return (offered["attack"], dropped["attack"], offered["benign"],
+            dropped["benign"], judged, judged and not classified)
 
-    def push(self, result, classified_attack=None):
-        self.window.append(dict(
-            attack_offered=result.offered_pkts["attack"],
-            attack_dropped=result.dropped_pkts["attack"],
-            benign_offered=result.offered_pkts["benign"],
-            benign_dropped=result.dropped_pkts["benign"],
-            attack_step=result.attack_active,
-            classified_attack=classified_attack,
-        ))
-        if result.attack_active and not result.mitigation.any_active():
-            self.pending_delay += 1.0
-        else:
-            self.pending_delay = 0.0
 
-    def detection_rate(self):
-        offered = sum(w["attack_offered"] for w in self.window)
-        if offered == 0:
-            return 0.0
-        return sum(w["attack_dropped"] for w in self.window) / offered
-
-    def false_rate(self):
-        if self.agent == "autodrl":
-            attacks = [w for w in self.window
-                       if w["attack_step"] and w["classified_attack"] is not None]
-            if not attacks:
-                return 0.0
-            return sum(1 for w in attacks if not w["classified_attack"]) / len(attacks)
-        offered = sum(w["benign_offered"] for w in self.window)
-        if offered == 0:
-            return 0.0
-        return sum(w["benign_dropped"] for w in self.window) / offered
-
-    def latency_s(self, cpu_pct, dt):
-        return BASE_LATENCY_S + LATENCY_PER_CPU * cpu_pct + self.pending_delay * dt
-
-    def components(self, result):
-        entry = result.ledger_entry
-        return RewardComponents(
-            detection_rate=self.detection_rate(),
-            false_rate=min(self.false_rate(), 1.0),
-            latency_s=self.latency_s(result.resource.cpu_pct, entry.dt_s),
-            energy_j=entry.energy_j,
-            memory_util=entry.m_util,
-            carbon_g=entry.carbon_g,
-        )
+def episode_rates(agent, rows):
+    """(attack suppression, false rate) over rows of EpisodeOutcome.counts:
+    the attack packets dropped over those offered, and benign collateral
+    (deepedge) or the classifier's miss rate on the attack steps it judged
+    (autodrl); a rate with nothing to count is 0.  These feed the rewards;
+    the alert-based metrics of evaluation runs do not."""
+    total = rows.sum(axis=0).tolist()
+    offered, dropped = total[ATTACK_OFFERED], total[ATTACK_DROPPED]
+    if agent == "autodrl":
+        judged, missed = total[ATTACK_JUDGED], total[ATTACK_MISSED]
+    else:
+        judged, missed = total[BENIGN_OFFERED], total[BENIGN_DROPPED]
+    return (dropped / offered if offered else 0.0,
+            missed / judged if judged else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +172,7 @@ def detector_to_dict(detector):
     """JSON-able thresholds and normalizer statistics (the autoencoder
     itself travels in the model checkpoint)."""
     return {
-        "kind": detector.normalizer.kind,
+        "kind": "minmax",
         "low": [float(v) for v in detector.normalizer.low],
         "scale": [float(v) for v in detector.normalizer.scale],
         "tau_flow": detector.tau_flow,
@@ -213,7 +183,10 @@ def detector_to_dict(detector):
 def detector_from_dict(data, autoencoder):
     """The inverse of detector_to_dict, around the checkpoint's
     autoencoder."""
-    normalizer = ft.Normalizer(data["kind"])
+    if data["kind"] != "minmax":
+        raise ValueError(f"detector.json: unknown normalizer kind "
+                         f"{data['kind']!r}, expected 'minmax'")
+    normalizer = ft.Normalizer()
     normalizer.low = np.asarray(data["low"], dtype=float)
     normalizer.scale = np.asarray(data["scale"], dtype=float)
     normalizer.fitted = True
@@ -237,7 +210,7 @@ def benign_warmup(cfg, rng_seed):
     if raw.shape[0] < 2:
         raise ValueError(f"warm-up produced {raw.shape[0]} flow(s), and fitting "
                          "needs two; raise env.benign_rate or warmup.steps")
-    normalizer = ft.Normalizer("minmax").fit(raw)
+    normalizer = ft.Normalizer().fit(raw)
     return normalizer, normalizer.transform(raw), row_counts
 
 
@@ -256,12 +229,7 @@ def fit_autoencoder(cfg, rng_seed, data, row_counts, fork_half=False):
     model = neural.autoencoder_init(
         np.random.default_rng(rng_seed), input_dim=len(ft.FEATURE_NAMES),
         hidden_dim=cfg.neural.ae_hidden, latent_dim=cfg.neural.latent_dim)
-    second = None
-    if fork_half:
-        try:
-            second = HalfWorker(model.layers, data)
-        except OSError:
-            pass  # no process to be had: this one computes both halves
+    second = forked(HalfWorker, model.layers, data) if fork_half else None
     # a diverging autoencoder overflows here; the finite check below fails it
     with np.errstate(over="ignore", invalid="ignore"):
         with second if second is not None else nullcontext():
@@ -299,6 +267,15 @@ def usable_cpus():
         return os.cpu_count() or 1
 
 
+def forked(start, *args):
+    """start(*args), which forks a process, or None where no process can
+    be forked: the caller then does the process's work itself."""
+    try:
+        return start(*args)
+    except OSError:
+        return None
+
+
 def _meet(sem, alive):
     """Acquires the semaphore, spinning up to _SPIN_S before it blocks;
     False if alive() turns false while it waits."""
@@ -330,7 +307,8 @@ class ForkedCall:
     processes share.  Rounds meet through two semaphores, on which each
     side spins briefly before it blocks (_meet); the pipe carries only a
     round's exception and the end.  A child that dies raises a one-line
-    RuntimeError in the parent."""
+    RuntimeError in the parent.  A fork that fails raises OSError and
+    leaves no pipe open."""
 
     def __init__(self, fn, *args, rounds=False):
         ctx = mp.get_context("fork")
@@ -339,8 +317,13 @@ class ForkedCall:
         self._rounds = (ctx.Semaphore(0), ctx.Semaphore(0)) if rounds else None
         self._proc = ctx.Process(target=_serve_call, daemon=True,
                                  args=(child_end, fn, args, self._rounds))
-        self._proc.start()
-        child_end.close()
+        try:
+            self._proc.start()
+        except BaseException:
+            self._conn.close()
+            raise
+        finally:
+            child_end.close()
 
     def begin(self):
         """Starts a round of a rounds=True child."""
@@ -611,25 +594,34 @@ def td_loss_ceiling(cfg):
 class EpisodeOutcome:
     """What one episode did, as DrlPipeline.run_episode counts it.
 
-    Packets, CPU and the whole-episode rates count every step, as the
-    ledger does.  Reward, alerts, scores, labels, classifier verdicts,
-    response times and trace rows count from step 1, the first step an
-    action can reach."""
+    ``counts`` has a row per step (columns at ATTACK_OFFERED), which the
+    reward window and the episode's rates read; it and the CPU sum cover
+    every step, as the ledger does.  Reward, alerts, scores, labels,
+    classifier verdicts, response times and trace rows count from step 1,
+    the first step an action can reach."""
 
     ledger: object
-    rates: RewardTracker              # its window spans the whole episode
+    counts: np.ndarray                # [episode_len, N_COUNTS] integers
     confusion: ConfusionCounts = field(default_factory=ConfusionCounts)   # alert vs truth
     classifier: ConfusionCounts = field(default_factory=ConfusionCounts)  # verdict vs truth
     response_times: list = field(default_factory=list)
     scores: list = field(default_factory=list)          # per-step anomaly scores
     attack_labels: list = field(default_factory=list)   # per-step ground truth
     trace_rows: list = field(default_factory=list)
-    attack_offered: int = 0
-    attack_passed: int = 0
-    benign_offered: int = 0
-    benign_passed: int = 0
     cpu_pct_sum: float = 0.0
     reward_total: float = 0.0
+
+    def _total(self, column):
+        return int(self.counts[:, column].sum())
+
+    # mitigation conserves packets: those passed are those offered less
+    # those dropped
+    attack_offered = property(lambda self: self._total(ATTACK_OFFERED))
+    attack_passed = property(lambda self: self.attack_offered
+                             - self._total(ATTACK_DROPPED))
+    benign_offered = property(lambda self: self._total(BENIGN_OFFERED))
+    benign_passed = property(lambda self: self.benign_offered
+                             - self._total(BENIGN_DROPPED))
 
     @property
     def detection_prob(self):
@@ -788,29 +780,30 @@ class DrlPipeline:
     def warmup(self):
         """Fit the detector, and for autodrl pre-train the classifier.
 
-        The autoencoder fits on two half-batches (fit_autoencoder).  Where
-        ``fork`` exists, deepedge computes one half in this process and
-        the other in a worker forked for the fit.  The classifier needs
-        only the detector's normalizer, so autodrl instead trains the
-        autoencoder in a forked child, which computes both halves itself,
-        while this process pre-trains.  The results are the same to the
-        bit with and without ``fork``.  A failure raises here, the
-        autoencoder's first, as in the serial order, and leaves no child
-        running."""
+        The autoencoder fits on two half-batches (fit_autoencoder).  Both
+        agents fork only where ``fork`` exists and two CPUs are usable: on
+        one CPU the two processes would only take turns.  There deepedge
+        computes one half in this process and the other in a worker forked
+        for the fit.  The classifier needs only the detector's normalizer,
+        so autodrl instead trains the autoencoder in a forked child, which
+        computes both halves itself, while this process pre-trains.  Where
+        a fork fails, this process does the child's work itself.  The
+        results are the same to the bit either way.  A failure raises
+        here, the autoencoder's first, as in the serial order, and leaves
+        no child running."""
         cfg = self.cfg
         seed = cfg.seed + 7919
         normalizer, data, row_counts = benign_warmup(cfg, seed)
-        can_fork = "fork" in mp.get_all_start_methods()
-        if cfg.agent != "autodrl" or not can_fork:
-            # on one CPU the two halves would only take turns
+        can_fork = "fork" in mp.get_all_start_methods() and usable_cpus() >= 2
+        fit = (forked(ForkedCall, fit_autoencoder, cfg, seed, data, row_counts)
+               if cfg.agent == "autodrl" and can_fork else None)
+        if fit is None:
             self.detector = AnomalyDetector(normalizer, *fit_autoencoder(
-                cfg, seed, data, row_counts,
-                fork_half=can_fork and usable_cpus() >= 2))
+                cfg, seed, data, row_counts, fork_half=can_fork))
             if cfg.agent == "autodrl":
                 self.classifier, self._classifier_updates = \
                     pretrain_step_classifier(cfg, normalizer, cfg.seed + 104729)
             return
-        fit = ForkedCall(fit_autoencoder, cfg, seed, data, row_counts)
         # the child holds its own copy of the matrix from here on
         del data
         try:
@@ -892,11 +885,12 @@ class DrlPipeline:
             updates_before, loss_sum = q_updates, 0.0
             out = self.run_episode(env, decide, learn, episode)
             updates = q_updates - updates_before
+            detection_rate, false_rate = episode_rates(cfg.agent, out.counts)
             episode_stats.append(EpisodeStats(
                 episode=episode,
                 reward_total=out.reward_total,
-                detection_rate=out.rates.detection_rate(),
-                false_rate=out.rates.false_rate(),
+                detection_rate=detection_rate,
+                false_rate=false_rate,
                 attack_offered=out.attack_offered,
                 attack_passed=out.attack_passed,
                 benign_offered=out.benign_offered,
@@ -928,32 +922,32 @@ class DrlPipeline:
         """Run one episode of ``env``, the loop that training and rollout
         share, and return its EpisodeOutcome.
 
-        Each step is scored, its LSTM window classified (autodrl) and pushed
-        to the reward tracker; from step 1 on it is also paid its reward,
-        alerted on and traced.  EpisodeOutcome says which of its counts
-        start at step 0.  ``decide(prev)`` maps the previous EpisodeStep
-        to ``(action, learning, buffer_fill)`` for ``env.step``, and
-        ``learn(prev, step)`` sees each step from step 1 on before the next
-        decision.  A rollout records an active mitigation as an alert too."""
+        Each step is scored, its LSTM window classified (autodrl) and its
+        row of ``counts`` written; from step 1 on it is also paid its
+        reward, over the last sustain.reward_window rows, alerted on and
+        traced.  EpisodeOutcome says which of its counts start at step 0.
+        ``decide(prev)`` maps the previous EpisodeStep to ``(action,
+        learning, buffer_fill)`` for ``env.step``, and ``learn(prev, step)``
+        sees each step from step 1 on before the next decision.  A rollout
+        records an active mitigation as an alert too."""
         cfg = self.cfg
         history = deque(maxlen=cfg.neural.lstm_window)
-        tracker = self.reward_tracker()
-        out = EpisodeOutcome(env.ledger,
-                             RewardTracker(env.config.episode_len, cfg.agent))
+        out = EpisodeOutcome(env.ledger, np.zeros(
+            (env.config.episode_len, N_COUNTS), dtype=np.int64))
+        reward_window = cfg.sustain.reward_window
+        unmitigated = 0   # attack steps in a row, up to this one, unmitigated
 
         def observe(t, action, result):
+            nonlocal unmitigated
             x_step, a_s = self.detector.step_profile(result.features)
             history.extend([x_step] * (history.maxlen if t == 0 else 1))
             window = classified = None
             if cfg.agent == "autodrl" and self.classifier is not None:
                 window = np.stack(history)
                 classified = self.classifier.classify(window) > 0.5
-            tracker.push(result, classified)
-            out.rates.push(result, classified)
-            out.attack_offered += result.offered_pkts["attack"]
-            out.attack_passed += result.passed_pkts["attack"]
-            out.benign_offered += result.offered_pkts["benign"]
-            out.benign_passed += result.passed_pkts["benign"]
+            out.counts[t] = step_counts(result, classified)
+            unmitigated = (unmitigated + 1 if result.attack_active
+                           and not result.mitigation.any_active() else 0)
             out.cpu_pct_sum += result.resource.cpu_pct
             return EpisodeStep(self, t, action, result, x_step, a_s, window,
                                classified)
@@ -964,8 +958,13 @@ class DrlPipeline:
             action, learning, buffer_fill = decide(prev)
             result = env.step(action, learning=learning, buffer_fill=buffer_fill)
             step = observe(t, action, result)
-            step.reward = compute_reward(cfg.sustain.weights,
-                                         tracker.components(result))
+            entry = result.ledger_entry
+            latency_s = (BASE_LATENCY_S + LATENCY_PER_CPU * result.resource.cpu_pct
+                         + unmitigated * entry.dt_s)
+            step.reward = compute_reward(cfg.sustain.weights, RewardComponents(
+                *episode_rates(cfg.agent,
+                               out.counts[max(t + 1 - reward_window, 0):t + 1]),
+                latency_s, entry.energy_j, entry.m_util, entry.carbon_g))
             attack = result.attack_active
             alert = step.alarm or (rollout and result.mitigation.any_active())
             out.reward_total += step.reward.total
@@ -987,9 +986,6 @@ class DrlPipeline:
                 learn(prev, step)
             prev = step
         return out
-
-    def reward_tracker(self):
-        return RewardTracker(self.cfg.sustain.reward_window, self.cfg.agent)
 
     def _make_env(self, seed, env_config=None):
         return EdgeGatewayEnv(env_config or self.cfg.env, seed=seed,

@@ -184,6 +184,24 @@ def artifact_with_checkpoint(train_artifact, tmp_path, text):
     return broken
 
 
+def test_detector_of_another_normalizer_kind_is_one_runtime_line(
+        train_artifact, tmp_path, capsys):
+    broken = artifact_with_checkpoint(
+        train_artifact, tmp_path, (train_artifact / "checkpoint.txt").read_text())
+    detector = json.loads((broken / "detector.json").read_text())
+    assert detector["kind"] == "minmax"
+    detector["kind"] = "zscore"
+    (broken / "detector.json").write_text(json.dumps(detector))
+    out = tmp_path / "o"
+    code = cli.main(["evaluate", "--checkpoint", str(broken), "--out", str(out),
+                     "--quiet"])
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error:"), err
+    assert "'zscore'" in err[0]
+    assert not out.exists()
+
+
 def test_corrupt_checkpoint_is_explicit(train_artifact, tmp_path, capsys):
     text = (train_artifact / "checkpoint.txt").read_text()
     broken = artifact_with_checkpoint(train_artifact, tmp_path, text[: len(text) // 2])
@@ -434,6 +452,31 @@ def test_flows_per_step_are_bounded_at_load(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error:"), err
     assert named in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("assignments", [
+    # just over the bound of 1e6 warm-up flows, at the default 120 steps
+    ["env.benign_rate=8334"],
+    ["env.dt=167"],
+    ["warmup.steps=20001"],
+    # within the flows-per-step bound, at its fewest warm-up steps
+    ["env.benign_rate=100000", "warmup.steps=11"],
+])
+def test_warmup_flows_are_bounded_at_load(tmp_path, capsys, monkeypatch,
+                                          assignments):
+    # a run past load would draw the warm-up: stop it before it builds a
+    # pipeline, as test_flows_per_step_are_bounded_at_load does
+    def loaded(cfg):
+        raise RuntimeError("the config loaded")
+    monkeypatch.setattr(cli.pl, "DrlPipeline", loaded)
+    out = tmp_path / "x"
+    code = cli.main(["train", "--quiet", "--out", str(out),
+                     *(arg for a in assignments for arg in ("--set", a))])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert "env.benign_rate" in err[0] and "warmup.steps" in err[0]
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,11 +23,22 @@ def test_defaults_match_stated_setup():
     assert cfg.sustain.weights.zeta == 0.05
 
 
+# one step's counts: 2 of 10 benign packets dropped, and the one attack
+# step the classifier judged missed
+COUNTS = np.array([[4, 1, 10, 2, 1, 1]])
+FALSE_RATES = {"deepedge": 0.2, "autodrl": 1.0}
+
+
+def false_rate(pipe):
+    """The false rate a pipeline's rewards read off COUNTS."""
+    return pl.episode_rates(pipe.cfg.agent, COUNTS)[1]
+
+
 def test_variant_follows_agent_kind():
     # the agent kind alone sets the reward's false rate and the TD
     # target's carbon weight
     for kind, weight in (("deepedge", 0.0), ("autodrl", 1.0)):
-        assert pl.DrlPipeline(default_config(kind)).reward_tracker().agent == kind
+        assert false_rate(pl.DrlPipeline(default_config(kind))) == FALSE_RATES[kind]
         assert pl.carbon_weight(kind) == weight
 
 
@@ -39,7 +51,7 @@ def test_autodrl_is_one_config_whichever_way_it_is_chosen(tmp_path):
                           ["--set", 'agent="autodrl"'])]
     for cfg in cfgs:
         assert cfgmod.dumps(cfg) == cfgmod.dumps(default_config("autodrl"))
-        assert pl.DrlPipeline(cfg).reward_tracker().agent == "autodrl"
+        assert false_rate(pl.DrlPipeline(cfg)) == FALSE_RATES["autodrl"]
         assert pl.td_loss_ceiling(cfg) == pl.td_loss_ceiling(cfgs[0])
 
 
@@ -151,9 +163,17 @@ def test_sections_reject_a_value_naming_its_field(section, kwargs, message):
 
 
 def test_flows_per_step_bound_is_inclusive():
+    # ten warm-up steps at the bound stay within the warm-up's own bound
     cfg = cfgmod.apply_overrides(default_config(), ["env.benign_rate=50000",
-                                                    "env.dt=2"])
+                                                    "env.dt=2", "warmup.steps=10"])
     assert cfg.env.benign_rate * cfg.env.dt == env.MAX_FLOWS_PER_STEP
+
+
+def test_warmup_flows_bound_is_inclusive():
+    cfg = cfgmod.apply_overrides(default_config(), ["env.benign_rate=10000",
+                                                    "warmup.steps=100"])
+    assert (cfg.env.benign_rate * cfg.env.dt * cfg.warmup.steps
+            == env.MAX_WARMUP_FLOWS)
 
 
 def test_from_dict_rejects_unknown_keys():

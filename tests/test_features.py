@@ -138,34 +138,25 @@ def test_build_state_with_latent():
 
 def test_minmax_endpoints_and_clamp():
     data = np.array([[0.0, 10.0], [2.0, 30.0], [1.0, 20.0]])
-    nrm = Normalizer("minmax").fit(data)
+    nrm = Normalizer().fit(data)
     assert np.allclose(nrm.transform([0.0, 10.0]), [0.0, 0.0])
     assert np.allclose(nrm.transform([2.0, 30.0]), [1.0, 1.0])
     assert np.allclose(nrm.transform([-5.0, 99.0]), [0.0, 1.0])  # clamped
 
 
-def test_zscore_recentered():
-    rng = np.random.default_rng(1)
-    data = rng.normal(5.0, 3.0, size=(500, 4))
-    nrm = Normalizer("zscore").fit(data)
-    z = np.stack([nrm.transform(row) for row in data])
-    assert np.max(np.abs(z.mean(axis=0))) < 1e-10
-    assert np.allclose(z.std(axis=0), 1.0, atol=1e-10)
-
-
 def test_minmax_idempotent_on_fitted_range():
     rng = np.random.default_rng(2)
     data = rng.uniform(0, 9, size=(100, 3))
-    first = Normalizer("minmax").fit(data)
+    first = Normalizer().fit(data)
     once = np.stack([first.transform(row) for row in data])
-    second = Normalizer("minmax").fit(once)
+    second = Normalizer().fit(once)
     twice = np.stack([second.transform(row) for row in once])
     assert np.max(np.abs(twice - once)) < 1e-12
 
 
 def test_unfitted_normalizer_raises():
     with pytest.raises(ValueError):
-        Normalizer("minmax").transform([1.0])
+        Normalizer().transform([1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import errno
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import subprocess
@@ -8,9 +9,12 @@ import time
 from collections import deque
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeids import agent as ag
 from edgeids import features as ft
@@ -20,6 +24,7 @@ from edgeids.agent import ActionId
 from edgeids.config import default_config
 from edgeids.evaluation import ConfusionCounts
 from edgeids.gateway_env import AttackScenario, EdgeGatewayEnv, FlowRecord
+from reward_reference import RewardTracker
 
 
 def quick_config(agent="deepedge", **kw):
@@ -132,40 +137,86 @@ def test_training_is_deterministic():
     assert rows_a == rows_b
 
 
-def test_reward_tracker_suppression_and_collateral():
-    class Result:
-        def __init__(self, ao, ad, bo, bd, attack, mitig):
-            self.offered_pkts = {"attack": ao, "benign": bo}
-            self.dropped_pkts = {"attack": ad, "benign": bd}
-            self.attack_active = attack
-            self.mitigation = type("M", (), {"any_active": lambda self_: mitig})()
-
-    tracker = pl.RewardTracker(window=10, agent="deepedge")
-    tracker.push(Result(1000, 900, 500, 50, True, True))
-    tracker.push(Result(1000, 800, 500, 0, True, True))
-    assert tracker.detection_rate() == pytest.approx(1700 / 2000)
-    assert tracker.false_rate() == pytest.approx(50 / 1000)
-    assert tracker.pending_delay == 0.0
-    # unmitigated attack accumulates response delay
-    tracker.push(Result(1000, 0, 500, 0, True, False))
-    tracker.push(Result(1000, 0, 500, 0, True, False))
-    assert tracker.pending_delay == 2.0
+def hand_result(attack_offered, attack_dropped, benign_offered, benign_dropped):
+    """The fields of a StepResult that a step's counts read, and a
+    mitigation for the reference's delay."""
+    return SimpleNamespace(
+        offered_pkts={"attack": attack_offered, "benign": benign_offered},
+        dropped_pkts={"attack": attack_dropped, "benign": benign_dropped},
+        attack_active=attack_offered > 0,
+        mitigation=SimpleNamespace(any_active=lambda: True))
 
 
-def test_reward_tracker_autodrl_miss_rate():
-    class Result:
-        def __init__(self, attack, classified):
-            self.offered_pkts = {"attack": 100 if attack else 0, "benign": 100}
-            self.dropped_pkts = {"attack": 0, "benign": 0}
-            self.attack_active = attack
-            self.classified = classified
-            self.mitigation = type("M", (), {"any_active": lambda self_: True})()
+def test_episode_rates_suppression_and_collateral():
+    rows = np.array([pl.step_counts(hand_result(1000, 900, 500, 50), None),
+                     pl.step_counts(hand_result(1000, 800, 500, 0), None)])
+    assert pl.episode_rates("deepedge", rows) == (1700 / 2000, 50 / 1000)
+    # nothing offered: both rates are 0
+    assert pl.episode_rates("deepedge", np.zeros((3, pl.N_COUNTS), int)) == (0.0, 0.0)
 
-    tracker = pl.RewardTracker(window=10, agent="autodrl")
-    tracker.push(Result(True, True), classified_attack=True)
-    tracker.push(Result(True, False), classified_attack=False)
-    tracker.push(Result(False, False), classified_attack=False)
-    assert tracker.false_rate() == pytest.approx(0.5)  # 1 miss of 2 attack steps
+
+def test_episode_rates_autodrl_miss_rate():
+    rows = np.array([pl.step_counts(hand_result(100, 0, 100, 0), True),
+                     pl.step_counts(hand_result(100, 0, 100, 0), False),
+                     pl.step_counts(hand_result(0, 0, 100, 0), False),
+                     pl.step_counts(hand_result(100, 0, 100, 0), None)])
+    # 1 miss of the 2 attack steps the classifier judged
+    assert pl.episode_rates("autodrl", rows)[1] == 0.5
+
+
+@st.composite
+def count_sequences(draw):
+    """(steps, window): per-step (StepResult fields, verdict) pairs, among
+    them steps with nothing offered, benign-only steps, and attack steps
+    the classifier judged, missed or did not see, and a reward window
+    from 1 to 5 steps longer than the episode."""
+    steps = []
+    for _ in range(draw(st.integers(1, 40))):
+        attack = draw(st.sampled_from([0, 0, 1, 7, 5000]))
+        benign = draw(st.sampled_from([0, 3, 40, 800]))
+        steps.append((hand_result(attack, draw(st.integers(0, attack)), benign,
+                                  draw(st.integers(0, benign))),
+                      draw(st.sampled_from([None, True, False]))))
+    return steps, draw(st.integers(1, len(steps) + 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(count_sequences(), st.sampled_from(["deepedge", "autodrl"]))
+def test_episode_rates_match_the_reward_tracker(sequence, agent):
+    steps, window = sequence
+    oracle = RewardTracker(window, agent)
+    whole = RewardTracker(len(steps), agent)
+    counts = np.zeros((len(steps), pl.N_COUNTS), dtype=np.int64)
+    for t, (result, classified) in enumerate(steps):
+        counts[t] = pl.step_counts(result, classified)
+        oracle.push(result, classified)
+        whole.push(result, classified)
+        assert pl.episode_rates(agent, counts[max(t + 1 - window, 0):t + 1]) == \
+            (oracle.detection_rate(), min(oracle.false_rate(), 1.0))
+    assert pl.episode_rates(agent, counts) == (whole.detection_rate(),
+                                               whole.false_rate())
+
+
+def test_unmitigated_attack_delay_adds_to_the_latency(trained_quick):
+    pipe, _ = trained_quick
+    dt = 0.5
+    steps = []
+    pipe.run_episode(pipe._make_env(31, replace(pipe.cfg.env, dt=dt)),
+                     lambda prev: (None, False, 0.0),
+                     lambda prev, step: steps.append(step), rollout=True)
+    delays, run = [], 0
+    for step in steps:
+        result = step.result
+        # a no-op rollout never mitigates, so each attack step adds one
+        run = run + 1 if result.attack_active else 0
+        delays.append(run)
+        assert step.reward.components.latency_s == (
+            pl.BASE_LATENCY_S + pl.LATENCY_PER_CPU * result.resource.cpu_pct
+            + run * dt)
+    attack = pipe.cfg.env.attacks[0]
+    # the delay grows through the whole attack and resets when it ends
+    assert max(delays) == attack.end_step - attack.start_step
+    assert delays[attack.end_step - 1] == 0
 
 
 def test_load_models_rejects_a_classifier_the_config_cannot_feed():
@@ -283,8 +334,26 @@ def test_episode_outcome_matches_the_reference_account(
     for name, expected in reference.items():
         assert getattr(out, name) == expected, name
     assert out.classifier_total == (steps - 1 if agent == "autodrl" else 0)
-    assert len(out.rates.window) == steps
+    assert out.counts.shape == (steps, pl.N_COUNTS)
     assert len(out.ledger.entries) == steps
+    # each reward reads the reference's sliding window and delay, and the
+    # episode's rates its whole-episode window
+    window = RewardTracker(pipe.cfg.sustain.reward_window, pipe.cfg.agent)
+    whole = RewardTracker(steps, pipe.cfg.agent)
+    for step in [pairs[0][0]] + [step for _, step in pairs]:
+        result = step.result
+        window.push(result, step.classified)
+        whole.push(result, step.classified)
+        if step.reward is None:
+            continue
+        c = step.reward.components
+        assert (c.detection_rate, c.false_rate) == \
+            (window.detection_rate(), min(window.false_rate(), 1.0))
+        assert c.latency_s == (pl.BASE_LATENCY_S
+                               + pl.LATENCY_PER_CPU * result.resource.cpu_pct
+                               + window.pending_delay * result.ledger_entry.dt_s)
+    assert pl.episode_rates(pipe.cfg.agent, out.counts) == \
+        (whole.detection_rate(), whole.false_rate())
 
 
 def test_episode_rates_cover_the_whole_episode():
@@ -523,7 +592,7 @@ def serial_train_detector(cfg, rng_seed, full_batch=False):
     step_rows = [env.step(None).features for _ in range(cfg.warmup.steps)]
     row_counts = [len(rows) for rows in step_rows]
     raw = np.concatenate(step_rows)
-    normalizer = ft.Normalizer("minmax").fit(raw)
+    normalizer = ft.Normalizer().fit(raw)
     data = normalizer.transform(raw)
     model = neural.autoencoder_init(
         rng, input_dim=len(ft.FEATURE_NAMES),
@@ -601,46 +670,63 @@ def forked_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("start_methods", [None, ["spawn", "forkserver"]],
-                         ids=["fork", "without-fork"])
+def no_fork(*args, **kwargs):
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+FORK_CASES = ["fork", "one-cpu", "without-fork", "fork-fails"]
+
+
+def fork_case(monkeypatch, case):
+    """Meets the warm-up with one of FORK_CASES: "fork" leaves this process
+    as it is (under a one-CPU affinity it forks nothing), "one-cpu" leaves
+    one CPU usable, "without-fork" takes the fork start method away, and
+    "fork-fails" fails every fork with EAGAIN on two CPUs.  Returns
+    whether the warm-up should fork."""
+    if case == "one-cpu":
+        monkeypatch.setattr(pl, "usable_cpus", lambda: 1)
+    elif case == "without-fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn", "forkserver"])
+    elif case == "fork-fails":
+        monkeypatch.setattr(pl, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+    return (case == "fork" and "fork" in multiprocessing.get_all_start_methods()
+            and pl.usable_cpus() >= 2)
+
+
+@pytest.mark.parametrize("case", FORK_CASES)
 def test_forked_warmup_is_bit_identical_to_the_serial_one(
-        monkeypatch, tmp_path, forked_calls, start_methods):
+        monkeypatch, tmp_path, forked_calls, case):
     cfg = quick_config("autodrl", episodes=1, episode_len=200)
     reference = pl.DrlPipeline(cfg)
     reference.detector = serial_train_detector(cfg, cfg.seed + 7919)
     reference.classifier, reference._classifier_updates = \
         serial_pretrain_step_classifier(cfg, reference.detector, cfg.seed + 104729)
-    if start_methods is not None:
-        # where fork is missing, the autoencoder trains in this process
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                            lambda: start_methods)
+    # without a fork, the autoencoder trains in this process
+    forks = fork_case(monkeypatch, case)
     pipe = pl.DrlPipeline(cfg)
     pipe.warmup()
-    assert len(forked_calls) == ("fork" in multiprocessing.get_all_start_methods())
+    assert len(forked_calls) == forks
     assert warmup_bits(pipe) == warmup_bits(reference)
+    assert multiprocessing.active_children() == []
     for name, p in (("reference", reference), ("warmup", pipe)):
         p.train()
         neural.save_checkpoint(p.models(), tmp_path / name)
     assert (tmp_path / "warmup").read_bytes() == (tmp_path / "reference").read_bytes()
 
 
-@pytest.mark.parametrize("start_methods, cpus",
-                         [(None, 2), (None, 1), (["spawn", "forkserver"], 2)],
-                         ids=["fork", "one-cpu", "without-fork"])
+@pytest.mark.parametrize("case", FORK_CASES)
 def test_deepedge_forked_warmup_is_bit_identical_to_the_serial_one(
-        monkeypatch, forked_calls, start_methods, cpus):
+        monkeypatch, forked_calls, case):
     cfg = quick_config("deepedge")
     reference = pl.DrlPipeline(cfg)
     reference.detector = serial_train_detector(cfg, cfg.seed + 7919)
-    # on one CPU, or where fork is missing, this process computes both halves
-    monkeypatch.setattr(pl, "usable_cpus", lambda: cpus)
-    if start_methods is not None:
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                            lambda: start_methods)
+    # without a fork, this process computes both halves
+    forks = fork_case(monkeypatch, case)
     pipe = pl.DrlPipeline(cfg)
     pipe.warmup()
-    assert len(forked_calls) == (
-        "fork" in multiprocessing.get_all_start_methods() and cpus > 1)
+    assert len(forked_calls) == forks
     assert warmup_bits(pipe) == warmup_bits(reference)
     assert multiprocessing.active_children() == []
 
@@ -649,10 +735,6 @@ def test_deepedge_warmup_computes_both_halves_where_fork_fails(monkeypatch):
     cfg = quick_config("deepedge")
     reference = pl.DrlPipeline(cfg)
     reference.detector = serial_train_detector(cfg, cfg.seed + 7919)
-
-    def no_fork(*args, **kwargs):
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
     monkeypatch.setattr(pl, "usable_cpus", lambda: 2)
     monkeypatch.setattr(pl, "ForkedCall", no_fork)
     pipe = pl.DrlPipeline(cfg)
@@ -661,6 +743,23 @@ def test_deepedge_warmup_computes_both_halves_where_fork_fails(monkeypatch):
     # the parameters are back in the layers' own arrays, out of the shared map
     assert all(p.base is None for layer in pipe.detector.autoencoder.layers
                for p in (layer.w, layer.b))
+
+
+def test_forked_call_that_cannot_fork_closes_its_pipe(monkeypatch):
+    ends = []
+    pipe = multiprocessing.connection.Pipe
+
+    def recorded(*args, **kwargs):
+        pair = pipe(*args, **kwargs)
+        ends.extend(pair)
+        return pair
+
+    monkeypatch.setattr(multiprocessing.connection, "Pipe", recorded)
+    monkeypatch.setattr(os, "fork", no_fork)
+    for rounds in (False, True):
+        with pytest.raises(BlockingIOError):
+            pl.ForkedCall(abs, -1, rounds=rounds)
+    assert len(ends) == 4 and all(end.closed for end in ends)
 
 
 def test_two_half_detector_matches_the_full_batch_fit():
@@ -786,6 +885,7 @@ def test_lockstep_child_of_a_dead_parent_exits_quietly(round_ends):
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the autoencoder trains in a child only where fork exists")
 def test_autodrl_warmup_leaves_no_child_process(monkeypatch, forked_calls):
+    monkeypatch.setattr(pl, "usable_cpus", lambda: 2)
     cfg = quick_config("autodrl", episode_len=100)
     diverging = quick_config("autodrl", episode_len=100)
     diverging.neural.ae_lr = 1e6
