@@ -45,6 +45,38 @@ report = neural.grad_check(clf, window, target=1, epsilon=1e-5)
 print(f"checked {report.param_count} parameters, "
       f"max relative error {report.max_rel_error:.2e}")
 
+print("\n== gradient check: LSTM classifier on a minibatch of 4 windows ==")
+# pre-training steps on the sum of a minibatch's losses, each window's
+# weighted by its own step size; one backward runs the 4 windows side by
+# side in a work with a rows axis
+windows = rng.normal(size=(4, 6, 8))
+labels = np.array([0, 1, 1, 0])
+weights = np.array([0.5, 0.25, 1.0, 0.125])
+work = neural.LstmWork(clf.cell, 6, rows=4)
+_, grads = neural.classifier_gradient(clf, windows, labels, weights, work)
+
+
+def minibatch_loss():
+    return sum(w * neural.bce_loss(clf.classify(x), y)
+               for x, y, w in zip(windows, labels, weights))
+
+
+worst, count = 0.0, 0
+for name, param in neural.iter_params(clf):
+    flat, analytic = param.reshape(-1), np.asarray(grads[name]).reshape(-1)
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + 1e-5
+        up = minibatch_loss()
+        flat[j] = orig - 1e-5
+        down = minibatch_loss()
+        flat[j] = orig
+        numeric = (up - down) / 2e-5
+        worst = max(worst, abs(analytic[j] - numeric)
+                    / max(abs(analytic[j]), abs(numeric), 1e-3))
+        count += 1
+print(f"checked {count} parameters, max relative error {worst:.2e}")
+
 print("\n== fault injection: corrupt one gradient entry by +1 ==")
 loss, grads = neural.backward(model, x)
 grads["encoder.0.w"][0, 0] += 1.0

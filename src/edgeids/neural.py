@@ -23,12 +23,16 @@ activations, masks and db sums then run down contiguous columns.  That
 changes the order of dense training's sums, not what they add, so its
 results differ from a row-major run's only in low-order bits.
 
-The LSTM classifier has one forward, which runs a window from the zero
-state into the per-window [T, ...] arrays of an LstmWork; classify,
-hidden (a copy of h_T), the loss and the backward pass all read it.  Each
-classifier builds the one LstmWork its [window_len, input_dim] windows
-need and runs every pass in it, so neither a call nor an SGD step
-allocates much beyond the gradients it returns.
+The LSTM classifier has one forward, which runs a window, or a
+minibatch of windows side by side, from the zero state into the
+[T, ...] arrays of an LstmWork; classify, hidden (a copy of h_T), the
+loss and the backward pass all read it.  Each classifier builds the one
+LstmWork its [window_len, input_dim] windows need and runs every pass on
+one window in it, so neither a call nor an SGD step allocates much
+beyond the gradients it returns.  Pre-training builds a work with a rows
+axis for its minibatches, and classifier_gradient sums the windows'
+weighted gradients in one backward pass through it; for one window it
+gives the per-window gradient to the bit.
 """
 
 from __future__ import annotations
@@ -437,29 +441,40 @@ class LstmWork:
     zero state, allocated once, with the views of every time step built
     once, so that every forward and backward pass reuses them.
 
-    The forward fills z[t] = [x_t, h_{t-1}], a[t] = the gate activations
-    (i, f, o, g) as [4, hidden], c[t] = c_{t-1} with c[T] = c_T,
-    tanh[t] = tanh(c_t) and h = h_T.  No forward writes the zero initial
-    state, z[0, input_dim:] and c[0], so it is written once, here.  The
-    backward's arrays are allocated on the first backward pass through
-    the work, so a classifier that only classifies does not pay for them."""
+    A work runs one [steps, input_dim] window, the classifier's own case,
+    or, given rows, a minibatch of [rows, steps, input_dim] windows side
+    by side.  Every array has the rows axis, if any, after its time axis,
+    so that one product per time step, [rows, input+hidden] @ w.T taken
+    as its four gate blocks, runs every window.  The forward fills z[t] =
+    [x_t, h_{t-1}], a[t] = the gate activations (i, f, o, g) as
+    [4, hidden], c[t] = c_{t-1} with c[T] = c_T, tanh[t] = tanh(c_t) and
+    h = h_T.  No forward writes the zero initial state, z[0, ...,
+    input_dim:] and c[0], so it is written once, here.  The backward's
+    arrays are allocated on the first backward pass through the work, so
+    a classifier that only classifies does not pay for them."""
 
-    def __init__(self, cell, steps):
+    def __init__(self, cell, steps, rows=None):
         n_in, n_h = cell.input_dim, cell.hidden_dim
-        self.shape = (steps, n_in)
+        lead = () if rows is None else (rows,)
+        self.rows = 1 if rows is None else rows
+        self.shape = (*lead, steps, n_in)
         self.hidden_dim = n_h
-        self.z = np.empty((steps, n_in + n_h))
-        self.z[0, n_in:] = 0.0
-        self.a = np.empty((steps, 4, n_h))
-        self.c = np.empty((steps + 1, n_h))
+        self.z = np.empty((steps, *lead, n_in + n_h))
+        self.z[0, ..., n_in:] = 0.0
+        self.a = np.empty((steps, *lead, 4, n_h))
+        self.c = np.empty((steps + 1, *lead, n_h))
         self.c[0] = 0.0
-        self.tanh = np.empty((steps, n_h))
-        self.h = np.empty(n_h)
-        self._ig = np.empty(n_h)
+        self.tanh = np.empty((steps, *lead, n_h))
+        self.h = np.empty((*lead, n_h))
+        self._ig = np.empty((*lead, n_h))
+        # z's input columns as the windows' [..., steps, input_dim]
+        self._x = np.moveaxis(self.z[..., :n_in], 0, -2)
         a = self.a
-        h_out = [self.z[t, n_in:] for t in range(1, steps)] + [self.h]
+        h_out = [self.z[t, ..., n_in:] for t in range(1, steps)] + [self.h]
+        # a[t] with its gate axis first is the product's [4, ..., H] output
         self.forward_steps = [
-            (self.z[t], a[t], a[t, :3], a[t, 0], a[t, 1], a[t, 2], a[t, 3],
+            (self.z[t], a[t], np.moveaxis(a[t], -2, 0), a[t, ..., :3, :],
+             a[t, ..., 0, :], a[t, ..., 1, :], a[t, ..., 2, :], a[t, ..., 3, :],
              self.c[t], self.c[t + 1], self.tanh[t], h_out[t])
             for t in range(steps)]
         self.back_steps = None
@@ -467,43 +482,51 @@ class LstmWork:
     def build_backward(self):
         """Allocates the backward pass's arrays and per-time-step views,
         the steps in the order the pass runs them, t = T-1 down to 0."""
-        steps, n_in = self.shape
+        steps, lead, n_in = self.z.shape[0], self.h.shape[:-1], self.shape[-1]
         n_h = self.hidden_dim
         # first[t] = (g, c_{t-1}, 0, i); the backward writes row 2 of da_t
         # as dh * tanh(c_t) instead, so first's row 2 stays 0
-        self.first = np.zeros((steps, 4, n_h))
-        self.second = np.empty((steps, 4, n_h))
-        self.one_minus_ifo = np.empty((steps, 3, n_h))
-        self.d_tanh_c = np.empty((steps, n_h))
-        self.da = np.empty((steps, 4 * n_h))
+        self.first = np.zeros((steps, *lead, 4, n_h))
+        self.second = np.empty((steps, *lead, 4, n_h))
+        self.one_minus_ifo = np.empty((steps, *lead, 3, n_h))
+        self.d_tanh_c = np.empty((steps, *lead, n_h))
+        self.da = np.empty((steps, *lead, 4 * n_h))
         self.outer = np.empty((steps, 4 * n_h, n_in + n_h))
-        self.dz = np.empty(n_in + n_h)
-        self.dh = self.dz[n_in:]
-        self.dh_head = np.empty(n_h)
-        self.dc = np.empty(n_h)
-        self._dc_step = np.empty(n_h)
-        da = self.da.reshape(steps, 4, n_h)
+        self.dz = np.empty((*lead, n_in + n_h))
+        self.dh = self.dz[..., n_in:]
+        self.dh_head = np.empty((*lead, n_h))
+        self.dc = np.empty((*lead, n_h))
+        self._dc_gates = self.dc[..., None, :]   # dc against [..., 4, H]
+        self._dc_step = np.empty((*lead, n_h))
+        # the weight gradient's per-time-step [4H, rows] and [rows, I+H]
+        # operands, and the bias gradient's rows from t = T-1 down to 0
+        by_step = self.da.reshape(steps, self.rows, 4 * n_h)
+        self._da_t = by_step.transpose(0, 2, 1)
+        self._z_rows = self.z.reshape(steps, self.rows, n_in + n_h)
+        self._da_reversed = self.da.reshape(-1, 4 * n_h)[::-1]
+        da = self.da.reshape(steps, *lead, 4, n_h)
         self.back_steps = [
-            (da[t], da[t, 2], da[t, :3], self.da[t], self.first[t], self.second[t],
-             self.one_minus_ifo[t], self.a[t, 1], self.a[t, 2], self.tanh[t],
-             self.d_tanh_c[t])
+            (da[t], da[t, ..., 2, :], da[t, ..., :3, :], self.da[t], self.first[t],
+             self.second[t], self.one_minus_ifo[t], self.a[t, ..., 1, :],
+             self.a[t, ..., 2, :], self.tanh[t], self.d_tanh_c[t])
             for t in range(steps - 1, -1, -1)]
 
-    def forward(self, cell, window):
-        """Runs the cell over the window from the zero state; returns h_T,
-        which is the work's own array h."""
-        window = np.asarray(window, dtype=float)
-        if window.shape != self.shape:
+    def forward(self, cell, windows):
+        """Runs the cell over the work's window or minibatch of windows
+        from the zero state; returns h_T, which is the work's own array h."""
+        windows = np.asarray(windows, dtype=float)
+        if windows.shape != self.shape:
             raise ValueError(f"classifier for {self.shape} windows, "
-                             f"given a {window.shape} window")
-        n_in, n_h = self.shape[1], self.hidden_dim
-        self.z[:, :n_in] = window
-        # one product per [H, I+H] gate block, as [4, H]: BLAS then sums each
-        # gate row in the same order as a separate per-gate product would
-        w4, b4 = cell.w.reshape(4, n_h, -1), cell.b.reshape(4, -1)
+                             f"given a {windows.shape} window")
+        self._x[...] = windows
+        n_h = self.hidden_dim
+        # one product per [H, I+H] gate block: BLAS then sums each gate row
+        # in the same order as a separate per-gate product would
+        w4_t = cell.w.reshape(4, n_h, -1).transpose(0, 2, 1)
+        b4 = cell.b.reshape(4, -1)
         ig = self._ig
-        for z, a, ifo, i, f, o, g, c_prev, c, tanh_c, h in self.forward_steps:
-            np.matmul(w4, z, out=a)
+        for z, a, a_gates, ifo, i, f, o, g, c_prev, c, tanh_c, h in self.forward_steps:
+            np.matmul(z, w4_t, out=a_gates)
             a += b4
             _activate("sigmoid", ifo)
             np.tanh(g, out=g)
@@ -518,11 +541,12 @@ class LstmWork:
 class LstmClassifier:
     """LSTM over a feature window followed by a sigmoid read-out head.
 
-    The classifier owns the one LstmWork its forward and backward passes
-    run in.  Unlike a dense stack, which trains and infers at several
-    batch sizes and so leaves its DenseWork to the caller, a classifier
-    only ever runs windows of its own [window_len, input_dim] shape, and
-    any other shape is a ValueError naming both."""
+    The classifier owns the one LstmWork that classify, hidden and
+    backward run a window in: a classifier only ever runs windows of its
+    own [window_len, input_dim] shape, and any other shape is a
+    ValueError naming both.  A minibatch of windows runs in a work of its
+    caller's, LstmWork(cell, window_len, rows), through
+    classifier_gradient."""
 
     cell: LstmParams
     head_w: np.ndarray
@@ -544,18 +568,19 @@ class LstmClassifier:
         return LstmClassifier(copy.deepcopy(self.cell, memo), self.head_w.copy(),
                               self.head_b.copy(), self.window_len)
 
-    def _forward(self, window):
-        """(y_hat, h_T) for one window; h_T is the work's array.  In a
-        saturated classifier exp overflows to inf, which gives each sigmoid
-        its limit, exactly 0, so the overflow is not warned about."""
+    def _forward(self, windows, work):
+        """(y_hat, h_T) for the work's window (y_hat a scalar) or windows
+        (one y_hat per window); h_T is the work's array.  In a saturated
+        classifier exp overflows to inf, which gives each sigmoid its
+        limit, exactly 0, so the overflow is not warned about."""
         with np.errstate(over="ignore"):
-            h = self.work.forward(self.cell, window)
-            logit = float(self.head_w @ h + self.head_b)
-            return float(1.0 / (1.0 + np.exp(-logit))), h
+            h = work.forward(self.cell, windows)
+            logit = h @ self.head_w + self.head_b
+            return 1.0 / (1.0 + np.exp(-logit)), h
 
     def classify(self, window):
         """Attack probability in (0, 1) for a [window_len, input_dim] window."""
-        return self._forward(window)[0]
+        return float(self._forward(window, self.work)[0])
 
     def hidden(self, window):
         """A copy of the final hidden state h_T for the window (used as DRL
@@ -649,16 +674,30 @@ def backward(model, x, target=None):
 
 
 def _classifier_backward(model, window, y):
-    if y not in (0, 1):
+    y_hat, grads = classifier_gradient(model, window, y, 1.0)
+    return bce_loss(float(y_hat), y), grads
+
+
+def classifier_gradient(model, windows, targets, weights, work=None):
+    """The gradients of sum_i weights_i * BCE(classify(window_i), target_i).
+
+    Without a work, windows is one [window_len, input_dim] window and
+    targets and weights are scalars, run in the classifier's own work.  A
+    work built as LstmWork(model.cell, model.window_len, rows) takes
+    [rows, window_len, input_dim] windows and [rows] targets and weights.
+    Each window's weight scales its d loss / d logit, so the backward
+    sums the weighted per-window gradients in one pass.  Returns (y_hat,
+    {param_name: gradient}); no gradient shares memory with the work."""
+    work = model.work if work is None else work
+    targets = np.asarray(targets)
+    if not ((targets == 0) | (targets == 1)).all():
         raise ValueError("classifier target must be 0 or 1")
-    y_hat, h = model._forward(window)
-    loss = bce_loss(y_hat, y)
-    work = model.work
+    y_hat, h = model._forward(windows, work)
 
     cell = model.cell
     # d(loss)/d(logit) for sigmoid + BCE; the clamp is inactive in (eps, 1-eps)
-    d_logit = y_hat - y
-    grads = {"head_w": d_logit * h, "head_b": np.asarray(d_logit)}
+    d_logit = weights * (y_hat - targets)
+    grads = {"head_w": np.dot(d_logit, h), "head_b": np.asarray(d_logit.sum())}
 
     # gate row k of da_t is d[k] * first[t, k] * second[t, k], with
     # d = (dc, dc, dh, dc), times 1 - ifo for the sigmoid gates; every
@@ -666,37 +705,39 @@ def _classifier_backward(model, window, y):
     if work.back_steps is None:
         work.build_backward()
     a, first, second = work.a, work.first, work.second
-    first[:, 0] = a[:, 3]
-    first[:, 1] = work.c[:-1]
-    first[:, 3] = a[:, 0]
+    first[..., 0, :] = a[..., 3, :]
+    first[..., 1, :] = work.c[:-1]
+    first[..., 3, :] = a[..., 0, :]
     second[...] = a
-    np.multiply(a[:, 3], a[:, 3], out=second[:, 3])
-    np.subtract(1.0, second[:, 3], out=second[:, 3])
-    np.subtract(1.0, a[:, :3], out=work.one_minus_ifo)
+    np.multiply(a[..., 3, :], a[..., 3, :], out=second[..., 3, :])
+    np.subtract(1.0, second[..., 3, :], out=second[..., 3, :])
+    np.subtract(1.0, a[..., :3, :], out=work.one_minus_ifo)
     np.multiply(work.tanh, work.tanh, out=work.d_tanh_c)
     np.subtract(1.0, work.d_tanh_c, out=work.d_tanh_c)
 
-    dh = np.multiply(d_logit, model.head_w, out=work.dh_head)
+    dh = np.multiply(d_logit[..., None], model.head_w, out=work.dh_head)
     dc = work.dc
     dc.fill(0.0)
-    dc_step, dz, w_t = work._dc_step, work.dz, cell.w.T
+    dc_gates, dc_step, dz, w = work._dc_gates, work._dc_step, work.dz, cell.w
     for (da, da_o, da_ifo, da_flat, first_t, second_t, one_minus_ifo, f, o,
          tanh_c, d_tanh_c) in work.back_steps:
         np.multiply(dh, o, out=dc_step)
         dc_step *= d_tanh_c
         dc += dc_step
-        np.multiply(dc, first_t, out=da)
+        np.multiply(dc_gates, first_t, out=da)
         np.multiply(dh, tanh_c, out=da_o)
         da *= second_t
         da_ifo *= one_minus_ifo
-        np.matmul(w_t, da_flat, out=dz)
+        np.matmul(da_flat, w, out=dz)
         dh = work.dh
         dc *= f
-    # summed from t = T-1 down to 0, in the order the per-step updates ran
-    np.multiply(work.da[:, :, None], work.z[:, None, :], out=work.outer)
+    # one [4H, rows] @ [rows, I+H] product per time step, then summed from
+    # t = T-1 down to 0, in the order the per-step updates ran; for one
+    # window each product is the exact outer product
+    np.matmul(work._da_t, work._z_rows, out=work.outer)
     grads["cell.w"] = work.outer[::-1].sum(axis=0)
-    grads["cell.b"] = work.da[::-1].sum(axis=0)
-    return loss, grads
+    grads["cell.b"] = work._da_reversed.sum(axis=0)
+    return y_hat, grads
 
 
 def apply_gradients(model, grads, lr):

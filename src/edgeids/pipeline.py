@@ -16,6 +16,7 @@ import csv
 import multiprocessing as mp
 import os
 import signal
+import stat
 import time
 from collections import deque
 from contextlib import nullcontext
@@ -308,7 +309,8 @@ class ForkedCall:
     side spins briefly before it blocks (_meet); the pipe carries only a
     round's exception and the end.  A child that dies raises a one-line
     RuntimeError in the parent.  A fork that fails raises OSError and
-    leaves no pipe open."""
+    leaves no pipe open, its own or the ones multiprocessing made for the
+    child."""
 
     def __init__(self, fn, *args, rounds=False):
         ctx = mp.get_context("fork")
@@ -317,10 +319,16 @@ class ForkedCall:
         self._rounds = (ctx.Semaphore(0), ctx.Semaphore(0)) if rounds else None
         self._proc = ctx.Process(target=_serve_call, daemon=True,
                                  args=(child_end, fn, args, self._rounds))
+        before = _open_pipes()
         try:
             self._proc.start()
         except BaseException:
             self._conn.close()
+            if self._proc.pid is None:
+                # no child: the pipes Process.start makes for it before it
+                # forks stay open, so close what this start opened
+                for fd in _open_pipes() - before:
+                    os.close(fd)
             raise
         finally:
             child_end.close()
@@ -371,6 +379,26 @@ class ForkedCall:
         if not ok:
             raise value
         return value
+
+
+def _open_pipes():
+    """The pipe descriptors this process has open, where the system lists
+    them; else none.  The warm-up starts no thread, so none opens a pipe
+    while a ForkedCall compares two of these."""
+    for listing in ("/proc/self/fd", "/dev/fd"):
+        try:
+            names = os.listdir(listing)
+        except OSError:
+            continue
+        pipes = set()
+        for name in names:
+            try:
+                if stat.S_ISFIFO(os.fstat(int(name)).st_mode):
+                    pipes.add(int(name))
+            except OSError:
+                pass  # the listing's own descriptor, closed by now
+        return pipes
+    return set()
 
 
 def _serve_call(conn, fn, args, rounds):
@@ -486,11 +514,33 @@ def _half_gradient(layers, batch, grads, total):
 
 
 def classifier_sgd_step(cfg, clf, window, label, k):
-    """The k-th SGD step (k from 1) of the LSTM classifier.  The step size
-    decays slowly (k^-0.55), leaving room for the faster-decaying DQN
+    """The k-th SGD step (k from 1) of the LSTM classifier, on one window,
+    in the classifier's own work: the online steps of training.  The step
+    size decays slowly (k^-0.55), leaving room for the faster-decaying DQN
     updates during the joint phase."""
     _, grads = neural.backward(clf, window, label)
     neural.apply_gradients(clf, grads, cfg.neural.lstm_lr * k ** -0.55)
+
+
+def classifier_minibatch_step(cfg, clf, work, windows, labels, k):
+    """One pre-training SGD step on a minibatch of [rows, window_len,
+    input_dim] windows, run in work, an LstmWork for that many rows, after
+    k windows seen.  Window j of the minibatch keeps the step size the
+    online schedule gives the (k + j + 1)-th window, lstm_lr *
+    (k + j + 1)^-0.55, and the step is the sum of the windows' gradients
+    each weighted by its step size (the linear-scaling rule).  Returns the
+    count of windows seen after it."""
+    seen = np.arange(k + 1, k + len(windows) + 1)
+    _, grads = neural.classifier_gradient(
+        clf, windows, labels, cfg.neural.lstm_lr * seen ** -0.55, work)
+    neural.apply_gradients(clf, grads, 1.0)
+    return k + len(windows)
+
+
+# pre-training runs PRETRAIN_PASSES passes over its windows, in
+# minibatches of PRETRAIN_BATCH windows
+PRETRAIN_BATCH = 32
+PRETRAIN_PASSES = 4
 
 
 def pretrain_step_classifier(cfg, normalizer, seed):
@@ -500,31 +550,45 @@ def pretrain_step_classifier(cfg, normalizer, seed):
     by the last step's ground truth; no anomaly score is needed, so only
     the warm-up's normalizer is.  Every action is None, so no mitigation
     acts and no flow flag reaches the traffic: the env keeps its default
-    rate flagger."""
+    rate flagger.  Each step's mean features are kept in one [steps,
+    input] array, and a minibatch's windows are gathered from it.  The
+    windows are visited in one random order, PRETRAIN_PASSES times, in
+    minibatches of PRETRAIN_BATCH windows, the last of a pass taking what
+    is left, one classifier_minibatch_step each.  Returns the classifier
+    and the number of windows it has seen, from which the online steps of
+    training count on."""
     clf_rng = np.random.default_rng(seed)
+    window = cfg.neural.lstm_window
     clf = neural.lstm_classifier_init(
-        len(ft.FEATURE_NAMES), cfg.neural.lstm_hidden,
-        cfg.neural.lstm_window, clf_rng)
+        len(ft.FEATURE_NAMES), cfg.neural.lstm_hidden, window, clf_rng)
 
-    windows = []
-    labels = []
-    for episode in range(max(cfg.pretrain_episodes, 1)):
+    episodes, steps = max(cfg.pretrain_episodes, 1), cfg.env.episode_len
+    means = np.empty((episodes * steps, len(ft.FEATURE_NAMES)))
+    attack = np.empty(episodes * steps, dtype=np.int64)
+    for episode in range(episodes):
         env = EdgeGatewayEnv(cfg.env, seed=seed + 101 + episode,
                              resources=cfg.resources)
-        history = deque(maxlen=cfg.neural.lstm_window)
-        for _ in range(cfg.env.episode_len):
+        for t in range(episode * steps, (episode + 1) * steps):
             result = env.step(None)
-            history.append(step_mean(normalizer.transform, result.features))
-            if len(history) == cfg.neural.lstm_window:
-                windows.append(np.stack(history))
-                labels.append(1 if result.attack_active else 0)
+            means[t] = step_mean(normalizer.transform, result.features)
+            attack[t] = result.attack_active
+    # each episode's windows in step order, the episodes one after another
+    starts = (np.arange(episodes)[:, None] * steps
+              + np.arange(max(steps - window + 1, 0))).ravel()
+    labels = attack[starts + window - 1]
 
-    order = clf_rng.permutation(len(windows))
+    order = clf_rng.permutation(len(starts))
+    batches = [order[at:at + PRETRAIN_BATCH]
+               for at in range(0, len(order), PRETRAIN_BATCH)]
+    # one work for full minibatches and one for a pass's last, if smaller
+    works = {rows: neural.LstmWork(clf.cell, window, rows)
+             for rows in {len(idx) for idx in batches}}
     k = 0
-    for _ in range(2):
-        for i in order:
-            k += 1
-            classifier_sgd_step(cfg, clf, windows[i], labels[i], k)
+    for _ in range(PRETRAIN_PASSES):
+        for idx in batches:
+            k = classifier_minibatch_step(
+                cfg, clf, works[len(idx)],
+                means[starts[idx, None] + np.arange(window)], labels[idx], k)
     return clf, k
 
 

@@ -250,6 +250,22 @@ def test_criterion_08_detection_quality():
         assert accuracy >= 0.90, accuracy
 
 
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_criterion_08_classifier_recipe_holds_at_other_seeds(seed):
+    # criterion 8's classifier half for pipelines at seeds the gate does not
+    # use, each held to the gate's bound on its own
+    cfg = default_config("autodrl")
+    cfg.seed = seed
+    pipe = pl.DrlPipeline(cfg)
+    pipe.warmup()
+    correct = total = 0
+    for rollout_seed in (3101, 3102, 3103):
+        out = pl.rollout(pipe, seed=rollout_seed, policy=pl.noop_policy)
+        correct += out.classifier_correct
+        total += out.classifier_total
+    assert correct / total >= 0.90, (seed, correct / total)
+
+
 # ---------------------------------------------------------------------------
 # 9. exploration sweep ordering
 # ---------------------------------------------------------------------------

@@ -551,6 +551,23 @@ def test_warmup_without_traffic_names_the_settings(tmp_path):
     assert "env.benign_rate" in err[0] and "warmup.steps" in err[0]
 
 
+@pytest.mark.parametrize("agent", ["deepedge", "autodrl"])
+def test_train_failed_in_warmup_keeps_its_config_and_log(tmp_path, capsys, agent):
+    # the README's rule: an exit-2 train keeps config.json and run.log, and
+    # run.log holds the error line; nothing trained is written
+    out = tmp_path / "run"
+    code = cli.main(["train", "--agent", agent, "--quiet", "--out", str(out),
+                     "--set", "env.benign_rate=0"])
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error:"), err
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "run.log"]
+    assert json.loads((out / "config.json").read_text())["env"]["benign_rate"] == 0
+    message = err[0].removeprefix("runtime error: ")
+    assert re.search(r"- CRITICAL: Warm-up failed: " + re.escape(message),
+                     (out / "run.log").read_text())
+
+
 @pytest.mark.parametrize("command", [
     ["train"],
     ["sweep", "--epsilon", "1.0,2.0", "--seeds", "0,1,2"],

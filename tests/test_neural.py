@@ -926,6 +926,37 @@ def test_classifier_backward_matches_reference(steps, input_dim, hidden_dim, see
                                for buf in buffers), name
 
 
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 40), steps=st.integers(1, 8), input_dim=st.integers(1, 8),
+       hidden_dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.5, 3.0, 40.0]))
+def test_minibatch_gradient_is_the_weighted_sum_of_per_window_ones(
+        rows, steps, input_dim, hidden_dim, seed, scale):
+    rng = np.random.default_rng(seed)
+    model = lstm_classifier_init(input_dim, hidden_dim, steps, rng)
+    work = neural.LstmWork(model.cell, steps, rows)
+    # a first minibatch through the work, so that a value it left would show
+    neural.classifier_gradient(model, rng.normal(size=(rows, steps, input_dim)),
+                               rng.integers(0, 2, rows), rng.uniform(size=rows), work)
+    windows = rng.normal(scale=scale, size=(rows, steps, input_dim))
+    windows[rng.uniform(size=windows.shape) < 0.2] = 0.0
+    targets = rng.integers(0, 2, rows)
+    weights = rng.uniform(0.0, 2.0, rows)
+    weights[rng.uniform(size=rows) < 0.1] = 0.0
+    y_hat, grads = neural.classifier_gradient(model, windows, targets, weights, work)
+    refs = [_reference_classifier_backward(model, window, int(y))
+            for window, y in zip(windows, targets)]
+    assert np.abs(y_hat - [ref[0] for ref in refs]).max() <= 1e-12
+    assert grads.keys() == refs[0][3].keys()
+    buffers = [buf for buf in vars(work).values() if isinstance(buf, np.ndarray)]
+    for name, grad in grads.items():
+        terms = np.array([w * ref[3][name] for w, ref in zip(weights, refs)])
+        # within 1e-12 of the largest summed magnitude
+        bound = 1e-12 * np.abs(terms).sum(axis=0).max()
+        assert np.abs(grad - terms.sum(axis=0)).max() <= bound, name
+        assert not any(np.shares_memory(grad, buf) for buf in buffers), name
+
+
 def test_classifier_rejects_window_of_another_shape():
     rng = np.random.default_rng(0)
     model = lstm_classifier_init(4, 3, 5, rng)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeids import agent as ag
+from edgeids import cli
 from edgeids import features as ft
 from edgeids import neural
 from edgeids import pipeline as pl
@@ -472,6 +473,55 @@ def test_autodrl_setup_steps_each_planned_env_step_and_flags_none(
     assert len(flags) == 0
 
 
+def test_pretraining_visits_every_window_once_a_pass_in_minibatches(monkeypatch):
+    """200 steps give 193 windows: six minibatches of 32 and a last of one
+    a pass, in one order, with the window count running on across them."""
+    cfg = quick_config("autodrl", episode_len=200)
+    calls = []
+    step = pl.classifier_minibatch_step
+
+    def recorded(cfg, clf, work, windows, labels, k):
+        calls.append((k, windows.copy(), labels.copy()))
+        return step(cfg, clf, work, windows, labels, k)
+
+    monkeypatch.setattr(pl, "classifier_minibatch_step", recorded)
+    normalizer = pl.benign_warmup(cfg, cfg.seed + 7919)[0]
+    _, seen = pl.pretrain_step_classifier(cfg, normalizer, cfg.seed + 104729)
+    n = cfg.env.episode_len - cfg.neural.lstm_window + 1
+    assert n % pl.PRETRAIN_BATCH == 1
+    sizes = [len(windows) for _, windows, _ in calls]
+    per_pass = [pl.PRETRAIN_BATCH] * (n // pl.PRETRAIN_BATCH) + [1]
+    assert sizes == per_pass * pl.PRETRAIN_PASSES
+    assert [k for k, _, _ in calls] == np.cumsum([0] + sizes[:-1]).tolist()
+    assert seen == n * pl.PRETRAIN_PASSES
+    passes = np.split(np.concatenate([windows for _, windows, _ in calls]),
+                      pl.PRETRAIN_PASSES)
+    labels = np.split(np.concatenate([y for _, _, y in calls]), pl.PRETRAIN_PASSES)
+    assert len({window.tobytes() for window in passes[0]}) == n
+    assert set(labels[0]) == {0, 1}
+    for windows, y in zip(passes[1:], labels[1:]):
+        assert np.array_equal(windows, passes[0]) and np.array_equal(y, labels[0])
+
+
+def test_episodes_shorter_than_a_window_pretrain_nothing(tmp_path, capsys):
+    cfg = quick_config("autodrl", episode_len=5)
+    assert cfg.env.episode_len < cfg.neural.lstm_window
+    pipe = pl.DrlPipeline(cfg)
+    pipe.warmup()
+    assert pipe._classifier_updates == 0
+    untrained = neural.lstm_classifier_init(
+        len(ft.FEATURE_NAMES), cfg.neural.lstm_hidden, cfg.neural.lstm_window,
+        np.random.default_rng(cfg.seed + 104729))
+    for (_, got), (_, init) in zip(neural.iter_params(pipe.classifier),
+                                   neural.iter_params(untrained)):
+        assert np.array_equal(got, init)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--agent", "autodrl", "--episodes", "1", "--quiet",
+                     "--out", str(out), "--set", "env.episode_len=5"]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert (out / "checkpoint.txt").exists()
+
+
 def test_hot_path_builds_no_flow_records(monkeypatch):
     """Warm-up and training work on FlowBatch columns only: no FlowRecord
     row is built and no flow is featurized on its own."""
@@ -635,10 +685,13 @@ def serial_pretrain_step_classifier(cfg, detector, seed):
                 labels.append(1 if result.attack_active else 0)
     order = clf_rng.permutation(len(windows))
     k = 0
-    for _ in range(2):
-        for i in order:
-            k += 1
-            pl.classifier_sgd_step(cfg, clf, windows[i], labels[i], k)
+    for _ in range(pl.PRETRAIN_PASSES):
+        for at in range(0, len(order), pl.PRETRAIN_BATCH):
+            idx = order[at:at + pl.PRETRAIN_BATCH]
+            work = neural.LstmWork(clf.cell, cfg.neural.lstm_window, len(idx))
+            k = pl.classifier_minibatch_step(
+                cfg, clf, work, np.stack([windows[i] for i in idx]),
+                np.array([labels[i] for i in idx]), k)
     return clf, k
 
 
@@ -760,6 +813,18 @@ def test_forked_call_that_cannot_fork_closes_its_pipe(monkeypatch):
         with pytest.raises(BlockingIOError):
             pl.ForkedCall(abs, -1, rounds=rounds)
     assert len(ends) == 4 and all(end.closed for end in ends)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts descriptors in /proc/self/fd")
+def test_forks_that_fail_leave_no_descriptor_open(monkeypatch):
+    monkeypatch.setattr(os, "fork", no_fork)
+    before = sorted(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        assert pl.forked(pl.ForkedCall, abs, -1) is None
+    with pytest.raises(BlockingIOError):
+        pl.ForkedCall(abs, -1, rounds=True)
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 def test_two_half_detector_matches_the_full_batch_fit():
