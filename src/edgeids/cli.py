@@ -507,6 +507,17 @@ class _FlagParser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def _positive_float(text):
+    """A flag's value, which must be a finite number above 0."""
+    try:
+        value = float(text)
+        if np.isfinite(value) and value > 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+
+
 def make_parser():
     parser = _FlagParser(
         prog="edgeids",
@@ -534,7 +545,7 @@ def make_parser():
     common(p_eval, training=False)
     p_eval.add_argument("--checkpoint", required=True,
                         help="train artifact directory, or its checkpoint.txt")
-    p_eval.add_argument("--pps", type=float, default=50.0,
+    p_eval.add_argument("--pps", type=_positive_float, default=50.0,
                         help="packet rate for missed-packets/hour")
 
     p_cmp = sub.add_parser("compare", help="per-metric ANOVA between two runs")

@@ -291,34 +291,24 @@ def _meet(sem, alive):
 
 
 class ForkedCall:
-    """fn(*args) run in a child process forked from this one.
+    """fn(*args) run once in a child process forked from this one.
 
     The child reads its arguments in the memory it shares with the
     parent as of the fork, so only the result is pickled, back through a
-    pipe.  ``fork`` rather than ``spawn`` or ``forkserver``: those
+    one-way pipe.  ``fork`` rather than ``spawn`` or ``forkserver``: those
     re-import numpy in a fresh interpreter, and a forkserver stays
     running afterwards.  The child ignores SIGINT, so that a Ctrl-C
     reaches the parent alone, which ends the child, and a child whose
-    parent has gone exits without a word.
+    parent has gone exits without a word.  A child that dies raises a
+    one-line RuntimeError in the parent.  A fork that fails raises
+    OSError and leaves no pipe open, its own or the ones multiprocessing
+    made for the child."""
 
-    With rounds=True, fn(*args) returns a function instead, which the
-    child calls once per round: begin() starts a round and finish() waits
-    for it, so that the two processes run in lockstep, and result() ends
-    the child.  A round's function leaves its results in memory the two
-    processes share.  Rounds meet through two semaphores, on which each
-    side spins briefly before it blocks (_meet); the pipe carries only a
-    round's exception and the end.  A child that dies raises a one-line
-    RuntimeError in the parent.  A fork that fails raises OSError and
-    leaves no pipe open, its own or the ones multiprocessing made for the
-    child."""
-
-    def __init__(self, fn, *args, rounds=False):
+    def __init__(self, fn, *args):
         ctx = mp.get_context("fork")
-        self._conn, child_end = ctx.Pipe(duplex=rounds)
-        # (go, done): the parent starts a round, the child ends it
-        self._rounds = (ctx.Semaphore(0), ctx.Semaphore(0)) if rounds else None
+        self._conn, child_end = ctx.Pipe(duplex=False)
         self._proc = ctx.Process(target=_serve_call, daemon=True,
-                                 args=(child_end, fn, args, self._rounds))
+                                 args=(self._conn, child_end, fn, args))
         before = _open_pipes()
         try:
             self._proc.start()
@@ -333,27 +323,14 @@ class ForkedCall:
         finally:
             child_end.close()
 
-    def begin(self):
-        """Starts a round of a rounds=True child."""
-        self._rounds[0].release()
-
-    def finish(self):
-        """Waits for the round begin() started; raises its exception, or a
-        RuntimeError if the child has died."""
-        if not _meet(self._rounds[1], self._proc.is_alive) or self._conn.poll():
-            self._reply()
+    def ended(self):
+        """Whether the child has replied or died; does not wait."""
+        return self._conn.poll() or not self._proc.is_alive()
 
     def result(self):
         """Waits for the child and reaps it; returns fn's result or raises
-        fn's exception.  A rounds=True child is told to stop, and returns
-        None."""
+        fn's exception."""
         try:
-            if self._rounds is not None:
-                try:
-                    self._conn.send(None)
-                except OSError:
-                    pass  # the child has gone, which _reply reports
-                self._rounds[0].release()
             value = self._reply()
         except BaseException:
             self.cancel()
@@ -401,57 +378,44 @@ def _open_pipes():
     return set()
 
 
-def _serve_call(conn, fn, args, rounds):
+def _serve_call(parent_end, conn, fn, args):
     """A ForkedCall child: sends (True, fn's result) or (False, its
     exception), so that the parent raises it and the child prints
-    nothing.  A rounds=True child runs a round each time the parent
-    starts one, until the parent stops it, and sends (True, None), or a
-    round raises, and sends that; it then ends the round the parent may
-    be waiting for."""
+    nothing.  It first closes its copy of the parent's end, so that a
+    send to a parent that has gone fails rather than blocking once the
+    pipe is full."""
+    parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    reply = _call(fn, *args)
-    if rounds is not None and reply[0]:
-        go, done = rounds
-        step, parent = reply[1], os.getppid()
-        while True:
-            if not _meet(go, lambda: os.getppid() == parent):
-                return  # the parent has gone
-            if conn.poll():
-                reply = (True, None)  # the parent's stop
-                break
-            reply = _call(step)
-            if not reply[0]:
-                break
-            done.release()
+    try:
+        reply = True, fn(*args)
+    except Exception as exc:
+        reply = False, exc
     try:
         conn.send(reply)
     except OSError:
         return  # the parent has gone
     conn.close()
-    if rounds is not None:
-        rounds[1].release()
-
-
-def _call(fn, *args):
-    try:
-        return True, fn(*args)
-    except Exception as exc:
-        return False, exc
 
 
 class HalfWorker:
     """The second half of a neural.HalvesWork's batch, computed by a worker
-    forked for one fit while this process computes the first, in lockstep
-    (a rounds=True ForkedCall).
+    forked for one fit (a ForkedCall of _half_gradient) while this process
+    computes the first, in lockstep.
 
     The layers' parameters move into a shared memory map, where the
-    worker reads each step's, and the worker writes its gradient and the
-    sum of its half's squared errors into two more.  The worker
-    allocates its DenseWork after the fork, so that no page of it is
-    copied on write.  Leaving the worker as a context manager, however it
-    is left, ends and reaps it and moves the parameters back into this
-    process's own memory.  A fork that fails raises and leaves the layers
-    as they were."""
+    worker reads each step's; the worker writes its gradient and the sum
+    of its half's squared errors into two more, and reads a stop flag
+    from a fourth.  start() begins a round and finish() waits for it.
+    Rounds meet through two semaphores, go and done, on which each side
+    spins briefly before it blocks (_meet).  A round that raises, or a
+    worker that dies, ends the ForkedCall, and finish() then raises the
+    round's exception or a one-line RuntimeError.  The worker allocates
+    its DenseWork after the fork, so that no page of it is copied on
+    write.  Leaving the worker as a context manager, however it is left,
+    ends and reaps it and moves the parameters back into this process's
+    own memory; left normally, it sets the stop flag and starts one more
+    round, which the worker ends by returning.  A fork that fails raises
+    and leaves the layers as they were."""
 
     def __init__(self, layers, batch):
         self._layers = layers
@@ -467,18 +431,23 @@ class HalfWorker:
                 at += value.size
         self._grads = neural.mapped_zeros(params.size)
         self._total = neural.mapped_zeros(1)
+        self._stop = neural.mapped_zeros(1, dtype=np.int8)
+        ctx = mp.get_context("fork")
+        # the parent starts a round, the worker ends it
+        self._go, self._done = ctx.Semaphore(0), ctx.Semaphore(0)
         try:
             self._call = ForkedCall(_half_gradient, layers, batch, self._grads,
-                                    self._total, rounds=True)
+                                    self._total, self._stop, self._go, self._done)
         except BaseException:
             self._unshare()
             raise
 
     def start(self):
-        self._call.begin()
+        self._go.release()
 
     def finish(self):
-        self._call.finish()
+        if not _meet(self._done, lambda: not self._call.ended()):
+            self._call.result()  # raises the round's exception, or its death
         return self._grads, float(self._total[0])
 
     def __enter__(self):
@@ -487,6 +456,8 @@ class HalfWorker:
     def __exit__(self, exc_type, exc, tb):
         try:
             if exc_type is None:
+                self._stop[0] = 1
+                self._go.release()
                 self._call.result()
             else:
                 self._call.cancel()
@@ -498,19 +469,19 @@ class HalfWorker:
             layer.w, layer.b = layer.w.copy(), layer.b.copy()
 
 
-def _half_gradient(layers, batch, grads, total):
-    """A HalfWorker's set-up, run after the fork: returns the function each
-    round calls, which writes the gradient over the batch's second half
-    into grads and the sum of the half's squared errors into total."""
+def _half_gradient(layers, batch, grads, total, stop, go, done):
+    """A HalfWorker's rounds, run in the forked worker: each writes the
+    gradient over the batch's second half into grads and the sum of the
+    half's squared errors into total.  Ends when the parent sets stop, or
+    has gone; a round that raises ends it with that exception."""
     half = neural.HalvesWork.halves(batch)[1]
     work = neural.DenseWork(layers, len(half), grads)
-
-    def gradient():
+    parent = os.getppid()
+    while _meet(go, lambda: os.getppid() == parent) and not stop[0]:
         # as in fit_autoencoder, a diverging fit is failed by its caller
         with np.errstate(over="ignore", invalid="ignore"):
             total[0] = work.reconstruction_gradient(layers, half, len(batch))
-
-    return gradient
+        done.release()
 
 
 def classifier_sgd_step(cfg, clf, window, label, k):
@@ -538,9 +509,12 @@ def classifier_minibatch_step(cfg, clf, work, windows, labels, k):
 
 
 # pre-training runs PRETRAIN_PASSES passes over its windows, in
-# minibatches of PRETRAIN_BATCH windows
+# minibatches of PRETRAIN_BATCH windows, or more where the windows fill
+# so few minibatches that it would take fewer than PRETRAIN_MIN_STEPS
+# steps: a few dozen steps leave the classifier at one verdict
 PRETRAIN_BATCH = 32
 PRETRAIN_PASSES = 4
+PRETRAIN_MIN_STEPS = 250
 
 
 def pretrain_step_classifier(cfg, normalizer, seed):
@@ -552,9 +526,10 @@ def pretrain_step_classifier(cfg, normalizer, seed):
     acts and no flow flag reaches the traffic: the env keeps its default
     rate flagger.  Each step's mean features are kept in one [steps,
     input] array, and a minibatch's windows are gathered from it.  The
-    windows are visited in one random order, PRETRAIN_PASSES times, in
-    minibatches of PRETRAIN_BATCH windows, the last of a pass taking what
-    is left, one classifier_minibatch_step each.  Returns the classifier
+    windows are visited in one random order, PRETRAIN_PASSES times or
+    enough more to take PRETRAIN_MIN_STEPS steps, in minibatches of
+    PRETRAIN_BATCH windows, the last of a pass taking what is left, one
+    classifier_minibatch_step each.  Returns the classifier
     and the number of windows it has seen, from which the online steps of
     training count on."""
     clf_rng = np.random.default_rng(seed)
@@ -584,7 +559,9 @@ def pretrain_step_classifier(cfg, normalizer, seed):
     works = {rows: neural.LstmWork(clf.cell, window, rows)
              for rows in {len(idx) for idx in batches}}
     k = 0
-    for _ in range(PRETRAIN_PASSES):
+    passes = (max(PRETRAIN_PASSES, -(-PRETRAIN_MIN_STEPS // len(batches)))
+              if batches else 0)
+    for _ in range(passes):
         for idx in batches:
             k = classifier_minibatch_step(
                 cfg, clf, works[len(idx)],
@@ -847,11 +824,11 @@ class DrlPipeline:
         The autoencoder fits on two half-batches (fit_autoencoder).  Both
         agents fork only where ``fork`` exists and two CPUs are usable: on
         one CPU the two processes would only take turns.  There deepedge
-        computes one half in this process and the other in a worker forked
-        for the fit.  The classifier needs only the detector's normalizer,
-        so autodrl instead trains the autoencoder in a forked child, which
-        computes both halves itself, while this process pre-trains.  Where
-        a fork fails, this process does the child's work itself.  The
+        computes one half in this process and the other in a HalfWorker,
+        in lockstep.  The classifier needs only the detector's normalizer,
+        so autodrl instead trains the autoencoder in a ForkedCall child,
+        which computes both halves itself, while this process pre-trains.
+        Where a fork fails, this process does the child's work itself.  The
         results are the same to the bit either way.  A failure raises
         here, the autoencoder's first, as in the serial order, and leaves
         no child running."""

@@ -307,6 +307,10 @@ def test_sweep_rejects_bad_values_naming_the_flag(tmp_path, capsys, flags, named
      "unrecognized arguments: --episodes 7"),
     (["evaluate", "--checkpoint", "{ckpt}", "--epsilon", "3"],
      "unrecognized arguments: --epsilon 3"),
+    # a bad packet rate fails before the rollout runs
+    *((["evaluate", "--checkpoint", "{ckpt}", f"--pps={pps}"],
+      f"argument --pps: must be a finite number above 0, got '{pps}'")
+      for pps in ("0", "-5", "nan", "inf")),
 ])
 def test_bad_flags_are_one_config_error(train_artifact, tmp_path, capsys, argv, named):
     out = tmp_path / "out"

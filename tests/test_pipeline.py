@@ -1,4 +1,5 @@
 import errno
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -246,6 +247,15 @@ def test_autodrl_classifier_quality(trained_autodrl):
     assert ev.classifier_accuracy > 0.85
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_short_pretraining_still_separates_attack_steps(seed):
+    # 193 windows fill seven minibatches a pass; four passes of them left
+    # the classifier at one verdict, 0.704 accuracy, at each of these seeds
+    pipe = pl.DrlPipeline(quick_config("autodrl", episode_len=200, seed=seed))
+    pipe.warmup()
+    assert pl.rollout(pipe, seed=99, policy=pl.noop_policy).classifier_accuracy > 0.9
+
+
 def reference_account(pipe, pairs):
     """The per-step accumulation rollout() kept before run_episode returned
     an EpisodeOutcome, over a rollout's recorded (prev, step) pairs, with
@@ -475,7 +485,8 @@ def test_autodrl_setup_steps_each_planned_env_step_and_flags_none(
 
 def test_pretraining_visits_every_window_once_a_pass_in_minibatches(monkeypatch):
     """200 steps give 193 windows: six minibatches of 32 and a last of one
-    a pass, in one order, with the window count running on across them."""
+    a pass, in one order, with the window count running on across them.
+    Seven minibatches a pass take 36 passes to reach PRETRAIN_MIN_STEPS."""
     cfg = quick_config("autodrl", episode_len=200)
     calls = []
     step = pl.classifier_minibatch_step
@@ -491,12 +502,13 @@ def test_pretraining_visits_every_window_once_a_pass_in_minibatches(monkeypatch)
     assert n % pl.PRETRAIN_BATCH == 1
     sizes = [len(windows) for _, windows, _ in calls]
     per_pass = [pl.PRETRAIN_BATCH] * (n // pl.PRETRAIN_BATCH) + [1]
-    assert sizes == per_pass * pl.PRETRAIN_PASSES
+    n_passes = 36
+    assert len(per_pass) * (n_passes - 1) < pl.PRETRAIN_MIN_STEPS <= len(sizes)
+    assert sizes == per_pass * n_passes
     assert [k for k, _, _ in calls] == np.cumsum([0] + sizes[:-1]).tolist()
-    assert seen == n * pl.PRETRAIN_PASSES
-    passes = np.split(np.concatenate([windows for _, windows, _ in calls]),
-                      pl.PRETRAIN_PASSES)
-    labels = np.split(np.concatenate([y for _, _, y in calls]), pl.PRETRAIN_PASSES)
+    assert seen == n * n_passes
+    passes = np.split(np.concatenate([windows for _, windows, _ in calls]), n_passes)
+    labels = np.split(np.concatenate([y for _, _, y in calls]), n_passes)
     assert len({window.tobytes() for window in passes[0]}) == n
     assert set(labels[0]) == {0, 1}
     for windows, y in zip(passes[1:], labels[1:]):
@@ -685,7 +697,7 @@ def serial_pretrain_step_classifier(cfg, detector, seed):
                 labels.append(1 if result.attack_active else 0)
     order = clf_rng.permutation(len(windows))
     k = 0
-    for _ in range(pl.PRETRAIN_PASSES):
+    for _ in range(pretrain_passes(len(order))):
         for at in range(0, len(order), pl.PRETRAIN_BATCH):
             idx = order[at:at + pl.PRETRAIN_BATCH]
             work = neural.LstmWork(clf.cell, cfg.neural.lstm_window, len(idx))
@@ -693,6 +705,15 @@ def serial_pretrain_step_classifier(cfg, detector, seed):
                 cfg, clf, work, np.stack([windows[i] for i in idx]),
                 np.array([labels[i] for i in idx]), k)
     return clf, k
+
+
+def pretrain_passes(windows):
+    """The passes pre-training makes over this many windows: at least
+    PRETRAIN_PASSES, and enough for PRETRAIN_MIN_STEPS minibatches."""
+    batches = math.ceil(windows / pl.PRETRAIN_BATCH)
+    if batches == 0:
+        return 0
+    return max(pl.PRETRAIN_PASSES, math.ceil(pl.PRETRAIN_MIN_STEPS / batches))
 
 
 def detector_arrays(det):
@@ -798,6 +819,11 @@ def test_deepedge_warmup_computes_both_halves_where_fork_fails(monkeypatch):
                for p in (layer.w, layer.b))
 
 
+def small_autoencoder():
+    return neural.autoencoder_init(np.random.default_rng(0), input_dim=4,
+                                   hidden_dim=4, latent_dim=2)
+
+
 def test_forked_call_that_cannot_fork_closes_its_pipe(monkeypatch):
     ends = []
     pipe = multiprocessing.connection.Pipe
@@ -809,10 +835,13 @@ def test_forked_call_that_cannot_fork_closes_its_pipe(monkeypatch):
 
     monkeypatch.setattr(multiprocessing.connection, "Pipe", recorded)
     monkeypatch.setattr(os, "fork", no_fork)
-    for rounds in (False, True):
-        with pytest.raises(BlockingIOError):
-            pl.ForkedCall(abs, -1, rounds=rounds)
+    with pytest.raises(BlockingIOError):
+        pl.ForkedCall(abs, -1)
+    layers = small_autoencoder().layers
+    with pytest.raises(BlockingIOError):
+        pl.HalfWorker(layers, np.zeros((6, 4)))
     assert len(ends) == 4 and all(end.closed for end in ends)
+    assert all(p.base is None for layer in layers for p in (layer.w, layer.b))
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
@@ -822,8 +851,7 @@ def test_forks_that_fail_leave_no_descriptor_open(monkeypatch):
     before = sorted(os.listdir("/proc/self/fd"))
     for _ in range(3):
         assert pl.forked(pl.ForkedCall, abs, -1) is None
-    with pytest.raises(BlockingIOError):
-        pl.ForkedCall(abs, -1, rounds=True)
+    assert pl.forked(pl.HalfWorker, small_autoencoder().layers, np.zeros((6, 4))) is None
     assert sorted(os.listdir("/proc/self/fd")) == before
 
 
@@ -915,17 +943,20 @@ def test_deepedge_warmup_leaves_no_child_process(monkeypatch, forked_calls, capf
 
 LOCKSTEP_PARENT_DIES = """
 import os, signal, sys, time
-from edgeids import pipeline as pl
+import numpy as np
+from edgeids import neural, pipeline as pl
 
-def rounds(fail):
-    def step():
-        time.sleep(0.3)
-        if fail:
-            raise ValueError("the round failed")
-    return step
+def gradient(work, layers, x, n):
+    time.sleep(0.3)
+    if sys.argv[1] == "raises":
+        raise ValueError("the round failed")
+    return 0.0
 
-call = pl.ForkedCall(rounds, sys.argv[1] == "raises", rounds=True)
-call.begin()
+neural.DenseWork.reconstruction_gradient = gradient
+model = neural.autoencoder_init(np.random.default_rng(0), input_dim=4,
+                                hidden_dim=4, latent_dim=2)
+worker = pl.HalfWorker(model.layers, np.zeros((6, 4)))
+worker.start()
 time.sleep(0.1)
 os.kill(os.getpid(), signal.SIGKILL)
 """
@@ -945,6 +976,63 @@ def test_lockstep_child_of_a_dead_parent_exits_quietly(round_ends):
                           env=env, capture_output=True, text=True, timeout=30)
     assert proc.returncode == -signal.SIGKILL
     assert (proc.stdout, proc.stderr) == ("", "")
+
+
+FORKED_PARENT_DIES = """
+import os, signal, time
+import numpy as np
+from edgeids import pipeline as pl
+
+def fit():
+    time.sleep(0.3)
+    return np.zeros(10 ** 6)  # more than a pipe holds
+
+call = pl.ForkedCall(fit)
+time.sleep(0.1)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="a forked child runs only where fork exists")
+def test_forked_child_of_a_dead_parent_exits_quietly():
+    # the parent dies before the child's result is sent; a child that kept
+    # the parent's end of the pipe open would block on the send for ever
+    src = str(Path(pl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", FORKED_PARENT_DIES],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == -signal.SIGKILL
+    assert (proc.stdout, proc.stderr) == ("", "")
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="a lockstep worker runs only where fork exists")
+def test_lockstep_round_that_raises_fails_the_fit_with_one_line(
+        monkeypatch, forked_calls, capfd):
+    def failing(*args):
+        raise ValueError("the round failed")
+
+    # the worker forks with the patched method; this process never calls it
+    monkeypatch.setattr(neural.DenseWork, "reconstruction_gradient", failing)
+    layers = small_autoencoder().layers
+    finished = False
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="the round failed") as info:
+        with pl.HalfWorker(layers, np.zeros((6, 4))) as worker:
+            worker.start()
+            worker.finish()
+            finished = True
+    # finish() raised, not the exit that reaps the worker
+    assert not finished
+    assert time.monotonic() - start < 10
+    assert "\n" not in str(info.value)
+    assert len(forked_calls) == 1 and forked_calls[0]._proc.exitcode is not None
+    assert multiprocessing.active_children() == []
+    assert capfd.readouterr() == ("", "")
+    # the parameters are back in the layers' own arrays, out of the shared map
+    assert all(p.base is None for layer in layers for p in (layer.w, layer.b))
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
