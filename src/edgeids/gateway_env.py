@@ -241,9 +241,9 @@ class MitigationState:
     blacklist: dict = field(default_factory=dict)  # src_id -> expiry step
 
     def __post_init__(self):
-        if self.rate_cap is not None and self.rate_cap <= 0:
+        if self.rate_cap is not None and not self.rate_cap > 0:
             raise ValueError("rate_cap must be positive when present")
-        if self.syn_cap is not None and self.syn_cap <= 0:
+        if self.syn_cap is not None and not self.syn_cap > 0:
             raise ValueError("syn_cap must be positive when present")
 
     def any_active(self):

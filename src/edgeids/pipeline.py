@@ -88,25 +88,85 @@ TRACE_COLUMNS = [
 ]
 
 
-def trace_row(episode, result, anomaly_score, alert, reward_total):
+# a trace row's integer and float columns; an action of NO_ACTION and a cap
+# of NaN (a configured cap is positive) write as empty cells
+TRACE_INTS = (
+    "episode", "step", "attack_active", "alert", "action", "offered_benign",
+    "offered_attack", "passed_benign", "passed_attack", "dropped_benign",
+    "dropped_attack", "drop_filter", "blacklist_size",
+)
+TRACE_FLOATS = (
+    "anomaly_score", "rate_cap", "syn_cap", "cpu_pct", "power_w", "mem_util",
+    "energy_j", "carbon_g", "reward",
+)
+NO_ACTION = -1
+
+
+class Trace:
+    """Per-step trace rows in two preallocated numpy columns, TRACE_INTS
+    and TRACE_FLOATS; ``len`` counts the rows filled.  Iterating yields
+    each row's cells in TRACE_COLUMNS order, as write_trace_csv writes
+    them.  Two traces are equal when their rows are, to the bit."""
+
+    def __init__(self, capacity):
+        self.ints = np.zeros((capacity, len(TRACE_INTS)), dtype=np.int64)
+        self.floats = np.zeros((capacity, len(TRACE_FLOATS)))
+        self.n = 0
+
+    @classmethod
+    def join(cls, traces):
+        """One trace of ``traces``' rows, in order."""
+        joined = cls(sum(len(t) for t in traces))
+        for t in traces:
+            joined.ints[joined.n:joined.n + t.n] = t.ints[:t.n]
+            joined.floats[joined.n:joined.n + t.n] = t.floats[:t.n]
+            joined.n += t.n
+        return joined
+
+    def __len__(self):
+        return self.n
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (np.array_equal(self.ints[:self.n], other.ints[:other.n])
+                and np.array_equal(self.floats[:self.n].view(np.int64),
+                                   other.floats[:other.n].view(np.int64)))
+
+    def __iter__(self):
+        for ints, floats in zip(self.ints[:self.n].tolist(),
+                                self.floats[:self.n].tolist()):
+            episode, step, attack, alert, action, *packets, drop, blacklist = ints
+            score, rate_cap, syn_cap, *resources = floats
+            yield [episode, step, attack, score, alert,
+                   "" if action == NO_ACTION else action, *packets,
+                   "" if rate_cap != rate_cap else rate_cap,
+                   "" if syn_cap != syn_cap else syn_cap,
+                   drop, blacklist, *resources]
+
+
+def trace_row(trace, episode, result, anomaly_score, alert, reward_total):
+    """Fill ``trace``'s next row with one step."""
     m = result.mitigation
     e = result.ledger_entry
-    return [
-        episode, result.step, int(result.attack_active), repr(float(anomaly_score)),
-        int(alert), "" if result.action is None else int(result.action),
-        result.offered_pkts["benign"], result.offered_pkts["attack"],
-        result.passed_pkts["benign"], result.passed_pkts["attack"],
-        result.dropped_pkts["benign"], result.dropped_pkts["attack"],
-        "" if m.rate_cap is None else repr(float(m.rate_cap)),
-        "" if m.syn_cap is None else repr(float(m.syn_cap)),
-        int(m.drop_filter_active), len(m.blacklist),
-        repr(float(result.resource.cpu_pct)), repr(float(result.resource.power_w)),
-        repr(float(e.m_util)), repr(float(e.energy_j)), repr(float(e.carbon_g)),
-        repr(float(reward_total)),
-    ]
+    offered, passed, dropped = (result.offered_pkts, result.passed_pkts,
+                                result.dropped_pkts)
+    n = trace.n
+    trace.ints[n] = (
+        episode, result.step, result.attack_active, alert,
+        NO_ACTION if result.action is None else result.action,
+        offered["benign"], offered["attack"], passed["benign"], passed["attack"],
+        dropped["benign"], dropped["attack"], m.drop_filter_active,
+        len(m.blacklist))
+    trace.floats[n] = (
+        anomaly_score, np.nan if m.rate_cap is None else m.rate_cap,
+        np.nan if m.syn_cap is None else m.syn_cap, result.resource.cpu_pct,
+        result.resource.power_w, e.m_util, e.energy_j, e.carbon_g, reward_total)
+    trace.n = n + 1
 
 
 def write_trace_csv(path, rows):
+    """``rows``, a Trace or a list of rows, under the TRACE_COLUMNS header."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(TRACE_COLUMNS)
@@ -609,7 +669,7 @@ class TrainOutcome:
     models: dict
     episode_stats: list
     ledgers: list
-    trace_rows: list
+    trace_rows: Trace                 # every episode's, joined
     q_updates: int
     constant_verdict_episodes: list   # see EpisodeOutcome.constant_verdict
 
@@ -643,12 +703,12 @@ class EpisodeOutcome:
 
     ledger: object
     counts: np.ndarray                # [episode_len, N_COUNTS] integers
+    trace_rows: Trace                 # episode_len - 1 rows
     confusion: ConfusionCounts = field(default_factory=ConfusionCounts)   # alert vs truth
     classifier: ConfusionCounts = field(default_factory=ConfusionCounts)  # verdict vs truth
     response_times: list = field(default_factory=list)
     scores: list = field(default_factory=list)          # per-step anomaly scores
     attack_labels: list = field(default_factory=list)   # per-step ground truth
-    trace_rows: list = field(default_factory=list)
     cpu_pct_sum: float = 0.0
     reward_total: float = 0.0
 
@@ -919,7 +979,7 @@ class DrlPipeline:
 
         episode_stats = []
         ledgers = []
-        trace_rows = []
+        traces = []
         constant_episodes = []
         for episode in range(cfg.episodes):
             env = self._make_env(cfg.seed + 1000 * (episode + 1))
@@ -944,12 +1004,12 @@ class DrlPipeline:
                 td_loss_mean=loss_sum / updates if updates else 0.0,
             ))
             ledgers.append(out.ledger)
-            trace_rows.extend(out.trace_rows)
+            traces.append(out.trace_rows)
             if out.constant_verdict:
                 constant_episodes.append(episode)
 
-        return TrainOutcome(self.models(), episode_stats, ledgers, trace_rows,
-                            q_updates, constant_episodes)
+        return TrainOutcome(self.models(), episode_stats, ledgers,
+                            Trace.join(traces), q_updates, constant_episodes)
 
     def _q_lr(self, k):
         # Robbins-Monro style decay; the supervised agent's DQN uses the
@@ -973,8 +1033,9 @@ class DrlPipeline:
         records an active mitigation as an alert too."""
         cfg = self.cfg
         history = deque(maxlen=cfg.neural.lstm_window)
-        out = EpisodeOutcome(env.ledger, np.zeros(
-            (env.config.episode_len, N_COUNTS), dtype=np.int64))
+        steps = env.config.episode_len
+        out = EpisodeOutcome(env.ledger, np.zeros((steps, N_COUNTS), dtype=np.int64),
+                             Trace(steps - 1))
         reward_window = cfg.sustain.reward_window
         unmitigated = 0   # attack steps in a row, up to this one, unmitigated
 
@@ -995,7 +1056,7 @@ class DrlPipeline:
 
         prev = observe(0, None, env.step(None))
         onset, responded = None, True
-        for t in range(1, env.config.episode_len):
+        for t in range(1, steps):
             action, learning, buffer_fill = decide(prev)
             result = env.step(action, learning=learning, buffer_fill=buffer_fill)
             step = observe(t, action, result)
@@ -1021,8 +1082,8 @@ class DrlPipeline:
             if not responded and action is not None:
                 out.response_times.append((t - onset) * env.config.dt)
                 responded = True
-            out.trace_rows.append(trace_row(episode, result, step.a_s, alert,
-                                            step.reward.total))
+            trace_row(out.trace_rows, episode, result, step.a_s, alert,
+                      step.reward.total)
             if learn is not None:
                 learn(prev, step)
             prev = step

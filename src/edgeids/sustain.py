@@ -178,14 +178,27 @@ class BoundViolation:
     bound: float
 
 
+# the float columns of a ledger's records, in write_ledger_csv's order
+LEDGER_COLUMNS = ("power_w", "dt_s", "energy_j", "m_util", "carbon_g")
+
+
 class SustainabilityLedger:
-    """Per-step energy/memory/carbon records with monotone cumulative sums."""
+    """Per-step energy/memory/carbon records with monotone cumulative sums.
+
+    The records sit in numpy columns that double when full: each step's
+    number, and its LEDGER_COLUMNS values.  A record's carbon intensity and
+    memory byte counts reach only the LedgerEntry that record returns."""
 
     def __init__(self, limits=None):
         self.limits = limits or LedgerLimits()
-        self.entries = []
+        self._steps = np.zeros(64, dtype=np.int64)
+        self._values = np.zeros((64, len(LEDGER_COLUMNS)))
+        self._n = 0
         self.cumulative_energy_j = 0.0
         self.cumulative_carbon_g = 0.0
+
+    def __len__(self):
+        return self._n
 
     def record(self, step, power_w, dt_s, kappa, m_active, m_total):
         e = energy_overhead(power_w, dt_s)
@@ -193,36 +206,42 @@ class SustainabilityLedger:
         c = carbon_emission(e, kappa)
         self.cumulative_energy_j += e
         self.cumulative_carbon_g += c
-        entry = LedgerEntry(step, power_w, dt_s, kappa, m_active, m_total, e, m, c)
-        self.entries.append(entry)
-        return entry
+        n = self._n
+        if n == len(self._steps):
+            self._steps = np.concatenate((self._steps, np.zeros_like(self._steps)))
+            self._values = np.concatenate((self._values, np.zeros_like(self._values)))
+        self._steps[n] = step
+        self._values[n] = power_w, dt_s, e, m, c
+        self._n = n + 1
+        return LedgerEntry(step, power_w, dt_s, kappa, m_active, m_total, e, m, c)
+
+    def records(self):
+        """(steps, values): views of the recorded rows, the values' columns
+        in LEDGER_COLUMNS order."""
+        return self._steps[:self._n], self._values[:self._n]
 
     def check_bounds(self):
         """Empty list iff every step obeys the power/intensity bounds and
-        the cumulative and utilization limits."""
-        violations = []
+        the cumulative and utilization limits.  Violations come in step
+        order, and within a step as energy_step, carbon_step, memory,
+        energy_cumulative."""
         lim = self.limits
-        cum_e = 0.0
-        for entry in self.entries:
-            step_cap = lim.p_max * entry.dt_s
-            if entry.energy_j > step_cap:
-                violations.append(
-                    BoundViolation(entry.step, "energy_step", entry.energy_j, step_cap)
-                )
-            carbon_cap = lim.kappa_max * entry.energy_j
-            if entry.carbon_g > carbon_cap:
-                violations.append(
-                    BoundViolation(entry.step, "carbon_step", entry.carbon_g, carbon_cap)
-                )
-            if entry.m_util > lim.m_max:
-                violations.append(
-                    BoundViolation(entry.step, "memory", entry.m_util, lim.m_max)
-                )
-            cum_e += entry.energy_j
-            if cum_e > lim.e_max:
-                violations.append(
-                    BoundViolation(entry.step, "energy_cumulative", cum_e, lim.e_max)
-                )
+        steps, values = self.records()
+        _, dt, energy, util, carbon = values.T
+        checks = (
+            ("energy_step", energy, lim.p_max * dt),
+            ("carbon_step", carbon, lim.kappa_max * energy),
+            ("memory", util, lim.m_max),
+            # summed from 0.0 in step order, as cumulative_energy_j is
+            ("energy_cumulative", np.cumsum(np.append(0.0, energy))[1:], lim.e_max),
+        )
+        broken = np.column_stack([value > bound for _, value, bound in checks])
+        violations = []
+        for i, k in zip(*np.nonzero(broken)):
+            kind, value, bound = checks[k]
+            violations.append(BoundViolation(
+                steps[i].item(), kind, value[i].item(),
+                bound[i].item() if np.ndim(bound) else bound))
         return violations
 
     def to_csv(self, path):
@@ -230,17 +249,16 @@ class SustainabilityLedger:
 
 
 def write_ledger_csv(path, ledgers, episode_len=0):
-    """Every ledger's entries as CSV rows; episode k's steps are offset by
+    """Every ledger's records as CSV rows; episode k's steps are offset by
     k * episode_len."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["step", "P_w", "dt_s", "E_j", "M_ratio", "C_g"])
         for episode, ledger in enumerate(ledgers):
-            for e in ledger.entries:
-                writer.writerow([episode * episode_len + e.step,
-                                 repr(float(e.power_w)), repr(float(e.dt_s)),
-                                 repr(float(e.energy_j)), repr(float(e.m_util)),
-                                 repr(float(e.carbon_g))])
+            steps, values = ledger.records()
+            writer.writerows(
+                [step, *row] for step, row in
+                zip((steps + episode * episode_len).tolist(), values.tolist()))
 
 
 def load_kappa_schedule(path):

@@ -118,9 +118,10 @@ def test_criterion_04_sustainability_bounds():
                           if policy_rng.random() < 0.4 else None)
                 env.step(action)
             assert env.ledger.check_bounds() == []
-            for entry in env.ledger.entries:
-                assert entry.energy_j <= limits.p_max * entry.dt_s
-                assert entry.carbon_g <= limits.kappa_max * entry.energy_j
+            _, dt, energy, _, carbon = env.ledger.records()[1].T
+            assert len(energy) == cfg.env.episode_len
+            assert np.all(energy <= limits.p_max * dt)
+            assert np.all(carbon <= limits.kappa_max * energy)
 
 
 # ---------------------------------------------------------------------------

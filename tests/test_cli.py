@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from edgeids import cli, neural
+from edgeids import pipeline as pl
 
 QUICK_TRAIN = [
     "--quiet", "--episodes", "2",
@@ -41,6 +43,18 @@ def test_train_artifact_is_self_describing(train_artifact):
     assert report["td_loss_over_bound_episodes"] == []
     assert report["constant_verdict_episodes"] == []
     assert "WARNING" not in (train_artifact / "run.log").read_text()
+
+
+def test_train_trace_joins_the_episodes(train_artifact):
+    # QUICK_TRAIN: two episodes of 300 steps; a trace starts at step 1, the
+    # ledger at step 0, episode k's ledger steps offset by k * 300
+    with open(train_artifact / "trace.csv", newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    assert [(int(r[0]), int(r[1])) for r in rows] == \
+        [(episode, step) for episode in (0, 1) for step in range(1, 300)]
+    with open(train_artifact / "ledger.csv", newline="") as f:
+        steps = [int(r[0]) for r in list(csv.reader(f))[1:]]
+    assert steps == list(range(600))
 
 
 def test_log_lines_follow_operational_format(train_artifact):
@@ -345,6 +359,26 @@ def test_zero_episode_boundary(tmp_path):
     assert not (out / "checkpoint.txt").exists()
     assert (out / "episodes.csv").read_text().strip() == ",".join(
         __import__("edgeids.pipeline", fromlist=["EPISODE_COLUMNS"]).EPISODE_COLUMNS)
+    assert (out / "trace.csv").read_text().strip() == ",".join(pl.TRACE_COLUMNS)
+
+
+def test_one_step_episodes_trace_no_step_and_ledger_one(tmp_path):
+    # a trace starts at step 1, the ledger at step 0
+    train, evaluate = tmp_path / "train", tmp_path / "eval"
+    code = cli.main(["train", "--agent", "deepedge", "--seed", "3", "--episodes", "1",
+                     "--out", str(train), "--quiet", "--set", "env.episode_len=1",
+                     "--set", "warmup.steps=50", "--set", "neural.ae_epochs=5"])
+    assert code == cli.EXIT_OK
+    code = cli.main(["evaluate", "--checkpoint", str(train), "--out", str(evaluate),
+                     "--quiet"])
+    assert code == cli.EXIT_OK
+    for out in (train, evaluate):
+        assert (out / "trace.csv").read_text().splitlines() == \
+            [",".join(pl.TRACE_COLUMNS)]
+        header, row = (out / "ledger.csv").read_text().splitlines()
+        assert header == "step,P_w,dt_s,E_j,M_ratio,C_g"
+        assert row.startswith("0,")
+        assert json.loads((out / "report.json").read_text())["bound_violations"] == 0
 
 
 def test_config_error_exit_code(tmp_path, capsys):

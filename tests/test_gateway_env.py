@@ -121,6 +121,14 @@ def test_no_control_passes_every_flow_and_draws_nothing(flagged):
         apply_mitigation(batch, MitigationState(), rng, flags[1:])
 
 
+@pytest.mark.parametrize("cap", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("name", ["rate_cap", "syn_cap"])
+def test_mitigation_caps_must_be_positive(name, cap):
+    # a trace writes a NaN cap as a control that is off
+    with pytest.raises(ValueError, match=f"^{name} must be positive"):
+        MitigationState(**{name: cap})
+
+
 def test_blacklist_drops_all_from_source():
     flows = [flow(src="a000", pkts=50, syn_only=True, label="attack"), flow(src="b001")]
     m = MitigationState(blacklist={"a000": 100})

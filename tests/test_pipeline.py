@@ -1,4 +1,5 @@
 import errno
+import gc
 import math
 import multiprocessing
 import multiprocessing.connection
@@ -7,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import deque
 from dataclasses import replace
 from pathlib import Path
@@ -25,7 +27,9 @@ from edgeids import pipeline as pl
 from edgeids.agent import ActionId
 from edgeids.config import default_config
 from edgeids.evaluation import ConfusionCounts
-from edgeids.gateway_env import AttackScenario, EdgeGatewayEnv, FlowRecord
+from edgeids.gateway_env import (AttackScenario, EdgeGatewayEnv, FlowRecord,
+                                 MitigationState)
+import trace_reference
 from reward_reference import RewardTracker
 
 
@@ -303,8 +307,8 @@ def reference_account(pipe, pairs):
             responses.append((t - onset) * pipe.cfg.env.dt)
             responded = True
 
-        trace_rows.append(pl.trace_row(0, result, step.a_s, alert,
-                                       step.reward.total))
+        trace_rows.append(trace_reference.trace_row(0, result, step.a_s, alert,
+                                                    step.reward.total))
 
     attack_steps = confusion.tp + confusion.fn
     return dict(
@@ -342,11 +346,14 @@ def test_episode_outcome_matches_the_reference_account(
     assert [step.t for _, step in pairs] == list(range(1, steps))
     assert all(prev is earlier for (prev, _), (_, earlier) in zip(pairs[1:], pairs))
     reference = reference_account(pipe, pairs)
+    trace_rows = reference.pop("trace_rows")
+    assert trace_reference.csv_text(pl.TRACE_COLUMNS, out.trace_rows) == \
+        trace_reference.csv_text(pl.TRACE_COLUMNS, trace_rows)
     for name, expected in reference.items():
         assert getattr(out, name) == expected, name
     assert out.classifier_total == (steps - 1 if agent == "autodrl" else 0)
     assert out.counts.shape == (steps, pl.N_COUNTS)
-    assert len(out.ledger.entries) == steps
+    assert len(out.ledger) == len(out.trace_rows) + 1 == steps
     # each reward reads the reference's sliding window and delay, and the
     # episode's rates its whole-episode window
     window = RewardTracker(pipe.cfg.sustain.reward_window, pipe.cfg.agent)
@@ -365,6 +372,108 @@ def test_episode_outcome_matches_the_reference_account(
                                + window.pending_delay * result.ledger_entry.dt_s)
     assert pl.episode_rates(pipe.cfg.agent, out.counts) == \
         (whole.detection_rate(), whole.false_rate())
+
+
+def test_training_joins_its_episodes_traces(trained_quick):
+    pipe, outcome = trained_quick
+    steps = pipe.cfg.env.episode_len
+    trace = outcome.trace_rows
+    assert len(trace) == 2 * (steps - 1)
+    episode = pl.TRACE_INTS.index("episode")
+    step = pl.TRACE_INTS.index("step")
+    assert trace.ints[:len(trace), episode].tolist() == \
+        [0] * (steps - 1) + [1] * (steps - 1)
+    assert trace.ints[:len(trace), step].tolist() == 2 * list(range(1, steps))
+
+
+# a step of the gateway as trace_row reads it, with every cell drawn
+any_float = st.floats(allow_nan=True, allow_infinity=True) | st.just(-0.0)
+packets = st.integers(0, 2 ** 40)
+
+
+@st.composite
+def traced_steps(draw):
+    def pkts():
+        return {"benign": draw(packets), "attack": draw(packets)}
+
+    cap = st.none() | st.floats(min_value=0.0, exclude_min=True)
+    result = SimpleNamespace(
+        step=draw(st.integers(0, 10 ** 6)),
+        attack_active=draw(st.booleans()),
+        action=draw(st.none() | st.sampled_from(ActionId) | st.integers(0, 3)),
+        offered_pkts=pkts(), passed_pkts=pkts(), dropped_pkts=pkts(),
+        mitigation=MitigationState(
+            rate_cap=draw(cap), syn_cap=draw(cap),
+            drop_filter_active=draw(st.booleans()),
+            blacklist=dict.fromkeys(range(draw(st.integers(0, 300))), 0)),
+        resource=SimpleNamespace(cpu_pct=draw(any_float), power_w=draw(any_float)),
+        ledger_entry=SimpleNamespace(m_util=draw(any_float),
+                                     energy_j=draw(any_float),
+                                     carbon_g=draw(any_float)))
+    return (result, draw(any_float | st.integers(-10, 10).map(np.float64)),
+            draw(st.booleans() | st.sampled_from([np.True_, np.False_])),
+            draw(any_float | st.sampled_from([-1.5, -0.0, 0.0])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(episodes=st.lists(st.lists(traced_steps(), max_size=6), max_size=3))
+def test_trace_csv_matches_the_reference_rows(tmp_path_factory, episodes):
+    traces, expected = [], []
+    for episode, steps in enumerate(episodes):
+        trace = pl.Trace(len(steps))
+        for result, score, alert, reward in steps:
+            pl.trace_row(trace, episode, result, score, alert, reward)
+            expected.append(trace_reference.trace_row(episode, result, score,
+                                                      alert, reward))
+        traces.append(trace)
+    joined = pl.Trace.join(traces)
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    pl.write_trace_csv(path, joined)
+    with open(path, newline="") as f:
+        assert f.read() == trace_reference.csv_text(pl.TRACE_COLUMNS, expected)
+    assert len(joined) == len(expected)
+    # equality is bitwise and a bool, as a fingerprint compares it
+    twin = pl.Trace.join([joined])
+    assert (joined == twin) is True
+    if len(twin):
+        twin.floats[-1, -1] = -twin.floats[-1, -1]
+        assert (joined == twin) is False
+        assert (joined != twin) is True
+
+
+def test_empty_traces_write_only_the_header(tmp_path):
+    for rows in ([], pl.Trace(0), pl.Trace(5), pl.Trace.join([])):
+        pl.write_trace_csv(tmp_path / "trace.csv", rows)
+        assert (tmp_path / "trace.csv").read_bytes() == \
+            ",".join(pl.TRACE_COLUMNS).encode() + b"\r\n"
+
+
+def test_rollout_outcome_keeps_columns_not_objects_per_step(trained_quick):
+    """What a rollout's outcome and ledger keep grows by its per-step
+    columns: a trace row of 13 int64 and 9 float64 cells (176 bytes), the
+    ledger's step and 5 floats (48 bytes, its capacity doubling), a row of
+    counts (56 bytes) and a score in a list.  Python objects per step grew
+    it by about 1.2 KB a step."""
+    pipe, _ = trained_quick
+
+    def kept_bytes(steps):
+        env = replace(pipe.cfg.env, episode_len=steps)
+        # the same episode just before, so the caches it fills end as they start
+        pl.rollout(pipe, seed=3, env_config=env)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = pl.rollout(pipe, seed=3, env_config=env)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(out.ledger) == steps
+        return kept
+
+    per_step = (kept_bytes(400) - kept_bytes(200)) / 200
+    assert 0 < per_step < 400, per_step
 
 
 def test_episode_rates_cover_the_whole_episode():

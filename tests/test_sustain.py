@@ -1,9 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from edgeids import sustain
+from edgeids.config import default_config
+from edgeids.gateway_env import EdgeGatewayEnv
 from edgeids.sustain import (
     KappaProvider,
     LedgerLimits,
@@ -21,6 +25,7 @@ from edgeids.sustain import (
     pareto_front,
     penalty_value,
 )
+import trace_reference
 
 
 def components(**overrides):
@@ -175,7 +180,8 @@ def test_ledger_random_valid_trace_clean():
         ledger.record(step, rng.uniform(0, 5.0), 1.0,
                       rng.uniform(0, limits.kappa_max), rng.integers(0, 100), 100)
     assert ledger.check_bounds() == []
-    energies = np.array([e.energy_j for e in ledger.entries])
+    energies = ledger.records()[1][:, sustain.LEDGER_COLUMNS.index("energy_j")]
+    assert len(energies) == 500
     assert ledger.cumulative_energy_j == pytest.approx(energies.sum())
 
 
@@ -238,6 +244,100 @@ def test_ledger_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,P_w,dt_s,E_j,M_ratio,C_g"
     assert len(lines) == 2
+
+
+LEDGER_HEADER = ["step", "P_w", "dt_s", "E_j", "M_ratio", "C_g"]
+
+
+@st.composite
+def ledger_record_args(draw):
+    """One record's power, dt, kappa, m_active and m_total, integers too."""
+    m_total = draw(st.integers(1, 2 ** 40))
+    return (draw(st.floats(0.0, 1e3) | st.integers(0, 20) | st.just(-0.0)),
+            draw(st.floats(1e-3, 10.0) | st.just(1)),
+            draw(st.floats(0.0, 1e-3) | st.just(0)),
+            draw(st.integers(0, m_total)), m_total)
+
+
+@settings(max_examples=100, deadline=None)
+@given(episodes=st.lists(st.lists(ledger_record_args(), max_size=80), max_size=3),
+       first=st.integers(0, 10 ** 6), episode_len=st.integers(0, 1000))
+def test_ledger_csv_matches_the_reference_rows(tmp_path_factory, episodes, first,
+                                               episode_len):
+    ledgers, entries = [], []
+    for steps in episodes:
+        ledger = SustainabilityLedger()
+        entries.append([ledger.record(first + step, *args)
+                        for step, args in enumerate(steps)])
+        ledgers.append(ledger)
+    path = tmp_path_factory.mktemp("ledger") / "ledger.csv"
+    sustain.write_ledger_csv(path, ledgers, episode_len)
+    with open(path, newline="") as f:
+        assert f.read() == trace_reference.csv_text(
+            LEDGER_HEADER, trace_reference.ledger_rows(entries, episode_len))
+    assert [len(ledger) for ledger in ledgers] == [len(e) for e in entries]
+
+
+@st.composite
+def strained_ledgers(draw):
+    """Limits with a finite e_max and an m_max below 1, and steps whose
+    power, intensity and memory may pass them."""
+    limits = LedgerLimits(p_max=draw(st.floats(0.1, 10.0)),
+                          kappa_max=draw(st.floats(1e-7, 1e-3)),
+                          e_max=draw(st.floats(-1.0, 300.0)),
+                          m_max=draw(st.floats(0.0, 1.0)))
+    steps = []
+    for _ in range(draw(st.integers(0, 70))):
+        m_total = draw(st.integers(1, 10 ** 6))
+        steps.append((draw(st.floats(0.0, 2 * limits.p_max) | st.just(-0.0)),
+                      draw(st.floats(1e-3, 10.0)),
+                      draw(st.floats(0.0, 2 * limits.kappa_max)),
+                      draw(st.integers(0, m_total)), m_total))
+    return limits, steps
+
+
+def assert_reference_violations(limits, ledger, entries):
+    violations = ledger.check_bounds()
+    assert violations == trace_reference.check_bounds(limits, entries)
+    for v in violations:
+        assert (type(v.step), type(v.value), type(v.bound)) == (int, float, float)
+    return violations
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=strained_ledgers())
+def test_bound_violations_match_the_reference(run):
+    limits, steps = run
+    ledger = SustainabilityLedger(limits)
+    entries = [ledger.record(step, *args) for step, args in enumerate(steps)]
+    assert_reference_violations(limits, ledger, entries)
+
+
+def test_each_broken_bound_is_reported_in_the_reference_order():
+    limits = LedgerLimits(p_max=5.0, kappa_max=1e-4, e_max=12.0, m_max=0.5)
+    ledger = SustainabilityLedger(limits)
+    steps = [(6.0, 1.0, 1e-4, 1, 10),   # power over p_max
+             (1.0, 1.0, 2e-4, 1, 10),   # intensity over kappa_max
+             (1.0, 1.0, 1e-4, 6, 10),   # memory over m_max
+             (4.0, 1.0, 1e-4, 1, 10),   # the energy sum reaches e_max
+             (7.0, 1.0, 3e-4, 9, 10)]   # every bound at once
+    entries = [ledger.record(step, *args) for step, args in enumerate(steps)]
+    violations = assert_reference_violations(limits, ledger, entries)
+    assert [(v.step, v.kind) for v in violations] == [
+        (0, "energy_step"), (1, "carbon_step"), (2, "memory"),
+        (4, "energy_step"), (4, "carbon_step"), (4, "memory"),
+        (4, "energy_cumulative")]
+
+
+def test_gateway_ledger_entries_hold_python_numbers():
+    cfg = default_config("deepedge")
+    env = EdgeGatewayEnv(cfg.env, seed=0, resources=cfg.resources,
+                         limits=cfg.sustain.ledger_limits())
+    entry = env.step(None).ledger_entry
+    assert {f.name: type(getattr(entry, f.name)) for f in fields(entry)} == {
+        "step": int, "power_w": float, "dt_s": float, "kappa": float,
+        "m_active": int, "m_total": int, "energy_j": float, "m_util": float,
+        "carbon_g": float}
 
 
 def test_kappa_schedule_file(tmp_path):
