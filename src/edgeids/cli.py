@@ -292,14 +292,27 @@ def _episode_samples(run_dir, metrics):
     if not path.exists():
         raise FileNotFoundError(f"no episodes.csv under {run_dir}")
     with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
+        reader = csv.DictReader(f)
+        rows = [(reader.line_num, row) for row in reader]
     samples = {}
     for metric in metrics:
         column = COMPARE_METRICS[metric]
-        if rows and column not in rows[0]:
+        if rows and column not in rows[0][1]:
             raise ValueError(f"metric {metric!r} not available in {run_dir}")
-        samples[metric] = [float(r[column]) for r in rows]
+        for line, row in rows:
+            if not _is_finite_number(row[column]):
+                found = "is missing" if row[column] is None else f"holds {row[column]!r}"
+                raise ValueError(f"{path}, line {line}: column {column!r} {found}, "
+                                 f"expected a finite number")
+        samples[metric] = [float(row[column]) for _, row in rows]
     return samples
+
+
+def _is_finite_number(text):
+    try:
+        return bool(np.isfinite(float(text)))
+    except (TypeError, ValueError):
+        return False
 
 
 def cmd_compare(args):

@@ -33,15 +33,16 @@ def _is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_number(value):
+def is_number(value):
     """A finite int or float: JSON's Infinity and NaN are not numbers here."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value))
 
 
-def _is_number_pair(value):
-    return (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(_is_number(v) for v in value))
+def is_numbers(value, count):
+    """A list of ``count`` finite numbers (a tuple passes too)."""
+    return (isinstance(value, (list, tuple)) and len(value) == count
+            and all(is_number(v) for v in value))
 
 
 @dataclass
@@ -189,9 +190,9 @@ _SECTIONS = {cls.__name__: cls for cls in (
 
 _FIELD_TYPES = {
     "int": (_is_integer, "an integer"),
-    "float": (_is_number, "a finite number"),
+    "float": (is_number, "a finite number"),
     "str": (lambda value: isinstance(value, str), "a string"),
-    "tuple": (_is_number_pair, "a list of two finite numbers"),
+    "tuple": (lambda value: is_numbers(value, 2), "a list of two finite numbers"),
 }
 
 

@@ -38,18 +38,13 @@ class ConfusionCounts:
     def total(self):
         return self.tp + self.fp + self.tn + self.fn
 
-    def add(self, truth, verdict):
-        """Count one decision: ``verdict`` (flagged as an attack or not)
-        against the ground ``truth``."""
-        if truth:
-            if verdict:
-                self.tp += 1
-            else:
-                self.fn += 1
-        elif verdict:
-            self.fp += 1
-        else:
-            self.tn += 1
+    @classmethod
+    def of(cls, truth, verdicts):
+        """The counts of ``verdicts`` (nonzero: flagged as an attack)
+        against the ground ``truth``, two arrays of one length."""
+        t, v = np.asarray(truth) != 0, np.asarray(verdicts) != 0
+        return cls(*(int(np.count_nonzero(both))
+                     for both in (t & v, ~t & v, ~t & ~v, t & ~v)))
 
 
 def classification_metrics(counts):

@@ -27,7 +27,7 @@ import numpy as np
 from . import agent as ag
 from . import features as ft
 from . import neural
-from .config import ExperimentConfig
+from .config import ExperimentConfig, is_number, is_numbers
 from .evaluation import ConfusionCounts, roc_auc
 from .gateway_env import EdgeGatewayEnv
 from .sustain import (KappaProvider, RewardComponents, compute_reward,
@@ -40,43 +40,7 @@ LATENCY_PER_CPU = 0.002  # seconds of inference latency per CPU percent
 
 
 # ---------------------------------------------------------------------------
-# the episode's per-step counts
-# ---------------------------------------------------------------------------
-
-# the columns of EpisodeOutcome.counts, one row per step: the attack and
-# benign packets offered and dropped, and (autodrl only) whether the
-# classifier judged an attack step and whether it missed it
-(ATTACK_OFFERED, ATTACK_DROPPED, BENIGN_OFFERED, BENIGN_DROPPED,
- ATTACK_JUDGED, ATTACK_MISSED, N_COUNTS) = range(7)
-
-
-def step_counts(result, classified):
-    """A step's row of EpisodeOutcome.counts, from the gateway's StepResult
-    and the classifier's verdict (None where no classifier judged)."""
-    judged = result.attack_active and classified is not None
-    offered, dropped = result.offered_pkts, result.dropped_pkts
-    return (offered["attack"], dropped["attack"], offered["benign"],
-            dropped["benign"], judged, judged and not classified)
-
-
-def episode_rates(agent, rows):
-    """(attack suppression, false rate) over rows of EpisodeOutcome.counts:
-    the attack packets dropped over those offered, and benign collateral
-    (deepedge) or the classifier's miss rate on the attack steps it judged
-    (autodrl); a rate with nothing to count is 0.  These feed the rewards;
-    the alert-based metrics of evaluation runs do not."""
-    total = rows.sum(axis=0).tolist()
-    offered, dropped = total[ATTACK_OFFERED], total[ATTACK_DROPPED]
-    if agent == "autodrl":
-        judged, missed = total[ATTACK_JUDGED], total[ATTACK_MISSED]
-    else:
-        judged, missed = total[BENIGN_OFFERED], total[BENIGN_DROPPED]
-    return (dropped / offered if offered else 0.0,
-            missed / judged if judged else 0.0)
-
-
-# ---------------------------------------------------------------------------
-# per-step trace rows
+# the episode trace: one row per step
 # ---------------------------------------------------------------------------
 
 TRACE_COLUMNS = [
@@ -89,24 +53,27 @@ TRACE_COLUMNS = [
 
 
 # a trace row's integer and float columns; an action of NO_ACTION and a cap
-# of NaN (a configured cap is positive) write as empty cells
+# of NaN (a configured cap is positive) write as empty cells.  The verdict,
+# the classifier's (1 attack, 0 benign, NO_VERDICT unjudged), is not written.
 TRACE_INTS = (
     "episode", "step", "attack_active", "alert", "action", "offered_benign",
     "offered_attack", "passed_benign", "passed_attack", "dropped_benign",
-    "dropped_attack", "drop_filter", "blacklist_size",
+    "dropped_attack", "drop_filter", "blacklist_size", "verdict",
 )
 TRACE_FLOATS = (
     "anomaly_score", "rate_cap", "syn_cap", "cpu_pct", "power_w", "mem_util",
     "energy_j", "carbon_g", "reward",
 )
-NO_ACTION = -1
+NO_ACTION = NO_VERDICT = -1
+REWARD = TRACE_FLOATS.index("reward")
 
 
 class Trace:
     """Per-step trace rows in two preallocated numpy columns, TRACE_INTS
     and TRACE_FLOATS; ``len`` counts the rows filled.  Iterating yields
     each row's cells in TRACE_COLUMNS order, as write_trace_csv writes
-    them.  Two traces are equal when their rows are, to the bit."""
+    them, but for step 0's rows, which no action can reach.  Two traces
+    are equal when their rows are, to the bit."""
 
     def __init__(self, capacity):
         self.ints = np.zeros((capacity, len(TRACE_INTS)), dtype=np.int64)
@@ -136,7 +103,9 @@ class Trace:
     def __iter__(self):
         for ints, floats in zip(self.ints[:self.n].tolist(),
                                 self.floats[:self.n].tolist()):
-            episode, step, attack, alert, action, *packets, drop, blacklist = ints
+            episode, step, attack, alert, action, *packets, drop, blacklist, _ = ints
+            if step == 0:
+                continue
             score, rate_cap, syn_cap, *resources = floats
             yield [episode, step, attack, score, alert,
                    "" if action == NO_ACTION else action, *packets,
@@ -144,9 +113,16 @@ class Trace:
                    "" if syn_cap != syn_cap else syn_cap,
                    drop, blacklist, *resources]
 
+    def column(self, name):
+        """The filled rows' cells of column ``name``, of either kind."""
+        if name in TRACE_INTS:
+            return self.ints[:self.n, TRACE_INTS.index(name)]
+        return self.floats[:self.n, TRACE_FLOATS.index(name)]
 
-def trace_row(trace, episode, result, anomaly_score, alert, reward_total):
-    """Fill ``trace``'s next row with one step."""
+
+def trace_row(trace, episode, result, anomaly_score, alert, verdict):
+    """Fill ``trace``'s next row with one step and the classifier's verdict
+    on it, None if unjudged; its reward cell holds 0.0 until it is paid."""
     m = result.mitigation
     e = result.ledger_entry
     offered, passed, dropped = (result.offered_pkts, result.passed_pkts,
@@ -157,11 +133,11 @@ def trace_row(trace, episode, result, anomaly_score, alert, reward_total):
         NO_ACTION if result.action is None else result.action,
         offered["benign"], offered["attack"], passed["benign"], passed["attack"],
         dropped["benign"], dropped["attack"], m.drop_filter_active,
-        len(m.blacklist))
+        len(m.blacklist), NO_VERDICT if verdict is None else verdict)
     trace.floats[n] = (
         anomaly_score, np.nan if m.rate_cap is None else m.rate_cap,
         np.nan if m.syn_cap is None else m.syn_cap, result.resource.cpu_pct,
-        result.resource.power_w, e.m_util, e.energy_j, e.carbon_g, reward_total)
+        result.resource.power_w, e.m_util, e.energy_j, e.carbon_g, 0.0)
     trace.n = n + 1
 
 
@@ -171,6 +147,24 @@ def write_trace_csv(path, rows):
         writer = csv.writer(f)
         writer.writerow(TRACE_COLUMNS)
         writer.writerows(rows)
+
+
+def episode_rates(agent, rows):
+    """(attack suppression, false rate) over rows of a Trace's ints: the
+    attack packets dropped over those offered, and benign collateral
+    (deepedge) or the classifier's miss rate on the attack steps it judged
+    (autodrl); a rate with nothing to count is 0.  These feed the rewards;
+    the alert-based metrics of evaluation runs do not."""
+    total = dict(zip(TRACE_INTS, rows.sum(axis=0).tolist()))
+    offered, dropped = total["offered_attack"], total["dropped_attack"]
+    if agent == "autodrl":
+        attack = rows[:, TRACE_INTS.index("attack_active")] != 0
+        verdicts = rows[attack, TRACE_INTS.index("verdict")].tolist()
+        judged, missed = len(verdicts) - verdicts.count(NO_VERDICT), verdicts.count(0)
+    else:
+        judged, missed = total["offered_benign"], total["dropped_benign"]
+    return (dropped / offered if offered else 0.0,
+            missed / judged if judged else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +237,27 @@ def detector_to_dict(detector):
 
 def detector_from_dict(data, autoencoder):
     """The inverse of detector_to_dict, around the checkpoint's
-    autoencoder."""
-    if data["kind"] != "minmax":
-        raise ValueError(f"detector.json: unknown normalizer kind "
-                         f"{data['kind']!r}, expected 'minmax'")
+    autoencoder.  A ValueError names the first key that is missing or
+    wrong: ``low`` and ``scale`` hold a finite number per feature,
+    ``scale``'s above 0, and each threshold is a finite number."""
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind != "minmax":
+        raise ValueError(f"detector.json: unknown normalizer kind {kind!r}, "
+                         f"expected 'minmax'")
+    n = len(ft.FEATURE_NAMES)
+    for key, ok, want in (
+            ("low", lambda v: is_numbers(v, n), f"a list of {n} finite numbers"),
+            ("scale", lambda v: is_numbers(v, n) and min(v) > 0,
+             f"a list of {n} finite numbers above 0"),
+            ("tau_flow", is_number, "a finite number"),
+            ("tau_step", is_number, "a finite number")):
+        if key not in data:
+            raise ValueError(f"detector.json: key {key!r} is missing, expected {want}")
+        if not ok(data[key]):
+            raise ValueError(f"detector.json: {key!r} must be {want}, got {data[key]!r}")
     normalizer = ft.Normalizer()
-    normalizer.low = np.asarray(data["low"], dtype=float)
-    normalizer.scale = np.asarray(data["scale"], dtype=float)
+    normalizer.low = np.array(data["low"], dtype=float)
+    normalizer.scale = np.array(data["scale"], dtype=float)
     normalizer.fitted = True
     return AnomalyDetector(normalizer, autoencoder,
                            float(data["tau_flow"]), float(data["tau_step"]))
@@ -693,56 +701,55 @@ def td_loss_ceiling(cfg):
 
 @dataclass
 class EpisodeOutcome:
-    """What one episode did, as DrlPipeline.run_episode counts it.
-
-    ``counts`` has a row per step (columns at ATTACK_OFFERED), which the
-    reward window and the episode's rates read; it and the CPU sum cover
-    every step, as the ledger does.  Reward, alerts, scores, labels,
-    classifier verdicts, response times and trace rows count from step 1,
-    the first step an action can reach."""
+    """What one episode did, read off its trace: run_episode fills a row
+    per step, 0..L-1, as the ledger has.  Packet totals and the CPU sum
+    cover every step; reward, alerts, scores, labels, verdicts and response
+    times count from step 1, the first step an action can reach."""
 
     ledger: object
-    counts: np.ndarray                # [episode_len, N_COUNTS] integers
-    trace_rows: Trace                 # episode_len - 1 rows
-    confusion: ConfusionCounts = field(default_factory=ConfusionCounts)   # alert vs truth
-    classifier: ConfusionCounts = field(default_factory=ConfusionCounts)  # verdict vs truth
+    trace_rows: Trace
     response_times: list = field(default_factory=list)
-    scores: list = field(default_factory=list)          # per-step anomaly scores
-    attack_labels: list = field(default_factory=list)   # per-step ground truth
-    cpu_pct_sum: float = 0.0
-    reward_total: float = 0.0
 
-    def _total(self, column):
-        return int(self.counts[:, column].sum())
+    def _acted(self, column):
+        return self.trace_rows.column(column)[1:]
 
-    # mitigation conserves packets: those passed are those offered less
-    # those dropped
-    attack_offered = property(lambda self: self._total(ATTACK_OFFERED))
-    attack_passed = property(lambda self: self.attack_offered
-                             - self._total(ATTACK_DROPPED))
-    benign_offered = property(lambda self: self._total(BENIGN_OFFERED))
-    benign_passed = property(lambda self: self.benign_offered
-                             - self._total(BENIGN_DROPPED))
+    def _sum(self, column):
+        # in step order, as a running total adds: the builtin sum()
+        # compensates float sums from Python 3.12 on, and np.sum pairs them
+        return np.cumsum(self.trace_rows.column(column))[-1].item()
+
+    attack_offered = property(lambda self: self._sum("offered_attack"))
+    attack_passed = property(lambda self: self._sum("passed_attack"))
+    benign_offered = property(lambda self: self._sum("offered_benign"))
+    benign_passed = property(lambda self: self._sum("passed_benign"))
+    cpu_pct_sum = property(lambda self: self._sum("cpu_pct"))
+    reward_total = property(lambda self: self._sum("reward"))  # step 0's is 0.0
+    scores = property(lambda self: self._acted("anomaly_score").tolist())
+    attack_labels = property(lambda self: self._acted("attack_active").tolist())
+    # alerts, and the classifier's verdicts where it judged, against truth
+    confusion = property(lambda self: ConfusionCounts.of(
+        self._acted("attack_active"), self._acted("alert")))
+
+    @property
+    def classifier(self):
+        verdict = self._acted("verdict")
+        judged = verdict != NO_VERDICT
+        return ConfusionCounts.of(self._acted("attack_active")[judged],
+                                  verdict[judged])
 
     @property
     def detection_prob(self):
         """The share of attack steps alerted on; None without attack steps."""
-        attack_steps = self.confusion.tp + self.confusion.fn
-        return self.confusion.tp / attack_steps if attack_steps else None
+        c = self.confusion
+        return c.tp / (c.tp + c.fn) if c.tp + c.fn else None
 
-    @property
-    def classifier_correct(self):
-        return self.classifier.tp + self.classifier.tn
-
-    @property
-    def classifier_total(self):
-        return self.classifier.total
+    classifier_correct = property(lambda self: self.classifier.tp + self.classifier.tn)
+    classifier_total = property(lambda self: self.classifier.total)
 
     @property
     def classifier_accuracy(self):
-        if self.classifier_total == 0:
-            return None
-        return self.classifier_correct / self.classifier_total
+        c = self.classifier
+        return (c.tp + c.tn) / c.total if c.total else None
 
     @property
     def constant_verdict(self):
@@ -977,16 +984,14 @@ class DrlPipeline:
             if q_updates % cfg.hyper.target_sync_every == 0:
                 target_net.sync_from(self.q_net)
 
-        episode_stats = []
-        ledgers = []
-        traces = []
-        constant_episodes = []
+        episode_stats, outcomes = [], []
         for episode in range(cfg.episodes):
             env = self._make_env(cfg.seed + 1000 * (episode + 1))
             updates_before, loss_sum = q_updates, 0.0
             out = self.run_episode(env, decide, learn, episode)
             updates = q_updates - updates_before
-            detection_rate, false_rate = episode_rates(cfg.agent, out.counts)
+            detection_rate, false_rate = episode_rates(cfg.agent,
+                                                       out.trace_rows.ints)
             episode_stats.append(EpisodeStats(
                 episode=episode,
                 reward_total=out.reward_total,
@@ -1003,13 +1008,11 @@ class DrlPipeline:
                 updates=updates,
                 td_loss_mean=loss_sum / updates if updates else 0.0,
             ))
-            ledgers.append(out.ledger)
-            traces.append(out.trace_rows)
-            if out.constant_verdict:
-                constant_episodes.append(episode)
-
-        return TrainOutcome(self.models(), episode_stats, ledgers,
-                            Trace.join(traces), q_updates, constant_episodes)
+            outcomes.append(out)
+        return TrainOutcome(
+            self.models(), episode_stats, [out.ledger for out in outcomes],
+            Trace.join([out.trace_rows for out in outcomes]), q_updates,
+            [e for e, out in enumerate(outcomes) if out.constant_verdict])
 
     def _q_lr(self, k):
         # Robbins-Monro style decay; the supervised agent's DQN uses the
@@ -1024,66 +1027,52 @@ class DrlPipeline:
         share, and return its EpisodeOutcome.
 
         Each step is scored, its LSTM window classified (autodrl) and its
-        row of ``counts`` written; from step 1 on it is also paid its
-        reward, over the last sustain.reward_window rows, alerted on and
-        traced.  EpisodeOutcome says which of its counts start at step 0.
+        trace row written; from step 1 on it is then paid its reward, over
+        the last sustain.reward_window trace rows, into that row.
         ``decide(prev)`` maps the previous EpisodeStep to ``(action,
         learning, buffer_fill)`` for ``env.step``, and ``learn(prev, step)``
         sees each step from step 1 on before the next decision.  A rollout
         records an active mitigation as an alert too."""
         cfg = self.cfg
         history = deque(maxlen=cfg.neural.lstm_window)
-        steps = env.config.episode_len
-        out = EpisodeOutcome(env.ledger, np.zeros((steps, N_COUNTS), dtype=np.int64),
-                             Trace(steps - 1))
-        reward_window = cfg.sustain.reward_window
+        out = EpisodeOutcome(env.ledger, Trace(env.config.episode_len))
+        trace, reward_window = out.trace_rows, cfg.sustain.reward_window
         unmitigated = 0   # attack steps in a row, up to this one, unmitigated
-
-        def observe(t, action, result):
-            nonlocal unmitigated
+        onset, responded = None, True
+        for t in range(env.config.episode_len):
+            action, learning, buffer_fill = decide(prev) if t else (None, False, 0.0)
+            result = env.step(action, learning=learning, buffer_fill=buffer_fill)
             x_step, a_s = self.detector.step_profile(result.features)
             history.extend([x_step] * (history.maxlen if t == 0 else 1))
             window = classified = None
             if cfg.agent == "autodrl" and self.classifier is not None:
                 window = np.stack(history)
                 classified = self.classifier.classify(window) > 0.5
-            out.counts[t] = step_counts(result, classified)
             unmitigated = (unmitigated + 1 if result.attack_active
                            and not result.mitigation.any_active() else 0)
-            out.cpu_pct_sum += result.resource.cpu_pct
-            return EpisodeStep(self, t, action, result, x_step, a_s, window,
+            step = EpisodeStep(self, t, action, result, x_step, a_s, window,
                                classified)
-
-        prev = observe(0, None, env.step(None))
-        onset, responded = None, True
-        for t in range(1, steps):
-            action, learning, buffer_fill = decide(prev)
-            result = env.step(action, learning=learning, buffer_fill=buffer_fill)
-            step = observe(t, action, result)
+            trace_row(trace, episode, result, a_s,
+                      step.alarm or (rollout and result.mitigation.any_active()),
+                      classified)
+            if t == 0:  # no action reaches step 0: it is only the first prev
+                prev = step
+                continue
             entry = result.ledger_entry
             latency_s = (BASE_LATENCY_S + LATENCY_PER_CPU * result.resource.cpu_pct
                          + unmitigated * entry.dt_s)
             step.reward = compute_reward(cfg.sustain.weights, RewardComponents(
                 *episode_rates(cfg.agent,
-                               out.counts[max(t + 1 - reward_window, 0):t + 1]),
+                               trace.ints[max(t + 1 - reward_window, 0):t + 1]),
                 latency_s, entry.energy_j, entry.m_util, entry.carbon_g))
-            attack = result.attack_active
-            alert = step.alarm or (rollout and result.mitigation.any_active())
-            out.reward_total += step.reward.total
-            out.confusion.add(attack, alert)
-            if step.classified is not None:
-                out.classifier.add(attack, step.classified)
-            out.scores.append(step.a_s)
-            out.attack_labels.append(int(attack))
-            if not attack:
+            trace.floats[t, REWARD] = step.reward.total
+            if not result.attack_active:
                 onset, responded = None, True
             elif onset is None:
                 onset, responded = t, False
             if not responded and action is not None:
                 out.response_times.append((t - onset) * env.config.dt)
                 responded = True
-            trace_row(out.trace_rows, episode, result, step.a_s, alert,
-                      step.reward.total)
             if learn is not None:
                 learn(prev, step)
             prev = step

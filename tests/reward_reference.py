@@ -1,6 +1,7 @@
-"""The sliding-window reward account the episode loop kept before it wrote
-one row of counts per step: one dict per step in a deque, which
-pipeline.episode_rates over the same steps must match exactly."""
+"""The sliding-window reward account the episode loop kept before it read
+its rewards off the episode's trace rows: one dict per step in a deque,
+which pipeline.episode_rates over the same steps' rows must match
+exactly."""
 
 from collections import deque
 

@@ -216,6 +216,32 @@ def test_detector_of_another_normalizer_kind_is_one_runtime_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, named", [
+    ("tau_step", float("nan"), "'tau_step' must be a finite number, got nan"),
+    ("scale", [0.0] * 8, "'scale' must be a list of 8 finite numbers above 0"),
+    ("low", [0.0, 0.0, 0.0], "'low' must be a list of 8 finite numbers"),
+    ("low", None, "key 'low' is missing"),
+], ids=["nan_tau_step", "zero_scale", "short_low", "missing_low"])
+def test_corrupt_detector_json_is_one_runtime_line(train_artifact, tmp_path, capsys,
+                                                   key, value, named):
+    broken = artifact_with_checkpoint(
+        train_artifact, tmp_path, (train_artifact / "checkpoint.txt").read_text())
+    detector = json.loads((broken / "detector.json").read_text())
+    if value is None:
+        del detector[key]
+    else:
+        detector[key] = value
+    (broken / "detector.json").write_text(json.dumps(detector))
+    out = tmp_path / "o"
+    code = cli.main(["evaluate", "--checkpoint", str(broken), "--out", str(out),
+                     "--quiet"])
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error: detector.json: "), err
+    assert named in err[0], err
+    assert not out.exists()
+
+
 def test_corrupt_checkpoint_is_explicit(train_artifact, tmp_path, capsys):
     text = (train_artifact / "checkpoint.txt").read_text()
     broken = artifact_with_checkpoint(train_artifact, tmp_path, text[: len(text) // 2])
@@ -275,6 +301,28 @@ def test_compare_metric_missing_from_a_run_is_one_runtime_line(tmp_path, capsys)
     assert code == cli.EXIT_RUNTIME
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"runtime error: metric 'energy' not available in {run}"]
+
+
+@pytest.mark.parametrize("row, column, found", [
+    ("1,2.0", "energy_j", "is missing"),
+    ("1,two,3.0", "reward_total", "holds 'two'"),
+    ("1,nan,3.0", "reward_total", "holds 'nan'"),
+    ("1,2.0,inf", "energy_j", "holds 'inf'"),
+], ids=["short_row", "non_numeric", "nan", "inf"])
+def test_compare_bad_episode_cell_is_one_runtime_line(tmp_path, capsys, row, column,
+                                                      found):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "episodes.csv").write_text(
+        f"episode,reward_total,energy_j\n0,1.0,2.0\n{row}\n")
+    out = tmp_path / "cmp"
+    code = cli.main(["compare", "--run-a", str(run), "--run-b", str(run),
+                     "--metrics", "reward,energy", "--out", str(out), "--quiet"])
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"runtime error: {run / 'episodes.csv'}, line 3: column "
+                   f"{column!r} {found}, expected a finite number"]
+    assert not out.exists()
 
 
 def test_sweep_tabular(tmp_path):

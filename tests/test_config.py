@@ -23,15 +23,18 @@ def test_defaults_match_stated_setup():
     assert cfg.sustain.weights.zeta == 0.05
 
 
-# one step's counts: 2 of 10 benign packets dropped, and the one attack
+# one step's trace row: 2 of 10 benign packets dropped, and the one attack
 # step the classifier judged missed
-COUNTS = np.array([[4, 1, 10, 2, 1, 1]])
+ROW = np.zeros((1, len(pl.TRACE_INTS)), dtype=np.int64)
+for column, value in {"attack_active": 1, "offered_attack": 4, "dropped_attack": 1,
+                      "offered_benign": 10, "dropped_benign": 2, "verdict": 0}.items():
+    ROW[0, pl.TRACE_INTS.index(column)] = value
 FALSE_RATES = {"deepedge": 0.2, "autodrl": 1.0}
 
 
 def false_rate(pipe):
-    """The false rate a pipeline's rewards read off COUNTS."""
-    return pl.episode_rates(pipe.cfg.agent, COUNTS)[1]
+    """The false rate a pipeline's rewards read off ROW."""
+    return pl.episode_rates(pipe.cfg.agent, ROW)[1]
 
 
 def test_variant_follows_agent_kind():

@@ -50,10 +50,11 @@ def test_metrics_match_hand_formulas():
 
 
 @given(st.lists(st.tuples(st.booleans(), st.booleans()), max_size=50))
-def test_confusion_add_matches_the_if_chain(decisions):
-    counts, reference = ConfusionCounts(), ConfusionCounts()
+def test_confusion_of_matches_the_if_chain(decisions):
+    reference = ConfusionCounts()
+    counts = ConfusionCounts.of([truth for truth, _ in decisions],
+                                [verdict for _, verdict in decisions])
     for truth, verdict in decisions:
-        counts.add(truth, verdict)
         if truth and verdict:
             reference.tp += 1
         elif truth:

@@ -144,28 +144,43 @@ def test_training_is_deterministic():
 
 
 def hand_result(attack_offered, attack_dropped, benign_offered, benign_dropped):
-    """The fields of a StepResult that a step's counts read, and a
-    mitigation for the reference's delay."""
+    """A StepResult with these packets, as trace_row and the reference's
+    delay read it; its mitigation is active and every other figure 0."""
+    offered = {"attack": attack_offered, "benign": benign_offered}
+    dropped = {"attack": attack_dropped, "benign": benign_dropped}
     return SimpleNamespace(
-        offered_pkts={"attack": attack_offered, "benign": benign_offered},
-        dropped_pkts={"attack": attack_dropped, "benign": benign_dropped},
+        step=1, action=None, offered_pkts=offered, dropped_pkts=dropped,
+        passed_pkts={label: offered[label] - dropped[label] for label in offered},
         attack_active=attack_offered > 0,
-        mitigation=SimpleNamespace(any_active=lambda: True))
+        mitigation=SimpleNamespace(any_active=lambda: True, rate_cap=None,
+                                   syn_cap=None, drop_filter_active=False,
+                                   blacklist={}),
+        resource=SimpleNamespace(cpu_pct=0.0, power_w=0.0),
+        ledger_entry=SimpleNamespace(m_util=0.0, energy_j=0.0, carbon_g=0.0))
+
+
+def trace_ints(steps):
+    """The int rows of a Trace of (StepResult, verdict) pairs."""
+    trace = pl.Trace(len(steps))
+    for result, verdict in steps:
+        pl.trace_row(trace, 0, result, 0.0, False, verdict)
+    return trace.ints
 
 
 def test_episode_rates_suppression_and_collateral():
-    rows = np.array([pl.step_counts(hand_result(1000, 900, 500, 50), None),
-                     pl.step_counts(hand_result(1000, 800, 500, 0), None)])
+    rows = trace_ints([(hand_result(1000, 900, 500, 50), None),
+                       (hand_result(1000, 800, 500, 0), None)])
     assert pl.episode_rates("deepedge", rows) == (1700 / 2000, 50 / 1000)
     # nothing offered: both rates are 0
-    assert pl.episode_rates("deepedge", np.zeros((3, pl.N_COUNTS), int)) == (0.0, 0.0)
+    assert pl.episode_rates("deepedge", np.zeros((3, len(pl.TRACE_INTS)), int)) == \
+        (0.0, 0.0)
 
 
 def test_episode_rates_autodrl_miss_rate():
-    rows = np.array([pl.step_counts(hand_result(100, 0, 100, 0), True),
-                     pl.step_counts(hand_result(100, 0, 100, 0), False),
-                     pl.step_counts(hand_result(0, 0, 100, 0), False),
-                     pl.step_counts(hand_result(100, 0, 100, 0), None)])
+    rows = trace_ints([(hand_result(100, 0, 100, 0), True),
+                       (hand_result(100, 0, 100, 0), False),
+                       (hand_result(0, 0, 100, 0), False),
+                       (hand_result(100, 0, 100, 0), None)])
     # 1 miss of the 2 attack steps the classifier judged
     assert pl.episode_rates("autodrl", rows)[1] == 0.5
 
@@ -192,15 +207,14 @@ def test_episode_rates_match_the_reward_tracker(sequence, agent):
     steps, window = sequence
     oracle = RewardTracker(window, agent)
     whole = RewardTracker(len(steps), agent)
-    counts = np.zeros((len(steps), pl.N_COUNTS), dtype=np.int64)
+    rows = trace_ints(steps)
     for t, (result, classified) in enumerate(steps):
-        counts[t] = pl.step_counts(result, classified)
         oracle.push(result, classified)
         whole.push(result, classified)
-        assert pl.episode_rates(agent, counts[max(t + 1 - window, 0):t + 1]) == \
+        assert pl.episode_rates(agent, rows[max(t + 1 - window, 0):t + 1]) == \
             (oracle.detection_rate(), min(oracle.false_rate(), 1.0))
-    assert pl.episode_rates(agent, counts) == (whole.detection_rate(),
-                                               whole.false_rate())
+    assert pl.episode_rates(agent, rows) == (whole.detection_rate(),
+                                             whole.false_rate())
 
 
 def test_unmitigated_attack_delay_adds_to_the_latency(trained_quick):
@@ -352,8 +366,7 @@ def test_episode_outcome_matches_the_reference_account(
     for name, expected in reference.items():
         assert getattr(out, name) == expected, name
     assert out.classifier_total == (steps - 1 if agent == "autodrl" else 0)
-    assert out.counts.shape == (steps, pl.N_COUNTS)
-    assert len(out.ledger) == len(out.trace_rows) + 1 == steps
+    assert len(out.ledger) == len(out.trace_rows) == steps
     # each reward reads the reference's sliding window and delay, and the
     # episode's rates its whole-episode window
     window = RewardTracker(pipe.cfg.sustain.reward_window, pipe.cfg.agent)
@@ -370,7 +383,7 @@ def test_episode_outcome_matches_the_reference_account(
         assert c.latency_s == (pl.BASE_LATENCY_S
                                + pl.LATENCY_PER_CPU * result.resource.cpu_pct
                                + window.pending_delay * result.ledger_entry.dt_s)
-    assert pl.episode_rates(pipe.cfg.agent, out.counts) == \
+    assert pl.episode_rates(pipe.cfg.agent, out.trace_rows.ints) == \
         (whole.detection_rate(), whole.false_rate())
 
 
@@ -378,12 +391,9 @@ def test_training_joins_its_episodes_traces(trained_quick):
     pipe, outcome = trained_quick
     steps = pipe.cfg.env.episode_len
     trace = outcome.trace_rows
-    assert len(trace) == 2 * (steps - 1)
-    episode = pl.TRACE_INTS.index("episode")
-    step = pl.TRACE_INTS.index("step")
-    assert trace.ints[:len(trace), episode].tolist() == \
-        [0] * (steps - 1) + [1] * (steps - 1)
-    assert trace.ints[:len(trace), step].tolist() == 2 * list(range(1, steps))
+    assert len(trace) == 2 * steps
+    assert trace.column("episode").tolist() == [0] * steps + [1] * steps
+    assert trace.column("step").tolist() == 2 * list(range(steps))
 
 
 # a step of the gateway as trace_row reads it, with every cell drawn
@@ -412,26 +422,32 @@ def traced_steps(draw):
                                      carbon_g=draw(any_float)))
     return (result, draw(any_float | st.integers(-10, 10).map(np.float64)),
             draw(st.booleans() | st.sampled_from([np.True_, np.False_])),
-            draw(any_float | st.sampled_from([-1.5, -0.0, 0.0])))
+            draw(any_float | st.sampled_from([-1.5, -0.0, 0.0])),
+            draw(st.none() | st.booleans()))
 
 
 @settings(max_examples=100, deadline=None)
 @given(episodes=st.lists(st.lists(traced_steps(), max_size=6), max_size=3))
 def test_trace_csv_matches_the_reference_rows(tmp_path_factory, episodes):
-    traces, expected = [], []
+    traces, expected, verdicts = [], [], []
     for episode, steps in enumerate(episodes):
         trace = pl.Trace(len(steps))
-        for result, score, alert, reward in steps:
-            pl.trace_row(trace, episode, result, score, alert, reward)
-            expected.append(trace_reference.trace_row(episode, result, score,
-                                                      alert, reward))
+        for result, score, alert, reward, verdict in steps:
+            pl.trace_row(trace, episode, result, score, alert, verdict)
+            trace.floats[trace.n - 1, pl.REWARD] = reward
+            verdicts.append(pl.NO_VERDICT if verdict is None else int(verdict))
+            # no action reaches step 0, and trace.csv leaves it out
+            if result.step:
+                expected.append(trace_reference.trace_row(episode, result, score,
+                                                          alert, reward))
         traces.append(trace)
     joined = pl.Trace.join(traces)
     path = tmp_path_factory.mktemp("trace") / "trace.csv"
     pl.write_trace_csv(path, joined)
     with open(path, newline="") as f:
         assert f.read() == trace_reference.csv_text(pl.TRACE_COLUMNS, expected)
-    assert len(joined) == len(expected)
+    assert len(joined) == len(verdicts)
+    assert joined.column("verdict").tolist() == verdicts
     # equality is bitwise and a bool, as a fingerprint compares it
     twin = pl.Trace.join([joined])
     assert (joined == twin) is True
@@ -450,10 +466,11 @@ def test_empty_traces_write_only_the_header(tmp_path):
 
 def test_rollout_outcome_keeps_columns_not_objects_per_step(trained_quick):
     """What a rollout's outcome and ledger keep grows by its per-step
-    columns: a trace row of 13 int64 and 9 float64 cells (176 bytes), the
-    ledger's step and 5 floats (48 bytes, its capacity doubling), a row of
-    counts (56 bytes) and a score in a list.  Python objects per step grew
-    it by about 1.2 KB a step."""
+    columns alone: a trace row of 14 int64 and 9 float64 cells (184
+    bytes) and the ledger's step and 5 floats (48 bytes, its capacity
+    doubling), 224 bytes a step as measured here.  The bound leaves 26
+    bytes of margin, less than a list of scores would add (32 bytes a
+    step); Python objects per step grew it by about 1.2 KB a step."""
     pipe, _ = trained_quick
 
     def kept_bytes(steps):
@@ -473,7 +490,7 @@ def test_rollout_outcome_keeps_columns_not_objects_per_step(trained_quick):
         return kept
 
     per_step = (kept_bytes(400) - kept_bytes(200)) / 200
-    assert 0 < per_step < 400, per_step
+    assert 0 < per_step < 250, per_step
 
 
 def test_episode_rates_cover_the_whole_episode():
