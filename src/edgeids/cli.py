@@ -210,8 +210,12 @@ def load_trained_pipeline(checkpoint_dir, cfg):
     """Rebuild a frozen pipeline under cfg from a train artifact directory."""
     ckpt = Path(checkpoint_dir)
     models = neural.load_checkpoint(ckpt / "checkpoint.txt")
-    with open(ckpt / "detector.json") as f:
-        detector_data = json.load(f)
+    path = ckpt / "detector.json"
+    with open(path) as f:
+        try:
+            detector_data = json.load(f)
+        except ValueError as exc:  # not JSON, or not text
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
     pipe = pl.DrlPipeline(cfg)
     pipe.load_models(models, detector_data)
     return pipe
@@ -264,8 +268,13 @@ def cmd_evaluate(args):
         "cumulative_energy_j": outcome.ledger.cumulative_energy_j,
         "cumulative_carbon_g": outcome.ledger.cumulative_carbon_g,
         "bound_violations": len(outcome.ledger.check_bounds()),
+        "constant_verdict": outcome.constant_verdict,
     }
     write_json(out / "report.json", report)
+    if outcome.constant_verdict:
+        logger.warning("The classifier gave one verdict on every step of the "
+                       "rollout, attack and benign alike: it has not learned to "
+                       "tell them apart; check neural.lstm_lr")
     if outcome.detection_prob is not None:
         logger.log(POLICY, "Detection probability %.3f, %d response samples",
                    outcome.detection_prob, len(outcome.response_times))

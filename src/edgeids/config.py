@@ -50,7 +50,7 @@ class NeuralConfig:
     ae_hidden: int = 16
     latent_dim: int = 8
     ae_lr: float = 0.05
-    ae_epochs: int = 150
+    ae_epochs: int = 8
     lstm_hidden: int = 8
     lstm_window: int = 8
     lstm_lr: float = 1.0
@@ -254,8 +254,8 @@ def load(path):
             data = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not text
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     return from_dict(data)
 
 

@@ -164,10 +164,10 @@ class FlowBatch:
 # be drawn at all.
 MAX_FLOWS_PER_STEP = 1e5
 # A bound on env.benign_rate * env.dt * warmup.steps, the warm-up's flows.
-# At the bound, on a 2-vCPU x86 box, a deepedge warm-up took 38-41 s and
-# 760 MB of peak RSS over its two processes, an autodrl one (whose child
-# fits both halves alone) 81 s and 881 MB.  It can be no lower: the fewest
-# warm-up steps, ten, at MAX_FLOWS_PER_STEP draw this many.
+# At the bound, on a 2-vCPU x86 box, a warm-up that fitted its autoencoder
+# on the full batch took 38-81 s and up to 881 MB of peak RSS; the
+# minibatch fit holds no full-batch buffers.  It can be no lower: the
+# fewest warm-up steps, ten, at MAX_FLOWS_PER_STEP draw this many.
 MAX_WARMUP_FLOWS = 1e6
 
 

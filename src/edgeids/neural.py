@@ -13,15 +13,13 @@ forward loop and one backward loop, both writing in place.  Inference
 the gradient oracle run forward and backward in a DenseWork, which holds
 each layer's output and, from the first backward on, the
 back-propagation buffers and dw/db.  The DQN update builds one
-DenseWork and reuses it for every step; the warm-up autoencoder builds
-a HalvesWork, which takes each batch-mean gradient as the sum of the
-gradients over the batch's two halves, so that two processes can each
-compute one.  A DenseWork's
-[rows, width] arrays are column-major, because its layers are only 8 to
-32 wide and its batches up to thousands of rows long: the bias adds,
-activations, masks and db sums then run down contiguous columns.  That
-changes the order of dense training's sums, not what they add, so its
-results differ from a row-major run's only in low-order bits.
+DenseWork and reuses it for every step, and the warm-up autoencoder one
+per minibatch size.  A DenseWork's [rows, width] arrays are
+column-major, because its layers are only 8 to 32 wide and its batches
+hundreds of rows long: the bias adds, activations, masks and db sums
+then run down contiguous columns.  That changes the order of dense
+training's sums, not what they add, so its results differ from a
+row-major run's only in low-order bits.
 
 The LSTM classifier has one forward, which runs a window, or a
 minibatch of windows side by side, from the zero state into the
@@ -138,9 +136,7 @@ def stack_forward(layers, x):
 def mapped_zeros(shape, dtype=float):
     """A zeroed array in its own anonymous memory map.  Its pages cost RSS
     only once written, and freeing it skips malloc: a freed multi-MB malloc
-    block raises glibc's mmap threshold, and with it later peak RSS.  The
-    map is shared, so a process forked after it is made writes to the
-    same pages as its parent."""
+    block raises glibc's mmap threshold, and with it later peak RSS."""
     dtype = np.dtype(dtype)
     size = int(np.prod(shape)) * dtype.itemsize
     return np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
@@ -154,10 +150,7 @@ class DenseWork:
     ReLU's gradient mask is y > 0, which is where its pre-activation is
     > 0.  The backward's arrays are allocated on the first backward pass
     through the work: two buffers as wide as the widest layer, between
-    which back-propagation alternates, the ReLU mask, and dw/db.  dw and
-    db are views of one flat array, grads, in iter_params order: the
-    given one, such as a map shared with another process, or the work's
-    own.
+    which back-propagation alternates, the ReLU mask, and dw/db.
 
     Every [rows, width] array, y[k], the buffers and the mask, is
     column-major (Fortran order).  A layer is a few columns of many rows,
@@ -166,11 +159,10 @@ class DenseWork:
     from row-major buffers' only in low-order bits: db is numpy's
     pairwise column sum, and dw comes from another BLAS kernel."""
 
-    def __init__(self, layers, rows, grads=None):
+    def __init__(self, layers, rows):
         self.shape = (rows, layers[0].n_in)
         self.widths = [layer.n_out for layer in layers]
         self.y = [np.empty((rows, n), order="F") for n in self.widths]
-        self.grads = grads
         self.dw = self.db = None
 
     def back(self, k, width):
@@ -182,14 +174,8 @@ class DenseWork:
             dims = [n_in, *self.widths]
             self._back = np.empty((2, rows * max(dims)))
             self._mask = np.empty(rows * max(dims), dtype=bool)
-            if self.grads is None:
-                self.grads = np.empty(sum(n_out * (n + 1)
-                                          for n, n_out in zip(dims, self.widths)))
-            self.dw, self.db, at = [], [], 0
-            for n, n_out in zip(dims, self.widths):
-                self.dw.append(self.grads[at:at + n_out * n].reshape(n_out, n))
-                self.db.append(self.grads[at + n_out * n:at + n_out * (n + 1)])
-                at += n_out * (n + 1)
+            self.dw = [np.empty((n_out, n)) for n, n_out in zip(dims, self.widths)]
+            self.db = [np.empty(n_out) for n_out in self.widths]
         return self._back[k % 2, :rows * width].reshape(width, rows).T
 
     def forward(self, layers, x):
@@ -221,10 +207,11 @@ class DenseWork:
             if k:
                 dy = np.matmul(dy, layer.w, out=self.back(len(layers) - k, layer.n_in))
 
-    def reconstruction_gradient(self, layers, x, n):
-        """The gradient of sum_i |x_hat_i - x_i|^2 / n over the rows of the
-        batch x, with x_hat the stack's output, into dw and db; returns
+    def reconstruction_gradient(self, layers, x):
+        """The gradient of sum_i |x_hat_i - x_i|^2 / n over the n rows of
+        the batch x, with x_hat the stack's output, into dw and db; returns
         the sum of the rows' squared errors, not yet divided by n."""
+        n = len(x)
         x_hat = self.forward(layers, x)
         dy = self.back(0, x.shape[1])
         np.subtract(x_hat, x, out=dy)
@@ -243,59 +230,6 @@ class DenseWork:
             layer.w -= dw
             db *= lr
             layer.b -= db
-
-
-class HalvesWork:
-    """The arrays of a batch-mean reconstruction gradient taken as the
-    gradient over the first half of np.array_split(batch, 2) plus the
-    gradient over the second, each half's scaled by the whole batch's row
-    count.  The second half's dw/db are added into the first's, and sgd
-    steps on the sum.  The sum adds what one full-batch backward adds, in
-    another order, so the results differ from a DenseWork's only in
-    low-order bits.
-
-    This process computes the first half.  The second is computed by
-    `second`, if given: its start() begins the gradient over the second
-    half of the batch it holds, and its finish() returns it as a flat
-    array in iter_params order, with the sum of the half's squared
-    errors.  Without it, this process computes the second half after the
-    first.  Both ways run the same DenseWork arithmetic on the same half,
-    so their results are the same to the bit."""
-
-    def __init__(self, layers, rows, second=None):
-        self.rows = rows
-        self.first = DenseWork(layers, rows - rows // 2)
-        self.second = second
-        self._second_work = None
-
-    @staticmethod
-    def halves(x):
-        """np.array_split(x, 2), as views: the first half takes the odd row."""
-        k = len(x) - len(x) // 2
-        return x[:k], x[k:]
-
-    def reconstruction_gradient(self, layers, x, n):
-        """DenseWork.reconstruction_gradient for the whole batch x, whose n
-        rows this work was built for."""
-        if n != self.rows:
-            raise ValueError(f"workspace for {self.rows} rows, given {n}")
-        first, second = self.halves(x)
-        if self.second is not None:
-            self.second.start()
-        total = self.first.reconstruction_gradient(layers, first, n)
-        if self.second is not None:
-            grads, second_total = self.second.finish()
-        else:
-            if self._second_work is None:
-                self._second_work = DenseWork(layers, len(second))
-            second_total = self._second_work.reconstruction_gradient(layers, second, n)
-            grads = self._second_work.grads
-        self.first.grads += grads
-        return total + second_total
-
-    def sgd(self, layers, lr):
-        """Plain SGD on the two halves' summed gradient."""
-        self.first.sgd(layers, lr)
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +315,11 @@ def autoencoder_init(rng, input_dim=8, hidden_dim=16, latent_dim=8):
 def autoencoder_train_step(model, batch, lr, work):
     """One batch-mean SGD step on the reconstruction error; returns the loss.
 
-    `work` is built over model.layers for this batch's rows, once, and
-    passed to every step of a training loop.  A DenseWork takes the
-    gradient over the whole batch at once.  A HalvesWork, which the
-    warm-up uses, sums the gradients over the batch's two halves; with
-    or without a second process computing one of them the results are
-    the same to the bit, and differ from a DenseWork's only in low-order
-    bits."""
+    `work`, a DenseWork, is built over model.layers for this batch's rows,
+    once, and passed to every step of a training loop."""
     batch = np.atleast_2d(np.asarray(batch, dtype=float))
     layers = model.layers
-    n = batch.shape[0]
-    loss = work.reconstruction_gradient(layers, batch, n) / n
+    loss = work.reconstruction_gradient(layers, batch) / batch.shape[0]
     work.sgd(layers, lr)
     return loss
 
@@ -879,7 +807,10 @@ def _read_array(reader, label, shape):
     parts = line.split()
     if not parts or parts[0] != label:
         raise CheckpointError(f"expected {label!r} line, got {line[:40]!r}")
-    values = np.array([float(v) for v in parts[1:]])
+    try:
+        values = np.array([float(v) for v in parts[1:]])
+    except ValueError as exc:
+        raise CheckpointError(f"{label} line: {exc}") from None
     n = int(np.prod(shape))
     if values.shape[0] != n:
         raise CheckpointError(
@@ -935,9 +866,15 @@ def load_checkpoint(path):
     the model it was reading."""
     # a non-ASCII byte reads as U+FFFD, which no number or keyword matches
     with open(path, "r", encoding="ascii", errors="replace") as f:
-        reader = _LineReader(f.read())
+        text = f.read()
+    if not (text.startswith(CHECKPOINT_TAG + " ") or CHECKPOINT_TAG.startswith(text)):
+        raise CheckpointError("not a checkpoint file")
+    # a file cut anywhere, mid-number included, lacks the end marker
+    if text.rstrip().rpartition("\n")[2].strip() != "end":
+        raise CheckpointError("truncated checkpoint file (missing end marker)")
+    reader = _LineReader(text)
     head = reader.next().split()
-    if len(head) != 2 or head[0] != CHECKPOINT_TAG:
+    if len(head) != 2:
         raise CheckpointError("not a checkpoint file")
     if head[1] != str(CHECKPOINT_VERSION):
         raise CheckpointError(f"unsupported checkpoint version {head[1]}")
@@ -953,6 +890,4 @@ def load_checkpoint(path):
             raise CheckpointError(f"model {name!r}: missing meta {exc.args[0]}") from exc
         except (CheckpointError, IndexError, ValueError) as exc:
             raise CheckpointError(f"model {name!r}: {exc}") from exc
-    if line is None:
-        raise CheckpointError("truncated checkpoint file (missing end marker)")
     return models

@@ -13,13 +13,7 @@ refining it on a slower timescale than the DQN while both run.
 from __future__ import annotations
 
 import csv
-import multiprocessing as mp
-import os
-import signal
-import stat
-import time
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -283,32 +277,35 @@ def benign_warmup(cfg, rng_seed):
     return normalizer, normalizer.transform(raw), row_counts
 
 
-def fit_autoencoder(cfg, rng_seed, data, row_counts, fork_half=False):
+def fit_autoencoder(cfg, rng_seed, data, row_counts):
     """The detector's second half: train the autoencoder on benign_warmup's
     normalized matrix and set both alarm thresholds at the configured
     benign percentile.  Returns (autoencoder, tau_flow, tau_step).
 
-    Each epoch's gradient is the sum of the gradients over the matrix's
-    two halves (neural.HalvesWork).  With fork_half, a worker forked for
-    the fit computes the second half while this process computes the
-    first; otherwise, or where no process can be forked, this process
-    computes both, in the same order.  The results are the same to the
-    bit either way, and differ from a full-batch fit only in low-order
-    bits."""
+    Each of neural.ae_epochs passes visits the matrix's rows in a new
+    random order, in minibatches of AE_BATCH rows, the last of a pass
+    taking what is left, one autoencoder_train_step each.  The per-flow
+    errors behind tau_flow are scored AE_BATCH rows at a time, so that
+    no full-matrix reconstruction is held at once."""
+    rng = np.random.default_rng(rng_seed)
     model = neural.autoencoder_init(
-        np.random.default_rng(rng_seed), input_dim=len(ft.FEATURE_NAMES),
+        rng, input_dim=len(ft.FEATURE_NAMES),
         hidden_dim=cfg.neural.ae_hidden, latent_dim=cfg.neural.latent_dim)
-    second = forked(HalfWorker, model.layers, data) if fork_half else None
+    n = len(data)
+    # one work for full minibatches and one for a pass's last, if smaller
+    works = {rows: neural.DenseWork(model.layers, rows)
+             for rows in {min(AE_BATCH, n - at) for at in range(0, n, AE_BATCH)}}
     # a diverging autoencoder overflows here; the finite check below fails it
     with np.errstate(over="ignore", invalid="ignore"):
-        with second if second is not None else nullcontext():
-            work = neural.HalvesWork(model.layers, data.shape[0], second)
-            for _ in range(cfg.neural.ae_epochs):
-                neural.autoencoder_train_step(model, data, cfg.neural.ae_lr, work)
-        # free the buffers before the full-batch scoring below makes its own
-        del work
-        tau_flow = float(np.percentile(_row_errors(model, data),
-                                       cfg.warmup.tau_percentile))
+        for _ in range(cfg.neural.ae_epochs):
+            order = rng.permutation(n)
+            for at in range(0, n, AE_BATCH):
+                idx = order[at:at + AE_BATCH]
+                neural.autoencoder_train_step(model, data[idx], cfg.neural.ae_lr,
+                                              works[len(idx)])
+        errors = np.concatenate([_row_errors(model, data[at:at + AE_BATCH])
+                                 for at in range(0, n, AE_BATCH)])
+        tau_flow = float(np.percentile(errors, cfg.warmup.tau_percentile))
         # each step's rows of the normalized matrix, in generation order
         bounds = np.cumsum(row_counts)[:-1]
         step_scores = [model.anomaly_score(rows.mean(axis=0))
@@ -318,238 +315,6 @@ def fit_autoencoder(cfg, rng_seed, data, row_counts, fork_half=False):
         raise ValueError(f"warm-up autoencoder diverged (tau_flow={tau_flow}, "
                          f"tau_step={tau_step}); lower neural.ae_lr")
     return model, tau_flow, tau_step
-
-
-# a lockstep side spins this long for the other before it blocks: a
-# blocked process wakes 100-300 us late on a busy 2-vCPU box, a fifth of a
-# warm-up epoch, and a round's wait is rarely longer than the spin
-_SPIN_S = 0.002
-# how often a blocked lockstep side checks that the other still runs
-_ALIVE_S = 0.1
-
-
-def usable_cpus():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call, as on macOS
-        return os.cpu_count() or 1
-
-
-def forked(start, *args):
-    """start(*args), which forks a process, or None where no process can
-    be forked: the caller then does the process's work itself."""
-    try:
-        return start(*args)
-    except OSError:
-        return None
-
-
-def _meet(sem, alive):
-    """Acquires the semaphore, spinning up to _SPIN_S before it blocks;
-    False if alive() turns false while it waits."""
-    deadline = time.perf_counter() + _SPIN_S
-    while time.perf_counter() < deadline:
-        if sem.acquire(False):
-            return True
-    while not sem.acquire(timeout=_ALIVE_S):
-        if not alive():
-            return sem.acquire(False)
-    return True
-
-
-class ForkedCall:
-    """fn(*args) run once in a child process forked from this one.
-
-    The child reads its arguments in the memory it shares with the
-    parent as of the fork, so only the result is pickled, back through a
-    one-way pipe.  ``fork`` rather than ``spawn`` or ``forkserver``: those
-    re-import numpy in a fresh interpreter, and a forkserver stays
-    running afterwards.  The child ignores SIGINT, so that a Ctrl-C
-    reaches the parent alone, which ends the child, and a child whose
-    parent has gone exits without a word.  A child that dies raises a
-    one-line RuntimeError in the parent.  A fork that fails raises
-    OSError and leaves no pipe open, its own or the ones multiprocessing
-    made for the child."""
-
-    def __init__(self, fn, *args):
-        ctx = mp.get_context("fork")
-        self._conn, child_end = ctx.Pipe(duplex=False)
-        self._proc = ctx.Process(target=_serve_call, daemon=True,
-                                 args=(self._conn, child_end, fn, args))
-        before = _open_pipes()
-        try:
-            self._proc.start()
-        except BaseException:
-            self._conn.close()
-            if self._proc.pid is None:
-                # no child: the pipes Process.start makes for it before it
-                # forks stay open, so close what this start opened
-                for fd in _open_pipes() - before:
-                    os.close(fd)
-            raise
-        finally:
-            child_end.close()
-
-    def ended(self):
-        """Whether the child has replied or died; does not wait."""
-        return self._conn.poll() or not self._proc.is_alive()
-
-    def result(self):
-        """Waits for the child and reaps it; returns fn's result or raises
-        fn's exception."""
-        try:
-            value = self._reply()
-        except BaseException:
-            self.cancel()
-            raise
-        self._proc.join()
-        self._conn.close()
-        return value
-
-    def cancel(self):
-        """Ends the child, if it still runs, and reaps it."""
-        self._proc.terminate()
-        self._proc.join()
-        self._conn.close()
-
-    def _reply(self):
-        try:
-            ok, value = self._conn.recv()
-        except (EOFError, OSError):
-            # the child died before it could reply
-            self._proc.join()
-            raise RuntimeError(f"forked child exited with code "
-                               f"{self._proc.exitcode} and no result") from None
-        if not ok:
-            raise value
-        return value
-
-
-def _open_pipes():
-    """The pipe descriptors this process has open, where the system lists
-    them; else none.  The warm-up starts no thread, so none opens a pipe
-    while a ForkedCall compares two of these."""
-    for listing in ("/proc/self/fd", "/dev/fd"):
-        try:
-            names = os.listdir(listing)
-        except OSError:
-            continue
-        pipes = set()
-        for name in names:
-            try:
-                if stat.S_ISFIFO(os.fstat(int(name)).st_mode):
-                    pipes.add(int(name))
-            except OSError:
-                pass  # the listing's own descriptor, closed by now
-        return pipes
-    return set()
-
-
-def _serve_call(parent_end, conn, fn, args):
-    """A ForkedCall child: sends (True, fn's result) or (False, its
-    exception), so that the parent raises it and the child prints
-    nothing.  It first closes its copy of the parent's end, so that a
-    send to a parent that has gone fails rather than blocking once the
-    pipe is full."""
-    parent_end.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        reply = True, fn(*args)
-    except Exception as exc:
-        reply = False, exc
-    try:
-        conn.send(reply)
-    except OSError:
-        return  # the parent has gone
-    conn.close()
-
-
-class HalfWorker:
-    """The second half of a neural.HalvesWork's batch, computed by a worker
-    forked for one fit (a ForkedCall of _half_gradient) while this process
-    computes the first, in lockstep.
-
-    The layers' parameters move into a shared memory map, where the
-    worker reads each step's; the worker writes its gradient and the sum
-    of its half's squared errors into two more, and reads a stop flag
-    from a fourth.  start() begins a round and finish() waits for it.
-    Rounds meet through two semaphores, go and done, on which each side
-    spins briefly before it blocks (_meet).  A round that raises, or a
-    worker that dies, ends the ForkedCall, and finish() then raises the
-    round's exception or a one-line RuntimeError.  The worker allocates
-    its DenseWork after the fork, so that no page of it is copied on
-    write.  Leaving the worker as a context manager, however it is left,
-    ends and reaps it and moves the parameters back into this process's
-    own memory; left normally, it sets the stop flag and starts one more
-    round, which the worker ends by returning.  A fork that fails raises
-    and leaves the layers as they were."""
-
-    def __init__(self, layers, batch):
-        self._layers = layers
-        params = neural.mapped_zeros(sum(p.size for layer in layers
-                                         for p in (layer.w, layer.b)))
-        at = 0
-        for layer in layers:
-            for name in ("w", "b"):
-                value = getattr(layer, name)
-                shared = params[at:at + value.size].reshape(value.shape)
-                shared[...] = value
-                setattr(layer, name, shared)
-                at += value.size
-        self._grads = neural.mapped_zeros(params.size)
-        self._total = neural.mapped_zeros(1)
-        self._stop = neural.mapped_zeros(1, dtype=np.int8)
-        ctx = mp.get_context("fork")
-        # the parent starts a round, the worker ends it
-        self._go, self._done = ctx.Semaphore(0), ctx.Semaphore(0)
-        try:
-            self._call = ForkedCall(_half_gradient, layers, batch, self._grads,
-                                    self._total, self._stop, self._go, self._done)
-        except BaseException:
-            self._unshare()
-            raise
-
-    def start(self):
-        self._go.release()
-
-    def finish(self):
-        if not _meet(self._done, lambda: not self._call.ended()):
-            self._call.result()  # raises the round's exception, or its death
-        return self._grads, float(self._total[0])
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        try:
-            if exc_type is None:
-                self._stop[0] = 1
-                self._go.release()
-                self._call.result()
-            else:
-                self._call.cancel()
-        finally:
-            self._unshare()
-
-    def _unshare(self):
-        for layer in self._layers:
-            layer.w, layer.b = layer.w.copy(), layer.b.copy()
-
-
-def _half_gradient(layers, batch, grads, total, stop, go, done):
-    """A HalfWorker's rounds, run in the forked worker: each writes the
-    gradient over the batch's second half into grads and the sum of the
-    half's squared errors into total.  Ends when the parent sets stop, or
-    has gone; a round that raises ends it with that exception."""
-    half = neural.HalvesWork.halves(batch)[1]
-    work = neural.DenseWork(layers, len(half), grads)
-    parent = os.getppid()
-    while _meet(go, lambda: os.getppid() == parent) and not stop[0]:
-        # as in fit_autoencoder, a diverging fit is failed by its caller
-        with np.errstate(over="ignore", invalid="ignore"):
-            total[0] = work.reconstruction_gradient(layers, half, len(batch))
-        done.release()
 
 
 def classifier_sgd_step(cfg, clf, window, label, k):
@@ -575,6 +340,9 @@ def classifier_minibatch_step(cfg, clf, work, windows, labels, k):
     neural.apply_gradients(clf, grads, 1.0)
     return k + len(windows)
 
+
+# the warm-up autoencoder steps on minibatches of AE_BATCH flow rows
+AE_BATCH = 256
 
 # pre-training runs PRETRAIN_PASSES passes over its windows, in
 # minibatches of PRETRAIN_BATCH windows, or more where the windows fill
@@ -886,45 +654,17 @@ class DrlPipeline:
     # -- training ----------------------------------------------------------
 
     def warmup(self):
-        """Fit the detector, and for autodrl pre-train the classifier.
-
-        The autoencoder fits on two half-batches (fit_autoencoder).  Both
-        agents fork only where ``fork`` exists and two CPUs are usable: on
-        one CPU the two processes would only take turns.  There deepedge
-        computes one half in this process and the other in a HalfWorker,
-        in lockstep.  The classifier needs only the detector's normalizer,
-        so autodrl instead trains the autoencoder in a ForkedCall child,
-        which computes both halves itself, while this process pre-trains.
-        Where a fork fails, this process does the child's work itself.  The
-        results are the same to the bit either way.  A failure raises
-        here, the autoencoder's first, as in the serial order, and leaves
-        no child running."""
+        """Fit the detector, and for autodrl then pre-train the classifier,
+        which needs only the detector's normalizer."""
         cfg = self.cfg
         seed = cfg.seed + 7919
         normalizer, data, row_counts = benign_warmup(cfg, seed)
-        can_fork = "fork" in mp.get_all_start_methods() and usable_cpus() >= 2
-        fit = (forked(ForkedCall, fit_autoencoder, cfg, seed, data, row_counts)
-               if cfg.agent == "autodrl" and can_fork else None)
-        if fit is None:
-            self.detector = AnomalyDetector(normalizer, *fit_autoencoder(
-                cfg, seed, data, row_counts, fork_half=can_fork))
-            if cfg.agent == "autodrl":
-                self.classifier, self._classifier_updates = \
-                    pretrain_step_classifier(cfg, normalizer, cfg.seed + 104729)
-            return
-        # the child holds its own copy of the matrix from here on
-        del data
-        try:
-            clf, updates = pretrain_step_classifier(cfg, normalizer,
-                                                    cfg.seed + 104729)
-        except Exception:
-            fit.result()  # the autoencoder's error comes first
-            raise
-        except BaseException:
-            fit.cancel()
-            raise
-        self.detector = AnomalyDetector(normalizer, *fit.result())
-        self.classifier, self._classifier_updates = clf, updates
+        self.detector = AnomalyDetector(normalizer, *fit_autoencoder(
+            cfg, seed, data, row_counts))
+        del data  # free the warm-up matrix before pre-training
+        if cfg.agent == "autodrl":
+            self.classifier, self._classifier_updates = \
+                pretrain_step_classifier(cfg, normalizer, cfg.seed + 104729)
 
     def train(self):
         """Warm-up unless done, then cfg.episodes of DQN training; a

@@ -18,7 +18,6 @@ QUICK_TRAIN = [
     "--set", 'env.attacks=[{"kind":"syn_flood","intensity":5000,'
              '"start_step":50,"end_step":250,"n_sources":20}]',
     "--set", "warmup.steps=50",
-    "--set", "neural.ae_epochs=40",
 ]
 
 
@@ -251,6 +250,56 @@ def test_corrupt_checkpoint_is_explicit(train_artifact, tmp_path, capsys):
     err = capsys.readouterr().err
     # explicit corruption diagnostics, never a silent or partial load
     assert "truncated checkpoint" in err or "expects" in err
+
+
+def small_checkpoint_text(tmp_path):
+    rng = np.random.default_rng(10)
+    path = tmp_path / "small.txt"
+    neural.save_checkpoint({
+        "autoencoder": neural.autoencoder_init(rng, input_dim=3, hidden_dim=4,
+                                               latent_dim=2),
+        "classifier": neural.lstm_classifier_init(3, 2, window_len=4, rng=rng),
+        "q_network": [neural.dense_init(5, 3, "relu", rng),
+                      neural.dense_init(3, 4, "identity", rng)]}, path)
+    return path.read_text()
+
+
+def test_checkpoint_cut_at_any_byte_is_one_truncated_line(train_artifact, tmp_path,
+                                                          capsys):
+    text = small_checkpoint_text(tmp_path)
+    broken = artifact_with_checkpoint(train_artifact, tmp_path, "")
+    out = tmp_path / "o"
+    # every cut within the first and the last line, and every fourth byte
+    # between, mid-number included; a cut after "end" leaves a whole file
+    first, last = text.index("\n"), len(text) - len("end\n")
+    for cut in sorted({*range(first + 2), *range(first, last, 4),
+                       *range(last - 2, len(text) - 1)}):
+        (broken / "checkpoint.txt").write_text(text[:cut])
+        code = cli.main(["evaluate", "--checkpoint", str(broken), "--out", str(out),
+                         "--quiet"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == cli.EXIT_RUNTIME, (cut, err)
+        assert len(err) == 1 and err[0].startswith(
+            "runtime error: truncated checkpoint"), (cut, err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, code", [
+    ("detector.json", cli.EXIT_RUNTIME), ("config.json", cli.EXIT_CONFIG)])
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}"],
+                         ids=["not_json", "not_text"])
+def test_artifact_json_that_does_not_parse_is_one_line_naming_the_file(
+        train_artifact, tmp_path, capsys, name, code, content):
+    broken = artifact_with_checkpoint(
+        train_artifact, tmp_path, (train_artifact / "checkpoint.txt").read_text())
+    (broken / name).write_bytes(content)
+    out = tmp_path / "o"
+    assert cli.main(["evaluate", "--checkpoint", str(broken), "--out", str(out),
+                     "--quiet"]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    assert f"{broken / name} is not valid JSON: " in err[0], err
+    assert not out.exists()
 
 
 def test_compare_between_runs(train_artifact, tmp_path):
@@ -657,7 +706,7 @@ def test_train_failed_in_warmup_keeps_its_config_and_log(tmp_path, capsys, agent
 @pytest.mark.parametrize("command", [
     ["train"],
     ["sweep", "--epsilon", "1.0,2.0", "--seeds", "0,1,2"],
-    # the autoencoder diverges in the forked child, which prints nothing
+    # the autoencoder diverges before the classifier pre-trains
     ["train", "--agent", "autodrl"],
 ])
 def test_diverged_warmup_prints_one_line_and_logs_critical(tmp_path, command):
@@ -836,6 +885,16 @@ def test_constant_classifier_verdicts_warn_and_are_reported(tmp_path, lstm_lr,
     warned = re.search(r"- WARNING: The classifier gave one verdict on every step "
                        r"of episodes \[0, 1\].*neural\.lstm_lr", log)
     assert bool(warned) == bool(constant)
+    assert log.count("- WARNING:") == (1 if constant else 0)
+    # a rollout of the same classifier reports it too
+    evaluated = tmp_path / "eval"
+    assert cli.main(["evaluate", "--checkpoint", str(out), "--out", str(evaluated),
+                     "--quiet"]) == cli.EXIT_OK
+    assert json.loads((evaluated / "report.json").read_text())["constant_verdict"] \
+        == bool(constant)
+    log = (evaluated / "run.log").read_text()
+    assert bool(re.search(r"- WARNING: The classifier gave one verdict on every "
+                          r"step of the rollout.*neural\.lstm_lr", log)) == bool(constant)
     assert log.count("- WARNING:") == (1 if constant else 0)
 
 

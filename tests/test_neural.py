@@ -1,6 +1,4 @@
-import contextlib
 import copy
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -9,7 +7,6 @@ from hypothesis import strategies as st
 
 from edgeids import agent as ag
 from edgeids import neural
-from edgeids import pipeline as pl
 from edgeids.neural import (
     AutoencoderModel,
     CheckpointError,
@@ -614,76 +611,6 @@ def test_autoencoder_workspace_must_fit_batch_and_model():
         assert np.array_equal(p, old)
 
 
-def _reference_halves_train_step(model, batch, lr):
-    """The two-half train step over the column-major reference: the
-    gradients over the halves of np.array_split(batch, 2), each over the
-    whole batch's row count, the second's added to the first's, and one
-    SGD step on the sum."""
-    n = len(batch)
-    total, grads = 0.0, None
-    for half in np.array_split(batch, 2):
-        h, enc_caches = _reference_stack_forward(model.encoder, half, True)
-        x_hat, dec_caches = _reference_stack_forward(model.decoder, h, True)
-        diff = _as_layout(x_hat - half, True)
-        total += float((diff * diff).sum(axis=1).sum())
-        dec_grads, d_h = _reference_stack_backward(model.decoder, dec_caches,
-                                                   2.0 * diff / n, True)
-        enc_grads, _ = _reference_stack_backward(model.encoder, enc_caches, d_h, True)
-        half_grads = [g for dw_db in enc_grads + dec_grads for g in dw_db]
-        grads = half_grads if grads is None else [
-            first + second for first, second in zip(grads, half_grads)]
-    for (_, p), g in zip(iter_params(model), grads):
-        p -= lr * g
-    return total / n
-
-
-def _work_grads(work):
-    return [g for dw_db in zip(work.dw, work.db) for g in dw_db]
-
-
-@settings(max_examples=40, deadline=None)
-@given(rows=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
-       dead=st.integers(0, 16), scale=st.sampled_from([0.1, 1.0, 30.0]),
-       lr=st.sampled_from([0.05, 0.5]))
-def test_two_half_step_matches_full_batch_and_forked_worker(rows, seed, dead, scale,
-                                                           lr):
-    rng = np.random.default_rng(seed)
-    model = autoencoder_init(rng, input_dim=8, hidden_dim=16, latent_dim=8)
-    # a bias far below zero keeps a ReLU unit off for every row
-    model.encoder[0].b[:dead] -= 100.0
-    model.decoder[0].b[: dead // 2] -= 100.0
-    batch = rng.uniform(-1.0, 1.0, size=(rows, 8)) * scale
-    layers = model.layers
-    halves = neural.HalvesWork(layers, rows)
-    full = neural.DenseWork(layers, rows)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the two halves' summed gradient against the full batch's
-        total = halves.reconstruction_gradient(layers, batch, rows)
-        full_total = full.reconstruction_gradient(layers, batch, rows)
-        loss_bound, grad_bounds = _squared_error_bounds(layers, batch, batch)
-        _assert_close(total / rows, full_total / rows, loss_bound / rows, "loss")
-        for (name, _), g, r, bound in zip(iter_params(model), _work_grads(halves.first),
-                                          _work_grads(full), grad_bounds):
-            _assert_close(g, r, bound / rows, name)
-
-        # steps in this process, in a forked worker and in the reference,
-        # several through one work each, so a stale value would show
-        ref, forked = copy.deepcopy(model), copy.deepcopy(model)
-        worker = (pl.HalfWorker(forked.layers, batch)
-                  if "fork" in multiprocessing.get_all_start_methods() else None)
-        forked_work = neural.HalvesWork(forked.layers, rows, worker)
-        with worker if worker is not None else contextlib.nullcontext():
-            for _ in range(4):
-                loss = neural.autoencoder_train_step(model, batch, lr, halves)
-                assert _bits(loss) == _bits(_reference_halves_train_step(ref, batch, lr))
-                assert _bits(neural.autoencoder_train_step(
-                    forked, batch, lr, forked_work)) == _bits(loss)
-                for (name, p), (_, q), (_, r) in zip(
-                        iter_params(model), iter_params(forked), iter_params(ref)):
-                    assert _bits(p) == _bits(q) == _bits(r), name
-    assert multiprocessing.active_children() == []
-
-
 def _reference_td_targets(batch, q_target, gamma, carbon_weight):
     targets = batch.rewards
     if carbon_weight > 0.0:
@@ -1058,6 +985,18 @@ def test_checkpoint_truncated_file(tmp_path):
     text = path.read_text()
     path.write_text(text[: len(text) // 2])
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_non_number_names_its_line(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint({"q": [neural.dense_init(2, 3, "relu", np.random.default_rng(0))]},
+                    path)
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("b "))
+    lines[at] = lines[at].rsplit(" ", 1)[0] + " -"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError, match="^model 'q': b line: .*'-'"):
         load_checkpoint(path)
 
 

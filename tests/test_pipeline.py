@@ -2,16 +2,10 @@ import errno
 import gc
 import math
 import multiprocessing
-import multiprocessing.connection
 import os
-import signal
-import subprocess
-import sys
-import time
 import tracemalloc
 from collections import deque
 from dataclasses import replace
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,7 +32,6 @@ def quick_config(agent="deepedge", **kw):
     cfg.episodes = kw.pop("episodes", 1)
     cfg.pretrain_episodes = 1
     cfg.warmup.steps = 50
-    cfg.neural.ae_epochs = 40
     episode_len = kw.pop("episode_len", 400)
     cfg.env.episode_len = episode_len
     cfg.env.attacks = [AttackScenario("syn_flood", 5000.0,
@@ -765,15 +758,15 @@ def test_td_loss_ceiling_is_twice_the_return_bound_squared(trained_quick):
 
 
 # ---------------------------------------------------------------------------
-# the warm-up: the autoencoder's halves in a forked worker (deepedge), and
-# the autoencoder in a forked child (autodrl), against the serial order
+# the warm-up: benign steps, the minibatch autoencoder fit, then (autodrl)
+# the classifier's pre-training, all in this process
 # ---------------------------------------------------------------------------
 
-def serial_train_detector(cfg, rng_seed, full_batch=False):
-    """The warm-up detector fitted serially in one process, each epoch on
-    the two halves of the warm-up matrix: the reference that
-    benign_warmup then fit_autoencoder, forked or not, must match bit for
-    bit.  With full_batch, each epoch's gradient is the full batch's."""
+def serial_train_detector(cfg, rng_seed):
+    """The warm-up detector fitted step by step: the reference that
+    benign_warmup then fit_autoencoder must match bit for bit.  Each pass
+    draws a new order of the rows and steps on each AE_BATCH of it in a
+    fresh DenseWork; the row errors are scored AE_BATCH rows at a time."""
     rng = np.random.default_rng(rng_seed)
     env = EdgeGatewayEnv(replace(cfg.env, episode_len=cfg.warmup.steps, attacks=[]),
                          seed=rng_seed, resources=cfg.resources)
@@ -785,12 +778,15 @@ def serial_train_detector(cfg, rng_seed, full_batch=False):
     model = neural.autoencoder_init(
         rng, input_dim=len(ft.FEATURE_NAMES),
         hidden_dim=cfg.neural.ae_hidden, latent_dim=cfg.neural.latent_dim)
-    work = (neural.DenseWork if full_batch else neural.HalvesWork)(
-        model.layers, data.shape[0])
     for _ in range(cfg.neural.ae_epochs):
-        neural.autoencoder_train_step(model, data, cfg.neural.ae_lr, work)
-    tau_flow = float(np.percentile(pl._row_errors(model, data),
-                                   cfg.warmup.tau_percentile))
+        order = rng.permutation(len(data))
+        for at in range(0, len(data), pl.AE_BATCH):
+            batch = data[order[at:at + pl.AE_BATCH]]
+            neural.autoencoder_train_step(model, batch, cfg.neural.ae_lr,
+                                          neural.DenseWork(model.layers, len(batch)))
+    errors = [e for at in range(0, len(data), pl.AE_BATCH)
+              for e in pl._row_errors(model, data[at:at + pl.AE_BATCH])]
+    tau_flow = float(np.percentile(errors, cfg.warmup.tau_percentile))
     bounds = np.cumsum(row_counts)[:-1]
     step_scores = []
     for rows in np.split(data, bounds):
@@ -856,349 +852,109 @@ def warmup_bits(pipe):
     return [np.asarray(a).tobytes() for a in arrays], pipe._classifier_updates
 
 
-@pytest.fixture
-def forked_calls(monkeypatch):
-    """Every ForkedCall the pipeline starts, in order."""
-    calls = []
-
-    class Recorded(pl.ForkedCall):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            calls.append(self)
-
-    monkeypatch.setattr(pl, "ForkedCall", Recorded)
-    return calls
-
-
-def no_fork(*args, **kwargs):
-    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-
-FORK_CASES = ["fork", "one-cpu", "without-fork", "fork-fails"]
-
-
-def fork_case(monkeypatch, case):
-    """Meets the warm-up with one of FORK_CASES: "fork" leaves this process
-    as it is (under a one-CPU affinity it forks nothing), "one-cpu" leaves
-    one CPU usable, "without-fork" takes the fork start method away, and
-    "fork-fails" fails every fork with EAGAIN on two CPUs.  Returns
-    whether the warm-up should fork."""
-    if case == "one-cpu":
-        monkeypatch.setattr(pl, "usable_cpus", lambda: 1)
-    elif case == "without-fork":
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                            lambda: ["spawn", "forkserver"])
-    elif case == "fork-fails":
-        monkeypatch.setattr(pl, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(os, "fork", no_fork)
-    return (case == "fork" and "fork" in multiprocessing.get_all_start_methods()
-            and pl.usable_cpus() >= 2)
-
-
-@pytest.mark.parametrize("case", FORK_CASES)
-def test_forked_warmup_is_bit_identical_to_the_serial_one(
-        monkeypatch, tmp_path, forked_calls, case):
-    cfg = quick_config("autodrl", episodes=1, episode_len=200)
+@pytest.mark.parametrize("agent", ["deepedge", "autodrl"])
+def test_warmup_matches_the_serial_reference(tmp_path, agent):
+    cfg = quick_config(agent, episodes=1, episode_len=200)
     reference = pl.DrlPipeline(cfg)
     reference.detector = serial_train_detector(cfg, cfg.seed + 7919)
-    reference.classifier, reference._classifier_updates = \
-        serial_pretrain_step_classifier(cfg, reference.detector, cfg.seed + 104729)
-    # without a fork, the autoencoder trains in this process
-    forks = fork_case(monkeypatch, case)
+    if agent == "autodrl":
+        reference.classifier, reference._classifier_updates = \
+            serial_pretrain_step_classifier(cfg, reference.detector,
+                                            cfg.seed + 104729)
     pipe = pl.DrlPipeline(cfg)
     pipe.warmup()
-    assert len(forked_calls) == forks
     assert warmup_bits(pipe) == warmup_bits(reference)
-    assert multiprocessing.active_children() == []
     for name, p in (("reference", reference), ("warmup", pipe)):
         p.train()
         neural.save_checkpoint(p.models(), tmp_path / name)
     assert (tmp_path / "warmup").read_bytes() == (tmp_path / "reference").read_bytes()
 
 
-@pytest.mark.parametrize("case", FORK_CASES)
-def test_deepedge_forked_warmup_is_bit_identical_to_the_serial_one(
-        monkeypatch, forked_calls, case):
-    cfg = quick_config("deepedge")
-    reference = pl.DrlPipeline(cfg)
-    reference.detector = serial_train_detector(cfg, cfg.seed + 7919)
-    # without a fork, this process computes both halves
-    forks = fork_case(monkeypatch, case)
-    pipe = pl.DrlPipeline(cfg)
-    pipe.warmup()
-    assert len(forked_calls) == forks
-    assert warmup_bits(pipe) == warmup_bits(reference)
-    assert multiprocessing.active_children() == []
+def warmup_matrix(rows, seed=0):
+    """A normalized-looking [rows, features] matrix whose first column
+    tells its rows apart, as one warm-up step."""
+    data = np.random.default_rng(seed).uniform(size=(rows, len(ft.FEATURE_NAMES)))
+    data[:, 0] = np.arange(rows) / rows
+    return data, [rows]
 
 
-def test_deepedge_warmup_computes_both_halves_where_fork_fails(monkeypatch):
-    cfg = quick_config("deepedge")
-    reference = pl.DrlPipeline(cfg)
-    reference.detector = serial_train_detector(cfg, cfg.seed + 7919)
-    monkeypatch.setattr(pl, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(pl, "ForkedCall", no_fork)
-    pipe = pl.DrlPipeline(cfg)
-    pipe.warmup()
-    assert warmup_bits(pipe) == warmup_bits(reference)
-    # the parameters are back in the layers' own arrays, out of the shared map
-    assert all(p.base is None for layer in pipe.detector.autoencoder.layers
-               for p in (layer.w, layer.b))
-
-
-def small_autoencoder():
-    return neural.autoencoder_init(np.random.default_rng(0), input_dim=4,
-                                   hidden_dim=4, latent_dim=2)
-
-
-def test_forked_call_that_cannot_fork_closes_its_pipe(monkeypatch):
-    ends = []
-    pipe = multiprocessing.connection.Pipe
-
-    def recorded(*args, **kwargs):
-        pair = pipe(*args, **kwargs)
-        ends.extend(pair)
-        return pair
-
-    monkeypatch.setattr(multiprocessing.connection, "Pipe", recorded)
-    monkeypatch.setattr(os, "fork", no_fork)
-    with pytest.raises(BlockingIOError):
-        pl.ForkedCall(abs, -1)
-    layers = small_autoencoder().layers
-    with pytest.raises(BlockingIOError):
-        pl.HalfWorker(layers, np.zeros((6, 4)))
-    assert len(ends) == 4 and all(end.closed for end in ends)
-    assert all(p.base is None for layer in layers for p in (layer.w, layer.b))
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
-                    reason="counts descriptors in /proc/self/fd")
-def test_forks_that_fail_leave_no_descriptor_open(monkeypatch):
-    monkeypatch.setattr(os, "fork", no_fork)
-    before = sorted(os.listdir("/proc/self/fd"))
-    for _ in range(3):
-        assert pl.forked(pl.ForkedCall, abs, -1) is None
-    assert pl.forked(pl.HalfWorker, small_autoencoder().layers, np.zeros((6, 4))) is None
-    assert sorted(os.listdir("/proc/self/fd")) == before
-
-
-def test_two_half_detector_matches_the_full_batch_fit():
-    # the halves' sum adds what the full batch adds, in another order: every
-    # array agrees within 1e-12 of its largest magnitude.  Both agents share
-    # the default warm-up.
+def test_autoencoder_fit_repeats_to_the_bit():
     cfg = default_config("deepedge")
-    seed = cfg.seed + 7919
-    halves = serial_train_detector(cfg, seed)
-    full = serial_train_detector(cfg, seed, full_batch=True)
-    for a, b in zip(detector_arrays(halves), detector_arrays(full)):
-        a, b = np.asarray(a), np.asarray(b)
-        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
-    x = halves.normalizer.transform(np.ones((1, len(ft.FEATURE_NAMES))))[0]
-    assert halves.autoencoder.anomaly_score(x) == pytest.approx(
-        full.autoencoder.anomaly_score(x), rel=1e-12)
+    data, row_counts = warmup_matrix(3 * pl.AE_BATCH + 11)
+    kept = data.copy()
+    bits = []
+    for _ in range(2):
+        model, tau_flow, tau_step = pl.fit_autoencoder(cfg, 5, data, row_counts)
+        bits.append([np.asarray(a).tobytes() for a in (
+            tau_flow, tau_step, *(p for _, p in neural.iter_params(model)))])
+    assert bits[0] == bits[1]
+    # the fit reads the matrix and leaves it as it was
+    assert np.array_equal(data, kept)
 
 
-def epoch_hook(epoch, action):
-    """neural.autoencoder_train_step that runs action() before epoch
-    `epoch` (from 0) of every fit."""
+@pytest.mark.parametrize("rows", [5, pl.AE_BATCH, 2 * pl.AE_BATCH + 37])
+def test_autoencoder_fit_visits_every_row_once_per_pass(monkeypatch, rows):
+    cfg = default_config("deepedge")
+    cfg.neural.ae_epochs = 3
+    data, row_counts = warmup_matrix(rows)
+    seen = []
     real_step = neural.autoencoder_train_step
-    calls = []
 
-    def step(model, batch, lr, work):
-        if len(calls) == epoch:
-            action()
-        calls.append(None)
+    def recorded(model, batch, lr, work):
+        assert work.shape == batch.shape
+        seen.append(np.rint(batch[:, 0] * rows).astype(int))
         return real_step(model, batch, lr, work)
 
-    return step
+    monkeypatch.setattr(neural, "autoencoder_train_step", recorded)
+    pl.fit_autoencoder(cfg, 5, data, row_counts)
+    full, last = divmod(rows, pl.AE_BATCH)
+    per_pass = full + (last > 0)
+    assert len(seen) == cfg.neural.ae_epochs * per_pass
+    orders = []
+    for p in range(cfg.neural.ae_epochs):
+        batches = seen[p * per_pass:(p + 1) * per_pass]
+        # full minibatches first, then the pass's partial last one
+        assert [len(b) for b in batches] == [pl.AE_BATCH] * full + [last] * (last > 0)
+        order = np.concatenate(batches)
+        assert sorted(order.tolist()) == list(range(rows))
+        orders.append(order.tolist())
+    # each pass draws its own order
+    assert rows < 6 or orders[0] != orders[1] != orders[2]
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="the second half trains in a worker only where fork exists")
-def test_deepedge_warmup_leaves_no_child_process(monkeypatch, forked_calls, capfd):
-    monkeypatch.setattr(pl, "usable_cpus", lambda: 2)
-    cfg = quick_config("deepedge")
-    diverging = quick_config("deepedge")
-    diverging.neural.ae_lr = 1e6
-    diverging.neural.ae_epochs = 5
+def diverging_config(agent):
+    cfg = quick_config(agent, episode_len=100)
+    cfg.neural.ae_lr = 1e6
+    cfg.neural.ae_epochs = 5
+    return cfg
 
-    def reaped():
-        return (multiprocessing.active_children() == []
-                and all(c._proc.exitcode is not None for c in forked_calls))
 
-    def warmup_with(action):
-        with monkeypatch.context() as patch:
-            patch.setattr(neural, "autoencoder_train_step", epoch_hook(3, action))
-            pl.DrlPipeline(cfg).warmup()
+@pytest.mark.parametrize("agent", ["deepedge", "autodrl"])
+def test_diverging_autoencoder_fails_the_warmup(agent):
+    pipe = pl.DrlPipeline(diverging_config(agent))
+    with pytest.raises(ValueError, match="autoencoder diverged") as info:
+        pipe.warmup()
+    assert "lower neural.ae_lr" in str(info.value)
+    assert pipe.detector is None and pipe.classifier is None
 
-    pl.DrlPipeline(cfg).warmup()
-    assert reaped()
-    # the worker's gradient diverges as well; the finite check fails the fit
+
+def test_failing_autoencoder_raises_before_pretraining(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pl, "pretrain_step_classifier",
+                        lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="autoencoder diverged"):
-        pl.DrlPipeline(diverging).warmup()
-    assert reaped()
-
-    def fail():
-        raise RuntimeError("the parent failed")
-
-    with pytest.raises(RuntimeError, match="the parent failed"):
-        warmup_with(fail)
-    assert reaped()
-
-    def interrupt():
-        raise KeyboardInterrupt
-
-    with pytest.raises(KeyboardInterrupt):
-        warmup_with(interrupt)
-    assert reaped()
-
-    # a Ctrl-C reaches the whole process group; the worker ignores it
-    warmup_with(lambda: os.kill(forked_calls[-1]._proc.pid, signal.SIGINT))
-    assert reaped()
-
-    # a worker that dies mid-fit fails the next epoch, with one line
-    start = time.monotonic()
-    with pytest.raises(RuntimeError, match="forked child exited with code -9") as info:
-        warmup_with(lambda: os.kill(forked_calls[-1]._proc.pid, signal.SIGKILL))
-    assert time.monotonic() - start < 10
-    assert "\n" not in str(info.value)
-    assert reaped()
-    assert len(forked_calls) == 6
-    # no process printed anything
-    assert capfd.readouterr() == ("", "")
+        pl.DrlPipeline(diverging_config("autodrl")).warmup()
+    assert calls == []
 
 
-LOCKSTEP_PARENT_DIES = """
-import os, signal, sys, time
-import numpy as np
-from edgeids import neural, pipeline as pl
+def test_warmup_starts_no_child_process(monkeypatch):
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
-def gradient(work, layers, x, n):
-    time.sleep(0.3)
-    if sys.argv[1] == "raises":
-        raise ValueError("the round failed")
-    return 0.0
-
-neural.DenseWork.reconstruction_gradient = gradient
-model = neural.autoencoder_init(np.random.default_rng(0), input_dim=4,
-                                hidden_dim=4, latent_dim=2)
-worker = pl.HalfWorker(model.layers, np.zeros((6, 4)))
-worker.start()
-time.sleep(0.1)
-os.kill(os.getpid(), signal.SIGKILL)
-"""
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="a lockstep child runs only where fork exists")
-@pytest.mark.parametrize("round_ends", ["returns", "raises"])
-def test_lockstep_child_of_a_dead_parent_exits_quietly(round_ends):
-    # the parent dies mid-round; the child finishes the round, finds its
-    # parent gone and exits.  The child holds the parent's stdout and
-    # stderr, so run returns once the child has exited too.
-    src = str(Path(pl.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", LOCKSTEP_PARENT_DIES, round_ends],
-                          env=env, capture_output=True, text=True, timeout=30)
-    assert proc.returncode == -signal.SIGKILL
-    assert (proc.stdout, proc.stderr) == ("", "")
-
-
-FORKED_PARENT_DIES = """
-import os, signal, time
-import numpy as np
-from edgeids import pipeline as pl
-
-def fit():
-    time.sleep(0.3)
-    return np.zeros(10 ** 6)  # more than a pipe holds
-
-call = pl.ForkedCall(fit)
-time.sleep(0.1)
-os.kill(os.getpid(), signal.SIGKILL)
-"""
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="a forked child runs only where fork exists")
-def test_forked_child_of_a_dead_parent_exits_quietly():
-    # the parent dies before the child's result is sent; a child that kept
-    # the parent's end of the pipe open would block on the send for ever
-    src = str(Path(pl.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", FORKED_PARENT_DIES],
-                          env=env, capture_output=True, text=True, timeout=30)
-    assert proc.returncode == -signal.SIGKILL
-    assert (proc.stdout, proc.stderr) == ("", "")
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="a lockstep worker runs only where fork exists")
-def test_lockstep_round_that_raises_fails_the_fit_with_one_line(
-        monkeypatch, forked_calls, capfd):
-    def failing(*args):
-        raise ValueError("the round failed")
-
-    # the worker forks with the patched method; this process never calls it
-    monkeypatch.setattr(neural.DenseWork, "reconstruction_gradient", failing)
-    layers = small_autoencoder().layers
-    finished = False
-    start = time.monotonic()
-    with pytest.raises(ValueError, match="the round failed") as info:
-        with pl.HalfWorker(layers, np.zeros((6, 4))) as worker:
-            worker.start()
-            worker.finish()
-            finished = True
-    # finish() raised, not the exit that reaps the worker
-    assert not finished
-    assert time.monotonic() - start < 10
-    assert "\n" not in str(info.value)
-    assert len(forked_calls) == 1 and forked_calls[0]._proc.exitcode is not None
-    assert multiprocessing.active_children() == []
-    assert capfd.readouterr() == ("", "")
-    # the parameters are back in the layers' own arrays, out of the shared map
-    assert all(p.base is None for layer in layers for p in (layer.w, layer.b))
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="the autoencoder trains in a child only where fork exists")
-def test_autodrl_warmup_leaves_no_child_process(monkeypatch, forked_calls):
-    monkeypatch.setattr(pl, "usable_cpus", lambda: 2)
-    cfg = quick_config("autodrl", episode_len=100)
-    diverging = quick_config("autodrl", episode_len=100)
-    diverging.neural.ae_lr = 1e6
-    diverging.neural.ae_epochs = 5
-
-    def reaped():
-        return (multiprocessing.active_children() == []
-                and all(c._proc.exitcode is not None for c in forked_calls))
-
-    pl.DrlPipeline(cfg).warmup()
-    assert reaped()
-    # the child's error is raised here, and the child prints nothing
-    with pytest.raises(ValueError, match="autoencoder diverged"):
-        pl.DrlPipeline(diverging).warmup()
-    assert reaped()
-
-    def failing_pretrain(*args):
-        raise RuntimeError("pre-training failed")
-
-    monkeypatch.setattr(pl, "pretrain_step_classifier", failing_pretrain)
-    with pytest.raises(RuntimeError, match="pre-training failed"):
-        pl.DrlPipeline(cfg).warmup()
-    assert reaped()
-    # both fail: the autoencoder's error comes first, as in the serial order
-    with pytest.raises(ValueError, match="autoencoder diverged"):
-        pl.DrlPipeline(diverging).warmup()
-    assert reaped()
-
-    def interrupted_pretrain(*args):
-        raise KeyboardInterrupt
-
-    # an interrupt ends the child rather than waiting for it
-    monkeypatch.setattr(pl, "pretrain_step_classifier", interrupted_pretrain)
-    with pytest.raises(KeyboardInterrupt):
-        pl.DrlPipeline(cfg).warmup()
-    assert reaped()
-    assert len(forked_calls) == 5
+    monkeypatch.setattr(os, "fork", no_fork)
+    for agent in ("deepedge", "autodrl"):
+        pipe = pl.DrlPipeline(quick_config(agent, episode_len=100))
+        pipe.warmup()
+        assert pipe.detector is not None
+        assert (pipe.classifier is not None) == (agent == "autodrl")
+        assert multiprocessing.active_children() == []
