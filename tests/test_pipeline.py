@@ -852,22 +852,64 @@ def warmup_bits(pipe):
     return [np.asarray(a).tobytes() for a in arrays], pipe._classifier_updates
 
 
-@pytest.mark.parametrize("agent", ["deepedge", "autodrl"])
-def test_warmup_matches_the_serial_reference(tmp_path, agent):
-    cfg = quick_config(agent, episodes=1, episode_len=200)
+def forks_attempted(monkeypatch):
+    """Fails every os.fork with EAGAIN and returns the list of attempts."""
+    attempts = []
+
+    def no_fork(*args, **kwargs):
+        attempts.append(args)
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    return attempts
+
+
+FORK_CASES = ["fork", "one-cpu", "without-fork", "fork-fails"]
+
+
+def fork_case(monkeypatch, case):
+    """Meets the warm-up with one of FORK_CASES: "fork" leaves this process
+    as it is, "one-cpu" leaves one CPU usable, "without-fork" takes the fork
+    start method away, and "fork-fails" fails every fork with EAGAIN.  The
+    warm-up runs in this process, so none of them may change its bits."""
+    if case == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    elif case == "without-fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn", "forkserver"])
+    elif case == "fork-fails":
+        forks_attempted(monkeypatch)
+
+
+@pytest.mark.parametrize("case", FORK_CASES)
+def test_forked_warmup_is_bit_identical_to_the_serial_one(monkeypatch, tmp_path, case):
+    cfg = quick_config("autodrl", episodes=1, episode_len=200)
     reference = pl.DrlPipeline(cfg)
     reference.detector = serial_train_detector(cfg, cfg.seed + 7919)
-    if agent == "autodrl":
-        reference.classifier, reference._classifier_updates = \
-            serial_pretrain_step_classifier(cfg, reference.detector,
-                                            cfg.seed + 104729)
+    reference.classifier, reference._classifier_updates = \
+        serial_pretrain_step_classifier(cfg, reference.detector, cfg.seed + 104729)
+    fork_case(monkeypatch, case)
     pipe = pl.DrlPipeline(cfg)
     pipe.warmup()
     assert warmup_bits(pipe) == warmup_bits(reference)
+    assert multiprocessing.active_children() == []
     for name, p in (("reference", reference), ("warmup", pipe)):
         p.train()
         neural.save_checkpoint(p.models(), tmp_path / name)
     assert (tmp_path / "warmup").read_bytes() == (tmp_path / "reference").read_bytes()
+
+
+@pytest.mark.parametrize("case", FORK_CASES)
+def test_deepedge_forked_warmup_is_bit_identical_to_the_serial_one(monkeypatch, case):
+    cfg = quick_config("deepedge")
+    reference = pl.DrlPipeline(cfg)
+    reference.detector = serial_train_detector(cfg, cfg.seed + 7919)
+    fork_case(monkeypatch, case)
+    pipe = pl.DrlPipeline(cfg)
+    pipe.warmup()
+    assert warmup_bits(pipe) == warmup_bits(reference)
+    assert multiprocessing.active_children() == []
 
 
 def warmup_matrix(rows, seed=0):
@@ -947,14 +989,82 @@ def test_failing_autoencoder_raises_before_pretraining(monkeypatch):
     assert calls == []
 
 
-def test_warmup_starts_no_child_process(monkeypatch):
-    def no_fork():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+def step_hook(step, action):
+    """neural.autoencoder_train_step that runs action() before minibatch
+    step `step` (from 0) of every fit."""
+    real_step = neural.autoencoder_train_step
+    calls = []
 
-    monkeypatch.setattr(os, "fork", no_fork)
-    for agent in ("deepedge", "autodrl"):
-        pipe = pl.DrlPipeline(quick_config(agent, episode_len=100))
-        pipe.warmup()
-        assert pipe.detector is not None
-        assert (pipe.classifier is not None) == (agent == "autodrl")
-        assert multiprocessing.active_children() == []
+    def hooked(model, batch, lr, work):
+        if len(calls) == step:
+            action()
+        calls.append(None)
+        return real_step(model, batch, lr, work)
+
+    return hooked
+
+
+def test_deepedge_warmup_leaves_no_child_process(monkeypatch, capfd):
+    attempts = forks_attempted(monkeypatch)
+    cfg = quick_config("deepedge")
+
+    def warmup_with(action):
+        with monkeypatch.context() as patch:
+            patch.setattr(neural, "autoencoder_train_step", step_hook(3, action))
+            pl.DrlPipeline(cfg).warmup()
+
+    pipe = pl.DrlPipeline(cfg)
+    pipe.warmup()
+    assert pipe.detector is not None and pipe.classifier is None
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ValueError, match="autoencoder diverged"):
+        pl.DrlPipeline(diverging_config("deepedge")).warmup()
+    assert multiprocessing.active_children() == []
+
+    def fail():
+        raise RuntimeError("the fit failed")
+
+    with pytest.raises(RuntimeError, match="the fit failed"):
+        warmup_with(fail)
+    assert multiprocessing.active_children() == []
+
+    def interrupt():
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        warmup_with(interrupt)
+    assert multiprocessing.active_children() == []
+    assert attempts == []
+    assert capfd.readouterr() == ("", "")
+
+
+def test_autodrl_warmup_leaves_no_child_process(monkeypatch):
+    attempts = forks_attempted(monkeypatch)
+    cfg = quick_config("autodrl", episode_len=100)
+    pipe = pl.DrlPipeline(cfg)
+    pipe.warmup()
+    assert pipe.detector is not None and pipe.classifier is not None
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ValueError, match="autoencoder diverged"):
+        pl.DrlPipeline(diverging_config("autodrl")).warmup()
+    assert multiprocessing.active_children() == []
+
+    def failing_pretrain(*args):
+        raise RuntimeError("pre-training failed")
+
+    monkeypatch.setattr(pl, "pretrain_step_classifier", failing_pretrain)
+    with pytest.raises(RuntimeError, match="pre-training failed"):
+        pl.DrlPipeline(cfg).warmup()
+    assert multiprocessing.active_children() == []
+    # both fail: the autoencoder's error comes first
+    with pytest.raises(ValueError, match="autoencoder diverged"):
+        pl.DrlPipeline(diverging_config("autodrl")).warmup()
+
+    def interrupted_pretrain(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pl, "pretrain_step_classifier", interrupted_pretrain)
+    with pytest.raises(KeyboardInterrupt):
+        pl.DrlPipeline(cfg).warmup()
+    assert multiprocessing.active_children() == []
+    assert attempts == []
