@@ -169,6 +169,12 @@ MAX_FLOWS_PER_STEP = 1e5
 # minibatch fit holds no full-batch buffers.  It can be no lower: the
 # fewest warm-up steps, ten, at MAX_FLOWS_PER_STEP draw this many.
 MAX_WARMUP_FLOWS = 1e6
+# A bound on the attacks' summed intensity * env.dt, the attack packets a
+# step can draw.  RATE_LIMIT's and SYN_THROTTLE's caps draw the packets
+# they keep from numpy's multivariate_hypergeometric, which takes fewer
+# than 1e9; this leaves nine tenths of that for the Poisson draws' spread
+# and the benign packets, about 16 a flow.
+MAX_ATTACK_PKTS_PER_STEP = 1e8
 
 
 @dataclass
@@ -193,6 +199,10 @@ class AttackScenario:
             ("start_step", self.start_step < self.end_step,
              f"must be less than end_step ({self.end_step})"),
             ("n_sources", self.n_sources >= 1, "must be >= 1"),
+            ("size_range", 0 < self.size_range[0] <= self.size_range[1],
+             "must be [low, high] with 0 < low <= high"),
+            ("jitter_range", 0 <= self.jitter_range[0] <= self.jitter_range[1],
+             "must be [low, high] with 0 <= low <= high"),
             ("protocol_period", self.protocol_period >= 1, "must be >= 1"),
             ("rotation_every", self.rotation_every >= 1, "must be >= 1")))
 
@@ -231,6 +241,11 @@ class EnvConfig:
             ("tau_p", 0.0 < self.tau_p < 1.0, "must lie in (0, 1)"),
             ("source_window", self.source_window >= 1, "must be >= 1"),
             ("blacklist_expiry", self.blacklist_expiry >= 0, "must be >= 0")))
+        pkts = sum(a.intensity for a in self.attacks) * self.dt
+        if not pkts <= MAX_ATTACK_PKTS_PER_STEP:
+            raise ValueError(
+                f"attacks' intensities times dt ({self.dt:g} s) must sum to at "
+                f"most {MAX_ATTACK_PKTS_PER_STEP:g} packets per step, got {pkts:g}")
 
 
 @dataclass

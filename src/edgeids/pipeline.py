@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -409,45 +409,43 @@ def pretrain_step_classifier(cfg, normalizer, seed):
 # results
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EpisodeStats:
-    episode: int
-    reward_total: float
-    detection_rate: float
-    false_rate: float
-    attack_offered: int
-    attack_passed: int
-    benign_offered: int
-    benign_passed: int
-    energy_j: float
-    carbon_g: float
-    cpu_mean: float
-    epsilon_end: float
-    updates: int
-    td_loss_mean: float     # mean minibatch TD loss over the episode's updates
+# EpisodeOutcome attributes; all but these counts are written as floats
+EPISODE_COLUMNS = ["episode", "reward_total", "detection_rate", "false_rate",
+                   "attack_offered", "attack_passed", "benign_offered",
+                   "benign_passed", "energy_j", "carbon_g", "cpu_mean",
+                   "epsilon_end", "updates", "td_loss_mean"]
+_COUNTS = {"episode", "attack_offered", "attack_passed", "benign_offered",
+           "benign_passed", "updates"}
 
 
-EPISODE_COLUMNS = [f.name for f in fields(EpisodeStats)]
-_FLOAT_COLUMNS = {f.name for f in fields(EpisodeStats) if f.type == "float"}
-
-
-def write_episode_csv(path, stats):
+def write_episode_csv(path, outcomes):
+    """One row of EPISODE_COLUMNS per EpisodeOutcome."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(EPISODE_COLUMNS)
-        for s in stats:
-            writer.writerow([repr(float(getattr(s, c))) if c in _FLOAT_COLUMNS
-                             else getattr(s, c) for c in EPISODE_COLUMNS])
+        for out in outcomes:
+            writer.writerow([getattr(out, c) if c in _COUNTS
+                             else repr(float(getattr(out, c)))
+                             for c in EPISODE_COLUMNS])
 
 
 @dataclass
 class TrainOutcome:
+    """The trained models and each training episode's EpisodeOutcome."""
+
     models: dict
     episode_stats: list
-    ledgers: list
-    trace_rows: Trace                 # every episode's, joined
-    q_updates: int
-    constant_verdict_episodes: list   # see EpisodeOutcome.constant_verdict
+
+    ledgers = property(lambda self: [out.ledger for out in self.episode_stats])
+    q_updates = property(lambda self: sum(out.updates for out in self.episode_stats))
+    constant_verdict_episodes = property(lambda self: [
+        out.episode for out in self.episode_stats if out.constant_verdict])
+
+    @property
+    def trace_rows(self):
+        """Every episode's trace, joined; a single episode's is its own."""
+        traces = [out.trace_rows for out in self.episode_stats]
+        return traces[0] if len(traces) == 1 else Trace.join(traces)
 
 
 def carbon_weight(agent):
@@ -469,13 +467,18 @@ def td_loss_ceiling(cfg):
 
 @dataclass
 class EpisodeOutcome:
-    """What one episode did, read off its trace: run_episode fills a row
-    per step, 0..L-1, as the ledger has.  Packet totals and the CPU sum
-    cover every step; reward, alerts, scores, labels, verdicts and response
-    times count from step 1, the first step an action can reach."""
+    """What one episode did, read off its trace and ledger: run_episode
+    fills a row per step, 0..L-1, as the ledger has.  Packet totals and the
+    CPU sum cover every step; reward, alerts, scores, labels, verdicts and
+    response times count from step 1, which an action can first reach."""
 
     ledger: object
     trace_rows: Trace
+    agent: str
+    episode: int = 0
+    epsilon_end: float = 0.0    # training sets the DQN's figures; a rollout's stay 0
+    updates: int = 0
+    td_loss_mean: float = 0.0   # mean minibatch TD loss over the episode's updates
     response_times: list = field(default_factory=list)
 
     def _acted(self, column):
@@ -492,6 +495,12 @@ class EpisodeOutcome:
     benign_passed = property(lambda self: self._sum("passed_benign"))
     cpu_pct_sum = property(lambda self: self._sum("cpu_pct"))
     reward_total = property(lambda self: self._sum("reward"))  # step 0's is 0.0
+    cpu_mean = property(lambda self: self.cpu_pct_sum / len(self.trace_rows))
+    energy_j = property(lambda self: self.ledger.cumulative_energy_j)
+    carbon_g = property(lambda self: self.ledger.cumulative_carbon_g)
+    rates = property(lambda self: episode_rates(self.agent, self.trace_rows.ints))
+    detection_rate = property(lambda self: self.rates[0])
+    false_rate = property(lambda self: self.rates[1])
     scores = property(lambda self: self._acted("anomaly_score").tolist())
     attack_labels = property(lambda self: self._acted("attack_active").tolist())
     # alerts, and the classifier's verdicts where it judged, against truth
@@ -724,35 +733,15 @@ class DrlPipeline:
             if q_updates % cfg.hyper.target_sync_every == 0:
                 target_net.sync_from(self.q_net)
 
-        episode_stats, outcomes = [], []
+        outcomes = []
         for episode in range(cfg.episodes):
             env = self._make_env(cfg.seed + 1000 * (episode + 1))
             updates_before, loss_sum = q_updates, 0.0
             out = self.run_episode(env, decide, learn, episode)
-            updates = q_updates - updates_before
-            detection_rate, false_rate = episode_rates(cfg.agent,
-                                                       out.trace_rows.ints)
-            episode_stats.append(EpisodeStats(
-                episode=episode,
-                reward_total=out.reward_total,
-                detection_rate=detection_rate,
-                false_rate=false_rate,
-                attack_offered=out.attack_offered,
-                attack_passed=out.attack_passed,
-                benign_offered=out.benign_offered,
-                benign_passed=out.benign_passed,
-                energy_j=out.ledger.cumulative_energy_j,
-                carbon_g=out.ledger.cumulative_carbon_g,
-                cpu_mean=out.cpu_pct_sum / cfg.env.episode_len,
-                epsilon_end=epsilon,
-                updates=updates,
-                td_loss_mean=loss_sum / updates if updates else 0.0,
-            ))
+            out.epsilon_end, out.updates = epsilon, q_updates - updates_before
+            out.td_loss_mean = loss_sum / out.updates if out.updates else 0.0
             outcomes.append(out)
-        return TrainOutcome(
-            self.models(), episode_stats, [out.ledger for out in outcomes],
-            Trace.join([out.trace_rows for out in outcomes]), q_updates,
-            [e for e, out in enumerate(outcomes) if out.constant_verdict])
+        return TrainOutcome(self.models(), outcomes)
 
     def _q_lr(self, k):
         # Robbins-Monro style decay; the supervised agent's DQN uses the
@@ -775,7 +764,8 @@ class DrlPipeline:
         records an active mitigation as an alert too."""
         cfg = self.cfg
         history = deque(maxlen=cfg.neural.lstm_window)
-        out = EpisodeOutcome(env.ledger, Trace(env.config.episode_len))
+        out = EpisodeOutcome(env.ledger, Trace(env.config.episode_len),
+                             cfg.agent, episode)
         trace, reward_window = out.trace_rows, cfg.sustain.reward_window
         unmitigated = 0   # attack steps in a row, up to this one, unmitigated
         onset, responded = None, True

@@ -2,16 +2,17 @@
 bench/harness.py wrap edgeids functions and methods by name, and
 bench/harness.py drives it through DrlPipeline and pipeline.rollout.
 These tests install both sets of wrappers on the live package and
-restore them, and run the bench's closed loop at a short episode length,
-so renaming a wrapped name or changing a call the bench makes fails
-here, not only in a benchmark run.  Nothing under bench/ is changed."""
+restore them, and run the bench's closed loop at a short episode length
+and write its artifacts, so renaming a wrapped name or changing a call
+the bench makes fails here, not only in a benchmark run.  Nothing under
+bench/ is changed."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edgeids import neural
+from edgeids import cli, config, neural
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -69,3 +70,24 @@ def test_bench_cycle_completes_checked_and_repeats(bench, workload):
     assert all(cycle.complete() for cycle in cycles)
     assert monitor.failed == 0
     assert cycles[0].fingerprint() == cycles[1].fingerprint()
+
+
+@pytest.mark.parametrize("workload", ["deepedge_syn", "autodrl_mixed"])
+def test_bench_artifacts_match_the_cli_train(bench, tmp_path, workload):
+    # the traced run writes its artifacts from a Cycle's TrainOutcome;
+    # edgeids train of the same config writes the same files
+    harness, _ = bench
+    cfg = harness.make_config(workload, seed=0, episode_len=60)
+    run = harness.Cycle(cfg, harness.Monitor())
+    for phase in harness.PHASES:
+        getattr(run, phase)()
+    assert run.complete()
+    bench_dir, cli_dir = tmp_path / "bench", tmp_path / "cli"
+    bench_dir.mkdir()
+    harness.write_artifacts(run, bench_dir)
+    config.save(cfg, tmp_path / "config.json")
+    assert cli.main(["train", "--quiet", "--config", str(tmp_path / "config.json"),
+                     "--out", str(cli_dir)]) == cli.EXIT_OK
+    for name in ("episodes.csv", "trace.csv", "ledger.csv", "checkpoint.txt",
+                 "detector.json"):
+        assert (bench_dir / name).read_bytes() == (cli_dir / name).read_bytes(), name

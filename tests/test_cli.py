@@ -615,6 +615,73 @@ def test_warmup_flows_are_bounded_at_load(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+def attacks(*scenarios):
+    return "env.attacks=" + json.dumps([
+        {"start_step": 0, "end_step": 60, **s} for s in scenarios])
+
+
+def zero_day(**knobs):
+    return {"kind": "zero_day_mix", "intensity": 5000, **knobs}
+
+
+def udp_flood(intensity):
+    return {"kind": "udp_flood", "intensity": intensity}
+
+
+@pytest.mark.parametrize("assignment, key", [
+    # reversed, the first attack step failed in its uniform draw
+    (attacks(zero_day(jitter_range=[1, 0])), "env.attacks[0].jitter_range"),
+    # negative, the attack flows' durations fell below 0
+    (attacks(zero_day(jitter_range=[-3, -2])), "env.attacks[0].jitter_range"),
+    (attacks(zero_day(size_range=[1200, 40])), "env.attacks[0].size_range"),
+    (attacks(zero_day(size_range=[0, 1200])), "env.attacks[0].size_range"),
+    (attacks(zero_day(), zero_day(jitter_range=[-1, 0.5])),
+     "env.attacks[1].jitter_range"),
+])
+def test_attack_ranges_are_checked_at_load(tmp_path, capsys, assignment, key):
+    out = tmp_path / "x"
+    code = cli.main(["train", "--quiet", "--out", str(out), "--set", assignment])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {key} must be"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("assignments", [
+    # RATE_LIMIT's packet draw failed at 1e12, the Poisson draw at 1e30
+    [attacks(udp_flood(1e12))],
+    [attacks(udp_flood(1e30))],
+    # the attacks' intensities sum, just over the bound of 1e8 a step
+    [attacks(udp_flood(6e7), zero_day(intensity=4e7 + 1))],
+    [attacks(udp_flood(6e7)), "env.dt=2"],
+])
+def test_attack_packets_per_step_are_bounded_at_load(tmp_path, capsys, monkeypatch,
+                                                     assignments):
+    # stop a run that got past load before it draws traffic at this rate
+    def loaded(cfg):
+        raise RuntimeError("the config loaded")
+    monkeypatch.setattr(cli.pl, "DrlPipeline", loaded)
+    out = tmp_path / "x"
+    code = cli.main(["train", "--quiet", "--out", str(out),
+                     *(arg for a in assignments for arg in ("--set", a))])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "config error: env.attacks' intensities times dt"), err
+    assert not out.exists()
+
+
+def test_attack_packets_at_their_bound_run_through_rate_limit(tmp_path):
+    out = tmp_path / "x"
+    code = cli.main(["train", "--quiet", "--episodes", "1", "--out", str(out),
+                     "--set", "env.episode_len=60",
+                     "--set", attacks(udp_flood(1e8))])
+    assert code == cli.EXIT_OK
+    with open(out / "trace.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert any(row["rate_cap"] for row in rows)
+
+
 @pytest.mark.parametrize("assignment", [
     "seed=1.5",
     "episodes=true",

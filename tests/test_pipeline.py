@@ -1,3 +1,4 @@
+import csv
 import errno
 import gc
 import math
@@ -18,6 +19,7 @@ from edgeids import cli
 from edgeids import features as ft
 from edgeids import neural
 from edgeids import pipeline as pl
+from edgeids import sustain
 from edgeids.agent import ActionId
 from edgeids.config import default_config
 from edgeids.evaluation import ConfusionCounts
@@ -497,6 +499,82 @@ def test_episode_rates_cover_the_whole_episode():
         (stats.attack_offered - stats.attack_passed) / stats.attack_offered
     assert stats.false_rate == \
         (stats.benign_offered - stats.benign_passed) / stats.benign_offered
+
+
+def ratio(part, whole):
+    return part / whole if whole else 0.0
+
+
+@pytest.mark.parametrize("agent", ["deepedge", "autodrl"])
+def test_episodes_csv_reduces_each_episodes_trace_and_ledger(
+        tmp_path, monkeypatch, agent):
+    cfg = quick_config(agent, episodes=3, episode_len=200)
+    pipe = pl.DrlPipeline(cfg)
+    losses, ends = [], []    # every update's TD loss; each episode's last
+    update, run_episode = ag.q_update_network, pipe.run_episode
+
+    def recorded_update(*args):
+        loss, td_errors = update(*args)
+        losses.append(loss)
+        return loss, td_errors
+
+    def recorded_episode(*args):
+        out = run_episode(*args)
+        ends.append(len(losses))
+        return out
+
+    monkeypatch.setattr(ag, "q_update_network", recorded_update)
+    monkeypatch.setattr(pipe, "run_episode", recorded_episode)
+    outcome = pipe.train()
+    pl.write_episode_csv(tmp_path / "episodes.csv", outcome.episode_stats)
+    with open(tmp_path / "episodes.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert list(rows[0]) == pl.EPISODE_COLUMNS
+    assert losses and outcome.q_updates == len(losses) == \
+        sum(int(row["updates"]) for row in rows)
+
+    trace, eps = outcome.trace_rows, cfg.hyper.epsilon
+    energy, carbon = (sustain.LEDGER_COLUMNS.index(c) for c in ("energy_j", "carbon_g"))
+    epsilon = eps.start_probability()
+    assert len(rows) == len(outcome.ledgers) == cfg.episodes
+    for episode, (row, ledger) in enumerate(zip(rows, outcome.ledgers)):
+        mine = trace.column("episode") == episode
+
+        def col(name):
+            return trace.column(name)[mine]
+
+        def total(name):
+            return int(col(name).sum())
+
+        if agent == "autodrl":
+            verdicts = col("verdict")[col("attack_active") != 0]
+            false_rate = ratio(np.count_nonzero(verdicts == 0),
+                               np.count_nonzero(verdicts != pl.NO_VERDICT))
+        else:
+            false_rate = ratio(total("dropped_benign"), total("offered_benign"))
+        episode_losses = losses[ends[episode - 1] if episode else 0:ends[episode]]
+        for _ in episode_losses:
+            epsilon = max(eps.floor, epsilon * eps.decay)
+        _, values = ledger.records()
+        # float sums run in step order, as np.cumsum adds
+        expected = {
+            "episode": episode,
+            "reward_total": np.cumsum(col("reward"))[-1],
+            "detection_rate": ratio(total("dropped_attack"), total("offered_attack")),
+            "false_rate": false_rate,
+            "attack_offered": total("offered_attack"),
+            "attack_passed": total("passed_attack"),
+            "benign_offered": total("offered_benign"),
+            "benign_passed": total("passed_benign"),
+            "energy_j": np.cumsum(values[:, energy])[-1],
+            "carbon_g": np.cumsum(values[:, carbon])[-1],
+            "cpu_mean": np.cumsum(col("cpu_pct"))[-1] / cfg.env.episode_len,
+            "epsilon_end": epsilon,
+            "updates": len(episode_losses),
+            "td_loss_mean": ratio(np.cumsum(episode_losses)[-1]
+                                  if episode_losses else 0.0, len(episode_losses)),
+        }
+        assert {c: float(cell) for c, cell in row.items()} == expected, episode
 
 
 def test_tabular_pipeline_episode_rewards_deterministic():
