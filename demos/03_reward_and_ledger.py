@@ -28,17 +28,6 @@ print(f"cumulative energy: {ledger.cumulative_energy_j:.1f} J, "
 print(f"bound violations: {ledger.check_bounds()} (empty means every step "
       "obeyed E <= P_max*dt and C <= kappa_max*E)")
 
-print("\n== steady-state residual -delta + zeta*kappa ==")
-print("with delta = zeta*kappa the residual vanishes:",
-      sustain.equilibrium_check(
-          sustain.RewardWeights(delta=0.05 * kappa, zeta=0.05), kappa))
-
-print("\n== coupled penalty matrix ==")
-h = sustain.PenaltyMatrix([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]])
-z = np.array([1.2, 0.5, 0.05])
-print(f"penalty([E, M, C] = {z}) = {sustain.penalty_value(h, z):.4f}; "
-      f"doubling z quadruples it: {sustain.penalty_value(h, 2 * z):.4f}")
-
 print("\n== Pareto front over (energy, carbon) operating points ==")
 points = [(float(e), float(c))
           for e, c in np.random.default_rng(7).uniform(0, 10, size=(40, 2)).round(2)]

@@ -9,11 +9,11 @@ from dataclasses import replace
 
 from edgeids.agent import ActionId
 from edgeids.config import default_config
-from edgeids.gateway_env import EdgeGatewayEnv, default_syn_flood
+from edgeids.gateway_env import AttackScenario, EdgeGatewayEnv
 
 cfg = default_config("deepedge")
 gateway = replace(cfg.env, episode_len=400,
-                  attacks=[default_syn_flood(start=100, end=320)])
+                  attacks=[AttackScenario("syn_flood", 5000.0, 100, 320)])
 
 env = EdgeGatewayEnv(gateway, seed=3, resources=cfg.resources)
 

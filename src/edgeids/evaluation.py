@@ -65,13 +65,6 @@ def classification_metrics(counts):
             "recall": recall, "f1": f1}
 
 
-def detection_probability(attack_steps, detected_steps):
-    """Fraction of ground-truth attack steps with an alert or mitigation."""
-    if attack_steps == 0:
-        raise ValueError("window contains no attack steps")
-    return detected_steps / attack_steps
-
-
 def missed_packets_per_hour(detection_prob, packets_per_second):
     """(1 - p) * M * 3600 rounded to the nearest packet."""
     if not 0.0 <= detection_prob <= 1.0:

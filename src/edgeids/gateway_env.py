@@ -34,7 +34,7 @@ FLAG_RST = 8
 class FlowRecord:
     """One bidirectional flow with packet/byte/timing counters.
 
-    The row type of CSV ingest and export and of hand-built flows; the
+    The row type of hand-built flows and of a FlowBatch's rows; the
     simulator itself works on FlowBatch columns.
     """
 
@@ -74,8 +74,8 @@ class FlowBatch:
     ``src`` indexes ``sources`` (the source names), ``label`` indexes
     LABELS and ``protocol`` indexes PROTOCOLS.  A batch is never modified
     once built, so mitigation may hand its input back as the passed
-    flows.  Iterating a batch yields FlowRecord rows, for export and for
-    checks; the simulator works on the columns only.
+    flows.  Iterating a batch yields FlowRecord rows, for checks; the
+    simulator works on the columns only.
     """
 
     sources: tuple
@@ -110,11 +110,6 @@ class FlowBatch:
                    column((r.flags for r in records), np.int64),
                    column((LABELS.index(r.label) for r in records), np.int8),
                    column((PROTOCOLS.index(r.protocol) for r in records), np.int8))
-
-    @classmethod
-    def of(cls, flows):
-        """``flows`` itself when it is a batch, else its records as one."""
-        return flows if isinstance(flows, cls) else cls.from_records(flows)
 
     def __len__(self):
         return len(self.src)
@@ -175,6 +170,15 @@ MAX_WARMUP_FLOWS = 1e6
 # than 1e9; this leaves nine tenths of that for the Poisson draws' spread
 # and the benign packets, about 16 a flow.
 MAX_ATTACK_PKTS_PER_STEP = 1e8
+# A bound on the source count, env.benign_sources plus the largest attack
+# source pool: source_names builds one Python name string per source, and
+# each step fills and scans one flag per source.  2500 times the default
+# 40 benign sources.
+MAX_SOURCES = 1e5
+# A bound on env.source_window times the source count, the cells of the
+# gateway's [sources, source_window] flag ring: one byte each, all of them
+# scanned every step (about 4 ms at the bound on a 2-vCPU x86 box).
+MAX_FLAG_RING_CELLS = 1e7
 
 
 @dataclass
@@ -199,6 +203,8 @@ class AttackScenario:
             ("start_step", self.start_step < self.end_step,
              f"must be less than end_step ({self.end_step})"),
             ("n_sources", self.n_sources >= 1, "must be >= 1"),
+            ("n_sources", self.n_sources <= MAX_SOURCES,
+             f"must be at most {MAX_SOURCES:g}"),
             ("size_range", 0 < self.size_range[0] <= self.size_range[1],
              "must be [low, high] with 0 < low <= high"),
             ("jitter_range", 0 <= self.jitter_range[0] <= self.jitter_range[1],
@@ -228,9 +234,14 @@ class EnvConfig:
     blacklist_expiry: int = 300         # steps a blacklisted source stays out
 
     def __post_init__(self):
+        pool = _attack_pool(self.attacks)
+        sources = self.benign_sources + pool
         check_fields(self, (
             ("benign_rate", self.benign_rate >= 0, "must be >= 0"),
             ("benign_sources", self.benign_sources >= 1, "must be >= 1"),
+            ("benign_sources", sources <= MAX_SOURCES,
+             f"plus the attacks' largest source pool ({pool}) must be at "
+             f"most {MAX_SOURCES:g} sources"),
             ("dt", self.dt > 0, "must be positive"),
             ("benign_rate", self.benign_rate * self.dt <= MAX_FLOWS_PER_STEP,
              f"times dt ({self.dt:g} s) must be at most "
@@ -240,6 +251,9 @@ class EnvConfig:
             ("syn_cap_pps", self.syn_cap_pps > 0, "must be positive"),
             ("tau_p", 0.0 < self.tau_p < 1.0, "must lie in (0, 1)"),
             ("source_window", self.source_window >= 1, "must be >= 1"),
+            ("source_window", self.source_window * sources <= MAX_FLAG_RING_CELLS,
+             f"times the source count ({sources}) must be at most "
+             f"{MAX_FLAG_RING_CELLS:g} flag cells"),
             ("blacklist_expiry", self.blacklist_expiry >= 0, "must be >= 0")))
         pkts = sum(a.intensity for a in self.attacks) * self.dt
         if not pkts <= MAX_ATTACK_PKTS_PER_STEP:
@@ -335,13 +349,17 @@ def _source_names(benign, attack):
             + tuple(f"a{i:03d}" for i in range(attack)))
 
 
+def _attack_pool(attacks):
+    """The attack source names the traffic can use: the largest scenario's
+    sources.  A zero-day mix rotates through a pool of twice its count."""
+    return max((s.n_sources * (2 if s.kind == "zero_day_mix" else 1)
+                for s in attacks), default=0)
+
+
 def source_names(config):
     """Every source name the traffic can use, benign sources first; a
-    generated flow's ``src`` indexes this tuple.  A zero-day mix rotates
-    through a pool of twice its source count."""
-    attack = max((s.n_sources * (2 if s.kind == "zero_day_mix" else 1)
-                  for s in config.attacks), default=0)
-    return _source_names(config.benign_sources, attack)
+    generated flow's ``src`` indexes this tuple."""
+    return _source_names(config.benign_sources, _attack_pool(config.attacks))
 
 
 def _benign_columns(config, rng):
@@ -456,15 +474,15 @@ def _blacklisted(sources, blacklist):
     return np.fromiter((name in blacklist for name in sources), bool, len(sources))
 
 
-def apply_mitigation(flows, mitigation, rng, flags=None, dt=1.0):
-    """Filter offered flows through the active mitigation controls.
+def apply_mitigation(batch, mitigation, rng, flags=None, dt=1.0):
+    """Filter the offered flows, one FlowBatch, through the active
+    mitigation controls.
 
     Order: blacklist, anomaly drop filter, SYN cap, total rate cap.  Packet
     and byte totals are conserved exactly across (passed, dropped), two
     FlowBatches; dropped holds the blocked flows, then the SYN-cap cuts,
     then the rate-cap cuts.  With no control active every flow passes.
     """
-    batch = FlowBatch.of(flows)
     flagged = np.zeros(len(batch), bool) if flags is None \
         else np.asarray(flags, dtype=bool)
     if flagged.shape != (len(batch),):
@@ -697,7 +715,3 @@ class EdgeGatewayEnv:
         )
         self.step_index += 1
         return result
-
-
-def default_syn_flood(intensity=5000.0, start=200, end=700, n_sources=20):
-    return AttackScenario("syn_flood", intensity, start, end, n_sources)

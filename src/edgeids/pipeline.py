@@ -593,8 +593,10 @@ class DrlPipeline:
         self.q_net = None
         self._classifier_updates = 0
         kappa_file = cfg.sustain.kappa_schedule_file
-        # read once, so a bad file fails before the warm-up
-        self._kappa_schedule = load_kappa_schedule(kappa_file) if kappa_file else None
+        # read once, so a bad file fails before the warm-up; no scheduled
+        # value may exceed the ledger's kappa_max, as no constant one may
+        self._kappa_schedule = load_kappa_schedule(
+            kappa_file, cfg.sustain.ledger_limits().kappa_max) if kappa_file else None
 
     # -- model plumbing ----------------------------------------------------
 

@@ -9,7 +9,7 @@ utilization, and emissions, and can verify the physical bounds
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,15 +132,6 @@ def carbon_emission(energy_j, kappa_g_per_j):
     return energy_j * kappa_g_per_j
 
 
-def equilibrium_check(weights, kappa_g_per_j):
-    """Residual of the steady-state condition dR/dE + zeta*kappa = 0.
-
-    The linear reward has dR/dE = -delta, so the residual is
-    -delta + zeta*kappa; zero means the stationarity condition holds.
-    """
-    return -weights.delta + weights.zeta * kappa_g_per_j
-
-
 # ---------------------------------------------------------------------------
 # sustainability ledger
 # ---------------------------------------------------------------------------
@@ -261,9 +252,10 @@ def write_ledger_csv(path, ledgers, episode_len=0):
                 zip((steps + episode * episode_len).tolist(), values.tolist()))
 
 
-def load_kappa_schedule(path):
+def load_kappa_schedule(path, kappa_max):
     """CSV with columns step,kappa_g_per_joule -> {step: kappa}; a bad value
-    or a kappa not finite and >= 0 raises ValueError naming file and line."""
+    or a kappa not finite and in [0, kappa_max] (g/J) raises ValueError
+    naming file and line."""
     schedule = {}
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -272,8 +264,9 @@ def load_kappa_schedule(path):
                 raise ValueError("needs step,kappa_g_per_joule columns")
             for row in reader:
                 kappa = float(row["kappa_g_per_joule"])
-                if not (np.isfinite(kappa) and kappa >= 0):
-                    raise ValueError(f"kappa {kappa} must be finite and >= 0")
+                if not (np.isfinite(kappa) and 0 <= kappa <= kappa_max):
+                    raise ValueError(f"kappa {kappa} must be finite and in "
+                                     f"[0, {kappa_max:g}]")
                 schedule[int(row["step"])] = kappa
         except (csv.Error, TypeError, ValueError) as exc:
             raise ValueError(
@@ -334,31 +327,3 @@ def pareto_front(points):
         best_c_before = min(best_c_before, group_min_c)
         i = j
     return [pts[i] for i in range(n) if not dominated[i]]
-
-
-# ---------------------------------------------------------------------------
-# coupled penalty matrix
-# ---------------------------------------------------------------------------
-
-class PenaltyMatrix:
-    """Symmetric positive-definite 3x3 quadratic penalty over [E, M, C]."""
-
-    def __init__(self, h):
-        h = np.asarray(h, dtype=float)
-        if h.shape != (3, 3):
-            raise ValueError("penalty matrix must be 3x3")
-        if not np.allclose(h, h.T, atol=1e-12):
-            raise ValueError("penalty matrix must be symmetric")
-        minors = (h[0, 0], np.linalg.det(h[:2, :2]), np.linalg.det(h))
-        if not all(m > 0 for m in minors):
-            raise ValueError("penalty matrix must be positive definite "
-                             f"(leading minors {minors})")
-        self.h = h
-
-
-def penalty_value(matrix, z):
-    """Quadratic form z^T H z over z = [energy, memory, carbon]."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (3,):
-        raise ValueError("z must be [E, M, C]")
-    return float(z @ matrix.h @ z)

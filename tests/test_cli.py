@@ -628,6 +628,28 @@ def udp_flood(intensity):
     return {"kind": "udp_flood", "intensity": intensity}
 
 
+@pytest.mark.parametrize("assignment, named", [
+    # unbounded, this ring asked for 36.4 TiB and the run died in a MemoryError
+    ("env.source_window=1000000000000", "env.source_window times the source count"),
+    ("env.benign_sources=1000000000000", "env.benign_sources plus"),
+    (attacks(zero_day(n_sources=10**12)), "env.attacks[0].n_sources"),
+    # a zero-day mix rotates through twice its sources
+    (attacks(zero_day(n_sources=60_000)), "env.benign_sources plus"),
+])
+def test_sources_are_bounded_at_load(tmp_path, capsys, monkeypatch,
+                                     assignment, named):
+    # stop a run that got past load before it builds the source names
+    def loaded(cfg):
+        raise RuntimeError("the config loaded")
+    monkeypatch.setattr(cli.pl, "DrlPipeline", loaded)
+    out = tmp_path / "x"
+    code = cli.main(["train", "--quiet", "--out", str(out), "--set", assignment])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {named}"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("assignment, key", [
     # reversed, the first attack step failed in its uniform draw
     (attacks(zero_day(jitter_range=[1, 0])), "env.attacks[0].jitter_range"),
@@ -863,7 +885,8 @@ def test_checkpoint_with_nan_classifier_head_is_one_line(train_artifact, tmp_pat
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kappa", ["nan", "inf", "-0.0002"])
+# 1.0 g/J lies above the default kappa_max_g_per_kwh of 500
+@pytest.mark.parametrize("kappa", ["nan", "inf", "-0.0002", "1.0"])
 def test_bad_kappa_schedule_fails_before_warmup(tmp_path, capsys, kappa):
     schedule = tmp_path / "k.csv"
     schedule.write_text(f"step,kappa_g_per_joule\n0,0.0001\n50,{kappa}\n")

@@ -15,7 +15,6 @@ ROOT = Path(__file__).resolve().parents[1]
     ("08_epsilon_sweep.py", ["sweep_unsupervised.csv", "sweep_supervised.csv"]),
     ("01_neural_gradient_checks.py", []),
     ("04_gateway_simulation.py", []),
-    ("09_feature_selection.py", ["selection_report.json", "flows.csv"]),
     ("03_reward_and_ledger.py", []),
     # 05 and 06 train both agents through the replay ring; 06 also reads
     # the pipeline's classifier update count

@@ -9,7 +9,6 @@ from edgeids.evaluation import (
     anova_from_sums,
     classification_metrics,
     compare_models,
-    detection_probability,
     epsilon_sweep,
     f_survival,
     false_alerts_per_100,
@@ -75,14 +74,6 @@ def test_metrics_undefined_ratios_are_absent_not_zero():
     assert m["accuracy"] == 1.0
     with pytest.raises(ValueError):
         classification_metrics(ConfusionCounts())
-
-
-def test_detection_probability():
-    assert detection_probability(50, 50) == 1.0
-    assert detection_probability(50, 0) == 0.0
-    assert detection_probability(50, 49) == pytest.approx(0.98)
-    with pytest.raises(ValueError):
-        detection_probability(0, 0)
 
 
 def test_missed_packets_per_hour():

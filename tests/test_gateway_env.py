@@ -19,7 +19,6 @@ from edgeids.gateway_env import (
     MitigationState,
     apply_mitigation,
     blacklist_update,
-    default_syn_flood,
     generate_step_traffic,
     rate_threshold_flagger,
     resource_model,
@@ -66,7 +65,7 @@ def test_syn_flood_packet_count_poisson():
 
 
 def test_traffic_deterministic_for_seed():
-    cfg = EnvConfig(attacks=[default_syn_flood(start=0, end=5)])
+    cfg = EnvConfig(attacks=[AttackScenario("syn_flood", 5000.0, 0, 5)])
     a = generate_step_traffic(cfg, 1, np.random.default_rng(42))
     b = generate_step_traffic(cfg, 1, np.random.default_rng(42))
     assert list(a) == list(b)
@@ -97,7 +96,8 @@ def test_attack_scenario_validation():
 
 def test_no_mitigation_is_identity():
     flows = [flow(pkts=10), flow(src="b001", pkts=20)]
-    passed, dropped = apply_mitigation(flows, MitigationState(), np.random.default_rng(0))
+    passed, dropped = apply_mitigation(FlowBatch.from_records(flows), MitigationState(),
+                                       np.random.default_rng(0))
     assert list(passed) == flows and len(dropped) == 0
 
 
@@ -132,7 +132,8 @@ def test_mitigation_caps_must_be_positive(name, cap):
 def test_blacklist_drops_all_from_source():
     flows = [flow(src="a000", pkts=50, syn_only=True, label="attack"), flow(src="b001")]
     m = MitigationState(blacklist={"a000": 100})
-    passed, dropped = apply_mitigation(flows, m, np.random.default_rng(0))
+    passed, dropped = apply_mitigation(FlowBatch.from_records(flows), m,
+                                       np.random.default_rng(0))
     assert all(f.src_id != "a000" for f in passed)
     assert total_pkts(dropped) == 50
 
@@ -141,7 +142,7 @@ def test_rate_cap_enforced():
     rng = np.random.default_rng(3)
     flows = [flow(src=f"b{i:03d}", pkts=100) for i in range(10)]  # 1000 pps
     m = MitigationState(rate_cap=500.0)
-    passed, dropped = apply_mitigation(flows, m, rng)
+    passed, dropped = apply_mitigation(FlowBatch.from_records(flows), m, rng)
     assert total_pkts(passed) <= 500
     assert total_pkts(passed) + total_pkts(dropped) == 1000
 
@@ -152,7 +153,7 @@ def test_syn_cap_only_drops_syn_packets():
               for i in range(5)]
     benign = [flow(src="b000", pkts=30)]
     m = MitigationState(syn_cap=100.0)
-    passed, dropped = apply_mitigation(attack + benign, m, rng)
+    passed, dropped = apply_mitigation(FlowBatch.from_records(attack + benign), m, rng)
     syn_passed = sum(syn_packets(f) for f in passed)
     assert syn_passed <= 100
     # benign flow loses at most its single handshake SYN
@@ -164,15 +165,15 @@ def test_syn_cap_only_drops_syn_packets():
 def test_drop_filter_uses_flags():
     flows = [flow(src="a000", pkts=40, syn_only=True, label="attack"), flow(src="b000")]
     m = MitigationState(drop_filter_active=True)
-    passed, dropped = apply_mitigation(flows, m, np.random.default_rng(0),
-                                       flags=[True, False])
+    passed, dropped = apply_mitigation(FlowBatch.from_records(flows), m,
+                                       np.random.default_rng(0), flags=[True, False])
     assert [f.src_id for f in passed] == ["b000"]
     assert [f.src_id for f in dropped] == ["a000"]
 
 
 def test_conservation_under_all_mitigations():
     rng = np.random.default_rng(5)
-    cfg = EnvConfig(attacks=[default_syn_flood(start=0, end=20)])
+    cfg = EnvConfig(attacks=[AttackScenario("syn_flood", 5000.0, 0, 20)])
     for step in range(20):
         flows = generate_step_traffic(cfg, step, rng)
         flags = [f.label == "attack" for f in flows]
@@ -328,7 +329,7 @@ def test_batch_mitigation_matches_per_flow_reference(case):
 def test_mitigation_monotone_attack_packets():
     # activating any single mitigation never raises passed attack packets
     rng_master = np.random.default_rng(6)
-    cfg = EnvConfig(attacks=[default_syn_flood(start=0, end=10)])
+    cfg = EnvConfig(attacks=[AttackScenario("syn_flood", 5000.0, 0, 10)])
     flows = generate_step_traffic(cfg, 2, rng_master)
     flags = [f.label == "attack" for f in flows]
     base, _ = apply_mitigation(flows, MitigationState(), np.random.default_rng(7), flags)
@@ -498,6 +499,10 @@ def test_source_window_must_be_positive():
 @pytest.mark.parametrize("field, value", [
     ("benign_rate", -1.0), ("benign_sources", 0), ("dt", 0.0), ("episode_len", 0),
     ("rate_cap_pps", 0.0), ("syn_cap_pps", -1.0), ("tau_p", 0.0), ("tau_p", 1.5),
+    # the default attack's 20 sources bring these just over 1e5 sources and
+    # 1e7 flag-ring cells; the config rejects them before any allocation
+    ("benign_sources", 99_981), ("benign_sources", 10**12),
+    ("source_window", 166_667), ("source_window", 10**12),
 ])
 def test_env_config_check_names_its_field(field, value):
     with pytest.raises(ValueError, match=f"^{field} "):
@@ -554,7 +559,8 @@ def test_severe_attack_cpu_band_unmitigated():
 
 
 def test_resource_sanity_on_every_step():
-    cfg = EnvConfig(attacks=[default_syn_flood()], episode_len=500)
+    cfg = EnvConfig(attacks=[AttackScenario("syn_flood", 5000.0, 200, 700)],
+                    episode_len=500)
     e = EdgeGatewayEnv(cfg, seed=13)
     rng = np.random.default_rng(0)
     for _ in range(500):
@@ -584,7 +590,7 @@ def test_flagger_must_return_one_flag_per_flow():
 
 
 def test_step_features_are_the_offered_flows_matrix():
-    e = EdgeGatewayEnv(EnvConfig(attacks=[default_syn_flood(start=0, end=5)],
+    e = EdgeGatewayEnv(EnvConfig(attacks=[AttackScenario("syn_flood", 5000.0, 0, 5)],
                                  episode_len=5), seed=3)
     for _ in range(5):
         res = e.step(None)
@@ -592,7 +598,7 @@ def test_step_features_are_the_offered_flows_matrix():
 
 
 def test_step_counts_offered_syn_and_ack_packets():
-    e = EdgeGatewayEnv(EnvConfig(attacks=[default_syn_flood(start=2, end=6)],
+    e = EdgeGatewayEnv(EnvConfig(attacks=[AttackScenario("syn_flood", 5000.0, 2, 6)],
                                  episode_len=8), seed=4)
     for _ in range(8):
         res = e.step(ActionId.SYN_THROTTLE)
@@ -605,7 +611,8 @@ def test_step_counts_offered_syn_and_ack_packets():
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(flow_records(), max_size=30), st.floats(0.0, 5000.0))
 def test_rate_flagger_matches_per_flow_rule(flows, threshold):
-    flags = rate_threshold_flagger(threshold)(features_matrix(flows))
+    flags = rate_threshold_flagger(threshold)(
+        features_matrix(FlowBatch.from_records(flows)))
     assert flags.dtype == bool
     assert flags.tolist() == [f.pkts_total / max(f.duration, 1e-3) > threshold
                      for f in flows]
@@ -631,7 +638,7 @@ def test_features_matrix_matches_per_flow_reference(flows):
 
 
 def test_env_deterministic_trajectory():
-    cfg = EnvConfig(attacks=[default_syn_flood(start=5, end=40)], episode_len=60)
+    cfg = EnvConfig(attacks=[AttackScenario("syn_flood", 5000.0, 5, 40)], episode_len=60)
     actions = [None] * 10 + [ActionId.SOURCE_FILTER, ActionId.SYN_THROTTLE] * 25
 
     def run():
@@ -647,7 +654,7 @@ def test_env_deterministic_trajectory():
 
 
 def test_env_action_semantics():
-    cfg = EnvConfig(attacks=[default_syn_flood(start=0, end=50)], episode_len=60)
+    cfg = EnvConfig(attacks=[AttackScenario("syn_flood", 5000.0, 0, 50)], episode_len=60)
     e = EdgeGatewayEnv(cfg, seed=22)
     res = e.step(ActionId.RATE_LIMIT)
     assert res.mitigation.rate_cap == e.config.rate_cap_pps
@@ -666,7 +673,7 @@ def test_env_action_semantics():
 
 
 def test_source_filter_blacklists_flooders():
-    cfg = EnvConfig(attacks=[default_syn_flood(start=0, end=50)], episode_len=60)
+    cfg = EnvConfig(attacks=[AttackScenario("syn_flood", 5000.0, 0, 50)], episode_len=60)
     e = EdgeGatewayEnv(cfg, seed=23)
     for _ in range(6):      # build up per-source anomaly windows
         e.step(None)
@@ -679,7 +686,7 @@ def test_source_filter_blacklists_flooders():
 
 
 def test_blacklist_soundness_until_expiry():
-    cfg = EnvConfig(attacks=[default_syn_flood(start=0, end=90)], episode_len=100)
+    cfg = EnvConfig(attacks=[AttackScenario("syn_flood", 5000.0, 0, 90)], episode_len=100)
     e = EdgeGatewayEnv(cfg, seed=24)
     for _ in range(6):
         e.step(None)

@@ -23,8 +23,8 @@ from edgeids import sustain
 from edgeids.agent import ActionId
 from edgeids.config import default_config
 from edgeids.evaluation import ConfusionCounts
-from edgeids.gateway_env import (AttackScenario, EdgeGatewayEnv, FlowRecord,
-                                 MitigationState)
+from edgeids.gateway_env import (AttackScenario, EdgeGatewayEnv, FlowBatch,
+                                 FlowRecord, MitigationState)
 import trace_reference
 from reward_reference import RewardTracker
 
@@ -624,8 +624,8 @@ def test_batch_detector_matches_per_flow_reference(trained_quick):
     pipe, _ = trained_quick
     detector = pipe.detector
     env = EdgeGatewayEnv(pipe.cfg.env, seed=4242)
-    steps = [[]] + [env.step(None).offered
-                    for _ in range(pipe.cfg.env.episode_len)]
+    steps = [FlowBatch.from_records([])] + [env.step(None).offered
+                                            for _ in range(pipe.cfg.env.episode_len)]
     flagged = 0
     for flows in steps:
         ref_flags, ref_x, ref_score = per_flow_reference(detector, flows)
